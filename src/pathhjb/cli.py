@@ -25,6 +25,7 @@ import yaml
 from . import gauge, varprinciple
 from .bshjb import remark64_check
 from .control import (
+    BlowupError,
     CapacityError,
     ContractError,
     ControlProblem,
@@ -433,8 +434,7 @@ def run_viscosity_probe(config: dict, seed: int):
     if config["solution"] not in _SOLUTIONS:
         raise ConfigError(f"unknown solution {config['solution']!r}; available: {sorted(_SOLUTIONS)}")
     preset_name, solution_builder = _SOLUTIONS[config["solution"]]
-    g = config["grid"]
-    grid = GridConfig(int(g["steps"]), float(g["horizon"]), int(g["dim"]), int(g["noise_dim"]))
+    grid = _grid_from(config)
     cp = build_preset(preset_name, grid)
     sol = solution_builder(grid)
     rng = np.random.default_rng(seed)
@@ -490,8 +490,7 @@ COMPARISON_DEFAULT = {
 
 
 def run_comparison_demo(config: dict, seed: int):
-    g = config["grid"]
-    grid = GridConfig(int(g["steps"]), float(g["horizon"]), int(g["dim"]), int(g["noise_dim"]))
+    grid = _grid_from(config)
     cp = lq_problem(grid)
     rng = np.random.default_rng(seed)
 
@@ -606,7 +605,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"config error: coefficient expression failed to evaluate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CapacityError, ContractError, CFLError, MarkovProbeError, PathError) as exc:
+    except (BlowupError, CapacityError, ContractError, CFLError, MarkovProbeError, PathError) as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     outdir = FsPath(args.out)

@@ -11,6 +11,7 @@ identity up to fixed-point tolerance.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -195,46 +196,98 @@ class NoiseTree:
         return [self.node_path(self.depth, j) for j in range(self.levels[-1].shape[0])]
 
 
-def _check_cap(branching: int, depth: int, cap: int) -> None:
-    if branching**depth > cap:
-        raise CapacityError(
-            f"tree with {branching}^{depth} leaves exceeds the node cap {cap}"
-        )
+def _check_cap(fan: int, depth: int, cap: int) -> None:
+    # fan = children per node: 2^n for a cost, |U| * 2^n for the value. No cap reaches 2^63.
+    leaves = fan**depth if depth * math.log2(fan) <= 63 else math.inf
+    if leaves > cap:
+        raise CapacityError(f"tree of depth {depth} needs {fan}^{depth} = {leaves} leaves, over the node cap {cap}")
 
 
-def _build_levels(cp: ControlProblem, root: Path, depth: int, incs: np.ndarray, strategy: ControlStrategy):
-    dt = root.dt
-    b_count = incs.shape[0]
-    first = root.values[None, :, :].copy()
+def _forward(cp: ControlProblem, root: Path, depth: int, incs: np.ndarray, dt: float, strategy=None):
+    """Forward pass: level k's node paths as one (N_k, d, c + k) array. Each node
+    is expanded under ``strategy``'s control or, for the value (``strategy``
+    None), under all of U; children are ordered (node, control, move). The
+    value merges identical internal children: links[k] maps each child slot
+    of level k to its row of level k + 1, keys[k] holds each row's memo key."""
+    b_count, n = incs.shape
+    n_u = len(cp.controls) if strategy is None else 1
+    first = root.values[None].copy()
     first.setflags(write=False)
-    levels = [first]
+    levels, ctrls, links, keys = [first], [], [], [[(root.t_index, root.values.tobytes())]]
     for k in range(depth):
         cur = levels[k]
         count, d, cols = cur.shape
-        nxt = np.empty((count * b_count, d, cols + 1))
+        bvec, sig, us = np.empty((count * n_u, d)), np.empty((count * n_u, d, n)), []
         for j in range(count):
             path = Path._wrap(cur[j], dt)
-            u = strategy.control_at(path)
-            bvec = np.atleast_1d(np.asarray(cp.drift(path, u), dtype=float))
-            sig = np.atleast_2d(np.asarray(cp.diffusion(path, u), dtype=float))
-            x = cur[j, :, -1]
-            steps = x[None, :] + bvec[None, :] * dt + incs @ sig.T
-            if not np.all(np.isfinite(steps)):
-                raise BlowupError(f"non-finite state at tree level {k + 1}")
-            rows = slice(j * b_count, (j + 1) * b_count)
-            nxt[rows, :, :cols] = cur[j]
-            nxt[rows, :, cols] = steps
-        nxt.setflags(write=False)
-        levels.append(nxt)
-    return tuple(levels)
+            us.append(cp.controls if strategy is None else (strategy.control_at(path),))
+            for i, u in enumerate(us[j], j * n_u):
+                bvec[i] = cp.drift(path, u)
+                sig[i] = cp.diffusion(path, u)
+        sig = sig.reshape(count, n_u, d, n).swapaxes(-1, -2)
+        steps = cur[:, None, None, :, -1] + bvec.reshape(count, n_u, 1, d) * dt + incs @ sig
+        if not np.all(np.isfinite(steps)):
+            raise BlowupError(f"non-finite state at grid index {root.t_index + k + 1}")
+        kids = np.empty(steps.shape[:-1] + (d, cols + 1))
+        kids[..., :cols] = cur[:, None, None]
+        kids[..., cols] = steps
+        kids, link = kids.reshape(-1, d, cols + 1), None
+        if strategy is None and k + 1 < depth:
+            t, size, buf, rows = root.t_index + k + 1, kids.strides[0], kids.tobytes(), {}
+            link = np.array([rows.setdefault((t, buf[i * size : (i + 1) * size]), len(rows)) for i in range(len(kids))])
+            if len(rows) < len(kids):
+                kids = kids[np.unique(link, return_index=True)[1]]
+            keys.append(list(rows))
+        kids.setflags(write=False)
+        levels.append(kids)
+        ctrls.append(us)
+        links.append(link)
+    return levels, ctrls, links, keys
+
+
+def _backward(cp: ControlProblem, levels, ctrls, links, keys, incs: np.ndarray, dt: float, terminal, memo=None):
+    """Backward pass Y = E[Y'] + q(path, Y, Z, u) dt, Z = E[Y' dW^T] / dt over
+    ``_forward``'s levels. Without ``memo`` returns (y_levels, z_levels); with
+    it each node keeps its first control of maximal Y, recorded in ``memo``."""
+    if callable(terminal):
+        y = np.fromiter((float(terminal(Path._wrap(leaf, dt))) for leaf in levels[-1]), float, len(levels[-1]))
+    else:
+        y = np.asarray(terminal, dtype=float)
+        if y.shape != (levels[-1].shape[0],):
+            raise PathError(f"terminal data must have one value per leaf ({levels[-1].shape[0]})")
+    if not np.all(np.isfinite(y)):
+        raise BlowupError("non-finite terminal data")
+    b_count, n = incs.shape
+    y_levels, z_levels = [y], [np.zeros((y.shape[0], n))]
+    for k in range(len(ctrls) - 1, -1, -1):
+        count, n_u = levels[k].shape[0], 1 if memo is None else len(cp.controls)
+        if links[k] is not None:
+            y = y[links[k]]
+        yc = y.reshape(count, n_u, b_count)
+        e = yc.mean(axis=-1).tolist()
+        # Two BLAS calls on purpose: they round differently in the last bit, and the
+        # cost (one product over all rows) and value (one per row) outputs are pinned.
+        rows = yc.reshape(-1, b_count) if memo is None else yc.reshape(-1, 1, b_count)
+        z = (rows @ incs).reshape(count, n_u, n) / (b_count * dt)
+        y_u = np.empty((count, n_u))
+        for j, u_j in enumerate(ctrls[k]):
+            path = Path._wrap(levels[k][j], dt)
+            for i, u in enumerate(u_j):
+                y_u[j, i] = _implicit_step(cp, path, e[j][i], z[j, i], u, dt)
+        if memo is None:
+            y, z = y_u[:, 0], z[:, 0]
+        else:
+            best = y_u.argmax(axis=1)
+            y = y_u[np.arange(count), best]
+            for key, y_j, i in zip(keys[k], y.tolist(), best.tolist()):
+                memo[key] = (y_j, cp.controls[i])
+        y_levels.append(y)
+        z_levels.append(z)
+    return y_levels[::-1], z_levels[::-1]
 
 
 def simulate_tree(
-    cp: ControlProblem,
-    p0: Path,
-    end_index: int,
-    strategy: Optional[ControlStrategy] = None,
-    cap: int = DEFAULT_NODE_CAP,
+    cp: ControlProblem, p0: Path, end_index: int, strategy: Optional[ControlStrategy] = None, cap: int = DEFAULT_NODE_CAP
 ) -> NoiseTree:
     """Build the exact noise tree from p0 to end_index.
 
@@ -250,8 +303,8 @@ def simulate_tree(
     if strategy is None:
         strategy = ControlStrategy.constant(cp.controls[0])
     incs = _increments(n, p0.dt)
-    levels = _build_levels(cp, p0, depth, incs, strategy)
-    return NoiseTree(root=p0, depth=depth, noise_dim=n, increments=incs, levels=levels)
+    levels = _forward(cp, p0, depth, incs, p0.dt, strategy)[0]
+    return NoiseTree(root=p0, depth=depth, noise_dim=n, increments=incs, levels=tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -274,7 +327,7 @@ def _implicit_step(cp: ControlProblem, path: Path, e_y: float, z: np.ndarray, u,
     y = e_y
     for _ in range(FIXED_POINT_MAX_ITER):
         y_new = e_y + float(cp.generator(path, y, z, u)) * dt
-        if not np.isfinite(y_new):
+        if not math.isfinite(y_new):
             raise ContractError("generator produced a non-finite value")
         if abs(y_new - y) <= FIXED_POINT_TOL * (1.0 + abs(y_new)):
             return y_new
@@ -282,50 +335,16 @@ def _implicit_step(cp: ControlProblem, path: Path, e_y: float, z: np.ndarray, u,
     raise ContractError("implicit generator step did not converge; check L*dt < 0.5")
 
 
-def solve_bsde_tree(
-    cp: ControlProblem,
-    tree: NoiseTree,
-    strategy: ControlStrategy,
-    terminal=None,
-) -> BsdeSolution:
+def solve_bsde_tree(cp: ControlProblem, tree: NoiseTree, strategy: ControlStrategy, terminal=None) -> BsdeSolution:
     """Backward recursion Y_k = E[Y_{k+1}] + q(X_k, Y_k, Z_k, u_k) dt with
     Z_k = E[Y_{k+1} dW^T] / dt, states rebuilt under ``strategy``.
 
     ``terminal`` overrides cp.terminal; it may be a callable on leaf paths or
     a per-leaf array ordered by leaf index.
     """
-    dt = tree.dt
-    incs = tree.increments
-    b_count = tree.branching
-    levels = _build_levels(cp, tree.root, tree.depth, incs, strategy)
-    leaves = levels[-1]
-    if terminal is None:
-        terminal = cp.terminal
-    if callable(terminal):
-        y = np.array([float(terminal(Path._wrap(leaves[j], dt))) for j in range(leaves.shape[0])])
-    else:
-        y = np.asarray(terminal, dtype=float)
-        if y.shape != (leaves.shape[0],):
-            raise PathError(f"terminal data must have one value per leaf ({leaves.shape[0]})")
-    if not np.all(np.isfinite(y)):
-        raise BlowupError("non-finite terminal data")
-    y_levels: list = [None] * (tree.depth + 1)
-    z_levels: list = [None] * (tree.depth + 1)
-    y_levels[tree.depth] = y
-    z_levels[tree.depth] = np.zeros((leaves.shape[0], tree.noise_dim))
-    for k in range(tree.depth - 1, -1, -1):
-        yc = y.reshape(-1, b_count)
-        e = yc.mean(axis=1)
-        z = yc @ incs / (b_count * dt)
-        y_new = np.empty(e.shape[0])
-        for j in range(e.shape[0]):
-            path = Path._wrap(levels[k][j], dt)
-            u = strategy.control_at(path)
-            y_new[j] = _implicit_step(cp, path, float(e[j]), z[j], u, dt)
-        y = y_new
-        y_levels[k] = y
-        z_levels[k] = z
-    return BsdeSolution(y_levels=tuple(y_levels), z_levels=tuple(z_levels), levels=levels)
+    fwd = _forward(cp, tree.root, tree.depth, tree.increments, tree.dt, strategy)
+    y_levels, z_levels = _backward(cp, *fwd, tree.increments, tree.dt, cp.terminal if terminal is None else terminal)
+    return BsdeSolution(y_levels=tuple(y_levels), z_levels=tuple(z_levels), levels=tuple(fwd[0]))
 
 
 def backward_semigroup(
@@ -348,66 +367,36 @@ def cost(cp: ControlProblem, p0: Path, strategy: ControlStrategy, cap: int = DEF
 
 
 class ValueSolver:
-    """Memoized per-node maximization over the finite control set.
+    """Per-node maximization over the finite control set, level by level.
 
-    The recursion enumerates noise moves and controls from a state path;
-    memoization on (grid index, path bytes) is sound because the future law
-    depends on the past only through the path. ``best_control`` replays the
-    memo and recomputes on a miss, which makes the recorded argmax strategy
-    exact.
+    ``memo`` maps (grid index, path bytes) to (value, first maximizing
+    control) for every internal node solved; keying on the path is sound
+    because the future law depends on the past only through the path.
+    ``best_control`` reads it, solving from the path on a miss.
     """
 
     def __init__(self, cp: ControlProblem, end_index: int, terminal_fn: Callable[[Path], float], cap: int = DEFAULT_NODE_CAP):
-        self.cp = cp
-        self.end_index = end_index
-        self.terminal_fn = terminal_fn
-        self.cap = cap
+        self.cp, self.end_index, self.terminal_fn, self.cap = cp, end_index, terminal_fn, cap
         self.incs = _increments(cp.grid.noise_dim, cp.grid.dt)
         self.memo: dict = {}
 
     def solve(self, p0: Path) -> float:
-        _check_cap(2 ** self.cp.grid.noise_dim, self.end_index - p0.t_index, self.cap)
-        return self._rec(p0.values, p0.t_index)
+        cp, depth, key = self.cp, self.end_index - p0.t_index, (p0.t_index, p0.values.tobytes())
+        if depth < 0:
+            raise PathError(f"path at grid index {p0.t_index} is past the end index {self.end_index}")
+        _check_cap(len(cp.controls) * self.incs.shape[0], depth, self.cap)
+        if depth == 0:
+            return float(self.terminal_fn(Path._wrap(p0.values, cp.grid.dt)))
+        if key not in self.memo:
+            fwd = _forward(cp, p0, depth, self.incs, cp.grid.dt)
+            _backward(cp, *fwd, self.incs, cp.grid.dt, self.terminal_fn, self.memo)
+        return self.memo[key][0]
 
     def best_control(self, path: Path):
         key = (path.t_index, path.values.tobytes())
         if key not in self.memo:
             self.solve(path)
         return self.memo[key][1]
-
-    def _rec(self, vals: np.ndarray, k: int) -> float:
-        if k == self.end_index:
-            return float(self.terminal_fn(Path._wrap(vals, self.cp.grid.dt)))
-        key = (k, vals.tobytes())
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit[0]
-        cp = self.cp
-        dt = cp.grid.dt
-        path = Path._wrap(vals, dt)
-        x = vals[:, -1]
-        b_count = self.incs.shape[0]
-        best_y = -np.inf
-        best_u = None
-        for u in cp.controls:
-            bvec = np.atleast_1d(np.asarray(cp.drift(path, u), dtype=float))
-            sig = np.atleast_2d(np.asarray(cp.diffusion(path, u), dtype=float))
-            steps = x[None, :] + bvec[None, :] * dt + self.incs @ sig.T
-            if not np.all(np.isfinite(steps)):
-                raise BlowupError(f"non-finite state at grid index {k + 1}")
-            ys = np.empty(b_count)
-            for c in range(b_count):
-                child = np.concatenate([vals, steps[c][:, None]], axis=1)
-                child.setflags(write=False)
-                ys[c] = self._rec(child, k + 1)
-            e_y = float(ys.mean())
-            z = ys @ self.incs / (b_count * dt)
-            y = _implicit_step(cp, path, e_y, z, u, dt)
-            if y > best_y:
-                best_y = y
-                best_u = u
-        self.memo[key] = (best_y, best_u)
-        return best_y
 
 
 def value(cp: ControlProblem, p0: Path, cap: int = DEFAULT_NODE_CAP) -> float:

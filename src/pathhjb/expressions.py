@@ -46,7 +46,7 @@ def compile_expression(text: str, variables: frozenset[str]) -> Callable[[Mappin
     """Compile ``text`` to a closure env -> float over the given variables."""
     try:
         tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
+    except (SyntaxError, ValueError) as exc:
         raise ExpressionError(f"cannot parse expression {text!r}: {exc}") from None
 
     def build(node) -> Callable[[Mapping[str, float]], float]:
@@ -89,7 +89,19 @@ def compile_expression(text: str, variables: frozenset[str]) -> Callable[[Mappin
             return lambda env: fn(*(a(env) for a in args))
         raise ExpressionError(f"disallowed syntax: {ast.dump(node)}")
 
-    return build(tree)
+    root = build(tree)
+
+    def compiled(env: Mapping[str, float]) -> float:
+        # log(0), sqrt(-1) and complex powers are faults of the expression, not of its caller
+        try:
+            out = root(env)
+        except (ValueError, TypeError) as exc:
+            raise ExpressionError(f"expression {text!r} failed to evaluate: {exc}") from None
+        if isinstance(out, complex):
+            raise ExpressionError(f"expression {text!r} evaluated to a complex number")
+        return out
+
+    return compiled
 
 
 def path_context(path, horizon: float) -> dict[str, float]:

@@ -64,8 +64,8 @@ class Path:
         # Internal fast path: caller guarantees a finite, read-only float
         # (d, k+1) array that is never mutated afterwards.
         p = object.__new__(cls)
-        object.__setattr__(p, "values", values)
-        object.__setattr__(p, "dt", dt)
+        fields = p.__dict__  # filled directly: the frozen __setattr__ is bypassed
+        fields["values"], fields["dt"] = values, dt
         return p
 
     @classmethod

@@ -1,7 +1,10 @@
 import filecmp
+import tempfile
+import time
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from pathhjb.cli import SUBCOMMANDS, build_parser, main
 
@@ -142,6 +145,88 @@ def test_expression_runtime_error_is_config_error(tmp_path):
         )
     )
     assert main(["value", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def _inline(tmp_path, **coeffs):
+    inline = {"drift": ["u"], "diffusion": [["1"]], "generator": "0", "terminal": "x", "controls": [0.0, 1.0]}
+    cfg = tmp_path / "inline.yaml"
+    cfg.write_text(yaml.safe_dump({"problem": {"inline": {**inline, **coeffs}}}))
+    return str(cfg)
+
+
+def test_expression_domain_error_is_config_error(tmp_path, capsys):
+    assert main(["value", "--config", _inline(tmp_path, terminal="log(x)"), "--out", str(tmp_path)]) == 2
+    assert "math domain error" in capsys.readouterr().err
+    assert main(["value", "--config", _inline(tmp_path, terminal="(x - 1)**0.5"), "--out", str(tmp_path)]) == 2
+    assert main(["value", "--config", _inline(tmp_path, terminal="min(x)"), "--out", str(tmp_path)]) == 2
+    assert main(["value", "--config", _inline(tmp_path, terminal="x\x00"), "--out", str(tmp_path)]) == 2
+
+
+def test_state_blowup_is_contract_violation(tmp_path):
+    assert main(["value", "--config", _inline(tmp_path, drift=["1e300*1e300*u"]), "--out", str(tmp_path)]) == 3
+
+
+def test_value_cap_counts_the_control_fan_out(tmp_path, capsys):
+    start = time.perf_counter()
+    assert main(["value", "--override", "grid.steps=12", "--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert "6^12 = 2176782336 leaves, over the node cap 262144" in capsys.readouterr().err
+
+
+_NUMBERS = st.sampled_from(["0", "1", "2", "0.5", "3", "1e300"])
+
+
+def _expressions(names):
+    leaves = st.one_of(_NUMBERS, st.sampled_from(sorted(names)))
+
+    def extend(sub):
+        unary = st.tuples(st.sampled_from(["abs", "sqrt", "exp", "log", "sin", "cos", "tanh", "-"]), sub)
+        binary = st.tuples(sub, st.sampled_from(["+", "-", "*", "/", "**"]), sub)
+        pair = st.tuples(st.sampled_from(["min", "max"]), sub, sub)
+        return st.one_of(
+            unary.map(lambda a: f"{a[0]}({a[1]})"),
+            binary.map(lambda a: f"({a[0]} {a[1]} {a[2]})"),
+            pair.map(lambda a: f"{a[0]}({a[1]}, {a[2]})"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=5)
+
+
+_PATH_NAMES = {"t", "T", "dt", "x", "rmax", "rint"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    subcommand=st.sampled_from(["value", "dpp"]),
+    steps=st.integers(1, 3),
+    start=st.sampled_from([-1.0, 0.0, 0.5]),
+    drift=_expressions(_PATH_NAMES | {"u"}),
+    diffusion=_expressions(_PATH_NAMES | {"u"}),
+    generator=_expressions(_PATH_NAMES | {"u", "y", "z"}),
+    terminal=_expressions(_PATH_NAMES),
+    controls=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=1, max_size=3),
+)
+def test_fuzzed_inline_configs_exit_with_a_documented_code(subcommand, steps, start, drift, diffusion, generator, terminal, controls):
+    config = {
+        "problem": {
+            "inline": {
+                "drift": [drift],
+                "diffusion": [[diffusion]],
+                "generator": generator,
+                "terminal": terminal,
+                "controls": controls,
+            }
+        },
+        "grid": {"steps": steps, "horizon": 1.0, "dim": 1, "noise_dim": 1},
+        "start_value": start,
+    }
+    if subcommand == "dpp":
+        config["deltas"] = list(range(1, steps + 1))
+    with tempfile.TemporaryDirectory() as out:
+        cfg = f"{out}/fuzz.yaml"
+        with open(cfg, "w") as fh:
+            yaml.safe_dump(config, fh)
+        assert main([subcommand, "--config", cfg, "--out", out]) in (0, 2, 3, 4)
 
 
 def test_inline_expression_rejects_unknown_names(tmp_path):

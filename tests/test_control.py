@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from pathhjb.control import (
+    DEFAULT_NODE_CAP,
     BlowupError,
     CapacityError,
     ContractError,
@@ -17,6 +19,9 @@ from pathhjb.control import (
     simulate_psde,
     simulate_tree,
     solve_bsde_tree,
+    ValueSolver,
+    _implicit_step,
+    _increments,
     value,
     value_with_strategy,
 )
@@ -345,3 +350,119 @@ def test_lipschitz_probe_bounded():
     lhat = cp.lipschitz_probe(seed=0, samples=30)
     assert np.isfinite(lhat)
     assert lhat * grid.dt < 0.5
+
+
+class _RecursiveValue:
+    """Reference oracle: the per-node memoized recursion the level-wise engine replaced."""
+
+    def __init__(self, cp, end_index, terminal_fn):
+        self.cp, self.end_index, self.terminal_fn = cp, end_index, terminal_fn
+        self.incs = _increments(cp.grid.noise_dim, cp.grid.dt)
+        self.memo = {}
+
+    def solve(self, p0):
+        return self._rec(p0.values, p0.t_index)
+
+    def _rec(self, vals, k):
+        cp, dt = self.cp, self.cp.grid.dt
+        if k == self.end_index:
+            return float(self.terminal_fn(Path._wrap(vals, dt)))
+        key = (k, vals.tobytes())
+        if key not in self.memo:
+            path, best = Path._wrap(vals, dt), (-np.inf, None)
+            for u in cp.controls:
+                bvec = np.atleast_1d(np.asarray(cp.drift(path, u), dtype=float))
+                sig = np.atleast_2d(np.asarray(cp.diffusion(path, u), dtype=float))
+                steps = vals[:, -1][None, :] + bvec[None, :] * dt + self.incs @ sig.T
+                ys = np.array([self._rec(np.concatenate([vals, s[:, None]], axis=1), k + 1) for s in steps])
+                y = _implicit_step(cp, path, float(ys.mean()), ys @ self.incs / (len(ys) * dt), u, dt)
+                if y > best[0]:
+                    best = (y, u)
+            self.memo[key] = best
+        return self.memo[key][0]
+
+
+def _counted(cp):
+    """A copy of cp whose coefficient callables count their calls."""
+    counts = dict.fromkeys(("drift", "diffusion", "generator", "terminal"), 0)
+
+    def wrap(name):
+        fn = getattr(cp, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return counted
+
+    return dataclasses.replace(cp, **{name: wrap(name) for name in counts}), counts
+
+
+# dt = 1/6 makes sqrt(dt) inexact, so a changed summation order shows in the last bits
+ORACLE_CASES = [
+    (GridConfig(3, 0.75, 2, 2), 2),
+    (GridConfig(3, 0.75, 2, 2), 3),
+    (GridConfig(4, 1.0, 1, 1), 3),
+    (GridConfig(3, 0.5, 2, 2), 2),
+]
+
+
+@pytest.mark.parametrize("grid,n_controls", ORACLE_CASES)
+def test_engine_value_equals_recursive_oracle(grid, n_controls):
+    for s in range(3):
+        base = random_problem(grid, seed=80 + s, n_controls=n_controls)
+        cp, engine_calls = _counted(base)
+        ref_cp, oracle_calls = _counted(base)
+        p0 = Path.constant(np.full(grid.dim, 0.1 * s), 0, grid.dt)
+        engine = ValueSolver(cp, grid.steps, cp.terminal)
+        oracle = _RecursiveValue(ref_cp, grid.steps, ref_cp.terminal)
+        assert engine.solve(p0) == oracle.solve(p0)
+        assert engine.memo == oracle.memo
+        assert engine_calls == oracle_calls
+
+
+@pytest.mark.parametrize("grid,n_controls", ORACLE_CASES)
+def test_dpp_check_equals_recursive_oracle(grid, n_controls):
+    cp = random_problem(grid, seed=90, n_controls=n_controls)
+    p0 = Path.constant(np.full(grid.dim, -0.2), 0, grid.dt)
+    v = _RecursiveValue(cp, grid.steps, cp.terminal).solve(p0)
+    for delta in range(grid.steps + 1):
+        inner = _RecursiveValue(cp, grid.steps, cp.terminal)
+        outer = _RecursiveValue(cp, delta, inner.solve)
+        assert dpp_check(cp, p0, delta) == abs(v - outer.solve(p0))
+
+
+def test_engine_merges_identical_children():
+    # no noise and a drift that ignores u: each node's four children are one path
+    base = _plain(sigma=0.0, drift=0.3, controls=(0.0, 1.0))
+    cp, engine_calls = _counted(base)
+    ref_cp, oracle_calls = _counted(base)
+    p0 = Path.constant(0.2, 0, GRID4.dt)
+    engine = ValueSolver(cp, 4, cp.terminal)
+    oracle = _RecursiveValue(ref_cp, 4, ref_cp.terminal)
+    assert engine.solve(p0) == oracle.solve(p0)
+    assert engine.memo == oracle.memo and len(engine.memo) == 4
+    assert engine_calls == oracle_calls
+    assert engine_calls["drift"] == 2 * 4  # one node per level, under both controls
+    engine.solve(p0)  # a solved root is read from the memo
+    assert engine_calls == oracle_calls
+
+
+def test_argmax_replay_attains_value_in_two_noise_dimensions():
+    grid = GridConfig(3, 0.75, 2, 2)
+    cp = random_problem(grid, seed=5, n_controls=3)
+    p0 = Path.constant(np.array([0.1, -0.1]), 0, grid.dt)
+    v, strat = value_with_strategy(cp, p0)
+    assert cost(cp, p0, strat) == pytest.approx(v, abs=1e-12)
+
+
+def test_value_cap_counts_control_fan_out():
+    grid = GridConfig(7, 1.0, 1, 1)
+    cp = lq_problem(grid)  # |U| = 3: (3 * 2)^7 leaves
+    p0 = Path.constant(0.0, 0, grid.dt)
+    assert (len(cp.controls) * 2) ** 7 > DEFAULT_NODE_CAP >= 2**7
+    with pytest.raises(CapacityError, match=r"6\^7 = 279936 leaves, over the node cap 262144"):
+        value(cp, p0)
+    simulate_tree(cp, p0, 7)  # the cost tree of the same depth is within the cap
+    with pytest.raises(PathError):
+        ValueSolver(cp, 3, cp.terminal).solve(Path.constant(0.0, 4, grid.dt))
