@@ -50,7 +50,7 @@ class Path:
             v = v[None, :]
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise PathError(f"values must be a (d, k+1) matrix, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise PathError("path values must be finite")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise PathError(f"dt must be a positive real, got {self.dt}")
