@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pathspace import Path, PathError, _joint_gap, add_paths
+from .pathspace import Path, PathError, _joint_gap, add_paths, sup_norm
 
 __all__ = [
     "GaugeParams",
@@ -87,29 +87,16 @@ def s_m(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float:
     return _core(d_sup, e, g.m)
 
 
-def _upsilon_of_gaps(d_sup: float, e: float, g: GaugeParams) -> float:
-    if d_sup == 0.0:
-        return 0.0
+def upsilon(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float:
+    """Smooth core plus M times the endpoint gap to the 2m (0 at D = 0, where e = 0)."""
+    d_sup, e = _gaps(p, q)
     return _core(d_sup, e, g.m) + g.M * e ** (2 * g.m)
 
 
-def upsilon(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float:
-    """Smooth core plus M times the endpoint gap to the 2m."""
-    return _upsilon_of_gaps(*_gaps(p, q), g)
-
-
 def upsilon_single(p: Path, g: GaugeParams = GaugeParams()) -> float:
-    """upsilon of p against the zero path of the same time (notational shortcut).
-
-    The gaps to the zero path are the norms of p itself; computing them
-    directly gives the same floats as upsilon(p, zero_like(p)) (x - 0.0 == x)
-    without building the zero path.
-    """
-    v = p.values
-    d_sup = float(np.maximum.reduce(np.sqrt(np.add.reduce(v * v, axis=0))))
-    last = v[:, -1]
-    e = float(np.sqrt(np.add.reduce(last * last)))
-    return _upsilon_of_gaps(d_sup, e, g)
+    """upsilon of p against the zero path of the same time (notational shortcut)."""
+    e = float(np.sqrt((p.values[:, -1] ** 2).sum()))  # the endpoint gap to zero, as in _gaps
+    return _core(sup_norm(p), e, g.m) + g.M * e ** (2 * g.m)
 
 
 def upsilon_bar(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float:

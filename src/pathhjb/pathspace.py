@@ -52,7 +52,7 @@ class Path:
             raise PathError(f"values must be a (d, k+1) matrix, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise PathError("path values must be finite")
-        if not (np.isfinite(self.dt) and self.dt > 0):
+        if not 0 < self.dt < np.inf:
             raise PathError(f"dt must be a positive real, got {self.dt}")
         v = v.copy()
         v.setflags(write=False)

@@ -26,12 +26,7 @@ def random_path(rng: np.random.Generator, d: int, dt: float, t_index: int, scale
         incs[:, 0] = rng.normal(0.0, scale, size=d)
     else:
         incs[:, 0] = np.atleast_1d(start)
-    values = incs.cumsum(axis=1)
-    if np.isfinite(values).all() and dt > 0:
-        # fresh, finite array owned here: skip Path's validating copy
-        values.setflags(write=False)
-        return Path._wrap(values, float(dt))
-    return Path(values, dt)  # raises the PathError for the bad input
+    return Path(incs.cumsum(axis=1), dt)
 
 
 def random_pair(rng: np.random.Generator, d: int, dt: float, t_index: int, scale: float = 1.0) -> tuple[Path, Path]:

@@ -1,6 +1,5 @@
 import filecmp
 import tempfile
-import time
 
 import pytest
 import yaml
@@ -167,9 +166,7 @@ def test_state_blowup_is_contract_violation(tmp_path):
 
 
 def test_value_cap_counts_the_control_fan_out(tmp_path, capsys):
-    start = time.perf_counter()
     assert main(["value", "--override", "grid.steps=12", "--out", str(tmp_path)]) == 3
-    assert time.perf_counter() - start < 0.5
     assert "6^12 = 2176782336 leaves, over the node cap 262144" in capsys.readouterr().err
 
 

@@ -458,11 +458,12 @@ def test_argmax_replay_attains_value_in_two_noise_dimensions():
 
 def test_value_cap_counts_control_fan_out():
     grid = GridConfig(7, 1.0, 1, 1)
-    cp = lq_problem(grid)  # |U| = 3: (3 * 2)^7 leaves
+    cp, calls = _counted(lq_problem(grid))  # |U| = 3: (3 * 2)^7 leaves
     p0 = Path.constant(0.0, 0, grid.dt)
     assert (len(cp.controls) * 2) ** 7 > DEFAULT_NODE_CAP >= 2**7
     with pytest.raises(CapacityError, match=r"6\^7 = 279936 leaves, over the node cap 262144"):
         value(cp, p0)
+    assert calls == dict.fromkeys(calls, 0)  # the cap fires before any node is expanded
     simulate_tree(cp, p0, 7)  # the cost tree of the same depth is within the cap
     with pytest.raises(PathError):
         ValueSolver(cp, 3, cp.terminal).solve(Path.constant(0.0, 4, grid.dt))

@@ -105,6 +105,15 @@ def test_upsilon_translation_identity():
         assert upsilon(p, q, G33) == pytest.approx(upsilon_single(sub_paths(p, q), G33), rel=1e-12, abs=1e-14)
 
 
+def test_upsilon_single_is_upsilon_against_zero_path():
+    rng = np.random.default_rng(6)
+    for d in (1, 2, 9):
+        for k in (0, 3):
+            for p in (*random_pair(rng, d, 0.25, k), Path(np.zeros((d, k + 1)), 0.25)):
+                for g in (G33, GaugeParams(1, 5.0)):
+                    assert upsilon_single(p, g) == upsilon(p, zero_like(p), g)
+
+
 def test_upsilon_bar_examples():
     p = Path(np.array([[0.4, -0.2]]), 0.5)
     assert upsilon_bar(p, p, G33) == 0.0

@@ -13,6 +13,7 @@ from pathhjb.pathspace import (
     vertical_bump,
     zero_like,
 )
+from pathhjb.sampling import random_path
 
 
 def test_path_shape_and_invariants():
@@ -20,8 +21,11 @@ def test_path_shape_and_invariants():
     assert p.d == 1 and p.t_index == 2 and p.t == 1.0
     with pytest.raises(PathError):
         Path(np.array([[np.inf, 0.0]]), 0.5)
+    for dt in (0.0, -0.5, np.inf, np.nan):
+        with pytest.raises(PathError, match="dt must be a positive real"):
+            Path(np.array([[1.0, 2.0]]), dt)
     with pytest.raises(PathError):
-        Path(np.array([[1.0, 2.0]]), 0.0)
+        random_path(np.random.default_rng(0), 1, np.inf, 0)  # its one column is drawn without dt
 
 
 def test_path_values_are_frozen():
