@@ -14,7 +14,6 @@ files. Exit codes: 0 success, 2 config error, 3 cap/contract violation,
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import sys
 from pathlib import Path as FsPath
@@ -87,32 +86,42 @@ def _write_summary(path: FsPath, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _merge_config(defaults: dict, supplied: dict, prefix: str = "") -> dict:
-    out = copy.deepcopy(defaults)
-    for key, val in supplied.items():
-        where = f"{prefix}{key}"
-        if key not in defaults:
-            raise ConfigError(f"unknown config key: {where}")
-        if isinstance(defaults[key], dict) and isinstance(val, dict):
-            out[key] = _merge_config(defaults[key], val, prefix=f"{where}.")
-        else:
-            out[key] = val
-    return out
+def _merge_config(default, supplied, where: str = ""):
+    """``supplied`` laid over ``default``, each scalar cast to its default's type.
+
+    Unknown keys and values of the wrong shape or type (``steps=abc``, a list
+    where a number goes, inf for an integer) raise ConfigError; a None default
+    (an inline problem key) takes any value.
+    """
+    kind = type(default)
+    if default is None:
+        return supplied
+    if isinstance(default, dict) and isinstance(supplied, dict):
+        unknown = [k for k in supplied if k not in default]
+        if unknown:
+            raise ConfigError(f"unknown config key: {where}{unknown[0]}")
+        return {k: _merge_config(v, supplied.get(k, v), f"{where}{k}.") for k, v in default.items()}
+    if isinstance(default, list) and isinstance(supplied, list):
+        return [_merge_config(default[0], s, where) for s in supplied]
+    try:
+        if kind in (int, float) or isinstance(supplied, kind):
+            return kind(supplied)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{where.rstrip('.')} must be {kind.__name__}, got {supplied!r}")
 
 
-def _apply_override(config: dict, spec: str) -> None:
+def _apply_override(supplied: dict, spec: str) -> None:
     if "=" not in spec:
         raise ConfigError(f"override must be key=value, got {spec!r}")
     dotted, raw = spec.split("=", 1)
-    keys = dotted.split(".")
-    node = config
-    for k in keys[:-1]:
-        if not isinstance(node.get(k), dict):
-            raise ConfigError(f"unknown config key: {dotted}")
-        node = node[k]
-    if keys[-1] not in node:
-        raise ConfigError(f"unknown config key: {dotted}")
-    node[keys[-1]] = yaml.safe_load(raw)
+    *parents, leaf = dotted.split(".")
+    node = supplied
+    for k in parents:
+        node = node.setdefault(k, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"override {dotted} goes through {k}, which is not a mapping")
+    node[leaf] = yaml.safe_load(raw)
 
 
 def _load_config(defaults: dict, config_path: str | None, overrides: list[str]) -> dict:
@@ -125,10 +134,9 @@ def _load_config(defaults: dict, config_path: str | None, overrides: list[str]) 
         if not isinstance(loaded, dict):
             raise ConfigError("config root must be a mapping")
         supplied = loaded
-    config = _merge_config(defaults, supplied)
     for spec in overrides:
-        _apply_override(config, spec)
-    return config
+        _apply_override(supplied, spec)
+    return _merge_config(defaults, supplied)
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +144,10 @@ def _load_config(defaults: dict, config_path: str | None, overrides: list[str]) 
 
 _GRID_DEFAULT = {"steps": 4, "horizon": 1.0, "dim": 1, "noise_dim": 1}
 
-_PROBLEM_DEFAULT = {
-    "preset": "lq",
-    "inline": {
-        "drift": None,
-        "diffusion": None,
-        "generator": None,
-        "terminal": None,
-        "controls": None,
-    },
-}
+# Shapes and types of the inline problem keys, whose defaults are all None.
+_INLINE_TYPES = {"drift": [""], "diffusion": [[""]], "generator": "", "terminal": "", "controls": [0.0]}
+
+_PROBLEM_DEFAULT = {"preset": "lq", "inline": dict.fromkeys(_INLINE_TYPES)}
 
 _PATH_VARS = frozenset(
     ["t", "T", "dt", "x", "rmax", "rint"]
@@ -157,8 +159,7 @@ _GEN_VARS = _COEFF_VARS | frozenset({"y", "z"} | {f"z{i}" for i in range(10)})
 
 
 def _grid_from(config: dict) -> GridConfig:
-    g = config["grid"]
-    return GridConfig(int(g["steps"]), float(g["horizon"]), int(g["dim"]), int(g["noise_dim"]))
+    return GridConfig(**config["grid"])
 
 
 def _problem_from(config: dict, grid: GridConfig) -> ControlProblem:
@@ -169,6 +170,7 @@ def _problem_from(config: dict, grid: GridConfig) -> ControlProblem:
     missing = [k for k, v in inline.items() if v is None]
     if missing:
         raise ConfigError(f"inline problem is missing keys: {missing}")
+    inline = _merge_config(_INLINE_TYPES, inline, "problem.inline.")
     drift_fns = [compile_expression(e, _COEFF_VARS) for e in inline["drift"]]
     diff_fns = [[compile_expression(e, _COEFF_VARS) for e in row] for row in inline["diffusion"]]
     gen_fn = compile_expression(inline["generator"], _GEN_VARS)
@@ -208,7 +210,7 @@ def _problem_from(config: dict, grid: GridConfig) -> ControlProblem:
         diffusion=diffusion,
         generator=generator,
         terminal=terminal,
-        controls=tuple(float(u) for u in inline["controls"]),
+        controls=tuple(inline["controls"]),
         grid=grid,
     )
 
@@ -234,9 +236,9 @@ def run_gauge_suite(config: dict, seed: int):
     worst = np.inf
     for m in config["ms"]:
         for big_m in config["big_ms"]:
-            g = GaugeParams(int(m), float(big_m))
-            for i in range(int(config["pairs"])):
-                p, q = random_pair(rng, int(config["dim"]), float(config["dt"]), int(config["t_index"]), float(config["scale"]))
+            g = GaugeParams(m, big_m)
+            for i in range(config["pairs"]):
+                p, q = random_pair(rng, config["dim"], config["dt"], config["t_index"], config["scale"])
                 ups = gauge.upsilon(p, q, g)
                 gap = _joint_gap(p, q) ** (2 * g.m)
                 lower = ups - gap
@@ -275,16 +277,16 @@ def run_ito_check(config: dict, seed: int):
             lambda x: float(x[0]), grad=lambda x: np.ones(1), hess=lambda x: np.zeros((1, 1))
         )
     elif name == "gauge":
-        anchor = Path.constant(0.3, 0, float(config["horizon"]) / int(config["base_steps"]))
+        anchor = Path.constant(0.3, 0, config["horizon"] / config["base_steps"])
         f = gauge.upsilon_functional(anchor)
     else:
         raise ConfigError(f"unknown functional {name!r} (square, endpoint, gauge)")
     header = ["level", "steps", "dt", "mean_abs_residual", "ratio_to_prev"]
     rows = []
     prev = None
-    for level in range(int(config["levels"])):
-        steps = int(config["base_steps"]) * 2**level
-        dt = float(config["horizon"]) / steps
+    for level in range(config["levels"]):
+        steps = config["base_steps"] * 2**level
+        dt = config["horizon"] / steps
         p0 = Path.constant(0.0, 0, dt)
         res = ito_check(
             f,
@@ -292,7 +294,7 @@ def run_ito_check(config: dict, seed: int):
             diffusion=lambda p: np.eye(1),
             p0=p0,
             end_index=steps,
-            n_paths=int(config["n_paths"]),
+            n_paths=config["n_paths"],
             seed=seed + level,
         )
         ratio = float("nan") if prev in (None, 0.0) else res / prev
@@ -318,10 +320,10 @@ def run_bp_demo(config: dict, seed: int):
     rows = []
     all_ok = True
     rho = gauge.upsilon_bar
-    for case in range(int(config["cases"])):
+    for case in range(config["cases"]):
         items = [
-            random_path(rng, int(config["dim"]), float(config["dt"]), int(rng.integers(0, config["max_t_index"] + 1)))
-            for _ in range(int(config["candidates"]))
+            random_path(rng, config["dim"], config["dt"], int(rng.integers(0, config["max_t_index"] + 1)))
+            for _ in range(config["candidates"])
         ]
         domain = CandidateSet(tuple(items))
         coefs = rng.normal(size=3)
@@ -331,7 +333,7 @@ def run_bp_demo(config: dict, seed: int):
             )
         )
         start = max(items, key=f.eval)
-        eps = float(config["eps_slack"])
+        eps = config["eps_slack"]
         result = borwein_preiss(f, rho, None, eps, start, domain)
         ok = verify_bp(result, f, rho, None, eps, start, domain)
         all_ok &= ok
@@ -351,8 +353,8 @@ VALUE_DEFAULT = {
 def run_value(config: dict, seed: int):
     grid = _grid_from(config)
     cp = _problem_from(config, grid)
-    p0 = Path.constant(np.full(grid.dim, float(config["start_value"])), 0, grid.dt)
-    v, strat = value_with_strategy(cp, p0, cap=int(config["cap"]))
+    p0 = Path.constant(np.full(grid.dim, config["start_value"]), 0, grid.dt)
+    v, strat = value_with_strategy(cp, p0, cap=config["cap"])
     u0 = strat.control_at(p0)
     header = ["value", "best_control_at_root"]
     rows = [(v, u0)]
@@ -373,15 +375,15 @@ DPP_DEFAULT = {
 def run_dpp(config: dict, seed: int):
     grid = _grid_from(config)
     cp = _problem_from(config, grid)
-    p0 = Path.constant(np.full(grid.dim, float(config["start_value"])), 0, grid.dt)
+    p0 = Path.constant(np.full(grid.dim, config["start_value"]), 0, grid.dt)
     header = ["delta_steps", "residual"]
     rows = []
     worst = 0.0
     for delta in config["deltas"]:
-        res = dpp_check(cp, p0, int(delta), cap=int(config["cap"]))
+        res = dpp_check(cp, p0, delta, cap=config["cap"])
         worst = max(worst, res)
-        rows.append((int(delta), res))
-    ok = worst <= float(config["tolerance"])
+        rows.append((delta, res))
+    ok = worst <= config["tolerance"]
     lines = [f"dpp: worst residual {worst:.3e} (tolerance {config['tolerance']})", "PASS" if ok else "FAIL"]
     return header, rows, lines, EXIT_OK if ok else EXIT_PROPERTY
 
@@ -401,13 +403,13 @@ MARKOV_DEFAULT = {
 def run_markov_compare(config: dict, seed: int):
     header = ["level", "dt", "dx", "tree_value", "fd_value", "residual", "bound"]
     rows = []
-    for level in range(int(config["levels"])):
-        steps = int(config["base_steps"]) * 2**level
-        nx = (int(config["base_nx"]) - 1) * 2**level + 1
-        grid = GridConfig(steps, float(config["horizon"]), 1, 1)
+    for level in range(config["levels"]):
+        steps = config["base_steps"] * 2**level
+        nx = (config["base_nx"] - 1) * 2**level + 1
+        grid = GridConfig(steps, config["horizon"], 1, 1)
         cp = build_preset(config["preset"], grid)
-        xg = XGrid(float(config["x_lo"]), float(config["x_hi"]), nx)
-        p = Path.constant(float(config["eval_x"]), 0, grid.dt)
+        xg = XGrid(config["x_lo"], config["x_hi"], nx)
+        p = Path.constant(config["eval_x"], 0, grid.dt)
         rep = markov_consistency(cp, p, xg, seed=seed)
         rows.append((level, grid.dt, xg.dx, rep.tree_value, rep.fd_value, rep.residual, rep.error_bound))
     lines = [f"markov-compare[{config['preset']}]: level {r[0]} residual {r[5]:.6e}" for r in rows]
@@ -441,14 +443,14 @@ def run_viscosity_probe(config: dict, seed: int):
     header = ["path_id", "t_index", "is_touch_point", "residual"]
     rows = []
     worst = np.inf
-    for i in range(int(config["n_paths"])):
+    for i in range(config["n_paths"]):
         k = int(rng.integers(0, grid.steps))
         p = random_path(rng, grid.dim, grid.dt, k)
-        probe = subsolution_probe(cp, sol, sol, p, n_cloud=int(config["cloud"]), seed=seed + i)
+        probe = subsolution_probe(cp, sol, sol, p, n_cloud=config["cloud"], seed=seed + i)
         res = phjb_residual(cp, sol, p)
         worst = min(worst, probe.residual, res)
         rows.append((i, k, probe.is_touch_point, probe.residual))
-    ok = worst >= -float(config["tolerance"])
+    ok = worst >= -config["tolerance"]
     lines = [f"viscosity-probe[{config['solution']}]: worst residual {worst:.3e}", "PASS" if ok else "FAIL"]
     return header, rows, lines, EXIT_OK if ok else EXIT_PROPERTY
 
@@ -467,14 +469,14 @@ def run_bshjb_check(config: dict, seed: int):
     header = ["instance_id", "residual"]
     rows = []
     worst = 0.0
-    dt = float(config["horizon"]) / int(config["steps"])
-    for i in range(int(config["instances"])):
-        ap = random_augmented_problem(int(config["steps"]), float(config["horizon"]), seed + i)
-        p_omega = random_path(rng, 1, dt, int(config["t_index"]))
+    dt = config["horizon"] / config["steps"]
+    for i in range(config["instances"]):
+        ap = random_augmented_problem(config["steps"], config["horizon"], seed + i)
+        p_omega = random_path(rng, 1, dt, config["t_index"])
         res = remark64_check(ap, p_omega)
         worst = max(worst, res)
         rows.append((i, res))
-    ok = worst <= float(config["tolerance"])
+    ok = worst <= config["tolerance"]
     lines = [f"bshjb-check: worst residual {worst:.3e} over {len(rows)} instances", "PASS" if ok else "FAIL"]
     return header, rows, lines, EXIT_OK if ok else EXIT_PROPERTY
 
@@ -502,14 +504,14 @@ def run_comparison_demo(config: dict, seed: int):
             value_cache[key] = value(cp, p)
         return value_cache[key]
 
-    offset = float(config["offset"])
+    offset = config["offset"]
     w2 = PathFunctional(eval=w2_eval)
     w1 = PathFunctional(eval=lambda p: w2_eval(p) - offset)
 
     # Pairs with log-spaced endpoint gaps: each beta in the ladder finds its
     # preferred gap scale, so the shrinking-gap phenomenon is observable on a
     # finite set. Every fifth pair is an exact diagonal.
-    n_pairs = int(config["pairs"])
+    n_pairs = config["pairs"]
     stacked = []
     for i in range(n_pairs):
         k = int(rng.integers(0, grid.steps + 1))
@@ -526,13 +528,11 @@ def run_comparison_demo(config: dict, seed: int):
     prev = None
     monotone = True
     for beta in config["betas"]:
-        beta = float(beta)
-
         def psi(sp: Path, beta=beta) -> float:
             a = Path._wrap(sp.values[:1], sp.dt)
             b = Path._wrap(sp.values[1:], sp.dt)
             return comparison_psi(
-                w1, w2, a, b, beta, float(config["eps"]), float(config["nu"]), grid.horizon
+                w1, w2, a, b, beta, config["eps"], config["nu"], grid.horizon
             )
 
         f = PathFunctional(eval=psi)

@@ -222,12 +222,17 @@ class CFLError(RuntimeError):
 
 @dataclass(frozen=True)
 class MarkovProblem:
-    """State-dependent coefficient bundle on (t, x), one-dimensional state."""
+    """State-dependent coefficient bundle on (t, x), one-dimensional state.
 
-    drift: Callable[[float, float, object], float]
-    diffusion: Callable[[float, float, object], float]
-    generator: Callable[[float, float, float, float, object], float]  # (t,x,y,z,u)
-    terminal: Callable[[float], float]
+    Every callable acts on a whole x grid ``xs`` and returns one value per
+    node: drift(t, xs, u), diffusion(t, xs, u), generator(t, xs, y, z, u)
+    with y and z shaped like xs, and terminal(xs).
+    """
+
+    drift: Callable[[float, np.ndarray, object], np.ndarray]
+    diffusion: Callable[[float, np.ndarray, object], np.ndarray]
+    generator: Callable[[float, np.ndarray, np.ndarray, np.ndarray, object], np.ndarray]
+    terminal: Callable[[np.ndarray], np.ndarray]
     controls: tuple
     grid: GridConfig
 
@@ -256,8 +261,10 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0, probes: int = 8) -> M
     For random histories sharing (t, endpoint) every coefficient must agree;
     otherwise MarkovProbeError. The reduced coefficients evaluate the path
     coefficients on constant-history paths; off-grid times (the FD solver's
-    substeps) are quantized to the nearest grid node, an O(dt) effect only
-    for coefficients that depend on t explicitly.
+    substeps) are quantized to the nearest grid index k, an O(dt) effect only
+    for coefficients that depend on t explicitly. The constant-history path of
+    each (k, node) is built once, and drift and diffusion are evaluated once
+    per (k, control) and returned read-only.
     """
     if cp.grid.dim != 1 or cp.grid.noise_dim != 1:
         raise PathError("markovian reduction implemented for d = n = 1")
@@ -272,41 +279,57 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0, probes: int = 8) -> M
         const = Path.constant(x, k, g.dt)
         y, z = float(rng.normal()), rng.normal(size=1)
         for u in cp.controls:
-            pairs = (
-                (np.atleast_1d(cp.drift(shuffled, u)), np.atleast_1d(cp.drift(const, u))),
-                (np.atleast_2d(cp.diffusion(shuffled, u)), np.atleast_2d(cp.diffusion(const, u))),
-                (cp.generator(shuffled, y, z, u), cp.generator(const, y, z, u)),
-            )
-            for a, b in pairs:
-                if not np.allclose(a, b, atol=1e-12):
+            for f, args in ((cp.drift, (u,)), (cp.diffusion, (u,)), (cp.generator, (y, z, u))):
+                if not np.allclose(f(shuffled, *args), f(const, *args), atol=1e-12):
                     raise MarkovProbeError("coefficients depend on the path history")
         if k == g.steps and abs(cp.terminal(shuffled) - cp.terminal(const)) > 1e-12:
             raise MarkovProbeError("terminal functional depends on the path history")
 
-    def at(t: float, x: float) -> Path:
-        k = int(round(t / g.dt))
-        return Path.constant(x, k, g.dt)
+    lattice: dict = {}
+
+    def at(t: float, xs: np.ndarray):
+        key = (int(round(t / g.dt)), xs.tobytes())
+        if key not in lattice:
+            lattice[key] = [Path.constant(x, key[0], g.dt) for x in xs]
+        return key, lattice[key]
+
+    def per_node(read: Callable) -> Callable:
+        memo: dict = {}
+
+        def coeff(t: float, xs: np.ndarray, u) -> np.ndarray:
+            key, paths = at(t, xs)
+            if (key, u) not in memo:
+                memo[key, u] = np.array([read(p, u) for p in paths], dtype=float)
+                memo[key, u].setflags(write=False)
+            return memo[key, u]
+
+        return coeff
+
+    def generator(t, xs, y, z, u) -> np.ndarray:
+        z = np.asarray(z, dtype=float).reshape(-1, 1)
+        return np.array([float(cp.generator(p, yi, zi, u)) for p, yi, zi in zip(at(t, xs)[1], y, z, strict=True)])
 
     return MarkovProblem(
-        drift=lambda t, x, u: float(np.atleast_1d(cp.drift(at(t, x), u))[0]),
-        diffusion=lambda t, x, u: float(np.atleast_2d(cp.diffusion(at(t, x), u))[0, 0]),
-        generator=lambda t, x, y, z, u: float(cp.generator(at(t, x), y, np.atleast_1d(z), u)),
-        terminal=lambda x: float(cp.terminal(at(g.horizon, x))),
+        drift=per_node(lambda p, u: np.atleast_1d(cp.drift(p, u))[0]),
+        diffusion=per_node(lambda p, u: np.atleast_2d(cp.diffusion(p, u))[0, 0]),
+        generator=generator,
+        terminal=lambda xs: np.array([float(cp.terminal(p)) for p in at(g.horizon, xs)[1]]),
         controls=cp.controls,
         grid=g,
     )
 
 
 def _cfl_substeps(mp: MarkovProblem, x_grid: XGrid, safety: float = 0.9) -> int:
-    """Smallest per-grid-step subdivision making the explicit scheme monotone."""
+    """Smallest per-grid-step subdivision making the explicit scheme monotone
+    at every grid index, which covers every time the solver's substeps use."""
     g = mp.grid
     xs = x_grid.nodes()
     dx = x_grid.dx
     worst = 0.0
-    for t in np.linspace(0.0, g.horizon, 5):
+    for k in range(g.steps + 1):
         for u in mp.controls:
-            b = np.array([mp.drift(t, x, u) for x in xs])
-            sig = np.array([mp.diffusion(t, x, u) for x in xs])
+            b = mp.drift(k * g.dt, xs, u)
+            sig = mp.diffusion(k * g.dt, xs, u)
             worst = max(worst, float((sig**2 / dx**2 + np.abs(b) / dx).max()))
     if worst == 0.0:
         return 1
@@ -331,34 +354,28 @@ def markov_fd_solve(mp: MarkovProblem, x_grid: XGrid, time_substeps: Optional[in
     dx = x_grid.dx
     nx = x_grid.nx
     out = np.empty((g.steps + 1, nx))
-    out[g.steps] = [mp.terminal(x) for x in xs]
+    out[g.steps] = mp.terminal(xs)
     v = out[g.steps].copy()
     for k in range(g.steps - 1, -1, -1):
         for s in range(time_substeps):
             t = (k + 1) * g.dt - s * dt_sub
-            fwd = np.empty(nx)
-            fwd[:-1] = (v[1:] - v[:-1]) / dx
-            fwd[-1] = (v[-1] - v[-2]) / dx
-            bwd = np.empty(nx)
-            bwd[1:] = (v[1:] - v[:-1]) / dx
-            bwd[0] = (v[1] - v[0]) / dx
-            snd = np.empty(nx)
-            snd[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / dx**2
-            snd[0] = (v[2] - 2 * v[1] + v[0]) / dx**2
-            snd[-1] = (v[-1] - 2 * v[-2] + v[-3]) / dx**2
+            d1 = (v[1:] - v[:-1]) / dx
+            fwd, bwd = np.concatenate((d1, d1[-1:])), np.concatenate((d1[:1], d1))
+            d2 = (v[2:] - 2 * v[1:-1] + v[:-2]) / dx**2
+            snd = np.concatenate((d2[:1], d2, d2[-1:]))
             best = np.full(nx, -np.inf)
             for u in mp.controls:
-                b = np.array([mp.drift(t, x, u) for x in xs])
-                sig = np.array([mp.diffusion(t, x, u) for x in xs])
-                if dt_sub * (sig**2 / dx**2 + np.abs(b) / dx).max() > 1.0 + 1e-12:
+                b = mp.drift(t, xs, u)
+                sig = mp.diffusion(t, xs, u)
+                rate = dt_sub * (sig**2 / dx**2 + np.abs(b) / dx).max()
+                if rate > 1.0 + 1e-12:
                     raise CFLError(
-                        f"dt={dt_sub} too large for dx={dx} (explicit scheme not monotone)"
+                        f"dt={dt_sub} too large for dx={dx}: rate dt*max(sigma^2/dx^2 + |b|/dx) = {rate} > 1 "
+                        f"(explicit scheme not monotone; the automatic choice is {_cfl_substeps(mp, x_grid)} substeps)"
                     )
                 dvx = np.where(b >= 0, fwd, bwd)
                 ham = b * dvx + 0.5 * sig**2 * snd
-                ham += np.array(
-                    [mp.generator(t, xs[i], v[i], sig[i] * dvx[i], u) for i in range(nx)]
-                )
+                ham += mp.generator(t, xs, v, sig * dvx, u)
                 best = np.maximum(best, ham)
             v = v + dt_sub * best
         out[k] = v
@@ -396,13 +413,9 @@ def markov_consistency(
     tree_v = value(cp, p)
     if bound_const is None:
         xs = x_grid.nodes()
-        mags = []
-        for u in cp.controls:
-            mags.append(max(abs(mp.drift(0.0, xx, u)) for xx in xs))
-            mags.append(max(mp.diffusion(0.0, xx, u) ** 2 for xx in xs))
-        scale = max(1.0, *mags) * max(
-            1.0, max(abs(mp.terminal(xx)) for xx in xs)
-        )
+        b = [float(np.abs(mp.drift(0.0, xs, u)).max()) for u in cp.controls]
+        sig2 = [float((mp.diffusion(0.0, xs, u) ** 2).max()) for u in cp.controls]
+        scale = max(1.0, *b, *sig2) * max(1.0, float(np.abs(grid_v[g.steps]).max()))
         bound_const = 10.0 * scale
     bound = bound_const * (g.dt + g.dt / substeps + x_grid.dx**2)
     return ConsistencyReport(abs(tree_v - fd_v), tree_v, fd_v, bound)

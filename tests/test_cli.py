@@ -1,5 +1,7 @@
 import filecmp
+import hashlib
 import tempfile
+from pathlib import Path as FsPath
 
 import pytest
 import yaml
@@ -224,6 +226,111 @@ def test_fuzzed_inline_configs_exit_with_a_documented_code(subcommand, steps, st
         with open(cfg, "w") as fh:
             yaml.safe_dump(config, fh)
         assert main([subcommand, "--config", cfg, "--out", out]) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["value", "--override", "grid.steps=abc"],
+        ["value", "--override", "grid.horizon=[1, 2]"],
+        ["value", "--override", "cap=.inf"],
+        ["dpp", "--override", "deltas=3"],
+        ["dpp", "--override", "deltas=[1, x]"],
+        ["markov-compare", "--override", "levels=abc"],
+        ["markov-compare", "--override", "x_lo=foo"],
+        ["markov-compare", "--override", "preset=[1]"],
+        ["bp-demo", "--override", "max_t_index=null"],
+        ["value", "--override", "grid=5"],
+    ],
+)
+def test_malformed_override_is_config_error(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_malformed_inline_values_are_config_errors(tmp_path):
+    for coeffs in ({"controls": ["a"]}, {"controls": 1.0}, {"drift": "u"}, {"diffusion": ["1"]}, {"generator": 0}):
+        assert main(["value", "--config", _inline(tmp_path, **coeffs), "--out", str(tmp_path)]) == 2
+
+
+def test_override_merges_into_the_config_file(tmp_path):
+    cfg = tmp_path / "conf.yaml"
+    cfg.write_text(yaml.safe_dump({"grid": {"steps": 2}}))
+    argv = ["value", "--config", str(cfg), "--out", str(tmp_path), "--override", "grid.horizon=2"]
+    assert main(argv + ["--override", "problem.preset=heat"]) == 0
+    # heat: x^2 + T at the zero start
+    assert (tmp_path / "value.csv").read_text().splitlines()[1] == "2,0"
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_markov_compare_default_outputs_are_pinned(tmp_path):
+    # any drift in the last digit of the FD oracle or the tree value shows here
+    assert main(["markov-compare", "--out", str(tmp_path)]) == 0
+    assert _digest(tmp_path / "markov-compare.csv") == "97f6a15191cbca208ad9a9c74ea81b4375d0bbf3f6e356781489407262a38f97"
+    assert _digest(tmp_path / "summary.txt") == "cab3b19611604e864bed63f4c177e56b6d13fea2137f3aa1889ba0beb634dc5e"
+
+
+_NOT_NUMBERS = ["abc", "foo", "[1, 2]", "{a: 1}", "null", "''"]
+_MALFORMED = _NOT_NUMBERS + [".nan", ".inf", "-.inf", "true", "1e400", "[]", "{}", "-3"]
+# Well-formed values per key, small enough that every run stays desk-scale.
+_OVERRIDES = {
+    "value": {
+        "grid.steps": ["1", "2", "3"],
+        "grid.horizon": ["0.5", "1.0", "0"],
+        "grid.dim": ["1", "2"],
+        "grid.noise_dim": ["1", "2"],
+        "start_value": ["0", "-1.5", "2"],
+        "cap": ["0", "10", "262144"],
+        "problem.preset": ["lq", "heat", "bangbang", "running", "nope"],
+        "problem.inline.controls": ["[0.0, 1.0]", "[2]"],
+        "problem.inline.drift": ['["u"]', '["x*u"]'],
+        "problem.inline.terminal": ["x", "rmax"],
+    },
+    "markov-compare": {
+        "levels": ["0", "1"],
+        "base_steps": ["1", "2"],
+        "base_nx": ["3", "11", "21"],
+        "horizon": ["0.25", "0.5", "2"],
+        "x_lo": ["-4", "-2.5"],
+        "x_hi": ["2", "4.0"],
+        "eval_x": ["0.4", "-1", "9"],
+        "preset": ["quartic", "heat", "lq", "bangbang", "running", "nope"],
+    },
+}
+_OVERRIDES["dpp"] = {**_OVERRIDES["value"], "deltas": ["[1]", "[1, 2]", "[0]", "[9]", "[]"], "tolerance": ["1e-10", "-1"]}
+_NUMERIC_KEYS = {"grid.steps", "grid.horizon", "grid.dim", "grid.noise_dim", "start_value", "cap", "tolerance"}
+_NUMERIC_KEYS |= {"levels", "base_steps", "base_nx", "horizon", "x_lo", "x_hi", "eval_x"}
+_BASE_OVERRIDES = {"value": [], "dpp": ["deltas=[1]"], "markov-compare": ["levels=1", "base_steps=2", "base_nx=11"]}
+
+
+@st.composite
+def _override_specs(draw):
+    subcommand = draw(st.sampled_from(sorted(_OVERRIDES)))
+    keys = _OVERRIDES[subcommand]
+    specs = []
+    for key in draw(st.lists(st.sampled_from(sorted(keys) + ["bogus", "grid.bogus"]), min_size=1, max_size=3)):
+        good = keys.get(key, ["1"])
+        specs.append((key, draw(st.one_of(st.sampled_from(good), st.sampled_from(_MALFORMED)))))
+    return subcommand, draw(st.booleans()), specs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_override_specs())
+def test_fuzzed_overrides_exit_with_a_documented_code(drawn):
+    subcommand, inline, specs = drawn
+    argv = [subcommand]
+    for spec in _BASE_OVERRIDES[subcommand] + [f"{k}={v}" for k, v in specs]:
+        argv += ["--override", spec]
+    with tempfile.TemporaryDirectory() as out:
+        if inline and subcommand != "markov-compare":
+            argv += ["--config", _inline(FsPath(out))]
+        code = main(argv + ["--out", out])
+    assert code in (0, 2, 3, 4)
+    if any(k in _NUMERIC_KEYS and v in _NOT_NUMBERS for k, v in dict(specs).items()):  # the last override wins
+        assert code == 2
 
 
 def test_inline_expression_rejects_unknown_names(tmp_path):

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pathhjb import phjb
 from pathhjb.control import ControlProblem, value
 from pathhjb.funcalc import PathFunctional, add_functionals, scale_functional
 from pathhjb.gauge import GaugeParams, upsilon_bar, upsilon_bar_functional, upsilon_single
 from pathhjb.pathspace import GridConfig, Path, PathError
 from pathhjb.phjb import (
     CFLError,
+    _cfl_substeps,
     HamiltonianInput,
     MarkovProbeError,
     SmoothFunctional,
@@ -22,6 +26,7 @@ from pathhjb.phjb import (
     supersolution_probe,
 )
 from pathhjb.presets import (
+    bangbang_problem,
     heat_problem,
     heat_solution,
     lq_problem,
@@ -288,8 +293,14 @@ def test_markov_fd_cfl_guard():
     grid = GridConfig(4, 0.5, 1, 1)
     mp = markovian_reduction(heat_problem(grid))
     xg = XGrid(-3.0, 3.0, 61)
-    with pytest.raises(CFLError):
+    with pytest.raises(CFLError) as exc:
         markov_fd_solve(mp, xg, time_substeps=1)
+    rate = grid.dt * (1.0 / xg.dx**2 + 0.0 / xg.dx)  # sigma = 1, b = 0
+    auto = _cfl_substeps(mp, xg)
+    assert auto == int(np.ceil(rate / 0.9)) > 1
+    assert f"= {rate} > 1" in str(exc.value)
+    assert f"automatic choice is {auto} substeps" in str(exc.value)
+    markov_fd_solve(mp, xg, time_substeps=auto)
 
 
 def test_markov_fd_bangbang_symmetric():
@@ -349,6 +360,145 @@ def test_markov_consistency_quartic_refinement():
     assert res[0] > res[1] > res[2]
     # closed form pins the limit
     assert quartic_closed_form(0.4, 0.0, 0.5) == pytest.approx(3.0 * 0.25 + 6 * 0.16 * 0.5 + 0.4**4)
+
+
+def _deterministic_problem(grid, drift=lambda p, u: np.array([u])):
+    # sigma = 0, affine terminal: upwind scheme and tree are both exact
+    return ControlProblem(
+        drift=drift,
+        diffusion=lambda p, u: np.zeros((1, 1)),
+        generator=lambda p, y, z, u: 0.0,
+        terminal=lambda p: float(p.values[0, -1]),
+        controls=(-1.0, 0.5),
+        grid=grid,
+    )
+
+
+def _pointwise_fd(cp, xg, substeps=None):
+    """Reference oracle: the per-point reduction and FD loop that the whole-grid
+    coefficients replaced (one constant-history path per coefficient call)."""
+    g, xs, dx, nx = cp.grid, xg.nodes(), xg.dx, xg.nx
+    at = lambda t, x: Path.constant(x, int(round(t / g.dt)), g.dt)
+    drift = lambda t, x, u: float(np.atleast_1d(cp.drift(at(t, x), u))[0])
+    diffusion = lambda t, x, u: float(np.atleast_2d(cp.diffusion(at(t, x), u))[0, 0])
+    rates = lambda t, u: np.array([diffusion(t, x, u) ** 2 / dx**2 + abs(drift(t, x, u)) / dx for x in xs])
+    worst = max(float(rates(t, u).max()) for t in np.linspace(0.0, g.horizon, 5) for u in cp.controls)
+    if substeps is None:
+        substeps = max(1, int(np.ceil(g.dt * worst / 0.9))) if worst > 0 else 1
+    dt_sub = g.dt / substeps
+    out = np.empty((g.steps + 1, nx))
+    out[g.steps] = [float(cp.terminal(at(g.horizon, x))) for x in xs]
+    v = out[g.steps].copy()
+    for k in range(g.steps - 1, -1, -1):
+        for s in range(substeps):
+            t = (k + 1) * g.dt - s * dt_sub
+            fwd, bwd, snd = np.empty(nx), np.empty(nx), np.empty(nx)
+            fwd[:-1] = (v[1:] - v[:-1]) / dx
+            fwd[-1] = (v[-1] - v[-2]) / dx
+            bwd[1:] = (v[1:] - v[:-1]) / dx
+            bwd[0] = (v[1] - v[0]) / dx
+            snd[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / dx**2
+            snd[0] = (v[2] - 2 * v[1] + v[0]) / dx**2
+            snd[-1] = (v[-1] - 2 * v[-2] + v[-3]) / dx**2
+            best = np.full(nx, -np.inf)
+            for u in cp.controls:
+                b = np.array([drift(t, x, u) for x in xs])
+                sig = np.array([diffusion(t, x, u) for x in xs])
+                dvx = np.where(b >= 0, fwd, bwd)
+                ham = b * dvx + 0.5 * sig**2 * snd
+                ham += np.array([float(cp.generator(at(t, xs[i]), v[i], np.atleast_1d(sig[i] * dvx[i]), u)) for i in range(nx)])
+                best = np.maximum(best, ham)
+            v = v + dt_sub * best
+        out[k] = v
+    mags = [max(abs(drift(0.0, x, u)) for x in xs) for u in cp.controls]
+    mags += [max(diffusion(0.0, x, u) ** 2 for x in xs) for u in cp.controls]
+    scale = max(1.0, *mags) * max(1.0, max(abs(float(cp.terminal(at(g.horizon, x)))) for x in xs))
+    return out, substeps, 10.0 * scale
+
+
+_ORACLE_CASES = {
+    "heat": heat_problem,
+    "quartic": quartic_problem,
+    "lq": lq_problem,
+    "bangbang": bangbang_problem,
+    "sigma0": _deterministic_problem,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_markov_fd_solve_equals_pointwise_oracle(name):
+    grid = GridConfig(4, 0.5, 1, 1)
+    cp = _ORACLE_CASES[name](grid)
+    xg = XGrid(-3.0, 3.0, 25)
+    ref, substeps, _ = _pointwise_fd(cp, xg)
+    mp = markovian_reduction(cp)
+    assert _cfl_substeps(mp, xg) == substeps
+    assert np.array_equal(markov_fd_solve(mp, xg), ref)
+
+
+def test_markov_fd_solve_equals_pointwise_oracle_with_time_dependent_drift():
+    # drift t: every substep time is quantized to its nearest grid index
+    grid = GridConfig(4, 0.5, 1, 1)
+    cp = _deterministic_problem(grid, drift=lambda p, u: np.array([u * p.t]))
+    xg = XGrid(-3.0, 3.0, 25)
+    for substeps in (1, 2, 3, 5):
+        ref, _, _ = _pointwise_fd(cp, xg, substeps)
+        assert np.array_equal(markov_fd_solve(markovian_reduction(cp), xg, substeps), ref)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_markov_consistency_equals_pointwise_oracle(name):
+    grid = GridConfig(4, 0.5, 1, 1)
+    cp = _ORACLE_CASES[name](grid)
+    xg = XGrid(-3.0, 3.0, 25)
+    p = Path(np.array([[0.1, -0.3]]), grid.dt)
+    ref, substeps, bound_const = _pointwise_fd(cp, xg)
+    tree_v = value(cp, p)
+    fd_v = float(np.interp(-0.3, xg.nodes(), ref[1]))
+    bound = bound_const * (grid.dt + grid.dt / substeps + xg.dx**2)
+    rep = markov_consistency(cp, p, xg)
+    assert rep.residual == abs(tree_v - fd_v)
+    assert rep.tree_value == tree_v
+    assert rep.fd_value == fd_v
+    assert rep.error_bound == bound
+
+
+def test_markov_consistency_work_is_bounded_by_the_lattice(monkeypatch):
+    grid = GridConfig(4, 0.5, 1, 1)
+    base = heat_problem(grid)
+    p = Path.constant(0.3, 0, grid.dt)
+    xg = XGrid(-4.0, 4.0, 41)
+    counts = {"drift": 0, "diffusion": 0, "paths": 0}
+    in_tree = [False]
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += not in_tree[0]
+            return fn(*args)
+
+        return wrapper
+
+    def tree_value(*args, **kwargs):
+        in_tree[0] = True
+        try:
+            return value(*args, **kwargs)
+        finally:
+            in_tree[0] = False
+
+    cp = dataclasses.replace(base, drift=counted("drift", base.drift), diffusion=counted("diffusion", base.diffusion))
+    monkeypatch.setattr(Path, "constant", classmethod(counted("paths", Path.constant.__func__)))
+    monkeypatch.setattr(phjb, "value", tree_value)
+    markovian_reduction(cp)
+    probes = dict(counts)
+    # eight history probes, each comparing a shuffled and a constant history
+    assert probes == {"drift": 16, "diffusion": 16, "paths": 8}
+    counts.update(drift=0, diffusion=0, paths=0)
+    rep = markov_consistency(cp, p, xg)
+    assert rep.residual <= rep.error_bound
+    lattice = (grid.steps + 1) * xg.nx
+    assert counts["paths"] - probes["paths"] == lattice
+    assert counts["drift"] - probes["drift"] <= lattice * len(cp.controls)
+    assert counts["diffusion"] - probes["diffusion"] <= lattice * len(cp.controls)
 
 
 def test_comparison_psi_examples():
