@@ -15,15 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .control import ControlProblem, ControlStrategy, cost, value
-from .funcalc import FDScheme
-from .pathspace import (
-    GridConfig,
-    Path,
-    PathError,
-    horizontal_extension,
-    restrict,
-    vertical_bump,
-)
+from .funcalc import FDScheme, PathFunctional, _axis, _central_gradient, _central_hessian, horizontal_derivative
+from .pathspace import GridConfig, Path, PathError, vertical_bump
 
 __all__ = [
     "AugmentedProblem",
@@ -199,96 +192,46 @@ class MixedFunctional:
         return float(self.eval(omega, np.atleast_1d(np.asarray(x, dtype=float))))
 
 
-def _omega_bump(omega: Path, j: int, h: float) -> Path:
-    e = np.zeros(omega.d)
-    e[j] = h
-    return vertical_bump(omega, e)
-
-
-def _mixed_derivatives(v: MixedFunctional, omega: Path, x: np.ndarray, scheme: FDScheme, end_index: Optional[int]):
+def _mixed_derivatives(v: MixedFunctional, omega: Path, x: np.ndarray, f0: float, scheme: FDScheme, end_index: Optional[int]):
+    """(dt, dgamma, dgammagamma, dx, dxx, dxgamma) of v at (omega, x), with
+    f0 = v(omega, x): analytic fields where given, else the funcalc stencils
+    with one bump size in omega and in x. Only the (x, omega) cross stencil
+    is local.
+    """
     d = omega.d
     m = x.shape[0]
     h = scheme.h_vertical * (1.0 + float(np.linalg.norm(omega.values[:, -1])) + float(np.linalg.norm(x)))
 
+    def in_omega(e):
+        return v(vertical_bump(omega, e), x)
+
+    def in_x(e):
+        return v(omega, x + e)
+
+    def field(fn, shape, fallback):
+        return fallback() if fn is None else shape(np.asarray(fn(omega, x), dtype=float))
+
     if v.dt is not None:
         dt_v = float(v.dt(omega, x))
     else:
-        step = scheme.h_horizontal
-        if end_index is not None and omega.t_index + step > end_index:
-            base = restrict(omega, omega.t_index - step)
-            dt_v = (v(horizontal_extension(base, omega.t_index), x) - v(base, x)) / (step * omega.dt)
-        else:
-            dt_v = (v(horizontal_extension(omega, omega.t_index + step), x) - v(omega, x)) / (step * omega.dt)
-
-    if v.dgamma is not None:
-        dg = np.atleast_1d(np.asarray(v.dgamma(omega, x), dtype=float))
-    else:
-        dg = np.array([(v(_omega_bump(omega, j, h), x) - v(_omega_bump(omega, j, -h), x)) / (2 * h) for j in range(d)])
-
-    if v.dgammagamma is not None:
-        dgg = np.atleast_2d(np.asarray(v.dgammagamma(omega, x), dtype=float))
-    else:
-        dgg = np.empty((d, d))
-        f0 = v(omega, x)
-        for j in range(d):
-            dgg[j, j] = (v(_omega_bump(omega, j, h), x) - 2 * f0 + v(_omega_bump(omega, j, -h), x)) / h**2
-        for a in range(d):
-            for b in range(a + 1, d):
-                ea = np.zeros(d)
-                ea[a] = h
-                eb = np.zeros(d)
-                eb[b] = h
-                pp = v(vertical_bump(omega, ea + eb), x)
-                pm = v(vertical_bump(omega, ea - eb), x)
-                mp = v(vertical_bump(omega, -ea + eb), x)
-                mm = v(vertical_bump(omega, -ea - eb), x)
-                dgg[a, b] = dgg[b, a] = (pp - pm - mp + mm) / (4 * h**2)
-        dgg = 0.5 * (dgg + dgg.T)
-
-    def ex(i, s):
-        e = np.zeros(m)
-        e[i] = s * h
-        return x + e
-
-    if v.dx is not None:
-        dxv = np.atleast_1d(np.asarray(v.dx(omega, x), dtype=float))
-    else:
-        dxv = np.array([(v(omega, ex(i, 1)) - v(omega, ex(i, -1))) / (2 * h) for i in range(m)])
-
-    if v.dxx is not None:
-        dxxv = np.atleast_2d(np.asarray(v.dxx(omega, x), dtype=float))
-    else:
-        dxxv = np.empty((m, m))
-        f0 = v(omega, x)
-        for i in range(m):
-            dxxv[i, i] = (v(omega, ex(i, 1)) - 2 * f0 + v(omega, ex(i, -1))) / h**2
-        for a in range(m):
-            for b in range(a + 1, m):
-                pp = v(omega, x + h * (_unit(m, a) + _unit(m, b)))
-                pm = v(omega, x + h * (_unit(m, a) - _unit(m, b)))
-                mp = v(omega, x + h * (-_unit(m, a) + _unit(m, b)))
-                mm = v(omega, x - h * (_unit(m, a) + _unit(m, b)))
-                dxxv[a, b] = dxxv[b, a] = (pp - pm - mp + mm) / (4 * h**2)
-        dxxv = 0.5 * (dxxv + dxxv.T)
-
+        dt_v = horizontal_derivative(PathFunctional(lambda om: v(om, x)), omega, scheme, end_index)
+    dg = field(v.dgamma, np.atleast_1d, lambda: _central_gradient(in_omega, d, h))
+    dgg = field(v.dgammagamma, np.atleast_2d, lambda: _central_hessian(in_omega, d, h, f0))
+    dxv = field(v.dx, np.atleast_1d, lambda: _central_gradient(in_x, m, h))
+    dxxv = field(v.dxx, np.atleast_2d, lambda: _central_hessian(in_x, m, h, f0))
     if v.dxgamma is not None:
         dxg = np.atleast_2d(np.asarray(v.dxgamma(omega, x), dtype=float))
     else:
         dxg = np.empty((m, d))
         for i in range(m):
+            x_up = x + _axis(m, i, h)
+            x_dn = x + _axis(m, i, -h)
             for j in range(d):
-                pp = v(_omega_bump(omega, j, h), ex(i, 1))
-                pm = v(_omega_bump(omega, j, -h), ex(i, 1))
-                mp = v(_omega_bump(omega, j, h), ex(i, -1))
-                mm = v(_omega_bump(omega, j, -h), ex(i, -1))
-                dxg[i, j] = (pp - pm - mp + mm) / (4 * h**2)
+                om_up = vertical_bump(omega, _axis(d, j, h))
+                om_dn = vertical_bump(omega, _axis(d, j, -h))
+                cross = v(om_up, x_up) - v(om_dn, x_up) - v(om_up, x_dn) + v(om_dn, x_dn)
+                dxg[i, j] = cross / (4 * h**2)
     return dt_v, dg, dgg, dxv, dxxv, dxg
-
-
-def _unit(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
 
 
 def bshjb_residual(
@@ -309,7 +252,8 @@ def bshjb_residual(
     x = np.atleast_1d(np.asarray(x_in, dtype=float))
     if omega.d != ap.noise_dim or x.shape != (ap.state_dim,):
         raise PathError("point must be (noise path, m-vector state)")
-    dt_v, dg, dgg, dxv, dxxv, dxg = _mixed_derivatives(v, omega, x, scheme, ap.steps)
+    v0 = v(omega, x)
+    dt_v, dg, dgg, dxv, dxxv, dxg = _mixed_derivatives(v, omega, x, v0, scheme, ap.steps)
     best = -np.inf
     for u in ap.controls:
         b = np.atleast_1d(np.asarray(ap.base_drift(omega, x, u), dtype=float))
@@ -319,6 +263,6 @@ def bshjb_residual(
         term += 0.5 * float(np.trace(dgg))
         term += float(np.trace(sig.T @ dxg))
         z = dg + sig.T @ dxv
-        term += float(ap.base_generator(omega, x, v(omega, x), z, u))
+        term += float(ap.base_generator(omega, x, v0, z, u))
         best = max(best, term)
     return dt_v + best

@@ -422,6 +422,41 @@ def dpp_check(cp: ControlProblem, p0: Path, delta_steps: int, cap: int = DEFAULT
     return abs(v_direct - outer.solve(p0))
 
 
+def _euler_path(coeffs: Callable[[Path], tuple], p0: Path, end_index: int, rng: np.random.Generator):
+    """Euler-Maruyama path extending p0 to end_index, and its steps.
+
+    coeffs(path) -> (b, sigma) at the current node. The noise is drawn in one
+    (steps, n) batch once sigma gives n, and each step adds dx = b dt + sigma dw.
+    Returns the finished path and one (path, sigma, dx) record per step.
+    Finiteness is checked once, for the whole path.
+    """
+    if end_index < p0.t_index:
+        raise PathError("end_index before the start of the path")
+    dt = p0.dt
+    k0 = p0.t_index
+    vals = np.empty((p0.d, end_index + 1))
+    vals[:, : k0 + 1] = p0.values
+    records = []
+    draws = None
+    for k in range(k0, end_index):
+        view = vals[:, : k + 1]
+        view.setflags(write=False)
+        path = Path._wrap(view, dt) if k > k0 else p0
+        b, sig = coeffs(path)
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        sig = np.atleast_2d(np.asarray(sig, dtype=float))
+        if draws is None:
+            draws = rng.normal(0.0, np.sqrt(dt), size=(end_index - k0, sig.shape[1]))
+        dx = b * dt + sig @ draws[k - k0]
+        vals[:, k + 1] = vals[:, k] + dx
+        records.append((path, sig, dx))
+    if not np.isfinite(vals).all():
+        first = int(np.argmin(np.isfinite(vals).all(axis=0)))
+        raise BlowupError(f"state blew up at step {first}")
+    vals.setflags(write=False)
+    return Path._wrap(vals, dt), records
+
+
 def simulate_psde(
     cp: ControlProblem,
     p0: Path,
@@ -430,26 +465,12 @@ def simulate_psde(
     seed: int,
 ) -> Path:
     """Euler-Maruyama path of the controlled dynamics, extending p0."""
-    if end_index < p0.t_index:
-        raise PathError("end_index before the start of the path")
-    rng = np.random.default_rng(seed)
-    dt = p0.dt
-    sqdt = np.sqrt(dt)
-    vals = np.empty((p0.d, end_index + 1))
-    vals[:, : p0.t_index + 1] = p0.values
-    for k in range(p0.t_index, end_index):
-        view = vals[:, : k + 1]
-        view.setflags(write=False)
-        path = Path._wrap(view, dt) if k > p0.t_index else p0
+
+    def coeffs(path: Path):
         u = strategy.control_at(path)
-        bvec = np.atleast_1d(np.asarray(cp.drift(path, u), dtype=float))
-        sig = np.atleast_2d(np.asarray(cp.diffusion(path, u), dtype=float))
-        dw = rng.normal(0.0, sqdt, size=sig.shape[1])
-        vals[:, k + 1] = vals[:, k] + bvec * dt + sig @ dw
-        if not np.all(np.isfinite(vals[:, k + 1])):
-            raise BlowupError(f"state blew up at step {k + 1}")
-    vals.setflags(write=False)
-    return Path._wrap(vals, dt)
+        return cp.drift(path, u), cp.diffusion(path, u)
+
+    return _euler_path(coeffs, p0, end_index, np.random.default_rng(seed))[0]
 
 
 def regularity_probe(cp: ControlProblem, samples: int, seed: int, cap: int = DEFAULT_NODE_CAP):

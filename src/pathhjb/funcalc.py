@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .control import _euler_path
 from .pathspace import Path, PathError, horizontal_extension, restrict, vertical_bump
 
 __all__ = [
@@ -81,49 +82,45 @@ class FDScheme:
         return self.h_vertical * (1.0 + float(np.linalg.norm(p.values[:, -1])))
 
 
-def _basis_bump(p: Path, i: int, h: float) -> Path:
-    x = np.zeros(p.d)
-    x[i] = h
-    return vertical_bump(p, x)
+def _axis(n: int, i: int, h: float) -> np.ndarray:
+    e = np.zeros(n)
+    e[i] = h
+    return e
+
+
+def _central_gradient(shift: Callable[[np.ndarray], float], n: int, h: float) -> np.ndarray:
+    """Central difference (f(+h e_i) - f(-h e_i)) / 2h per coordinate, f = shift."""
+    g = np.empty(n)
+    for i in range(n):
+        g[i] = (shift(_axis(n, i, h)) - shift(_axis(n, i, -h))) / (2.0 * h)
+    if not np.all(np.isfinite(g)):
+        raise PathError("non-finite evaluation in central gradient")
+    return g
+
+
+def _central_hessian(shift: Callable[[np.ndarray], float], n: int, h: float, f0: float) -> np.ndarray:
+    """Second-order central stencil around f0 = shift(0), symmetrized."""
+    hess = np.empty((n, n))
+    for i in range(n):
+        ei = _axis(n, i, h)
+        hess[i, i] = (shift(ei) - 2.0 * f0 + shift(_axis(n, i, -h))) / h**2
+        for j in range(i + 1, n):
+            ej = _axis(n, j, h)
+            cross = shift(ei + ej) - shift(ei - ej) - shift(-ei + ej) + shift(-ei - ej)
+            hess[i, j] = hess[j, i] = cross / (4.0 * h**2)
+    if not np.all(np.isfinite(hess)):
+        raise PathError("non-finite evaluation in central Hessian")
+    return 0.5 * (hess + hess.T)
 
 
 def vertical_gradient(f: PathFunctional, p: Path, scheme: FDScheme = FDScheme()) -> np.ndarray:
     """Central difference (f(p^{+h e_i}) - f(p^{-h e_i})) / 2h per coordinate."""
-    h = scheme.bump_size(p)
-    g = np.empty(p.d)
-    for i in range(p.d):
-        up = f.eval(_basis_bump(p, i, h))
-        dn = f.eval(_basis_bump(p, i, -h))
-        g[i] = (up - dn) / (2.0 * h)
-    if not np.all(np.isfinite(g)):
-        raise PathError("non-finite evaluation in vertical gradient")
-    return g
+    return _central_gradient(lambda e: f.eval(vertical_bump(p, e)), p.d, scheme.bump_size(p))
 
 
 def vertical_hessian(f: PathFunctional, p: Path, scheme: FDScheme = FDScheme()) -> np.ndarray:
     """Second-order central stencil on endpoint bumps, symmetrized."""
-    h = scheme.bump_size(p)
-    d = p.d
-    hess = np.empty((d, d))
-    f0 = f.eval(p)
-    for i in range(d):
-        up = f.eval(_basis_bump(p, i, h))
-        dn = f.eval(_basis_bump(p, i, -h))
-        hess[i, i] = (up - 2.0 * f0 + dn) / h**2
-    for i in range(d):
-        for j in range(i + 1, d):
-            ei = np.zeros(d)
-            ei[i] = h
-            ej = np.zeros(d)
-            ej[j] = h
-            pp = f.eval(vertical_bump(p, ei + ej))
-            pm = f.eval(vertical_bump(p, ei - ej))
-            mp = f.eval(vertical_bump(p, -ei + ej))
-            mm = f.eval(vertical_bump(p, -ei - ej))
-            hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * h**2)
-    if not np.all(np.isfinite(hess)):
-        raise PathError("non-finite evaluation in vertical Hessian")
-    return 0.5 * (hess + hess.T)
+    return _central_hessian(lambda e: f.eval(vertical_bump(p, e)), p.d, scheme.bump_size(p), f.eval(p))
 
 
 def horizontal_derivative(
@@ -188,43 +185,22 @@ def ito_check(
 
     i.e. the quadratic variation is the predictable sigma sigma^T dt. The mean
     shrinks as the grid is refined for smooth functionals and vanishes
-    identically for functionals affine in the endpoint.
+    identically for functionals affine in the endpoint. The paths come from
+    the Euler stepper of ``simulate_psde``; a non-finite state raises
+    ``BlowupError``.
     """
-    if end_index < p0.t_index:
-        raise PathError("end_index before the start of the path")
     rng = np.random.default_rng(seed)
     dt = p0.dt
-    k0 = p0.t_index
-    sqdt = np.sqrt(dt)
-    n_steps = end_index - k0
     total = 0.0
     f_start = f.eval(p0)
     for _ in range(n_paths):
-        vals = np.empty((p0.d, end_index + 1))
-        vals[:, : k0 + 1] = p0.values
+        p_end, records = _euler_path(lambda pk: (drift(pk), diffusion(pk)), p0, end_index, rng)
         acc = 0.0
-        draws = None
-        for k in range(k0, end_index):
-            view = vals[:, : k + 1]
-            view.setflags(write=False)
-            pk = Path._wrap(view, dt) if k > k0 else p0
-            b = np.atleast_1d(np.asarray(drift(pk), dtype=float))
-            sig = np.atleast_2d(np.asarray(diffusion(pk), dtype=float))
-            n = sig.shape[1]
-            if draws is None:
-                draws = rng.normal(0.0, sqdt, size=(n_steps, n))
-            dw = draws[k - k0]
-            dx = b * dt + sig @ dw
+        for pk, sig, dx in records:
             dtf = time_derivative(f, pk, scheme)
             dxf = space_gradient(f, pk, scheme)
             dxxf = space_hessian(f, pk, scheme)
             acc += dtf * dt + 0.5 * float(np.trace(dxxf @ (sig @ sig.T))) * dt + float(dxf @ dx)
-            vals[:, k + 1] = vals[:, k] + dx
-        if not np.all(np.isfinite(vals)):
-            raise PathError("non-finite simulation in ito_check")
-        end_view = vals
-        end_view.setflags(write=False)
-        p_end = Path._wrap(end_view, dt)
         total += abs(f.eval(p_end) - f_start - acc)
     return total / n_paths
 

@@ -145,6 +145,18 @@ def _cloud(p: Path, cp: ControlProblem, n_cloud: int, seed: int) -> list[Path]:
     return path_cloud(rng, p, cp.grid.steps, n_cloud)
 
 
+def _probe(cp, w, test, p, n_cloud, seed, touch_tol, cloud, s: float) -> ProbeResult:
+    # s = +1.0 tests w - test for a maximum, s = -1.0 tests w + test for a minimum
+    if cloud is None:
+        cloud = _cloud(p, cp, n_cloud, seed)
+    touch = abs(w.eval(p) - s * test.eval(p)) <= touch_tol
+    if touch:
+        touch = not any(s * (w.eval(eta) - s * test.eval(eta)) > touch_tol for eta in cloud)
+    hin = HamiltonianInput(p, s * test.eval(p), s * space_gradient(test, p), s * space_hessian(test, p))
+    hval, _ = hamiltonian(cp, hin)
+    return ProbeResult(touch, s * time_derivative(test, p) + hval)
+
+
 def subsolution_probe(
     cp: ControlProblem,
     w: PathFunctional,
@@ -162,18 +174,7 @@ def subsolution_probe(
     dt_test + H(p, test(p), dx_test, dxx_test) must be >= 0 for a
     subsolution; the caller interprets it.
     """
-    if cloud is None:
-        cloud = _cloud(p, cp, n_cloud, seed)
-    gap0 = abs(w.eval(p) - test.eval(p))
-    touch = gap0 <= touch_tol
-    if touch:
-        for eta in cloud:
-            if w.eval(eta) - test.eval(eta) > touch_tol:
-                touch = False
-                break
-    hin = HamiltonianInput(p, test.eval(p), space_gradient(test, p), space_hessian(test, p))
-    hval, _ = hamiltonian(cp, hin)
-    return ProbeResult(touch, time_derivative(test, p) + hval)
+    return _probe(cp, w, test, p, n_cloud, seed, touch_tol, cloud, 1.0)
 
 
 def supersolution_probe(
@@ -192,20 +193,7 @@ def supersolution_probe(
     cloud. The residual -dt_test + H(p, -test(p), -dx_test, -dxx_test) must
     be <= 0 for a supersolution.
     """
-    if cloud is None:
-        cloud = _cloud(p, cp, n_cloud, seed)
-    gap0 = abs(w.eval(p) + test.eval(p))
-    touch = gap0 <= touch_tol
-    if touch:
-        for eta in cloud:
-            if w.eval(eta) + test.eval(eta) < -touch_tol:
-                touch = False
-                break
-    hin = HamiltonianInput(
-        p, -test.eval(p), -space_gradient(test, p), -space_hessian(test, p)
-    )
-    hval, _ = hamiltonian(cp, hin)
-    return ProbeResult(touch, -time_derivative(test, p) + hval)
+    return _probe(cp, w, test, p, n_cloud, seed, touch_tol, cloud, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +390,15 @@ def markov_consistency(
     by default; it is a reporting aid for the combined tree + scheme
     discretization error, not a proof.
     """
+    x = float(p.values[0, -1])
+    if not x_grid.lo <= x <= x_grid.hi:
+        raise PathError("path endpoint outside the FD spatial grid")
+    tree_v = value(cp, p)  # checks the node cap before any work
     mp = markovian_reduction(cp, seed)
     g = cp.grid
     substeps = _cfl_substeps(mp, x_grid)
     grid_v = markov_fd_solve(mp, x_grid, substeps)
-    x = float(p.values[0, -1])
-    if not x_grid.lo <= x <= x_grid.hi:
-        raise PathError("path endpoint outside the FD spatial grid")
     fd_v = float(np.interp(x, x_grid.nodes(), grid_v[p.t_index]))
-    tree_v = value(cp, p)
     if bound_const is None:
         xs = x_grid.nodes()
         b = [float(np.abs(mp.drift(0.0, xs, u)).max()) for u in cp.controls]

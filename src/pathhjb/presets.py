@@ -33,6 +33,12 @@ __all__ = [
 ]
 
 
+def _one_dimensional(grid: GridConfig) -> GridConfig:
+    if grid.dim != 1 or grid.noise_dim != 1:
+        raise PathError(f"one-dimensional preset needs dim = noise_dim = 1, got dim={grid.dim}, noise_dim={grid.noise_dim}")
+    return grid
+
+
 def lq_problem(grid: GridConfig, controls=(0.0, 0.5, 1.0)) -> ControlProblem:
     """Drift u, unit noise, running reward -u^2, terminal endpoint value.
 
@@ -45,7 +51,7 @@ def lq_problem(grid: GridConfig, controls=(0.0, 0.5, 1.0)) -> ControlProblem:
         generator=lambda p, y, z, u: -u * u,
         terminal=lambda p: float(p.values[0, -1]),
         controls=tuple(controls),
-        grid=grid,
+        grid=_one_dimensional(grid),
     )
 
 
@@ -68,7 +74,7 @@ def heat_problem(grid: GridConfig) -> ControlProblem:
         generator=lambda p, y, z, u: 0.0,
         terminal=lambda p: float(p.values[0, -1]) ** 2,
         controls=(0.0,),
-        grid=grid,
+        grid=_one_dimensional(grid),
     )
 
 
@@ -90,7 +96,7 @@ def quartic_problem(grid: GridConfig) -> ControlProblem:
         generator=lambda p, y, z, u: 0.0,
         terminal=lambda p: float(p.values[0, -1]) ** 4,
         controls=(0.0,),
-        grid=grid,
+        grid=_one_dimensional(grid),
     )
 
 
@@ -108,7 +114,7 @@ def martingale_problem(grid: GridConfig) -> ControlProblem:
         generator=lambda p, y, z, u: 0.0,
         terminal=lambda p: float(p.values[0, -1]),
         controls=(0.0,),
-        grid=grid,
+        grid=_one_dimensional(grid),
     )
 
 
@@ -125,7 +131,7 @@ def running_cost_problem(grid: GridConfig) -> ControlProblem:
         generator=lambda p, y, z, u: 0.0,
         terminal=integral.eval,
         controls=(0.0,),
-        grid=grid,
+        grid=_one_dimensional(grid),
     )
 
 
@@ -153,7 +159,7 @@ def bangbang_problem(grid: GridConfig) -> ControlProblem:
         generator=lambda p, y, z, u: 0.0,
         terminal=lambda p: abs(float(p.values[0, -1])),
         controls=(-1.0, 1.0),
-        grid=grid,
+        grid=_one_dimensional(grid),
     )
 
 

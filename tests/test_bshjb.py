@@ -195,3 +195,146 @@ def test_bshjb_residual_cross_term():
 def test_augmented_problem_validation():
     with pytest.raises(PathError):
         _frozen_ap(noise_dim=0)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the hand-written mixed stencils that _mixed_derivatives
+# replaced with the shared funcalc gradient and Hessian stencils.
+
+
+def _reference_mixed_derivatives(v, omega, x, scheme, end_index):
+    from pathhjb.pathspace import horizontal_extension, restrict, vertical_bump
+
+    def unit(n, i):
+        e = np.zeros(n)
+        e[i] = 1.0
+        return e
+
+    def omega_bump(j, h):
+        e = np.zeros(omega.d)
+        e[j] = h
+        return vertical_bump(omega, e)
+
+    d = omega.d
+    m = x.shape[0]
+    h = scheme.h_vertical * (1.0 + float(np.linalg.norm(omega.values[:, -1])) + float(np.linalg.norm(x)))
+    if v.dt is not None:
+        dt_v = float(v.dt(omega, x))
+    else:
+        step = scheme.h_horizontal
+        if end_index is not None and omega.t_index + step > end_index:
+            base = restrict(omega, omega.t_index - step)
+            dt_v = (v(horizontal_extension(base, omega.t_index), x) - v(base, x)) / (step * omega.dt)
+        else:
+            dt_v = (v(horizontal_extension(omega, omega.t_index + step), x) - v(omega, x)) / (step * omega.dt)
+    if v.dgamma is not None:
+        dg = np.atleast_1d(np.asarray(v.dgamma(omega, x), dtype=float))
+    else:
+        dg = np.array([(v(omega_bump(j, h), x) - v(omega_bump(j, -h), x)) / (2 * h) for j in range(d)])
+    if v.dgammagamma is not None:
+        dgg = np.atleast_2d(np.asarray(v.dgammagamma(omega, x), dtype=float))
+    else:
+        dgg = np.empty((d, d))
+        f0 = v(omega, x)
+        for j in range(d):
+            dgg[j, j] = (v(omega_bump(j, h), x) - 2 * f0 + v(omega_bump(j, -h), x)) / h**2
+        for a in range(d):
+            for b in range(a + 1, d):
+                ea, eb = h * unit(d, a), h * unit(d, b)
+                pp = v(vertical_bump(omega, ea + eb), x)
+                pm = v(vertical_bump(omega, ea - eb), x)
+                mp = v(vertical_bump(omega, -ea + eb), x)
+                mm = v(vertical_bump(omega, -ea - eb), x)
+                dgg[a, b] = dgg[b, a] = (pp - pm - mp + mm) / (4 * h**2)
+        dgg = 0.5 * (dgg + dgg.T)
+
+    def ex(i, s):
+        e = np.zeros(m)
+        e[i] = s * h
+        return x + e
+
+    if v.dx is not None:
+        dxv = np.atleast_1d(np.asarray(v.dx(omega, x), dtype=float))
+    else:
+        dxv = np.array([(v(omega, ex(i, 1)) - v(omega, ex(i, -1))) / (2 * h) for i in range(m)])
+    if v.dxx is not None:
+        dxxv = np.atleast_2d(np.asarray(v.dxx(omega, x), dtype=float))
+    else:
+        dxxv = np.empty((m, m))
+        f0 = v(omega, x)
+        for i in range(m):
+            dxxv[i, i] = (v(omega, ex(i, 1)) - 2 * f0 + v(omega, ex(i, -1))) / h**2
+        for a in range(m):
+            for b in range(a + 1, m):
+                pp = v(omega, x + h * (unit(m, a) + unit(m, b)))
+                pm = v(omega, x + h * (unit(m, a) - unit(m, b)))
+                mp = v(omega, x + h * (-unit(m, a) + unit(m, b)))
+                mm = v(omega, x - h * (unit(m, a) + unit(m, b)))
+                dxxv[a, b] = dxxv[b, a] = (pp - pm - mp + mm) / (4 * h**2)
+        dxxv = 0.5 * (dxxv + dxxv.T)
+    if v.dxgamma is not None:
+        dxg = np.atleast_2d(np.asarray(v.dxgamma(omega, x), dtype=float))
+    else:
+        dxg = np.empty((m, d))
+        for i in range(m):
+            for j in range(d):
+                pp = v(omega_bump(j, h), ex(i, 1))
+                pm = v(omega_bump(j, -h), ex(i, 1))
+                mp = v(omega_bump(j, h), ex(i, -1))
+                mm = v(omega_bump(j, -h), ex(i, -1))
+                dxg[i, j] = (pp - pm - mp + mm) / (4 * h**2)
+    return dt_v, dg, dgg, dxv, dxxv, dxg
+
+
+_MIXED_FIELDS = ("dt", "dgamma", "dgammagamma", "dx", "dxx", "dxgamma")
+
+
+def _mixed_functional(d, m, present):
+    # a smooth v(omega, x) coupling the whole noise path, its endpoint and x;
+    # the analytic fields are arbitrary shaped stand-ins, passed through as given
+    a = np.linspace(0.3, 1.1, d)
+    c = np.linspace(-0.7, 0.4, m)
+
+    def ev(om, x):
+        end = om.values[:, -1]
+        return float(np.sin(a @ end) * np.cos(c @ x) + om.values.sum() * om.dt * x[0] + 0.3 * (end @ end) * (x @ x))
+
+    stand_ins = {
+        "dt": lambda om, x: 0.5 * x[0] + om.t,
+        "dgamma": lambda om, x: om.values[:, -1] * x[0],
+        "dgammagamma": lambda om, x: np.outer(a, a) * x[-1],
+        "dx": lambda om, x: c * om.values[0, -1],
+        "dxx": lambda om, x: np.outer(c, c) + np.eye(m),
+        "dxgamma": lambda om, x: np.outer(x, om.values[:, -1]),
+    }
+    return MixedFunctional(eval=ev, **{k: stand_ins[k] for k in present})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_mixed_derivatives_equal_reference_stencils(d, m):
+    import itertools
+
+    from pathhjb.bshjb import _mixed_derivatives
+    from pathhjb.funcalc import FDScheme
+
+    rng = np.random.default_rng(10 * d + m)
+    steps = 4
+    for mask in itertools.product([False, True], repeat=len(_MIXED_FIELDS)):
+        v = _mixed_functional(d, m, [f for f, on in zip(_MIXED_FIELDS, mask) if on])
+        # interior point, the end_index boundary (left-limit quotient) and no end index
+        for t_index, end_index in ((1, steps), (steps, steps), (2, None)):
+            omega = random_path(rng, d, 0.25, t_index)
+            x = rng.normal(size=m)
+            scheme = FDScheme(h_vertical=10.0 ** rng.uniform(-5, -3))
+            new = _mixed_derivatives(v, omega, x, v(omega, x), scheme, end_index)
+            ref = _reference_mixed_derivatives(v, omega, x, scheme, end_index)
+            for got, want in zip(new, ref, strict=True):
+                assert np.array_equal(got, want)
+
+
+def test_bshjb_residual_rejects_non_finite_stencil_values():
+    ap = _frozen_ap()
+    v = MixedFunctional(eval=lambda om, x: np.inf if x[0] > 0.5 else 1.0)  # finite at the point only
+    with pytest.raises(PathError, match="non-finite"):
+        bshjb_residual(ap, v, (Path(np.array([[0.1, 0.2]]), 0.25), 0.5))

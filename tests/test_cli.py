@@ -266,11 +266,52 @@ def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_markov_compare_default_outputs_are_pinned(tmp_path):
-    # any drift in the last digit of the FD oracle or the tree value shows here
-    assert main(["markov-compare", "--out", str(tmp_path)]) == 0
-    assert _digest(tmp_path / "markov-compare.csv") == "97f6a15191cbca208ad9a9c74ea81b4375d0bbf3f6e356781489407262a38f97"
-    assert _digest(tmp_path / "summary.txt") == "cab3b19611604e864bed63f4c177e56b6d13fea2137f3aa1889ba0beb634dc5e"
+# SHA-256 of the CSV and summary.txt; any drift in a last digit shows here
+_PINNED = {
+    "markov-compare": (
+        "markov-compare",
+        [],
+        "97f6a15191cbca208ad9a9c74ea81b4375d0bbf3f6e356781489407262a38f97",
+        "cab3b19611604e864bed63f4c177e56b6d13fea2137f3aa1889ba0beb634dc5e",
+    ),
+    "viscosity-probe": (
+        "viscosity-probe",
+        [],
+        "77e8276fd1a12a5ca8ca9030639f6e6de364b4ce8aa0a6149ef9a911a0a6dc28",
+        "86bf16c79a07576a29ed0e4fffb4ce02feee631114bc736f50d9523b144da50c",
+    ),
+    "ito-check-square": (
+        "ito-check",
+        ["n_paths=100", "functional=square"],
+        "cd29bbcb48fe5391f56793625e1688cf2ca3e9a73eeed707b1ac275a82c5727c",
+        "c2f5550403dc40687ae93b4a027a15461c805cf86e9e602387a7e1868c388ca7",
+    ),
+    "ito-check-gauge": (
+        "ito-check",
+        ["n_paths=100", "functional=gauge"],
+        "d5d2b4a0463618a176552aaa33cc58443cc45e86918ea9eb29659f8b8a924d46",
+        "60ec2078fb95a87d9c47bdda15f84b2d5820028a7805ad7680875b310a9a516a",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_outputs_are_pinned(case, tmp_path):
+    subcommand, overrides, csv_digest, summary_digest = _PINNED[case]
+    argv = [subcommand, "--out", str(tmp_path)]
+    for spec in overrides:
+        argv += ["--override", spec]
+    assert main(argv) == 0
+    assert _digest(tmp_path / f"{subcommand}.csv") == csv_digest
+    assert _digest(tmp_path / "summary.txt") == summary_digest
+
+
+@pytest.mark.parametrize("subcommand", ["value", "dpp", "viscosity-probe", "comparison-demo"])
+@pytest.mark.parametrize("spec", ["grid.dim=2", "grid.noise_dim=2"])
+def test_one_dimensional_presets_reject_other_grids(subcommand, spec, tmp_path, capsys):
+    assert main([subcommand, "--override", spec, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation: one-dimensional preset") and spec.split(".")[1] in err
 
 
 _NOT_NUMBERS = ["abc", "foo", "[1, 2]", "{a: 1}", "null", "''"]

@@ -78,9 +78,15 @@ def test_simulate_psde_blowup_reported():
         controls=(0.0,),
         grid=grid,
     )
-    with np.errstate(over="ignore"):
-        with pytest.raises(BlowupError):
-            simulate_psde(cp, Path.constant(5.0, 0, grid.dt), CONST0, 8, seed=1)
+    for k0 in (0, 3):
+        # x0 = 5 stays finite for one step; the step named is the absolute grid index
+        p0 = Path.constant(5.0, k0, grid.dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowupError) as ref:
+                _reference_simulate_psde(cp, p0, CONST0, 8, seed=1)
+            with pytest.raises(BlowupError) as got:
+                simulate_psde(cp, p0, CONST0, 8, seed=1)
+        assert str(got.value) == str(ref.value) == f"state blew up at step {k0 + 2}"
 
 
 def test_moment_probe_growth_and_continuity():
@@ -467,3 +473,53 @@ def test_value_cap_counts_control_fan_out():
     simulate_tree(cp, p0, 7)  # the cost tree of the same depth is within the cap
     with pytest.raises(PathError):
         ValueSolver(cp, 3, cp.terminal).solve(Path.constant(0.0, 4, grid.dt))
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the per-step Euler loop simulate_psde ran before it
+# shared one stepper with ito_check.
+
+
+def _reference_simulate_psde(cp, p0, strategy, end_index, seed):
+    rng = np.random.default_rng(seed)
+    dt = p0.dt
+    vals = np.empty((p0.d, end_index + 1))
+    vals[:, : p0.t_index + 1] = p0.values
+    for k in range(p0.t_index, end_index):
+        view = vals[:, : k + 1]
+        view.setflags(write=False)
+        path = Path._wrap(view, dt) if k > p0.t_index else p0
+        u = strategy.control_at(path)
+        bvec = np.atleast_1d(np.asarray(cp.drift(path, u), dtype=float))
+        sig = np.atleast_2d(np.asarray(cp.diffusion(path, u), dtype=float))
+        dw = rng.normal(0.0, np.sqrt(dt), size=sig.shape[1])
+        vals[:, k + 1] = vals[:, k] + bvec * dt + sig @ dw
+        if not np.all(np.isfinite(vals[:, k + 1])):
+            raise BlowupError(f"state blew up at step {k + 1}")
+    return Path(vals, dt)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_simulate_psde_agrees_with_reference_loop(d, n):
+    grid = GridConfig(6, 1.0, d, n)
+    base = random_problem(grid, seed=d * 10 + n, n_controls=3)
+    seen = []
+    strategies = [
+        ControlStrategy(feedback=lambda p: seen.append(p.t_index) or base.controls[p.t_index % 3]),
+        ControlStrategy(open_loop=base.controls * 2),
+    ]
+    for strategy, k0 in itertools.product(strategies, (0, 2, 6)):
+        p0 = Path(np.random.default_rng(k0).normal(size=(d, k0 + 1)), grid.dt)
+        cp, calls = _counted(base)
+        ref_cp, ref_calls = _counted(base)
+        seen.clear()
+        got = simulate_psde(cp, p0, strategy, grid.steps, seed=k0 + 7)
+        got_seen = list(seen)
+        seen.clear()
+        want = _reference_simulate_psde(ref_cp, p0, strategy, grid.steps, seed=k0 + 7)
+        assert got.values.shape == want.values.shape
+        # one addition is regrouped, (x + b dt) + sigma dw -> x + (b dt + sigma dw)
+        assert np.max(np.abs(got.values - want.values), initial=0.0) <= 1e-14
+        assert np.array_equal(got.values[:, : k0 + 1], p0.values)
+        assert calls == ref_calls and got_seen == seen

@@ -175,3 +175,96 @@ def test_ito_check_fd_fallback_close_to_analytic():
     with_an = ito_check(SQUARE, ZERO_DRIFT, UNIT_DIFFUSION, p0, 8, 50, seed=5)
     with_fd = ito_check(plain, ZERO_DRIFT, UNIT_DIFFUSION, p0, 8, 50, seed=5)
     assert with_fd == pytest.approx(with_an, rel=1e-5, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the Euler loop ito_check kept before it ran on the shared
+# control stepper.
+
+
+def _reference_ito_check(f, drift, diffusion, p0, end_index, n_paths, seed, scheme=FDScheme()):
+    from pathhjb.funcalc import space_gradient, space_hessian, time_derivative
+
+    rng = np.random.default_rng(seed)
+    dt = p0.dt
+    k0 = p0.t_index
+    sqdt = np.sqrt(dt)
+    n_steps = end_index - k0
+    total = 0.0
+    f_start = f.eval(p0)
+    for _ in range(n_paths):
+        vals = np.empty((p0.d, end_index + 1))
+        vals[:, : k0 + 1] = p0.values
+        acc = 0.0
+        draws = None
+        for k in range(k0, end_index):
+            view = vals[:, : k + 1]
+            view.setflags(write=False)
+            pk = Path._wrap(view, dt) if k > k0 else p0
+            b = np.atleast_1d(np.asarray(drift(pk), dtype=float))
+            sig = np.atleast_2d(np.asarray(diffusion(pk), dtype=float))
+            if draws is None:
+                draws = rng.normal(0.0, sqdt, size=(n_steps, sig.shape[1]))
+            dx = b * dt + sig @ draws[k - k0]
+            dtf = time_derivative(f, pk, scheme)
+            dxf = space_gradient(f, pk, scheme)
+            dxxf = space_hessian(f, pk, scheme)
+            acc += dtf * dt + 0.5 * float(np.trace(dxxf @ (sig @ sig.T))) * dt + float(dxf @ dx)
+            vals[:, k + 1] = vals[:, k] + dx
+        vals.setflags(write=False)
+        total += abs(f.eval(Path._wrap(vals, dt)) - f_start - acc)
+    return total / n_paths
+
+
+def _path_functional(present):
+    # path-dependent through a running sum; analytic fields are the true ones
+    def ev(p):
+        end = p.values[:, -1]
+        return float(np.sin(end.sum()) + 0.5 * (end @ end) + p.values.sum() * p.dt * end[0])
+
+    def dx(p):
+        end = p.values[:, -1]
+        g = np.cos(end.sum()) + end
+        g[0] += p.values.sum() * p.dt + p.dt * end[0]
+        return g
+
+    def dxx(p):
+        d = p.d
+        h = -np.sin(p.values[:, -1].sum()) * np.ones((d, d)) + np.eye(d)
+        h[0, :] += p.dt
+        h[:, 0] += p.dt
+        return h
+
+    fields = {"analytic_dt": lambda p: float(p.values[:, -1].sum() * p.values[0, -1]), "analytic_dx": dx, "analytic_dxx": dxx}
+    return PathFunctional(eval=ev, **{k: fields[k] for k in present})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ito_check_equals_reference_loop(d, n):
+    import itertools
+
+    rng = np.random.default_rng(d * 10 + n)
+    mix = rng.normal(size=(d, n))
+    drift = lambda p: np.tanh(p.values[:, -1]) * 0.4 + 0.1  # noqa: E731
+    diffusion = lambda p: mix * (1.0 + 0.2 * np.tanh(p.values[0, -1]))  # noqa: E731
+    names = ("analytic_dt", "analytic_dx", "analytic_dxx")
+    for mask in itertools.product([False, True], repeat=3):
+        f = _path_functional([k for k, on in zip(names, mask) if on])
+        # a zero-step run (end_index at the start), one step and a few steps
+        for k0, end_index in ((2, 2), (1, 2), (0, 4)):
+            p0 = Path(rng.normal(size=(d, k0 + 1)), 0.2)
+            seed = int(rng.integers(1000))
+            got = ito_check(f, drift, diffusion, p0, end_index, 3, seed)
+            assert np.array_equal(got, _reference_ito_check(f, drift, diffusion, p0, end_index, 3, seed))
+
+
+def test_ito_check_blowup_names_the_first_non_finite_step():
+    from pathhjb.control import BlowupError
+
+    p0 = Path.constant(0.0, 1, 0.25)
+    drift = lambda p: np.array([np.inf if p.t_index >= 2 else 0.0])  # noqa: E731
+    with pytest.raises(BlowupError, match="at step 3"):
+        ito_check(SQUARE, drift, UNIT_DIFFUSION, p0, 4, 2, seed=0)
+    with pytest.raises(PathError):
+        ito_check(SQUARE, ZERO_DRIFT, UNIT_DIFFUSION, p0, 0, 2, seed=0)

@@ -5,7 +5,7 @@ import pytest
 
 from pathhjb import phjb
 from pathhjb.control import ControlProblem, value
-from pathhjb.funcalc import PathFunctional, add_functionals, scale_functional
+from pathhjb.funcalc import PathFunctional, add_functionals, constant_functional, scale_functional
 from pathhjb.gauge import GaugeParams, upsilon_bar, upsilon_bar_functional, upsilon_single
 from pathhjb.pathspace import GridConfig, Path, PathError
 from pathhjb.phjb import (
@@ -563,3 +563,65 @@ def test_comparison_psi_beta_ladder_shrinks_gap():
         b = Path._wrap(res.optimum.values[1:], res.optimum.dt)
         ladder.append(beta * upsilon(a, b))
     assert ladder[0] >= ladder[1] >= ladder[2]
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the two probe bodies before they shared one signed body.
+
+
+def _reference_probe(cp, w, test, p, cloud, touch_tol, sub):
+    from pathhjb.funcalc import space_gradient, space_hessian, time_derivative
+
+    if sub:
+        touch = abs(w.eval(p) - test.eval(p)) <= touch_tol
+        if touch:
+            touch = not any(w.eval(eta) - test.eval(eta) > touch_tol for eta in cloud)
+        hin = HamiltonianInput(p, test.eval(p), space_gradient(test, p), space_hessian(test, p))
+        return touch, time_derivative(test, p) + hamiltonian(cp, hin)[0]
+    touch = abs(w.eval(p) + test.eval(p)) <= touch_tol
+    if touch:
+        touch = not any(w.eval(eta) + test.eval(eta) < -touch_tol for eta in cloud)
+    hin = HamiltonianInput(p, -test.eval(p), -space_gradient(test, p), -space_hessian(test, p))
+    return touch, -time_derivative(test, p) + hamiltonian(cp, hin)[0]
+
+
+def test_probes_equal_reference_bodies():
+    grid = GridConfig(4, 1.0, 1, 1)
+    rng = np.random.default_rng(11)
+    for cp, sol in ((lq_problem(grid), lq_solution(grid)), (heat_problem(grid), heat_solution(grid))):
+        for k in (0, 2):
+            p = random_path(rng, 1, grid.dt, k)
+            cloud = phjb._cloud(p, cp, 40, seed=k)
+            bump = upsilon_bar_functional(p)
+            plain = PathFunctional(eval=sol.eval)  # finite-difference derivatives
+            tests = {
+                True: [sol, plain, add_functionals(sol, bump), add_functionals(sol, scale_functional(bump, -1.0))],
+                False: [scale_functional(sol, -1.0), scale_functional(plain, -1.0), add_functionals(scale_functional(sol, -1.0), bump)],
+            }
+            for sub, candidates in tests.items():
+                probe = subsolution_probe if sub else supersolution_probe
+                for test in candidates + [add_functionals(test, constant_functional(0.5)) for test in candidates]:
+                    got = probe(cp, sol, test, p, cloud=cloud)
+                    assert tuple(got) == _reference_probe(cp, sol, test, p, cloud, 1e-9, sub)
+
+
+def test_markov_consistency_checks_the_cap_before_any_work():
+    from pathhjb.control import CapacityError
+
+    grid = GridConfig(8, 0.5, 1, 1)
+    base = lq_problem(grid)  # (3 * 2)^8 leaves, over the default cap
+    counts = {"drift": 0, "diffusion": 0}
+
+    def counted(name):
+        fn = getattr(base, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    cp = dataclasses.replace(base, drift=counted("drift"), diffusion=counted("diffusion"))
+    with pytest.raises(CapacityError):
+        markov_consistency(cp, Path.constant(0.4, 0, grid.dt), XGrid(-4.0, 4.0, 81))
+    assert counts == {"drift": 0, "diffusion": 0}
