@@ -90,8 +90,8 @@ def _merge_config(default, supplied, where: str = ""):
     """``supplied`` laid over ``default``, each scalar cast to its default's type.
 
     Unknown keys and values of the wrong shape or type (``steps=abc``, a list
-    where a number goes, inf for an integer) raise ConfigError; a None default
-    (an inline problem key) takes any value.
+    where a number goes, inf or -3 for an integer: each is a count or index)
+    raise ConfigError; a None default (an inline problem key) takes any value.
     """
     kind = type(default)
     if default is None:
@@ -105,10 +105,12 @@ def _merge_config(default, supplied, where: str = ""):
         return [_merge_config(default[0], s, where) for s in supplied]
     try:
         if kind in (int, float) or isinstance(supplied, kind):
-            return kind(supplied)
+            cast = kind(supplied)
+            if kind is not int or cast >= 0:
+                return cast
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError(f"{where.rstrip('.')} must be {kind.__name__}, got {supplied!r}")
+    raise ConfigError(f"{where.rstrip('.')} must be {'a nonnegative ' * (kind is int)}{kind.__name__}, got {supplied!r}")
 
 
 def _apply_override(supplied: dict, spec: str) -> None:
@@ -196,7 +198,6 @@ def _problem_from(config: dict, grid: GridConfig) -> ControlProblem:
         env = path_context(p, horizon)
         env["u"] = float(u)
         env["y"] = float(y)
-        z = np.atleast_1d(z)
         for i in range(z.shape[0]):
             env[f"z{i}"] = float(z[i])
         env["z"] = float(z[0])

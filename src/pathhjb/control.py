@@ -102,8 +102,8 @@ class ControlStrategy:
 class ControlProblem:
     """Coefficient bundle (b, sigma, q, phi, U) on a uniform grid.
 
-    drift(path, u) -> (d,), diffusion(path, u) -> (d, n),
-    generator(path, y, z, u) -> real with z an n-vector,
+    drift(path, u) -> (d,), diffusion(path, u) -> (d, n), read through
+    ``coeffs``; generator(path, y, z, u) -> real with z a float (n,) array;
     terminal(path at final index) -> real.
     """
 
@@ -118,6 +118,17 @@ class ControlProblem:
         if len(self.controls) == 0:
             raise PathError("control set must be nonempty")
         object.__setattr__(self, "controls", tuple(self.controls))
+
+    def coeffs(self, paths, us) -> tuple[np.ndarray, np.ndarray]:
+        """Drift and diffusion at each (path, u) pair, drift called first, as read-only
+        float arrays of shape (N, d) and (N, d, n); the solvers' only reader of both.
+        A scalar, wrong-length or ragged result raises PathError naming the shapes."""
+        b, sig = [], []
+        for path, u in zip(paths, us):
+            b.append(self.drift(path, u))
+            sig.append(self.diffusion(path, u))
+        g = self.grid
+        return _stack_checked("drift", b, (g.dim,)), _stack_checked("diffusion", sig, (g.dim, g.noise_dim))
 
     def lipschitz_probe(self, seed: int = 0, samples: int = 40) -> float:
         """Finite-difference Lipschitz estimate of (b, sigma, q) over random pairs.
@@ -138,12 +149,8 @@ class ControlProblem:
             dz = rng.normal(size=g.noise_dim)
             for u in self.controls:
                 if gap > 0:
-                    db = np.linalg.norm(
-                        np.subtract(self.drift(p, u), self.drift(q, u), dtype=float)
-                    )
-                    ds = np.linalg.norm(
-                        np.subtract(self.diffusion(p, u), self.diffusion(q, u), dtype=float)
-                    )
+                    (bp, bq), (sp, sq) = self.coeffs((p, q), (u, u))
+                    db, ds = np.linalg.norm(bp - bq), np.linalg.norm(sp - sq)
                     dq = abs(self.generator(p, y, z, u) - self.generator(q, y, z, u))
                     est = max(est, db / gap, ds / gap, dq / gap)
                 q0 = self.generator(p, y, z, u)
@@ -152,6 +159,19 @@ class ControlProblem:
                 if nz > 0:
                     est = max(est, abs(self.generator(p, y, z + dz, u) - q0) / nz)
         return est
+
+
+def _stack_checked(name: str, rows: tuple, shape: tuple) -> np.ndarray:
+    """Read-only float stack of ``rows``, each of which must have ``shape``."""
+    try:
+        out = np.array(rows, dtype=float)
+    except (TypeError, ValueError):  # a ragged batch
+        out = np.empty(0)
+    if out.shape[1:] != shape:
+        got = ", ".join(map(str, sorted({np.asarray(r, dtype=object).shape for r in rows})))
+        raise PathError(f"{name} must return shape {shape} at each (path, control), got {got}")
+    out.setflags(write=False)
+    return out
 
 
 def _increments(noise_dim: int, dt: float) -> np.ndarray:
@@ -166,9 +186,9 @@ class NoiseTree:
     """Non-recombining tree of exact +-sqrt(dt) noise increments.
 
     ``levels[k]`` holds the full path values of every depth-k node as an
-    array of shape (branching^k, d, root_cols + k); the snapshot states are
-    the ones produced under the build strategy. Increments have exact mean 0
-    and variance dt per coordinate.
+    array of shape (branching^k, d, root_cols + k) and ``controls[k][j]`` the
+    1-tuple of the control that expanded node j, both under the build
+    strategy. Increments have exact mean 0 and variance dt per coordinate.
     """
 
     root: Path
@@ -176,6 +196,7 @@ class NoiseTree:
     noise_dim: int
     increments: np.ndarray
     levels: tuple
+    controls: tuple
 
     @property
     def branching(self) -> int:
@@ -217,13 +238,9 @@ def _forward(cp: ControlProblem, root: Path, depth: int, incs: np.ndarray, dt: f
     for k in range(depth):
         cur = levels[k]
         count, d, cols = cur.shape
-        bvec, sig, us = np.empty((count * n_u, d)), np.empty((count * n_u, d, n)), []
-        for j in range(count):
-            path = Path._wrap(cur[j], dt)
-            us.append(cp.controls if strategy is None else (strategy.control_at(path),))
-            for i, u in enumerate(us[j], j * n_u):
-                bvec[i] = cp.drift(path, u)
-                sig[i] = cp.diffusion(path, u)
+        us = [cp.controls if strategy is None else (strategy.control_at(Path._wrap(row, dt)),) for row in cur]
+        paths = (path for row in cur for path in itertools.repeat(Path._wrap(row, dt), n_u))  # one live at a time
+        bvec, sig = cp.coeffs(paths, [u for u_j in us for u in u_j])
         sig = sig.reshape(count, n_u, d, n).swapaxes(-1, -2)
         steps = cur[:, None, None, :, -1] + bvec.reshape(count, n_u, 1, d) * dt + incs @ sig
         if not np.all(np.isfinite(steps)):
@@ -289,12 +306,8 @@ def _backward(cp: ControlProblem, levels, ctrls, links, keys, incs: np.ndarray, 
 def simulate_tree(
     cp: ControlProblem, p0: Path, end_index: int, strategy: Optional[ControlStrategy] = None, cap: int = DEFAULT_NODE_CAP
 ) -> NoiseTree:
-    """Build the exact noise tree from p0 to end_index.
-
-    States in the snapshot are produced under ``strategy`` (default: the
-    constant first control); solvers rebuild states for the strategy they
-    are handed, so the noise lattice is the only authoritative content.
-    """
+    """Build the exact noise tree from p0 to end_index under ``strategy``
+    (default: the constant first control), keeping each node's control."""
     if end_index < p0.t_index:
         raise PathError("end_index before the root time")
     depth = end_index - p0.t_index
@@ -303,18 +316,17 @@ def simulate_tree(
     if strategy is None:
         strategy = ControlStrategy.constant(cp.controls[0])
     incs = _increments(n, p0.dt)
-    levels = _forward(cp, p0, depth, incs, p0.dt, strategy)[0]
-    return NoiseTree(root=p0, depth=depth, noise_dim=n, increments=incs, levels=tuple(levels))
+    levels, ctrls = _forward(cp, p0, depth, incs, p0.dt, strategy)[:2]
+    return NoiseTree(root=p0, depth=depth, noise_dim=n, increments=incs, levels=tuple(levels), controls=tuple(ctrls))
 
 
 @dataclass(frozen=True)
 class BsdeSolution:
-    """Per-node backward solution: y_levels[k] has shape (branching^k,),
-    z_levels[k] has shape (branching^k, n) (zeros at the terminal layer)."""
+    """Per-node backward solution on a NoiseTree's levels: y_levels[k] has shape
+    (branching^k,), z_levels[k] (branching^k, n) (zeros at the terminal layer)."""
 
     y_levels: tuple
     z_levels: tuple
-    levels: tuple
 
     @property
     def root_value(self) -> float:
@@ -335,35 +347,30 @@ def _implicit_step(cp: ControlProblem, path: Path, e_y: float, z: np.ndarray, u,
     raise ContractError("implicit generator step did not converge; check L*dt < 0.5")
 
 
-def solve_bsde_tree(cp: ControlProblem, tree: NoiseTree, strategy: ControlStrategy, terminal=None) -> BsdeSolution:
+def solve_bsde_tree(cp: ControlProblem, tree: NoiseTree, terminal=None) -> BsdeSolution:
     """Backward recursion Y_k = E[Y_{k+1}] + q(X_k, Y_k, Z_k, u_k) dt with
-    Z_k = E[Y_{k+1} dW^T] / dt, states rebuilt under ``strategy``.
+    Z_k = E[Y_{k+1} dW^T] / dt on the tree's states and controls.
 
     ``terminal`` overrides cp.terminal; it may be a callable on leaf paths or
     a per-leaf array ordered by leaf index.
     """
-    fwd = _forward(cp, tree.root, tree.depth, tree.increments, tree.dt, strategy)
-    y_levels, z_levels = _backward(cp, *fwd, tree.increments, tree.dt, cp.terminal if terminal is None else terminal)
-    return BsdeSolution(y_levels=tuple(y_levels), z_levels=tuple(z_levels), levels=tuple(fwd[0]))
+    links, terminal = (None,) * tree.depth, cp.terminal if terminal is None else terminal
+    y_levels, z_levels = _backward(cp, tree.levels, tree.controls, links, None, tree.increments, tree.dt, terminal)
+    return BsdeSolution(y_levels=tuple(y_levels), z_levels=tuple(z_levels))
 
 
 def backward_semigroup(
-    cp: ControlProblem,
-    p0: Path,
-    strategy: ControlStrategy,
-    delta_steps: int,
-    eta,
-    cap: int = DEFAULT_NODE_CAP,
+    cp: ControlProblem, p0: Path, strategy: ControlStrategy, delta_steps: int, eta, cap: int = DEFAULT_NODE_CAP
 ) -> float:
     """Value at p0 of the BSDE over [t, t + delta] with terminal data eta."""
     tree = simulate_tree(cp, p0, p0.t_index + delta_steps, strategy, cap)
-    return solve_bsde_tree(cp, tree, strategy, terminal=eta).root_value
+    return solve_bsde_tree(cp, tree, terminal=eta).root_value
 
 
 def cost(cp: ControlProblem, p0: Path, strategy: ControlStrategy, cap: int = DEFAULT_NODE_CAP) -> float:
     """Root Y of the controlled BSDE over the full horizon."""
     tree = simulate_tree(cp, p0, cp.grid.steps, strategy, cap)
-    return solve_bsde_tree(cp, tree, strategy).root_value
+    return solve_bsde_tree(cp, tree).root_value
 
 
 class ValueSolver:
@@ -425,7 +432,8 @@ def dpp_check(cp: ControlProblem, p0: Path, delta_steps: int, cap: int = DEFAULT
 def _euler_path(coeffs: Callable[[Path], tuple], p0: Path, end_index: int, rng: np.random.Generator):
     """Euler-Maruyama path extending p0 to end_index, and its steps.
 
-    coeffs(path) -> (b, sigma) at the current node. The noise is drawn in one
+    coeffs(path) -> (b, sigma) at the current node, float arrays of shape
+    (d,) and (d, n). The noise is drawn in one
     (steps, n) batch once sigma gives n, and each step adds dx = b dt + sigma dw.
     Returns the finished path and one (path, sigma, dx) record per step.
     Finiteness is checked once, for the whole path.
@@ -443,8 +451,6 @@ def _euler_path(coeffs: Callable[[Path], tuple], p0: Path, end_index: int, rng: 
         view.setflags(write=False)
         path = Path._wrap(view, dt) if k > k0 else p0
         b, sig = coeffs(path)
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        sig = np.atleast_2d(np.asarray(sig, dtype=float))
         if draws is None:
             draws = rng.normal(0.0, np.sqrt(dt), size=(end_index - k0, sig.shape[1]))
         dx = b * dt + sig @ draws[k - k0]
@@ -457,18 +463,12 @@ def _euler_path(coeffs: Callable[[Path], tuple], p0: Path, end_index: int, rng: 
     return Path._wrap(vals, dt), records
 
 
-def simulate_psde(
-    cp: ControlProblem,
-    p0: Path,
-    strategy: ControlStrategy,
-    end_index: int,
-    seed: int,
-) -> Path:
+def simulate_psde(cp: ControlProblem, p0: Path, strategy: ControlStrategy, end_index: int, seed: int) -> Path:
     """Euler-Maruyama path of the controlled dynamics, extending p0."""
 
     def coeffs(path: Path):
-        u = strategy.control_at(path)
-        return cp.drift(path, u), cp.diffusion(path, u)
+        b, sig = cp.coeffs((path,), (strategy.control_at(path),))
+        return b[0], sig[0]
 
     return _euler_path(coeffs, p0, end_index, np.random.default_rng(seed))[0]
 

@@ -187,14 +187,23 @@ def ito_check(
     shrinks as the grid is refined for smooth functionals and vanishes
     identically for functionals affine in the endpoint. The paths come from
     the Euler stepper of ``simulate_psde``; a non-finite state raises
-    ``BlowupError``.
+    ``BlowupError``. drift(path) must return a (d,) vector and diffusion(path)
+    a matrix with d rows, and n_paths must be at least 1; else PathError.
     """
+    def coeffs(pk: Path):
+        b, sig = np.asarray(drift(pk), dtype=float), np.asarray(diffusion(pk), dtype=float)
+        if b.shape != (p0.d,) or sig.ndim != 2 or sig.shape[0] != p0.d:
+            raise PathError(f"drift must return shape ({p0.d},) and diffusion ({p0.d}, n), got {b.shape} and {sig.shape}")
+        return b, sig
+
+    if n_paths < 1:
+        raise PathError(f"ito_check needs n_paths >= 1, got {n_paths}")
     rng = np.random.default_rng(seed)
     dt = p0.dt
     total = 0.0
     f_start = f.eval(p0)
     for _ in range(n_paths):
-        p_end, records = _euler_path(lambda pk: (drift(pk), diffusion(pk)), p0, end_index, rng)
+        p_end, records = _euler_path(coeffs, p0, end_index, rng)
         acc = 0.0
         for pk, sig, dx in records:
             dtf = time_derivative(f, pk, scheme)

@@ -100,30 +100,24 @@ def hamiltonian(cp: ControlProblem, hin: HamiltonianInput):
 
     Returns (value, argmax control); ties break to the lowest control index.
     """
-    best = -np.inf
-    best_u = None
-    for u in cp.controls:
-        b = np.atleast_1d(np.asarray(cp.drift(hin.path, u), dtype=float))
-        sig = np.atleast_2d(np.asarray(cp.diffusion(hin.path, u), dtype=float))
-        val = float(hin.p @ b)
-        val += 0.5 * float(np.trace(hin.l @ (sig @ sig.T)))
-        val += float(cp.generator(hin.path, hin.r, sig.T @ hin.p, u))
-        if val > best:
-            best = val
-            best_u = u
-    return best, best_u
+    bs, sigs = cp.coeffs((hin.path,) * len(cp.controls), cp.controls)
+    vals = [_control_term(cp, hin.path, hin.r, hin.p, hin.l, b, sig, u) for b, sig, u in zip(bs, sigs, cp.controls)]
+    i = int(np.argmax(vals))
+    return vals[i], cp.controls[i]
+
+
+def _control_term(cp: ControlProblem, path: Path, r: float, p, l, b, sig, u) -> float:
+    # <p, b> + 0.5 tr(l sigma sigma^T) + q(path, r, sigma^T p, u), summed in that order
+    val = float(p @ b)
+    val += 0.5 * float(np.trace(l @ (sig @ sig.T)))
+    return val + float(cp.generator(path, r, sig.T @ p, u))
 
 
 def generator(cp: ControlProblem, phi: PathFunctional, p: Path, u) -> float:
     """dt_phi + <dx_phi, b> + 0.5 tr(dxx_phi sigma sigma^T) + q(p, phi, sigma^T dx_phi, u)."""
-    b = np.atleast_1d(np.asarray(cp.drift(p, u), dtype=float))
-    sig = np.atleast_2d(np.asarray(cp.diffusion(p, u), dtype=float))
+    (b,), (sig,) = cp.coeffs((p,), (u,))
     dxf = space_gradient(phi, p)
-    out = time_derivative(phi, p)
-    out += float(dxf @ b)
-    out += 0.5 * float(np.trace(space_hessian(phi, p) @ (sig @ sig.T)))
-    out += float(cp.generator(p, phi.eval(p), sig.T @ dxf, u))
-    return out
+    return time_derivative(phi, p) + _control_term(cp, p, phi.eval(p), dxf, space_hessian(phi, p), b, sig, u)
 
 
 def phjb_residual(cp: ControlProblem, v: PathFunctional, p: Path) -> float:
@@ -267,8 +261,9 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0, probes: int = 8) -> M
         const = Path.constant(x, k, g.dt)
         y, z = float(rng.normal()), rng.normal(size=1)
         for u in cp.controls:
-            for f, args in ((cp.drift, (u,)), (cp.diffusion, (u,)), (cp.generator, (y, z, u))):
-                if not np.allclose(f(shuffled, *args), f(const, *args), atol=1e-12):
+            q = (cp.generator(shuffled, y, z, u), cp.generator(const, y, z, u))
+            for a, c in (*cp.coeffs((shuffled, const), (u, u)), q):
+                if not np.allclose(a, c, atol=1e-12):
                     raise MarkovProbeError("coefficients depend on the path history")
         if k == g.steps and abs(cp.terminal(shuffled) - cp.terminal(const)) > 1e-12:
             raise MarkovProbeError("terminal functional depends on the path history")
@@ -281,25 +276,22 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0, probes: int = 8) -> M
             lattice[key] = [Path.constant(x, key[0], g.dt) for x in xs]
         return key, lattice[key]
 
-    def per_node(read: Callable) -> Callable:
-        memo: dict = {}
+    memo: dict = {}
 
-        def coeff(t: float, xs: np.ndarray, u) -> np.ndarray:
-            key, paths = at(t, xs)
-            if (key, u) not in memo:
-                memo[key, u] = np.array([read(p, u) for p in paths], dtype=float)
-                memo[key, u].setflags(write=False)
-            return memo[key, u]
-
-        return coeff
+    def coeffs(t: float, xs: np.ndarray, u) -> tuple:
+        key, paths = at(t, xs)
+        if (key, u) not in memo:
+            b, sig = cp.coeffs(paths, (u,) * len(paths))
+            memo[key, u] = b[:, 0], sig[:, 0, 0]
+        return memo[key, u]
 
     def generator(t, xs, y, z, u) -> np.ndarray:
         z = np.asarray(z, dtype=float).reshape(-1, 1)
         return np.array([float(cp.generator(p, yi, zi, u)) for p, yi, zi in zip(at(t, xs)[1], y, z, strict=True)])
 
     return MarkovProblem(
-        drift=per_node(lambda p, u: np.atleast_1d(cp.drift(p, u))[0]),
-        diffusion=per_node(lambda p, u: np.atleast_2d(cp.diffusion(p, u))[0, 0]),
+        drift=lambda t, xs, u: coeffs(t, xs, u)[0],
+        diffusion=lambda t, xs, u: coeffs(t, xs, u)[1],
         generator=generator,
         terminal=lambda xs: np.array([float(cp.terminal(p)) for p in at(g.horizon, xs)[1]]),
         controls=cp.controls,

@@ -189,7 +189,6 @@ def random_problem(grid: GridConfig, seed: int, n_controls: int = 2, path_depend
         return base * np.eye(d, n)
 
     def gen(p, y, z, u):
-        z = np.atleast_1d(z)
         return float(a[3] * np.tanh(y) + a[4] * np.tanh(z[0]) + a[5] * hist(p) - 0.1 * float(u) ** 2)
 
     return ControlProblem(
@@ -212,7 +211,6 @@ def random_augmented_problem(steps: int, horizon: float, seed: int) -> Augmented
     c = rng.uniform(-0.5, 0.5, size=4)
 
     def q_bar(omega, x, y, z, u):
-        z = np.atleast_1d(z)
         return float(c[0] + c[1] * np.tanh(omega.values[0, -1]) + c[2] * y + c[3] * np.tanh(z[0]))
 
     def phi_bar(omega, x):

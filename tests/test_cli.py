@@ -314,6 +314,22 @@ def test_one_dimensional_presets_reject_other_grids(subcommand, spec, tmp_path, 
     assert err.startswith("contract violation: one-dimensional preset") and spec.split(".")[1] in err
 
 
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["ito-check", "--override", "n_paths=-3"], 2, "config error: n_paths must be a nonnegative int, got -3"),
+        (["gauge-suite", "--override", "pairs=-1"], 2, "config error: pairs must be a nonnegative int, got -1"),
+        (["bp-demo", "--override", "cases=-2"], 2, "config error: cases must be a nonnegative int, got -2"),
+        (["ito-check", "--override", "n_paths=0"], 3, "contract violation: ito_check needs n_paths >= 1, got 0"),
+    ],
+)
+def test_counts_out_of_range_are_rejected(argv, code, message, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.strip() == message and captured.out == ""
+    assert not (tmp_path / "summary.txt").exists()
+
+
 _NOT_NUMBERS = ["abc", "foo", "[1, 2]", "{a: 1}", "null", "''"]
 _MALFORMED = _NOT_NUMBERS + [".nan", ".inf", "-.inf", "true", "1e400", "[]", "{}", "-3"]
 # Well-formed values per key, small enough that every run stays desk-scale.
@@ -344,6 +360,7 @@ _OVERRIDES = {
 _OVERRIDES["dpp"] = {**_OVERRIDES["value"], "deltas": ["[1]", "[1, 2]", "[0]", "[9]", "[]"], "tolerance": ["1e-10", "-1"]}
 _NUMERIC_KEYS = {"grid.steps", "grid.horizon", "grid.dim", "grid.noise_dim", "start_value", "cap", "tolerance"}
 _NUMERIC_KEYS |= {"levels", "base_steps", "base_nx", "horizon", "x_lo", "x_hi", "eval_x"}
+_INT_KEYS = {"grid.steps", "grid.dim", "grid.noise_dim", "cap", "levels", "base_steps", "base_nx"}
 _BASE_OVERRIDES = {"value": [], "dpp": ["deltas=[1]"], "markov-compare": ["levels=1", "base_steps=2", "base_nx=11"]}
 
 
@@ -370,7 +387,10 @@ def test_fuzzed_overrides_exit_with_a_documented_code(drawn):
             argv += ["--config", _inline(FsPath(out))]
         code = main(argv + ["--out", out])
     assert code in (0, 2, 3, 4)
-    if any(k in _NUMERIC_KEYS and v in _NOT_NUMBERS for k, v in dict(specs).items()):  # the last override wins
+    last = dict(specs)  # the last override wins
+    if any(k in _NUMERIC_KEYS and v in _NOT_NUMBERS for k, v in last.items()):
+        assert code == 2
+    if any(k in _INT_KEYS and type(yaml.safe_load(v)) is int and yaml.safe_load(v) < 0 for k, v in last.items()):
         assert code == 2
 
 

@@ -25,7 +25,9 @@ from pathhjb.control import (
     value,
     value_with_strategy,
 )
+from pathhjb.funcalc import constant_functional, ito_check
 from pathhjb.pathspace import GridConfig, Path, PathError, horizontal_extension
+from pathhjb.phjb import HamiltonianInput, hamiltonian, markovian_reduction
 from pathhjb.presets import heat_problem, lq_problem, random_problem
 
 GRID4 = GridConfig(4, 1.0, 1, 1)
@@ -147,7 +149,7 @@ def test_tree_two_dimensional_noise():
     assert tree.increments.shape == (4, 2)
     assert np.allclose(tree.increments.mean(axis=0), 0.0, atol=1e-15)
     assert np.allclose((tree.increments**2).mean(axis=0), grid.dt, atol=1e-15)
-    sol = solve_bsde_tree(cp, tree, CONST0)
+    sol = solve_bsde_tree(cp, tree)
     assert sol.root_value == pytest.approx(-0.1, abs=1e-13)  # martingale in both coords
 
 
@@ -161,7 +163,7 @@ def test_bsde_martingale_identity():
     cp = _plain()
     p0 = Path.constant(0.3, 0, GRID4.dt)
     tree = simulate_tree(cp, p0, 4)
-    sol = solve_bsde_tree(cp, tree, CONST0)
+    sol = solve_bsde_tree(cp, tree)
     assert sol.root_value == pytest.approx(0.3, abs=1e-13)
     # all Z entries are 1: Y_{k+1} = X_k +- sqrt(dt)
     for k in range(4):
@@ -180,7 +182,7 @@ def test_bsde_linear_generator_matches_picard_oracle():
     cp = _plain(q=lambda p, y, z, u: y, phi=lambda p: float(p.values[0, -1]) ** 2, grid=grid)
     p0 = Path.constant(0.3, 0, grid.dt)
     tree = simulate_tree(cp, p0, 5)
-    sol = solve_bsde_tree(cp, tree, CONST0)
+    sol = solve_bsde_tree(cp, tree)
     # independent Picard iteration on the same tree
     leaves = np.array([cp.terminal(p) for p in tree.leaf_paths()])
     levels = [np.zeros(2**k) for k in range(6)]
@@ -199,7 +201,7 @@ def test_bsde_contract_error_on_stiff_generator():
     p0 = Path.constant(0.3, 0, GRID4.dt)
     tree = simulate_tree(cp, p0, 4)
     with pytest.raises(ContractError):
-        solve_bsde_tree(cp, tree, CONST0)
+        solve_bsde_tree(cp, tree)
 
 
 def test_semigroup_full_range_equals_cost():
@@ -523,3 +525,100 @@ def test_simulate_psde_agrees_with_reference_loop(d, n):
         assert np.max(np.abs(got.values - want.values), initial=0.0) <= 1e-14
         assert np.array_equal(got.values[:, : k0 + 1], p0.values)
         assert calls == ref_calls and got_seen == seen
+
+
+# ---------------------------------------------------------------------------
+# A cost builds and solves one tree.
+
+
+def test_cost_calls_each_coefficient_once_per_internal_node():
+    grid = GridConfig(3, 0.75, 2, 2)
+    p0 = Path.constant(np.array([0.1, -0.1]), 0, grid.dt)
+    internal = 1 + 4 + 16  # branching 4, depth 3
+    for run in (
+        lambda cp: cost(cp, p0, ControlStrategy.constant(cp.controls[1])),
+        lambda cp: backward_semigroup(cp, p0, ControlStrategy.constant(cp.controls[1]), 3, cp.terminal),
+    ):
+        cp, calls = _counted(random_problem(grid, seed=4, n_controls=2))
+        run(cp)
+        assert calls["drift"] == calls["diffusion"] == internal
+    strat = ControlStrategy(open_loop=cp.controls + cp.controls[:1])
+    tree = simulate_tree(cp, p0, 3, strat)
+    assert [set(level) for level in tree.controls] == [{(u,)} for u in strat.open_loop]
+    before = dict(calls)
+    solve_bsde_tree(cp, tree)
+    assert calls["drift"] == before["drift"] and calls["diffusion"] == before["diffusion"]
+
+
+# ---------------------------------------------------------------------------
+# Coefficient shape contract: drift (d,), diffusion (d, n), checked by
+# ControlProblem.coeffs for every solver and by ito_check for bare callables.
+
+
+def _shaped(grid, drift, diffusion=lambda p, u: np.eye(1)):
+    return ControlProblem(
+        drift=drift,
+        diffusion=diffusion,
+        generator=lambda p, y, z, u: 0.0,
+        terminal=lambda p: float(p.values[0, -1]),
+        controls=(0.0, 1.0),
+        grid=grid,
+    )
+
+
+GRID2 = GridConfig(4, 1.0, 2, 2)
+BAD_SHAPES = {
+    "1-vector on a 2-d grid": _shaped(GRID2, lambda p, u: np.full(1, 0.5)),
+    "2-vector on a 1-d grid": _shaped(GRID4, lambda p, u: np.full(2, 0.5)),
+    "scalar drift": _shaped(GRID4, lambda p, u: 0.5),
+    "length changes with the path": _shaped(GRID4, lambda p, u: np.zeros(2 if p.values[0, -1] > 0.2 else 1)),
+}
+
+
+def _hamiltonian_sweep(cp, p0):
+    d = cp.grid.dim
+    for k in range(cp.grid.steps):
+        hamiltonian(cp, HamiltonianInput(horizontal_extension(p0, k), 0.0, np.ones(d), np.eye(d)))
+
+
+def _reduced_coefficients(cp, p0):
+    mp = markovian_reduction(cp)
+    for k in range(cp.grid.steps + 1):
+        mp.drift(k * cp.grid.dt, np.linspace(-1.0, 1.0, 5), cp.controls[0])
+
+
+def _ito(cp, p0):
+    u = cp.controls[0]
+    ito_check(constant_functional(0.0), lambda p: cp.drift(p, u), lambda p: cp.diffusion(p, u), p0, cp.grid.steps, 4, 0)
+
+
+SHAPE_READERS = {
+    "value": lambda cp, p0: value(cp, p0),
+    "cost": lambda cp, p0: cost(cp, p0, ControlStrategy.constant(cp.controls[0])),
+    "simulate_psde": lambda cp, p0: simulate_psde(cp, p0, ControlStrategy.constant(cp.controls[0]), cp.grid.steps, 0),
+    "hamiltonian": _hamiltonian_sweep,
+    "markovian_reduction": _reduced_coefficients,
+    "ito_check": _ito,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(SHAPE_READERS))
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_wrong_coefficient_shapes_raise_path_error(reader, case):
+    cp = BAD_SHAPES[case]
+    with pytest.raises(PathError):
+        for x0 in (0.0, 0.5):  # from 0.5 every reader meets the path-dependent length at once
+            SHAPE_READERS[reader](cp, Path.constant(np.full(cp.grid.dim, x0), 0, cp.grid.dt))
+
+
+def test_coeffs_names_expected_and_received_shapes():
+    cp = BAD_SHAPES["length changes with the path"]
+    p, q = Path.constant(0.0, 0, GRID4.dt), Path.constant(0.5, 0, GRID4.dt)
+    with pytest.raises(PathError, match=r"drift must return shape \(1,\) .*, got \(1,\), \(2,\)"):
+        cp.coeffs((p, q), (0.0, 0.0))
+    cp = _shaped(GRID2, lambda p, u: np.zeros(2), lambda p, u: np.zeros((2, 1)))
+    with pytest.raises(PathError, match=r"diffusion must return shape \(2, 2\) .*, got \(2, 1\)"):
+        cp.coeffs((Path.constant(np.zeros(2), 0, GRID2.dt),), (0.0,))
+    b, sig = _plain(drift=0.3, grid=GRID2).coeffs((Path.constant(np.zeros(2), 0, GRID2.dt),) * 3, (0.0,) * 3)
+    assert b.shape == (3, 2) and sig.shape == (3, 2, 2) and not b.flags.writeable
+    assert np.array_equal(b, np.full((3, 2), 0.3)) and np.array_equal(sig, np.broadcast_to(np.eye(2), (3, 2, 2)))
