@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from pathlib import Path as FsPath
 
@@ -35,7 +36,7 @@ from .control import (
 from .expressions import ExpressionError, compile_expression, path_context
 from .funcalc import PathFunctional, endpoint_functional, ito_check
 from .gauge import GaugeParams
-from .pathspace import GridConfig, Path, PathError, _joint_gap
+from .pathspace import GridConfig, Path, PathError
 from .phjb import (
     CFLError,
     MarkovProbeError,
@@ -54,7 +55,7 @@ from .presets import (
     random_augmented_problem,
     running_cost_solution,
 )
-from .sampling import random_pair, random_path
+from .sampling import random_path
 from .varprinciple import CandidateSet, borwein_preiss, verify_bp
 
 EXIT_OK = 0
@@ -90,8 +91,9 @@ def _merge_config(default, supplied, where: str = ""):
     """``supplied`` laid over ``default``, each scalar cast to its default's type.
 
     Unknown keys and values of the wrong shape or type (``steps=abc``, a list
-    where a number goes, inf or -3 for an integer: each is a count or index)
-    raise ConfigError; a None default (an inline problem key) takes any value.
+    where a number goes, inf, -3, 2.7 or true for an integer: each is a count
+    or index) raise ConfigError; a None default (an inline problem key) takes
+    any value.
     """
     kind = type(default)
     if default is None:
@@ -103,10 +105,11 @@ def _merge_config(default, supplied, where: str = ""):
         return {k: _merge_config(v, supplied.get(k, v), f"{where}{k}.") for k, v in default.items()}
     if isinstance(default, list) and isinstance(supplied, list):
         return [_merge_config(default[0], s, where) for s in supplied]
+    integral = not isinstance(supplied, bool) and (not isinstance(supplied, float) or supplied.is_integer())
     try:
         if kind in (int, float) or isinstance(supplied, kind):
             cast = kind(supplied)
-            if kind is not int or cast >= 0:
+            if kind is not int or (cast >= 0 and integral):
                 return cast
     except (TypeError, ValueError, OverflowError):
         pass
@@ -234,19 +237,13 @@ def run_gauge_suite(config: dict, seed: int):
     rng = np.random.default_rng(seed)
     header = ["pair_id", "m", "M", "s0_lower_slack", "s0_upper_slack", "subadd_gap"]
     rows = []
-    worst = np.inf
     for m in config["ms"]:
         for big_m in config["big_ms"]:
             g = GaugeParams(m, big_m)
-            for i in range(config["pairs"]):
-                p, q = random_pair(rng, config["dim"], config["dt"], config["t_index"], config["scale"])
-                ups = gauge.upsilon(p, q, g)
-                gap = _joint_gap(p, q) ** (2 * g.m)
-                lower = ups - gap
-                upper = g.M * gap - ups
-                sub = gauge.subadditivity_gap(p, q, g)
-                worst = min(worst, lower, upper, sub)
-                rows.append((i, g.m, g.M, lower, upper, sub))
+            sweep = gauge.pair_sweep(rng, g, config["pairs"], config["dim"], config["dt"], config["t_index"], config["scale"])
+            rows += [(i, g.m, g.M, *vals) for i, vals in enumerate(zip(*(a.tolist() for a in sweep)))]
+    # in row order: of equal minima (0.0 and -0.0) min keeps the first, and the summary prints its sign
+    worst = min(itertools.chain.from_iterable(row[3:] for row in rows))
     ok = worst >= -1e-12
     lines = [
         f"gauge-suite: {len(rows)} rows",
@@ -556,23 +553,25 @@ def run_comparison_demo(config: dict, seed: int):
     return header, rows, lines, EXIT_OK if monotone else EXIT_PROPERTY
 
 
+# name: (default config, runner, help, the counts and lists of cases to check,
+# each of which must be nonzero: with none, the check would pass vacuously)
 SUBCOMMANDS = {
-    "gauge-suite": (GAUGE_DEFAULT, run_gauge_suite, "pinch-bound and subadditivity sweep for the gauge family"),
-    "ito-check": (ITO_DEFAULT, run_ito_check, "chain-rule residual refinement ladder on Euler paths"),
-    "bp-demo": (BP_DEFAULT, run_bp_demo, "perturbed maximization over random candidate sets, verified exhaustively"),
-    "value": (VALUE_DEFAULT, run_value, "tree value of a preset or inline problem"),
-    "dpp": (DPP_DEFAULT, run_dpp, "dynamic-programming residual at each intermediate delta"),
-    "markov-compare": (MARKOV_DEFAULT, run_markov_compare, "tree value vs explicit FD solution on a state-dependent instance"),
-    "viscosity-probe": (VISC_DEFAULT, run_viscosity_probe, "touch-point probe and residual sign for a classical solution"),
-    "bshjb-check": (BSHJB_DEFAULT, run_bshjb_check, "noise-path BSDE vs augmented value on in-contract instances"),
-    "comparison-demo": (COMPARISON_DEFAULT, run_comparison_demo, "doubling-of-variables maximization across a beta ladder"),
+    "gauge-suite": (GAUGE_DEFAULT, run_gauge_suite, "pinch-bound and subadditivity sweep for the gauge family", ("pairs", "ms", "big_ms")),
+    "ito-check": (ITO_DEFAULT, run_ito_check, "chain-rule residual refinement ladder on Euler paths", ()),
+    "bp-demo": (BP_DEFAULT, run_bp_demo, "perturbed maximization over random candidate sets, verified exhaustively", ("cases",)),
+    "value": (VALUE_DEFAULT, run_value, "tree value of a preset or inline problem", ()),
+    "dpp": (DPP_DEFAULT, run_dpp, "dynamic-programming residual at each intermediate delta", ("deltas",)),
+    "markov-compare": (MARKOV_DEFAULT, run_markov_compare, "tree value vs explicit FD solution on a state-dependent instance", ()),
+    "viscosity-probe": (VISC_DEFAULT, run_viscosity_probe, "touch-point probe and residual sign for a classical solution", ("n_paths",)),
+    "bshjb-check": (BSHJB_DEFAULT, run_bshjb_check, "noise-path BSDE vs augmented value on in-contract instances", ("instances",)),
+    "comparison-demo": (COMPARISON_DEFAULT, run_comparison_demo, "doubling-of-variables maximization across a beta ladder", ("betas",)),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pathhjb", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (defaults, _, help_text) in SUBCOMMANDS.items():
+    for name, (defaults, _, help_text, _) in SUBCOMMANDS.items():
         sp = sub.add_parser(
             name,
             help=help_text,
@@ -592,15 +591,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    defaults, runner, _ = SUBCOMMANDS[args.subcommand]
+    defaults, runner, _, case_counts = SUBCOMMANDS[args.subcommand]
     try:
         config = _load_config(defaults, args.config, args.override)
-    except (ConfigError, ExpressionError, yaml.YAMLError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        for key in case_counts:
+            if not config[key]:
+                raise ConfigError(f"{key} must be {'nonempty' if isinstance(config[key], list) else 'at least 1'}, got {config[key]!r}")
         header, rows, lines, code = runner(config, args.seed)
-    except (ConfigError, ExpressionError) as exc:
+    except (ConfigError, ExpressionError, yaml.YAMLError, OSError) as exc:  # the runners read no files
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ArithmeticError as exc:

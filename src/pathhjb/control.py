@@ -429,48 +429,61 @@ def dpp_check(cp: ControlProblem, p0: Path, delta_steps: int, cap: int = DEFAULT
     return abs(v_direct - outer.solve(p0))
 
 
-def _euler_path(coeffs: Callable[[Path], tuple], p0: Path, end_index: int, rng: np.random.Generator):
-    """Euler-Maruyama path extending p0 to end_index, and its steps.
+def _paths_at(state: np.ndarray, p0: Path, k: int) -> list:
+    """The N paths of a read-only (N, d, K) Euler state restricted to grid index k
+    (p0 itself at its own index)."""
+    if k == p0.t_index:
+        return [p0] * state.shape[0]
+    dt = p0.dt
+    return [Path._wrap(x, dt) for x in state[:, :, : k + 1]]
 
-    coeffs(path) -> (b, sigma) at the current node, float arrays of shape
-    (d,) and (d, n). The noise is drawn in one
-    (steps, n) batch once sigma gives n, and each step adds dx = b dt + sigma dw.
-    Returns the finished path and one (path, sigma, dx) record per step.
-    Finiteness is checked once, for the whole path.
+
+def _euler_path(coeffs: Callable[[list], tuple], p0: Path, end_index: int, n_paths: int, rng: np.random.Generator):
+    """n_paths Euler-Maruyama paths extending p0 to end_index, stepped together.
+
+    coeffs(paths) -> (b, sigma) at the current node of each path, float arrays
+    of shape (N, d) and (N, d, n). The noise is drawn in one (N, steps, n)
+    batch once sigma gives n, the same stream as one (steps, n) draw per path,
+    and each step adds dx = b dt + sigma dw. Returns the read-only
+    (N, d, end_index + 1) state and one (sigma, dx) record per step.
+    Finiteness is checked once, after the last step; a non-finite state raises
+    BlowupError naming the lowest-index blown-up path's first non-finite
+    grid index.
     """
     if end_index < p0.t_index:
         raise PathError("end_index before the start of the path")
     dt = p0.dt
     k0 = p0.t_index
-    vals = np.empty((p0.d, end_index + 1))
-    vals[:, : k0 + 1] = p0.values
+    vals = np.empty((n_paths, p0.d, end_index + 1))
+    vals[:, :, : k0 + 1] = p0.values
+    state = vals.view()
+    state.setflags(write=False)  # columns 0..k are final once step k is taken
     records = []
-    draws = None
+    dw = None
     for k in range(k0, end_index):
-        view = vals[:, : k + 1]
-        view.setflags(write=False)
-        path = Path._wrap(view, dt) if k > k0 else p0
-        b, sig = coeffs(path)
-        if draws is None:
-            draws = rng.normal(0.0, np.sqrt(dt), size=(end_index - k0, sig.shape[1]))
-        dx = b * dt + sig @ draws[k - k0]
-        vals[:, k + 1] = vals[:, k] + dx
-        records.append((path, sig, dx))
-    if not np.isfinite(vals).all():
-        first = int(np.argmin(np.isfinite(vals).all(axis=0)))
-        raise BlowupError(f"state blew up at step {first}")
-    vals.setflags(write=False)
-    return Path._wrap(vals, dt), records
+        b, sig = coeffs(_paths_at(state, p0, k))
+        if dw is None:
+            dw = rng.normal(0.0, np.sqrt(dt), size=(n_paths, end_index - k0, sig.shape[-1]))
+        dx = b * dt + (sig @ dw[:, k - k0, :, None])[..., 0]
+        vals[:, :, k + 1] = vals[:, :, k] + dx
+        records.append((sig, dx))
+    finite = np.isfinite(vals).all(axis=1)
+    blown = np.flatnonzero(~finite.all(axis=1))
+    if blown.size:
+        i = int(blown[0])
+        where = f" on path {i} of {n_paths}" if n_paths > 1 else ""
+        raise BlowupError(f"state blew up at step {int(np.argmin(finite[i]))}{where}")
+    return state, records
 
 
 def simulate_psde(cp: ControlProblem, p0: Path, strategy: ControlStrategy, end_index: int, seed: int) -> Path:
     """Euler-Maruyama path of the controlled dynamics, extending p0."""
 
-    def coeffs(path: Path):
-        b, sig = cp.coeffs((path,), (strategy.control_at(path),))
-        return b[0], sig[0]
+    def coeffs(paths: list):
+        return cp.coeffs(paths, [strategy.control_at(path) for path in paths])
 
-    return _euler_path(coeffs, p0, end_index, np.random.default_rng(seed))[0]
+    state, _ = _euler_path(coeffs, p0, end_index, 1, np.random.default_rng(seed))
+    return Path._wrap(state[0], p0.dt)
 
 
 def regularity_probe(cp: ControlProblem, samples: int, seed: int, cap: int = DEFAULT_NODE_CAP):

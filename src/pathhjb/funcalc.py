@@ -10,11 +10,12 @@ an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .control import _euler_path
+from .control import _euler_path, _paths_at
 from .pathspace import Path, PathError, horizontal_extension, restrict, vertical_bump
 
 __all__ = [
@@ -186,32 +187,55 @@ def ito_check(
     i.e. the quadratic variation is the predictable sigma sigma^T dt. The mean
     shrinks as the grid is refined for smooth functionals and vanishes
     identically for functionals affine in the endpoint. The paths come from
-    the Euler stepper of ``simulate_psde``; a non-finite state raises
-    ``BlowupError``. drift(path) must return a (d,) vector and diffusion(path)
-    a matrix with d rows, and n_paths must be at least 1; else PathError.
+    the batched Euler stepper of ``simulate_psde``, and the derivatives are
+    taken once per step across the batch; a non-finite state raises
+    ``BlowupError`` before any derivative is taken. drift(path) must return a
+    (d,) vector and diffusion(path) a (d, n) matrix with the same n on every
+    path, and n_paths must be at least 1; else PathError.
     """
-    def coeffs(pk: Path):
-        b, sig = np.asarray(drift(pk), dtype=float), np.asarray(diffusion(pk), dtype=float)
-        if b.shape != (p0.d,) or sig.ndim != 2 or sig.shape[0] != p0.d:
-            raise PathError(f"drift must return shape ({p0.d},) and diffusion ({p0.d}, n), got {b.shape} and {sig.shape}")
-        return b, sig
-
     if n_paths < 1:
         raise PathError(f"ito_check needs n_paths >= 1, got {n_paths}")
+    d = p0.d
+    sig_shape = []  # (d, n), n fixed by the first diffusion value
+
+    def coeffs(paths: list):
+        bs, sigs = [], []
+        for pk in paths:
+            bs.append(np.asarray(drift(pk), dtype=float))
+            sigs.append(np.asarray(diffusion(pk), dtype=float))
+        if not sig_shape:
+            sig_shape.append((d, sigs[0].shape[1]) if sigs[0].ndim == 2 else None)
+        if any(b.shape != (d,) for b in bs) or any(s.shape != sig_shape[0] for s in sigs):
+            got = sorted({b.shape for b in bs}), sorted({s.shape for s in sigs})
+            raise PathError(f"drift must return shape ({d},) and diffusion ({d}, n) with one n throughout, got {got[0]} and {got[1]}")
+        return np.concatenate(bs).reshape(len(paths), d), np.concatenate(sigs).reshape(len(paths), *sig_shape[0])
+
     rng = np.random.default_rng(seed)
     dt = p0.dt
-    total = 0.0
     f_start = f.eval(p0)
-    for _ in range(n_paths):
-        p_end, records = _euler_path(coeffs, p0, end_index, rng)
-        acc = 0.0
-        for pk, sig, dx in records:
-            dtf = time_derivative(f, pk, scheme)
-            dxf = space_gradient(f, pk, scheme)
-            dxxf = space_hessian(f, pk, scheme)
-            acc += dtf * dt + 0.5 * float(np.trace(dxxf @ (sig @ sig.T))) * dt + float(dxf @ dx)
-        total += abs(f.eval(p_end) - f_start - acc)
+    state, records = _euler_path(coeffs, p0, end_index, n_paths, rng)
+    acc = np.zeros(n_paths)
+    for k, (sig, dx) in enumerate(records, start=p0.t_index):
+        paths = _paths_at(state, p0, k)
+        dtf = _stack(f.analytic_dt or partial(horizontal_derivative, f, scheme=scheme), paths, ())
+        dxf = _stack(f.analytic_dx or partial(vertical_gradient, f, scheme=scheme), paths, (d,))
+        dxxf = _stack(f.analytic_dxx or partial(vertical_hessian, f, scheme=scheme), paths, (d, d))
+        dxxf = 0.5 * (dxxf + dxxf.swapaxes(-1, -2))
+        tr = np.trace(dxxf @ (sig @ sig.swapaxes(-1, -2)), axis1=-2, axis2=-1)
+        acc += dtf * dt + 0.5 * tr * dt + (dxf[:, None, :] @ dx[:, :, None])[:, 0, 0]
+    total = 0.0
+    for x, a in zip(state, acc.tolist()):  # in path order: np.sum would regroup the sum
+        total += abs(f.eval(Path._wrap(x, dt)) - f_start - a)
     return total / n_paths
+
+
+def _stack(derivative: Callable[[Path], object], paths: list, shape: tuple) -> np.ndarray:
+    """derivative(p) for each path as one float (N, *shape) array; a value may
+    come in any shape of the right size, such as a 1-vector for a scalar."""
+    rows = [derivative(p) for p in paths]
+    # concatenate is the fast stack of arrays, np.array the fast one of scalars
+    flat = np.concatenate(rows) if np.ndim(rows[0]) else np.array(rows, dtype=float)
+    return np.asarray(flat, dtype=float).reshape(len(rows), *shape)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ Defaults m = 3, M = 3 everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "grad_upsilon",
     "hess_upsilon",
     "subadditivity_gap",
+    "pair_sweep",
     "s_functional",
     "upsilon_functional",
     "upsilon_bar_functional",
@@ -203,6 +205,66 @@ def subadditivity_gap(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float
     s = add_paths(p, q)
     m = g.m
     return 2.0 ** (2 * m - 1) * (upsilon_single(p, g) + upsilon_single(q, g)) - upsilon_single(s, g)
+
+
+# ---------------------------------------------------------------------------
+# Batched sweep over random pairs, equal (==) to the scalar functions above.
+
+# x**k per element through libm's pow, as the scalar functions take it; numpy's
+# own power differs from it in the last bits.
+_libm_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _pow(x: np.ndarray, k: int) -> np.ndarray:
+    return _libm_pow(x, k).astype(float)
+
+
+def _cores(d_sup: np.ndarray, e: np.ndarray, m: int) -> np.ndarray:
+    """_core per element, with its zero branch where the numerator is zero.
+    That covers a zero denominator: D^{4m} = 0 (D = 0 among others) puts
+    the numerator, at most D^{6m}, below the least subnormal as well."""
+    num = _pow(_pow(d_sup, 2 * m) - _pow(e, 2 * m), 3)
+    return np.divide(num, _pow(d_sup, 4 * m), out=np.zeros_like(num), where=num != 0.0)
+
+
+def _sup_and_end(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sup_norm and endpoint norm of each path of an (N, d, k+1) batch, each
+    sum taken in the order the scalar code takes it."""
+    return np.sqrt((x**2).sum(axis=1)).max(axis=-1), np.sqrt((x[..., -1] ** 2).sum(axis=-1))
+
+
+def _upsilons(d_sup: np.ndarray, e: np.ndarray, g: GaugeParams) -> np.ndarray:
+    return _cores(d_sup, e, g.m) + g.M * _pow(e, 2 * g.m)
+
+
+def pair_sweep(
+    rng: np.random.Generator, g: GaugeParams, pairs: int, d: int, dt: float, t_index: int, scale: float = 1.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pinch slacks and subadditivity gaps over ``pairs`` draws of random_pair.
+
+    Returns three (pairs,) arrays: upsilon(p, q) - D^{2m}, M D^{2m} - upsilon(p, q)
+    and subadditivity_gap(p, q), with D = _joint_gap(p, q). The draws are one
+    standard-normal batch, the same stream as ``pairs`` calls of
+    ``sampling.random_pair(rng, d, dt, t_index, scale)``, and every value is
+    equal (==) to the scalar functions' value on the same pair. Arguments
+    that random_pair would turn into an invalid Path raise PathError.
+    """
+    if d < 1 or t_index < 0 or not 0 < dt < np.inf or not 0 <= scale < np.inf:
+        raise PathError(f"pair_sweep needs d >= 1, t_index >= 0, 0 < dt < inf and 0 <= scale < inf, got {d}, {t_index}, {dt}, {scale}")
+    k1 = t_index + 1
+    z = rng.standard_normal((pairs, 2, d * k1 + d))
+    incs = z[..., : d * k1].reshape(pairs, 2, d, k1) * (scale * np.sqrt(dt))
+    incs[..., 0] = z[..., d * k1 :] * scale  # the start value, drawn after the increments
+    paths = incs.cumsum(axis=-1)
+    if not np.isfinite(paths).all():
+        raise PathError("path values must be finite")
+    p, q = paths[:, 0], paths[:, 1]
+    d_sup, e = _sup_and_end(p - q)
+    ups = _upsilons(d_sup, e, g)
+    gap = _pow(d_sup, 2 * g.m)
+    singles = [_upsilons(*_sup_and_end(x), g) for x in (p, q, p + q)]
+    sub = 2.0 ** (2 * g.m - 1) * (singles[0] + singles[1]) - singles[2]
+    return ups - gap, g.M * gap - ups, sub
 
 
 # ---------------------------------------------------------------------------

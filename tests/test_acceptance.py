@@ -25,8 +25,8 @@ from pathhjb.gauge import (
     grad_s,
     hess_power,
     hess_s,
+    pair_sweep,
     s_functional,
-    subadditivity_gap,
     upsilon,
     upsilon_bar,
 )
@@ -45,7 +45,7 @@ from pathhjb.presets import (
     running_cost_solution,
 )
 from pathhjb.bshjb import remark64_check
-from pathhjb.sampling import random_pair, random_path
+from pathhjb.sampling import random_path
 from pathhjb.varprinciple import CandidateSet, borwein_preiss, verify_bp
 
 
@@ -62,12 +62,8 @@ def test_criterion_01_gauge_pinch_bound():
     worst = np.inf
     for m in (1, 2, 3):
         for big_m in (3.0, 5.0):
-            g = GaugeParams(m, big_m)
-            for _ in range(10000):
-                p, q = random_pair(rng, 1, 0.125, 8, scale=0.5)
-                gap = _joint_gap(p, q) ** (2 * m)
-                val = upsilon(p, q, g)
-                worst = min(worst, val - gap, big_m * gap - val)
+            lower, upper, _ = pair_sweep(rng, GaugeParams(m, big_m), 10000, 1, 0.125, 8, scale=0.5)
+            worst = min(worst, lower.min(), upper.min())
     _report(1, worst >= -1e-12, f"worst pinch slack {worst:.2e} >= -1e-12", started, 5.0)
 
 
@@ -77,10 +73,8 @@ def test_criterion_02_gauge_subadditivity():
     worst = np.inf
     for m in (1, 2, 3):
         for big_m in (3.0, 5.0):
-            g = GaugeParams(m, big_m)
-            for _ in range(10000):
-                p, q = random_pair(rng, 1, 0.125, 8, scale=0.5)
-                worst = min(worst, subadditivity_gap(p, q, g))
+            _, _, gaps = pair_sweep(rng, GaugeParams(m, big_m), 10000, 1, 0.125, 8, scale=0.5)
+            worst = min(worst, gaps.min())
     _report(2, worst >= -1e-12, f"worst subadditivity gap {worst:.2e} >= -1e-12", started, 5.0)
 
 

@@ -292,6 +292,12 @@ _PINNED = {
         "d5d2b4a0463618a176552aaa33cc58443cc45e86918ea9eb29659f8b8a924d46",
         "60ec2078fb95a87d9c47bdda15f84b2d5820028a7805ad7680875b310a9a516a",
     ),
+    "gauge-suite": (
+        "gauge-suite",
+        [],
+        "d882feabbf128e06b4ac46cd3d5ffdd4bf4cdbff7c3fc7e1ec3ecc34435aaa46",
+        "a2271aebf579f7093d81a82a0c24994b979fae495da5461e365e56773db6f08e",
+    ),
 }
 
 
@@ -321,6 +327,17 @@ def test_one_dimensional_presets_reject_other_grids(subcommand, spec, tmp_path, 
         (["gauge-suite", "--override", "pairs=-1"], 2, "config error: pairs must be a nonnegative int, got -1"),
         (["bp-demo", "--override", "cases=-2"], 2, "config error: cases must be a nonnegative int, got -2"),
         (["ito-check", "--override", "n_paths=0"], 3, "contract violation: ito_check needs n_paths >= 1, got 0"),
+        (["gauge-suite", "--override", "pairs=0"], 2, "config error: pairs must be at least 1, got 0"),
+        (["gauge-suite", "--override", "big_ms=[]"], 2, "config error: big_ms must be nonempty, got []"),
+        (["bp-demo", "--override", "cases=0"], 2, "config error: cases must be at least 1, got 0"),
+        (["dpp", "--override", "deltas=[]"], 2, "config error: deltas must be nonempty, got []"),
+        (["viscosity-probe", "--override", "n_paths=0"], 2, "config error: n_paths must be at least 1, got 0"),
+        (["bshjb-check", "--override", "instances=0"], 2, "config error: instances must be at least 1, got 0"),
+        (["comparison-demo", "--override", "betas=[]"], 2, "config error: betas must be nonempty, got []"),
+        (["ito-check", "--override", "n_paths=2.7"], 2, "config error: n_paths must be a nonnegative int, got 2.7"),
+        (["ito-check", "--override", "levels=true"], 2, "config error: levels must be a nonnegative int, got True"),
+        (["dpp", "--override", "deltas=[1, 1.5]"], 2, "config error: deltas must be a nonnegative int, got 1.5"),
+        (["gauge-suite", "--override", "scale=-1"], 3, "contract violation: pair_sweep needs d >= 1, t_index >= 0, 0 < dt < inf and 0 <= scale < inf, got 1, 8, 0.125, -1.0"),
     ],
 )
 def test_counts_out_of_range_are_rejected(argv, code, message, tmp_path, capsys):
@@ -331,7 +348,7 @@ def test_counts_out_of_range_are_rejected(argv, code, message, tmp_path, capsys)
 
 
 _NOT_NUMBERS = ["abc", "foo", "[1, 2]", "{a: 1}", "null", "''"]
-_MALFORMED = _NOT_NUMBERS + [".nan", ".inf", "-.inf", "true", "1e400", "[]", "{}", "-3"]
+_MALFORMED = _NOT_NUMBERS + [".nan", ".inf", "-.inf", "true", "1e400", "[]", "{}", "-3", "2.7"]
 # Well-formed values per key, small enough that every run stays desk-scale.
 _OVERRIDES = {
     "value": {
@@ -392,6 +409,13 @@ def test_fuzzed_overrides_exit_with_a_documented_code(drawn):
         assert code == 2
     if any(k in _INT_KEYS and type(yaml.safe_load(v)) is int and yaml.safe_load(v) < 0 for k, v in last.items()):
         assert code == 2
+    if any(k in _INT_KEYS and _non_integral(yaml.safe_load(v)) for k, v in last.items()):
+        assert code == 2
+
+
+def _non_integral(x) -> bool:
+    """A boolean, or a float with a fractional part: no value for an integer key."""
+    return isinstance(x, bool) or (isinstance(x, float) and not x.is_integer())
 
 
 def test_inline_expression_rejects_unknown_names(tmp_path):

@@ -255,8 +255,36 @@ def test_ito_check_equals_reference_loop(d, n):
         for k0, end_index in ((2, 2), (1, 2), (0, 4)):
             p0 = Path(rng.normal(size=(d, k0 + 1)), 0.2)
             seed = int(rng.integers(1000))
-            got = ito_check(f, drift, diffusion, p0, end_index, 3, seed)
-            assert np.array_equal(got, _reference_ito_check(f, drift, diffusion, p0, end_index, 3, seed))
+            for n_paths in (1, 40):
+                got = ito_check(f, drift, diffusion, p0, end_index, n_paths, seed)
+                assert np.array_equal(got, _reference_ito_check(f, drift, diffusion, p0, end_index, n_paths, seed))
+
+
+def test_ito_check_blowup_on_a_later_path_is_reported_before_any_derivative():
+    from pathhjb.control import BlowupError
+
+    # Zero drift below the threshold c and an infinite one above it, so a path
+    # blows up one step after it first passes c; c is chosen so that path 0
+    # never passes it and some later path does.
+    n_paths, steps, seed = 6, 8, 3
+    dt = 1.0 / steps
+    walks = np.cumsum(np.random.default_rng(seed).normal(0.0, np.sqrt(dt), size=(n_paths, steps)), axis=1)
+    c = walks[0].max()
+    j = int(np.argmax(walks.max(axis=1) > c))
+    k = int(np.argmax(walks[j] > c)) + 1  # the grid index of the first state above c
+    assert j > 0 and k < steps
+    drift = lambda p: np.array([np.inf if p.values[0, -1] > c else 0.0])  # noqa: E731
+    evaluated = []
+
+    def ev(p):
+        evaluated.append(p)
+        return SQUARE.eval(p)
+
+    fd_only = PathFunctional(eval=ev)  # no analytic fields: its stencils would fail on a blown-up path
+    with np.errstate(invalid="ignore"), pytest.raises(BlowupError) as err:
+        ito_check(fd_only, drift, UNIT_DIFFUSION, Path.constant(0.0, 0, dt), steps, n_paths, seed)
+    assert str(err.value) == f"state blew up at step {k + 1} on path {j} of {n_paths}"
+    assert len(evaluated) == 1  # f at the start only
 
 
 def test_ito_check_blowup_names_the_first_non_finite_step():

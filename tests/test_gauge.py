@@ -11,6 +11,7 @@ from pathhjb.gauge import (
     hess_power,
     hess_s,
     hess_upsilon,
+    pair_sweep,
     s_functional,
     s_m,
     subadditivity_gap,
@@ -299,3 +300,53 @@ def test_pinch_bound_property(xs, ys, m):
     assert np.isfinite(val)
     assert val - gap >= -1e-12 * max(1.0, gap)
     assert g.M * gap - val >= -1e-12 * max(1.0, gap)
+
+
+# ---------------------------------------------------------------------------
+# The batched pair sweep against the scalar per-pair loop it replaces.
+
+
+def _reference_pair_sweep(rng, g, pairs, d, dt, t_index, scale):
+    rows = []
+    for _ in range(pairs):
+        p, q = random_pair(rng, d, dt, t_index, scale)
+        ups = upsilon(p, q, g)
+        gap = _joint_gap(p, q) ** (2 * g.m)
+        rows.append((ups - gap, g.M * gap - ups, subadditivity_gap(p, q, g)))
+    return [np.array(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 9])  # from d = 8 numpy's pairwise sum could regroup the endpoint gap
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_pair_sweep_equals_the_scalar_loop(d, m):
+    for big_m, t_index in ((3.0, 8), (5.0, 0)):
+        g = GaugeParams(m, big_m)
+        got_rng, want_rng = np.random.default_rng(d * 10 + m), np.random.default_rng(d * 10 + m)
+        got = pair_sweep(got_rng, g, 300, d, 0.125, t_index, 0.5)
+        want = _reference_pair_sweep(want_rng, g, 300, d, 0.125, t_index, 0.5)
+        for a, b in zip(got, want):
+            assert a.shape == (300,) and np.array_equal(a, b)
+        assert got_rng.standard_normal() == want_rng.standard_normal()  # the same draws consumed
+
+
+def test_pair_sweep_zero_branch_at_d_zero():
+    from pathhjb.gauge import _core, _cores
+
+    d_sup = np.array([0.0, 0.0, 1e-200, 0.5, 0.5])
+    e = np.array([0.0, 0.0, 0.0, 0.5, 0.25])
+    for m in (1, 3, 6):
+        got = _cores(d_sup, e, m)
+        assert np.array_equal(got, [_core(a, b, m) for a, b in zip(d_sup, e)])
+        assert got[0] == got[1] == got[2] == got[3] == 0.0 and got[4] > 0.0
+    # a zero scale gives zero paths: D = e = 0 for every pair and its sum
+    lower, upper, sub = pair_sweep(np.random.default_rng(0), G33, 4, 2, 0.125, 3, 0.0)
+    assert not np.any(lower) and not np.any(upper) and not np.any(sub)
+
+
+def test_pair_sweep_rejects_what_random_pair_cannot_build():
+    rng = np.random.default_rng(0)
+    for d, dt, t_index, scale in ((0, 0.125, 3, 0.5), (1, 0.0, 3, 0.5), (1, 0.125, -1, 0.5), (1, 0.125, 3, -1.0), (1, 0.125, 3, np.inf)):
+        with pytest.raises(PathError):
+            pair_sweep(rng, G33, 4, d, dt, t_index, scale)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PathError, match="finite"):
+        pair_sweep(rng, G33, 4, 1, 1e10, 3, 1e305)
