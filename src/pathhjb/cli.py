@@ -554,14 +554,14 @@ def run_comparison_demo(config: dict, seed: int):
 
 
 # name: (default config, runner, help, the counts and lists of cases to check,
-# each of which must be nonzero: with none, the check would pass vacuously)
+# each of which must be nonzero: with none, the check would pass vacuously or give no result)
 SUBCOMMANDS = {
     "gauge-suite": (GAUGE_DEFAULT, run_gauge_suite, "pinch-bound and subadditivity sweep for the gauge family", ("pairs", "ms", "big_ms")),
-    "ito-check": (ITO_DEFAULT, run_ito_check, "chain-rule residual refinement ladder on Euler paths", ()),
+    "ito-check": (ITO_DEFAULT, run_ito_check, "chain-rule residual refinement ladder on Euler paths", ("levels",)),
     "bp-demo": (BP_DEFAULT, run_bp_demo, "perturbed maximization over random candidate sets, verified exhaustively", ("cases",)),
     "value": (VALUE_DEFAULT, run_value, "tree value of a preset or inline problem", ()),
     "dpp": (DPP_DEFAULT, run_dpp, "dynamic-programming residual at each intermediate delta", ("deltas",)),
-    "markov-compare": (MARKOV_DEFAULT, run_markov_compare, "tree value vs explicit FD solution on a state-dependent instance", ()),
+    "markov-compare": (MARKOV_DEFAULT, run_markov_compare, "tree value vs explicit FD solution on a state-dependent instance", ("levels",)),
     "viscosity-probe": (VISC_DEFAULT, run_viscosity_probe, "touch-point probe and residual sign for a classical solution", ("n_paths",)),
     "bshjb-check": (BSHJB_DEFAULT, run_bshjb_check, "noise-path BSDE vs augmented value on in-contract instances", ("instances",)),
     "comparison-demo": (COMPARISON_DEFAULT, run_comparison_demo, "doubling-of-variables maximization across a beta ladder", ("betas",)),

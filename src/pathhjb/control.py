@@ -130,36 +130,6 @@ class ControlProblem:
         g = self.grid
         return _stack_checked("drift", b, (g.dim,)), _stack_checked("diffusion", sig, (g.dim, g.noise_dim))
 
-    def lipschitz_probe(self, seed: int = 0, samples: int = 40) -> float:
-        """Finite-difference Lipschitz estimate of (b, sigma, q) over random pairs.
-
-        A sanity probe, not a certificate: the estimate L-hat should satisfy
-        L-hat * dt < 0.5 for the implicit BSDE step to contract.
-        """
-        rng = np.random.default_rng(seed)
-        g = self.grid
-        est = 0.0
-        for _ in range(samples):
-            k = int(rng.integers(0, g.steps + 1))
-            p, q = bridge_pair(rng, g.dim, g.dt, k)
-            gap = _joint_gap(p, q)
-            y = float(rng.normal())
-            z = rng.normal(size=g.noise_dim)
-            dy = float(rng.normal()) or 1.0
-            dz = rng.normal(size=g.noise_dim)
-            for u in self.controls:
-                if gap > 0:
-                    (bp, bq), (sp, sq) = self.coeffs((p, q), (u, u))
-                    db, ds = np.linalg.norm(bp - bq), np.linalg.norm(sp - sq)
-                    dq = abs(self.generator(p, y, z, u) - self.generator(q, y, z, u))
-                    est = max(est, db / gap, ds / gap, dq / gap)
-                q0 = self.generator(p, y, z, u)
-                est = max(est, abs(self.generator(p, y + dy, z, u) - q0) / abs(dy))
-                nz = np.linalg.norm(dz)
-                if nz > 0:
-                    est = max(est, abs(self.generator(p, y, z + dz, u) - q0) / nz)
-        return est
-
 
 def _stack_checked(name: str, rows: tuple, shape: tuple) -> np.ndarray:
     """Read-only float stack of ``rows``, each of which must have ``shape``."""
@@ -335,16 +305,22 @@ class BsdeSolution:
 
 def _implicit_step(cp: ControlProblem, path: Path, e_y: float, z: np.ndarray, u, dt: float) -> float:
     # y = E[Y'] + q(path, y, z, u) dt, solved by fixed point; contraction
-    # needs L*dt < 1 on the generator's y-slope.
+    # needs L*dt < 1 on the generator's y-slope, which the ratio of two
+    # successive step changes estimates.
     y = e_y
+    change = 0.0
     for _ in range(FIXED_POINT_MAX_ITER):
         y_new = e_y + float(cp.generator(path, y, z, u)) * dt
         if not math.isfinite(y_new):
             raise ContractError("generator produced a non-finite value")
-        if abs(y_new - y) <= FIXED_POINT_TOL * (1.0 + abs(y_new)):
+        prev, change = change, abs(y_new - y)
+        if change <= FIXED_POINT_TOL * (1.0 + abs(y_new)):
             return y_new
         y = y_new
-    raise ContractError("implicit generator step did not converge; check L*dt < 0.5")
+    raise ContractError(
+        f"implicit generator step did not converge in {FIXED_POINT_MAX_ITER} iterations: last step change "
+        f"{change:.3e}, observed contraction ratio {change / prev:.3g} (estimates L*dt; check L*dt < 0.5)"
+    )
 
 
 def solve_bsde_tree(cp: ControlProblem, tree: NoiseTree, terminal=None) -> BsdeSolution:

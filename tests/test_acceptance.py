@@ -8,37 +8,30 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
+from pathhjb.cli import (
+    BP_DEFAULT,
+    COMPARISON_DEFAULT,
+    GAUGE_DEFAULT,
+    ITO_DEFAULT,
+    MARKOV_DEFAULT,
+    run_bp_demo,
+    run_comparison_demo,
+    run_gauge_suite,
+    run_ito_check,
+    run_markov_compare,
+)
 from pathhjb.control import ControlProblem, ControlStrategy, cost, dpp_check, value
-from pathhjb.funcalc import (
-    FDScheme,
-    PathFunctional,
-    endpoint_functional,
-    ito_check,
-    vertical_gradient,
-    vertical_hessian,
-)
-from pathhjb.gauge import (
-    GaugeParams,
-    grad_power,
-    grad_s,
-    hess_power,
-    hess_s,
-    pair_sweep,
-    s_functional,
-    upsilon,
-    upsilon_bar,
-)
+from pathhjb.funcalc import FDScheme, endpoint_functional, ito_check, vertical_gradient, vertical_hessian
+from pathhjb.gauge import GaugeParams, grad_power, grad_s, hess_power, hess_s, s_functional
 from pathhjb.pathspace import GridConfig, Path, _joint_gap
-from pathhjb.phjb import XGrid, comparison_psi, markov_consistency, phjb_residual, subsolution_probe
+from pathhjb.phjb import phjb_residual, subsolution_probe
 from pathhjb.presets import (
     heat_problem,
     heat_solution,
     lq_problem,
     martingale_problem,
     martingale_solution,
-    quartic_problem,
     random_augmented_problem,
     random_problem,
     running_cost_problem,
@@ -46,7 +39,6 @@ from pathhjb.presets import (
 )
 from pathhjb.bshjb import remark64_check
 from pathhjb.sampling import random_path
-from pathhjb.varprinciple import CandidateSet, borwein_preiss, verify_bp
 
 
 def _report(num, ok, detail, started, budget):
@@ -58,23 +50,15 @@ def _report(num, ok, detail, started, budget):
 
 def test_criterion_01_gauge_pinch_bound():
     started = time.time()
-    rng = np.random.default_rng(101)
-    worst = np.inf
-    for m in (1, 2, 3):
-        for big_m in (3.0, 5.0):
-            lower, upper, _ = pair_sweep(rng, GaugeParams(m, big_m), 10000, 1, 0.125, 8, scale=0.5)
-            worst = min(worst, lower.min(), upper.min())
+    _, rows, _, _ = run_gauge_suite(GAUGE_DEFAULT, 101)
+    worst = min(min(row[3:5]) for row in rows)
     _report(1, worst >= -1e-12, f"worst pinch slack {worst:.2e} >= -1e-12", started, 5.0)
 
 
 def test_criterion_02_gauge_subadditivity():
     started = time.time()
-    rng = np.random.default_rng(102)
-    worst = np.inf
-    for m in (1, 2, 3):
-        for big_m in (3.0, 5.0):
-            _, _, gaps = pair_sweep(rng, GaugeParams(m, big_m), 10000, 1, 0.125, 8, scale=0.5)
-            worst = min(worst, gaps.min())
+    _, rows, _, _ = run_gauge_suite(GAUGE_DEFAULT, 102)
+    worst = min(row[5] for row in rows)
     _report(2, worst >= -1e-12, f"worst subadditivity gap {worst:.2e} >= -1e-12", started, 5.0)
 
 
@@ -122,18 +106,9 @@ def test_criterion_03_closed_form_derivatives():
 
 def test_criterion_04_chain_rule_refinement():
     started = time.time()
-    square = endpoint_functional(
-        lambda x: float(x[0]) ** 2, grad=lambda x: 2.0 * x, hess=lambda x: 2.0 * np.eye(1)
-    )
-    zero_drift = lambda p: np.zeros(1)  # noqa: E731
-    unit_diffusion = lambda p: np.eye(1)  # noqa: E731
-    residuals = []
-    for level, steps in enumerate((8, 16, 32)):
-        p0 = Path.constant(0.0, 0, 1.0 / steps)
-        residuals.append(
-            ito_check(square, zero_drift, unit_diffusion, p0, steps, n_paths=10000, seed=104 + level)
-        )
-    ratios = [residuals[i + 1] / residuals[i] for i in range(2)]
+    # the square functional on 8, 16 and 32 steps of [0, 1], seeds 104, 105, 106
+    _, rows, _, _ = run_ito_check(dict(ITO_DEFAULT, n_paths=10000), 104)
+    ratios = [row[4] for row in rows[1:]]
     # halving within +-30%: each refinement ratio inside [0.5 - 0.3, 0.5 + 0.3]
     ratios_ok = all(0.2 <= r <= 0.8 for r in ratios)
     affine = endpoint_functional(
@@ -141,6 +116,8 @@ def test_criterion_04_chain_rule_refinement():
         grad=lambda x: np.array([2.0]),
         hess=lambda x: np.zeros((1, 1)),
     )
+    zero_drift = lambda p: np.zeros(1)  # noqa: E731
+    unit_diffusion = lambda p: np.eye(1)  # noqa: E731
     aff_res = ito_check(affine, zero_drift, unit_diffusion, Path.constant(0.3, 0, 1.0 / 16), 16, 2000, seed=107)
     ok = ratios_ok and aff_res <= 1e-10
     _report(
@@ -154,24 +131,9 @@ def test_criterion_04_chain_rule_refinement():
 
 def test_criterion_05_perturbed_maximization():
     started = time.time()
-    rng = np.random.default_rng(105)
-    failures = 0
-    for _ in range(100):
-        items = tuple(
-            random_path(rng, 1, 0.1, int(rng.integers(0, 7))) for _ in range(200)
-        )
-        domain = CandidateSet(items)
-        c = rng.normal(size=3)
-        f = PathFunctional(
-            eval=lambda p, c=c: float(
-                c[0] * np.tanh(p.values[0, -1]) + c[1] * np.cos(p.t) + c[2] * np.tanh(p.values[0].mean())
-            )
-        )
-        start = max(items, key=f.eval)
-        eps = 0.5
-        res = borwein_preiss(f, upsilon_bar, None, eps, start, domain)
-        if not verify_bp(res, f, upsilon_bar, None, eps, start, domain):
-            failures += 1
+    # 100 objectives, each over 200 random paths of up to 7 nodes, eps 0.5
+    _, rows, _, _ = run_bp_demo(dict(BP_DEFAULT, cases=100), 105)
+    failures = sum(not row[4] for row in rows)
     _report(5, failures == 0, f"{100 - failures}/100 objectives verified by exhaustive scan", started, 20.0)
 
 
@@ -223,19 +185,13 @@ def test_criterion_07_value_vs_enumeration():
 
 def test_criterion_08_markovian_consistency():
     started = time.time()
-    heat_ok = True
-    heat_residuals = []
-    quartic_residuals = []
-    for lvl in range(3):
-        grid = GridConfig(4 * 2**lvl, 0.5, 1, 1)
-        xg = XGrid(-4.0, 4.0, 40 * 2**lvl + 1)
-        p = Path.constant(0.4, 0, grid.dt)
-        rep_h = markov_consistency(heat_problem(grid), p, xg)
-        closed = 0.4**2 + grid.horizon
-        heat_ok &= rep_h.residual <= rep_h.error_bound and abs(rep_h.tree_value - closed) <= 1e-12
-        heat_residuals.append(rep_h.residual)
-        rep_q = markov_consistency(quartic_problem(grid), p, xg)
-        quartic_residuals.append(rep_q.residual)
+    # three levels: 4, 8, 16 steps on [0, 0.5], 41, 81, 161 x nodes on [-4, 4], x0 = 0.4
+    _, heat_rows, _, _ = run_markov_compare(dict(MARKOV_DEFAULT, preset="heat"), 0)
+    _, quartic_rows, _, _ = run_markov_compare(dict(MARKOV_DEFAULT, preset="quartic"), 0)
+    closed = 0.4**2 + 0.5
+    heat_ok = all(row[5] <= row[6] and abs(row[3] - closed) <= 1e-12 for row in heat_rows)
+    heat_residuals = [row[5] for row in heat_rows]
+    quartic_residuals = [row[5] for row in quartic_rows]
     # monotone refinement: strict on the quartic (genuine discretization
     # error), non-increase up to a noise floor on the machine-exact heat case
     noise_floor = 1e-10
@@ -297,45 +253,9 @@ def test_criterion_10_reduction_identity():
 
 def test_criterion_11_doubling_of_variables_ladder():
     started = time.time()
-    grid = GridConfig(3, 0.75, 1, 1)
-    cp = lq_problem(grid)
-    cache = {}
-
-    def w2e(p):
-        key = p.key()
-        if key not in cache:
-            cache[key] = value(cp, p)
-        return cache[key]
-
-    w2 = PathFunctional(eval=w2e)
-    w1 = PathFunctional(eval=lambda p: w2e(p) - 0.1)  # Lipschitz, w1 <= w2
-    rng = np.random.default_rng(111)
-    stacked = []
-    for i in range(500):
-        k = int(rng.integers(0, grid.steps + 1))
-        a = random_path(rng, 1, grid.dt, k, scale=0.6)
-        b = a if i % 5 == 0 else Path(a.values - 10.0 ** rng.uniform(-1.8, -0.2), grid.dt)
-        stacked.append(Path(np.vstack([a.values, b.values]), grid.dt))
-    domain = CandidateSet(tuple(stacked))
-    ladder = []
-    for beta in (10.0, 100.0, 1000.0):
-        f = PathFunctional(
-            eval=lambda sp, beta=beta: comparison_psi(
-                w1,
-                w2,
-                Path._wrap(sp.values[:1], sp.dt),
-                Path._wrap(sp.values[1:], sp.dt),
-                beta,
-                0.05,
-                2.0,
-                grid.horizon,
-            )
-        )
-        start = max(stacked, key=f.eval)
-        res = borwein_preiss(f, upsilon_bar, None, 1.0 / beta, start, domain)
-        a = Path._wrap(res.optimum.values[:1], res.optimum.dt)
-        b = Path._wrap(res.optimum.values[1:], res.optimum.dt)
-        ladder.append(beta * upsilon(a, b))
+    # LQ value pairs (w1 = w2 - 0.1) on 3 steps of [0, 0.75], 500 pairs, beta 10, 100, 1000
+    _, rows, _, _ = run_comparison_demo(COMPARISON_DEFAULT, 111)
+    ladder = [row[3] for row in rows]
     ok = ladder[0] >= ladder[1] >= ladder[2]
     _report(
         11,

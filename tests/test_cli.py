@@ -298,6 +298,18 @@ _PINNED = {
         "d882feabbf128e06b4ac46cd3d5ffdd4bf4cdbff7c3fc7e1ec3ecc34435aaa46",
         "a2271aebf579f7093d81a82a0c24994b979fae495da5461e365e56773db6f08e",
     ),
+    "comparison-demo": (
+        "comparison-demo",
+        [],
+        "24d2ec08d0ccba13204434ba7f6044400509810263947095fe24cfab68f166f4",
+        "6bc4b58993e02dbe783d267b20981c4ed1142b7b18088b549e8aba78ba0b733f",
+    ),
+    "bp-demo": (
+        "bp-demo",
+        [],
+        "e013b2e7bd29dca4f3062fe9baa97e2c4b8939250a666c771c4d1ed3a3a3316b",
+        "09de4a3113ef62fd5707def5650636258d51938edfbb3f67fdddfaf33b94b165",
+    ),
 }
 
 
@@ -338,6 +350,8 @@ def test_one_dimensional_presets_reject_other_grids(subcommand, spec, tmp_path, 
         (["ito-check", "--override", "levels=true"], 2, "config error: levels must be a nonnegative int, got True"),
         (["dpp", "--override", "deltas=[1, 1.5]"], 2, "config error: deltas must be a nonnegative int, got 1.5"),
         (["gauge-suite", "--override", "scale=-1"], 3, "contract violation: pair_sweep needs d >= 1, t_index >= 0, 0 < dt < inf and 0 <= scale < inf, got 1, 8, 0.125, -1.0"),
+        (["ito-check", "--override", "levels=0"], 2, "config error: levels must be at least 1, got 0"),
+        (["markov-compare", "--override", "levels=0"], 2, "config error: levels must be at least 1, got 0"),
     ],
 )
 def test_counts_out_of_range_are_rejected(argv, code, message, tmp_path, capsys):

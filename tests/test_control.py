@@ -200,7 +200,7 @@ def test_bsde_contract_error_on_stiff_generator():
     cp = _plain(q=lambda p, y, z, u: 10.0 * y)  # L*dt = 2.5, no contraction
     p0 = Path.constant(0.3, 0, GRID4.dt)
     tree = simulate_tree(cp, p0, 4)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match=r"in 50 iterations: last step change .*, observed contraction ratio 2\.5 "):
         solve_bsde_tree(cp, tree)
 
 
@@ -350,14 +350,6 @@ def test_regularity_probe_stable_under_resampling():
     l2, t2 = regularity_probe(cp, samples=40, seed=7)
     assert abs(l2 - l1) <= 0.2 * max(l1, l2) + 1e-9
     assert abs(t2 - t1) <= 0.2 * max(t1, t2) + 1e-9
-
-
-def test_lipschitz_probe_bounded():
-    grid = GridConfig(4, 1.0, 1, 1)
-    cp = random_problem(grid, seed=11)
-    lhat = cp.lipschitz_probe(seed=0, samples=30)
-    assert np.isfinite(lhat)
-    assert lhat * grid.dt < 0.5
 
 
 class _RecursiveValue:

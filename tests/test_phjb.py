@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pathhjb import phjb
+from pathhjb.cli import COMPARISON_DEFAULT, MARKOV_DEFAULT, run_comparison_demo, run_markov_compare
 from pathhjb.control import ControlProblem, value
 from pathhjb.funcalc import PathFunctional, add_functionals, constant_functional, scale_functional
 from pathhjb.gauge import GaugeParams, upsilon_bar, upsilon_bar_functional, upsilon_single
@@ -349,15 +350,19 @@ def test_markov_consistency_heat_with_history():
 
 
 def test_markov_consistency_quartic_refinement():
-    res = []
+    # also the reference oracle for the markov-compare ladder at its default config
+    res, rows = [], []
     for lvl in range(3):
         grid = GridConfig(4 * 2**lvl, 0.5, 1, 1)
         cp = quartic_problem(grid)
         p = Path.constant(0.4, 0, grid.dt)
-        rep = markov_consistency(cp, p, XGrid(-4.0, 4.0, 40 * 2**lvl + 1))
+        xg = XGrid(-4.0, 4.0, 40 * 2**lvl + 1)
+        rep = markov_consistency(cp, p, xg)
         assert rep.residual <= rep.error_bound
         res.append(rep.residual)
+        rows.append((lvl, grid.dt, xg.dx, rep.tree_value, rep.fd_value, rep.residual, rep.error_bound))
     assert res[0] > res[1] > res[2]
+    assert rows == run_markov_compare(MARKOV_DEFAULT, 0)[1]
     # closed form pins the limit
     assert quartic_closed_form(0.4, 0.0, 0.5) == pytest.approx(3.0 * 0.25 + 6 * 0.16 * 0.5 + 0.4**4)
 
@@ -518,7 +523,8 @@ def test_comparison_psi_examples():
 
 
 def test_comparison_psi_beta_ladder_shrinks_gap():
-    # small version of the doubling-of-variables demo
+    # small version of the doubling-of-variables demo, and the reference
+    # oracle for the comparison-demo runner's loop
     grid = GridConfig(3, 0.75, 1, 1)
     cp = lq_problem(grid)
     cache = {}
@@ -543,7 +549,7 @@ def test_comparison_psi_beta_ladder_shrinks_gap():
     from pathhjb.gauge import upsilon
     from pathhjb.varprinciple import CandidateSet, borwein_preiss
 
-    ladder = []
+    ladder, rows = [], []
     for beta in (10.0, 100.0, 1000.0):
         f = PathFunctional(
             eval=lambda sp, beta=beta: comparison_psi(
@@ -562,7 +568,9 @@ def test_comparison_psi_beta_ladder_shrinks_gap():
         a = Path._wrap(res.optimum.values[:1], res.optimum.dt)
         b = Path._wrap(res.optimum.values[1:], res.optimum.dt)
         ladder.append(beta * upsilon(a, b))
+        rows.append((beta, f.eval(res.optimum), upsilon(a, b), ladder[-1]))
     assert ladder[0] >= ladder[1] >= ladder[2]
+    assert rows == run_comparison_demo(dict(COMPARISON_DEFAULT, pairs=80), 10)[1]
 
 
 # ---------------------------------------------------------------------------
