@@ -4,7 +4,7 @@ and the reduction check for coefficients independent of state and control.
 The augmented state stacks the driving noise path (replayed exactly through
 an identity diffusion block) on top of the controlled state, so the combined
 problem is an ordinary path-dependent one with state dimension d + m and
-noise dimension d.
+noise dimension d; the mixed residual is its PHJB residual.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .control import ControlProblem, ControlStrategy, cost, value
-from .funcalc import FDScheme, PathFunctional, _axis, _central_gradient, _central_hessian, horizontal_derivative
-from .pathspace import GridConfig, Path, PathError, vertical_bump
+from .funcalc import PathFunctional
+from .pathspace import GridConfig, Path, PathError
+from .phjb import phjb_residual
 
 __all__ = [
     "AugmentedProblem",
@@ -176,8 +177,9 @@ class MixedFunctional:
 
     Derivative fields mirror the mixed equation: dt (horizontal in omega),
     dgamma/dgammagamma (vertical in omega), dx/dxx (classical in x), and
-    dxgamma with shape (m, d) holding d/dx_i of dgamma_j. Missing pieces fall
-    back to finite differences.
+    dxgamma with shape (m, d) holding d/dx_i of dgamma_j. They come in whole
+    groups or not at all: dt; dgamma with dx; dgammagamma with dxx and
+    dxgamma. A missing group falls back to finite differences.
     """
 
     eval: Callable[[Path, np.ndarray], float]
@@ -188,81 +190,57 @@ class MixedFunctional:
     dxx: Optional[Callable] = None
     dxgamma: Optional[Callable] = None
 
+    def __post_init__(self):
+        for group in (("dt",), ("dgamma", "dx"), ("dgammagamma", "dxx", "dxgamma")):
+            if len({getattr(self, f) is None for f in group}) > 1:
+                raise PathError(f"derivative fields {', '.join(group)} must be given together or not at all")
+
     def __call__(self, omega: Path, x) -> float:
         return float(self.eval(omega, np.atleast_1d(np.asarray(x, dtype=float))))
 
 
-def _mixed_derivatives(v: MixedFunctional, omega: Path, x: np.ndarray, f0: float, scheme: FDScheme, end_index: Optional[int]):
-    """(dt, dgamma, dgammagamma, dx, dxx, dxgamma) of v at (omega, x), with
-    f0 = v(omega, x): analytic fields where given, else the funcalc stencils
-    with one bump size in omega and in x. Only the (x, omega) cross stencil
-    is local.
-    """
-    d = omega.d
-    m = x.shape[0]
-    h = scheme.h_vertical * (1.0 + float(np.linalg.norm(omega.values[:, -1])) + float(np.linalg.norm(x)))
+def _stacked(v: MixedFunctional, d: int) -> PathFunctional:
+    """v on stacked paths (omega; xi), reading xi only at its endpoint. Its
+    analytic gradient is (dgamma; dx) and its Hessian the block matrix
+    [[dgammagamma, dxgamma^T], [dxgamma, dxx]], where v gives them."""
 
-    def in_omega(e):
-        return v(vertical_bump(omega, e), x)
+    def at(fn):
+        def on_stacked(p: Path):
+            omega, xi = split_path(p, d)
+            return fn(omega, xi.values[:, -1])
 
-    def in_x(e):
-        return v(omega, x + e)
+        return on_stacked
 
-    def field(fn, shape, fallback):
-        return fallback() if fn is None else shape(np.asarray(fn(omega, x), dtype=float))
+    def grad(omega, x):
+        return np.concatenate([np.atleast_1d(v.dgamma(omega, x)), np.atleast_1d(v.dx(omega, x))])
 
-    if v.dt is not None:
-        dt_v = float(v.dt(omega, x))
-    else:
-        dt_v = horizontal_derivative(PathFunctional(lambda om: v(om, x)), omega, scheme, end_index)
-    dg = field(v.dgamma, np.atleast_1d, lambda: _central_gradient(in_omega, d, h))
-    dgg = field(v.dgammagamma, np.atleast_2d, lambda: _central_hessian(in_omega, d, h, f0))
-    dxv = field(v.dx, np.atleast_1d, lambda: _central_gradient(in_x, m, h))
-    dxxv = field(v.dxx, np.atleast_2d, lambda: _central_hessian(in_x, m, h, f0))
-    if v.dxgamma is not None:
-        dxg = np.atleast_2d(np.asarray(v.dxgamma(omega, x), dtype=float))
-    else:
-        dxg = np.empty((m, d))
-        for i in range(m):
-            x_up = x + _axis(m, i, h)
-            x_dn = x + _axis(m, i, -h)
-            for j in range(d):
-                om_up = vertical_bump(omega, _axis(d, j, h))
-                om_dn = vertical_bump(omega, _axis(d, j, -h))
-                cross = v(om_up, x_up) - v(om_dn, x_up) - v(om_up, x_dn) + v(om_dn, x_dn)
-                dxg[i, j] = cross / (4 * h**2)
-    return dt_v, dg, dgg, dxv, dxxv, dxg
+    def hess(omega, x):
+        cross = np.atleast_2d(v.dxgamma(omega, x))
+        return np.block([[np.atleast_2d(v.dgammagamma(omega, x)), cross.T], [cross, np.atleast_2d(v.dxx(omega, x))]])
+
+    return PathFunctional(
+        eval=at(v),
+        analytic_dt=at(v.dt) if v.dt else None,
+        analytic_dx=at(grad) if v.dx else None,
+        analytic_dxx=at(hess) if v.dxx else None,
+    )
 
 
-def bshjb_residual(
-    ap: AugmentedProblem,
-    v: MixedFunctional,
-    point: tuple[Path, float | np.ndarray],
-    scheme: FDScheme = FDScheme(),
-) -> float:
-    """Mixed residual at (omega_t, x):
+def bshjb_residual(ap: AugmentedProblem, v: MixedFunctional, point: tuple[Path, float | np.ndarray]) -> float:
+    """Mixed residual at (omega_t, x), t before the horizon:
 
     dt_v + sup_u [ <dx_v, b-bar> + 0.5 tr(dxx_v sigma-bar sigma-bar^T)
         + 0.5 tr(dgammagamma_v) + tr(sigma-bar^T dxgamma_v)
         + q-bar(omega, x, v, dgamma_v + sigma-bar^T dx_v, u) ];
 
-    zero for classical solutions of the mixed equation.
+    zero for classical solutions of the mixed equation. It is the PHJB
+    residual of ``augment(ap)`` at the stacked path (omega; constant x), so
+    the derivatives v lacks come from the funcalc stencils on the stacked
+    endpoint.
     """
     omega, x_in = point
     x = np.atleast_1d(np.asarray(x_in, dtype=float))
     if omega.d != ap.noise_dim or x.shape != (ap.state_dim,):
         raise PathError("point must be (noise path, m-vector state)")
-    v0 = v(omega, x)
-    dt_v, dg, dgg, dxv, dxxv, dxg = _mixed_derivatives(v, omega, x, v0, scheme, ap.steps)
-    best = -np.inf
-    for u in ap.controls:
-        b = np.atleast_1d(np.asarray(ap.base_drift(omega, x, u), dtype=float))
-        sig = np.atleast_2d(np.asarray(ap.base_diffusion(omega, x, u), dtype=float))
-        term = float(dxv @ b)
-        term += 0.5 * float(np.trace(dxxv @ (sig @ sig.T)))
-        term += 0.5 * float(np.trace(dgg))
-        term += float(np.trace(sig.T @ dxg))
-        z = dg + sig.T @ dxv
-        term += float(ap.base_generator(omega, x, v0, z, u))
-        best = max(best, term)
-    return dt_v + best
+    stacked = stack_paths(omega, Path.constant(x, omega.t_index, omega.dt))
+    return phjb_residual(augment(ap), _stacked(v, ap.noise_dim), stacked)

@@ -330,8 +330,10 @@ def run_bp_demo(config: dict, seed: int):
                 c[0] * np.tanh(p.values[0, -1]) + c[1] * np.cos(p.t) + c[2] * np.tanh(p.values[0].mean())
             )
         )
-        start = max(items, key=f.eval)
         eps = config["eps_slack"]
+        fvals = [f.eval(p) for p in items]
+        top = max(fvals)  # an eps/2-maximal start, not the argmax, leaves the construction room to move
+        start = items[next(i for i, fv in enumerate(fvals) if fv >= top - eps / 2)]
         result = borwein_preiss(f, rho, None, eps, start, domain)
         ok = verify_bp(result, f, rho, None, eps, start, domain)
         all_ok &= ok
@@ -553,15 +555,15 @@ def run_comparison_demo(config: dict, seed: int):
     return header, rows, lines, EXIT_OK if monotone else EXIT_PROPERTY
 
 
-# name: (default config, runner, help, the counts and lists of cases to check,
-# each of which must be nonzero: with none, the check would pass vacuously or give no result)
+# name: (default config, runner, help, the counts and lists that must be nonzero:
+# with a zero or an empty one, the check would pass vacuously or give no result)
 SUBCOMMANDS = {
     "gauge-suite": (GAUGE_DEFAULT, run_gauge_suite, "pinch-bound and subadditivity sweep for the gauge family", ("pairs", "ms", "big_ms")),
-    "ito-check": (ITO_DEFAULT, run_ito_check, "chain-rule residual refinement ladder on Euler paths", ("levels",)),
+    "ito-check": (ITO_DEFAULT, run_ito_check, "chain-rule residual refinement ladder on Euler paths", ("levels", "base_steps")),
     "bp-demo": (BP_DEFAULT, run_bp_demo, "perturbed maximization over random candidate sets, verified exhaustively", ("cases",)),
     "value": (VALUE_DEFAULT, run_value, "tree value of a preset or inline problem", ()),
     "dpp": (DPP_DEFAULT, run_dpp, "dynamic-programming residual at each intermediate delta", ("deltas",)),
-    "markov-compare": (MARKOV_DEFAULT, run_markov_compare, "tree value vs explicit FD solution on a state-dependent instance", ("levels",)),
+    "markov-compare": (MARKOV_DEFAULT, run_markov_compare, "tree value vs explicit FD solution on a state-dependent instance", ("levels", "base_steps")),
     "viscosity-probe": (VISC_DEFAULT, run_viscosity_probe, "touch-point probe and residual sign for a classical solution", ("n_paths",)),
     "bshjb-check": (BSHJB_DEFAULT, run_bshjb_check, "noise-path BSDE vs augmented value on in-contract instances", ("instances",)),
     "comparison-demo": (COMPARISON_DEFAULT, run_comparison_demo, "doubling-of-variables maximization across a beta ladder", ("betas",)),

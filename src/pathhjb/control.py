@@ -43,7 +43,6 @@ __all__ = [
     "cost",
     "value",
     "value_with_strategy",
-    "ValueSolver",
     "dpp_check",
     "regularity_probe",
     "moment_probe",
@@ -349,60 +348,57 @@ def cost(cp: ControlProblem, p0: Path, strategy: ControlStrategy, cap: int = DEF
     return solve_bsde_tree(cp, tree).root_value
 
 
-class ValueSolver:
-    """Per-node maximization over the finite control set, level by level.
-
-    ``memo`` maps (grid index, path bytes) to (value, first maximizing
-    control) for every internal node solved; keying on the path is sound
-    because the future law depends on the past only through the path.
-    ``best_control`` reads it, solving from the path on a miss.
-    """
-
-    def __init__(self, cp: ControlProblem, end_index: int, terminal_fn: Callable[[Path], float], cap: int = DEFAULT_NODE_CAP):
-        self.cp, self.end_index, self.terminal_fn, self.cap = cp, end_index, terminal_fn, cap
-        self.incs = _increments(cp.grid.noise_dim, cp.grid.dt)
-        self.memo: dict = {}
-
-    def solve(self, p0: Path) -> float:
-        cp, depth, key = self.cp, self.end_index - p0.t_index, (p0.t_index, p0.values.tobytes())
-        if depth < 0:
-            raise PathError(f"path at grid index {p0.t_index} is past the end index {self.end_index}")
-        _check_cap(len(cp.controls) * self.incs.shape[0], depth, self.cap)
-        if depth == 0:
-            return float(self.terminal_fn(Path._wrap(p0.values, cp.grid.dt)))
-        if key not in self.memo:
-            fwd = _forward(cp, p0, depth, self.incs, cp.grid.dt)
-            _backward(cp, *fwd, self.incs, cp.grid.dt, self.terminal_fn, self.memo)
-        return self.memo[key][0]
-
-    def best_control(self, path: Path):
-        key = (path.t_index, path.values.tobytes())
-        if key not in self.memo:
-            self.solve(path)
-        return self.memo[key][1]
+def _solve_value(cp: ControlProblem, p0: Path, end_index: int, terminal_fn: Callable[[Path], float], cap: int):
+    """Per-node maximization over the finite control set from p0 to end_index,
+    level by level. Returns the root value and this solve's table from each
+    internal node's (grid index, path bytes) to (value, first maximizing
+    control); keying on the path is sound because the future law depends on
+    the past only through the path."""
+    depth = end_index - p0.t_index
+    if depth < 0:
+        raise PathError(f"path at grid index {p0.t_index} is past the end index {end_index}")
+    incs, dt, table = _increments(cp.grid.noise_dim, cp.grid.dt), cp.grid.dt, {}
+    _check_cap(len(cp.controls) * incs.shape[0], depth, cap)
+    if depth == 0:
+        return float(terminal_fn(Path._wrap(p0.values, dt))), table
+    _backward(cp, *_forward(cp, p0, depth, incs, dt), incs, dt, terminal_fn, table)
+    return table[(p0.t_index, p0.values.tobytes())][0], table
 
 
 def value(cp: ControlProblem, p0: Path, cap: int = DEFAULT_NODE_CAP) -> float:
     """Supremum of the BSDE cost over adapted controls, exact on the tree."""
-    return ValueSolver(cp, cp.grid.steps, cp.terminal, cap).solve(p0)
+    return _solve_value(cp, p0, cp.grid.steps, cp.terminal, cap)[0]
 
 
 def value_with_strategy(cp: ControlProblem, p0: Path, cap: int = DEFAULT_NODE_CAP):
-    """Value plus the argmax feedback strategy that attains it."""
-    solver = ValueSolver(cp, cp.grid.steps, cp.terminal, cap)
-    v = solver.solve(p0)
-    return v, ControlStrategy(feedback=solver.best_control)
+    """Value plus the argmax feedback strategy that attains it. The feedback
+    reads the root solve's table; at a path off it, it solves from that path
+    without keeping the result."""
+    v, table = _solve_value(cp, p0, cp.grid.steps, cp.terminal, cap)
+
+    def best_control(path: Path):
+        key = (path.t_index, path.values.tobytes())
+        if key in table:
+            return table[key][1]
+        if path.t_index == cp.grid.steps:
+            raise PathError(f"no control is chosen at grid index {path.t_index}, the horizon")
+        return _solve_value(cp, path, cp.grid.steps, cp.terminal, cap)[1][key][1]
+
+    return v, ControlStrategy(feedback=best_control)
 
 
 def dpp_check(cp: ControlProblem, p0: Path, delta_steps: int, cap: int = DEFAULT_NODE_CAP) -> float:
-    """|V(p0) - sup_u G_{t,t+delta}[V at t+delta]| on the exact tree."""
+    """|V(p0) - sup_u G_{t,t+delta}[V at t+delta]| on the exact tree; V at each
+    leaf of the outer tree is a separate solve with its own table."""
     mid = p0.t_index + delta_steps
     if mid > cp.grid.steps:
         raise PathError("delta_steps passes the horizon")
     v_direct = value(cp, p0, cap)
-    inner = ValueSolver(cp, cp.grid.steps, cp.terminal, cap)
-    outer = ValueSolver(cp, mid, lambda path: inner.solve(path), cap)
-    return abs(v_direct - outer.solve(p0))
+
+    def inner(path: Path) -> float:
+        return _solve_value(cp, path, cp.grid.steps, cp.terminal, cap)[0]
+
+    return abs(v_direct - _solve_value(cp, p0, mid, inner, cap)[0])
 
 
 def _paths_at(state: np.ndarray, p0: Path, k: int) -> list:

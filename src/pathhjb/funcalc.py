@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .control import _euler_path, _paths_at
+from .control import _euler_path, _paths_at, _stack_checked
 from .pathspace import Path, PathError, horizontal_extension, restrict, vertical_bump
 
 __all__ = [
@@ -201,14 +201,11 @@ def ito_check(
     def coeffs(paths: list):
         bs, sigs = [], []
         for pk in paths:
-            bs.append(np.asarray(drift(pk), dtype=float))
-            sigs.append(np.asarray(diffusion(pk), dtype=float))
+            bs.append(drift(pk))
+            sigs.append(diffusion(pk))
         if not sig_shape:
-            sig_shape.append((d, sigs[0].shape[1]) if sigs[0].ndim == 2 else None)
-        if any(b.shape != (d,) for b in bs) or any(s.shape != sig_shape[0] for s in sigs):
-            got = sorted({b.shape for b in bs}), sorted({s.shape for s in sigs})
-            raise PathError(f"drift must return shape ({d},) and diffusion ({d}, n) with one n throughout, got {got[0]} and {got[1]}")
-        return np.concatenate(bs).reshape(len(paths), d), np.concatenate(sigs).reshape(len(paths), *sig_shape[0])
+            sig_shape.append((d, *(np.shape(sigs[0])[-1:] or (1,))))
+        return _stack_checked("drift", bs, (d,)), _stack_checked("diffusion", sigs, sig_shape[0])
 
     rng = np.random.default_rng(seed)
     dt = p0.dt

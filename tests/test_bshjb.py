@@ -11,6 +11,7 @@ from pathhjb.bshjb import (
     stack_paths,
 )
 from pathhjb.control import simulate_tree, value
+from pathhjb.funcalc import FDScheme
 from pathhjb.pathspace import Path, PathError
 from pathhjb.presets import random_augmented_problem
 from pathhjb.sampling import random_path
@@ -198,8 +199,8 @@ def test_augmented_problem_validation():
 
 
 # ---------------------------------------------------------------------------
-# Reference oracle: the hand-written mixed stencils that _mixed_derivatives
-# replaced with the shared funcalc gradient and Hessian stencils.
+# Reference oracle: the hand-written mixed stencils and the sup over controls
+# that bshjb_residual replaced with the PHJB residual of the augmented problem.
 
 
 def _reference_mixed_derivatives(v, omega, x, scheme, end_index):
@@ -286,7 +287,23 @@ def _reference_mixed_derivatives(v, omega, x, scheme, end_index):
     return dt_v, dg, dgg, dxv, dxxv, dxg
 
 
-_MIXED_FIELDS = ("dt", "dgamma", "dgammagamma", "dx", "dxx", "dxgamma")
+def _reference_residual(ap, v, omega, x):
+    dt_v, dg, dgg, dxv, dxxv, dxg = _reference_mixed_derivatives(v, omega, x, FDScheme(), ap.steps)
+    v0 = v(omega, x)
+    best = -np.inf
+    for u in ap.controls:
+        b = np.atleast_1d(np.asarray(ap.base_drift(omega, x, u), dtype=float))
+        sig = np.atleast_2d(np.asarray(ap.base_diffusion(omega, x, u), dtype=float))
+        term = float(dxv @ b)
+        term += 0.5 * float(np.trace(dxxv @ (sig @ sig.T)))
+        term += 0.5 * float(np.trace(dgg))
+        term += float(np.trace(sig.T @ dxg))
+        term += float(ap.base_generator(omega, x, v0, dg + sig.T @ dxv, u))
+        best = max(best, term)
+    return dt_v + best
+
+
+_MIXED_GROUPS = (("dt",), ("dgamma", "dx"), ("dgammagamma", "dxx", "dxgamma"))
 
 
 def _mixed_functional(d, m, present):
@@ -310,27 +327,41 @@ def _mixed_functional(d, m, present):
     return MixedFunctional(eval=ev, **{k: stand_ins[k] for k in present})
 
 
+def _coupled_problem(d, m):
+    # three controls; drift, diffusion and generator depend on x, u and the noise path
+    s = np.linspace(-0.5, 0.8, m * d).reshape(m, d)
+    return _frozen_ap(
+        base_drift=lambda om, x, u: np.tanh(x) * u + 0.1 * om.values[0].mean(),
+        base_diffusion=lambda om, x, u: s * (1.0 + 0.3 * u) + 0.2 * np.outer(np.cos(x), om.values[:, -1]),
+        base_generator=lambda om, x, y, z, u: -0.5 * u * u + 0.3 * y * np.sin(x[0]) + 0.2 * float(z @ z) * u,
+        controls=(-0.5, 0.25, 1.0),
+        steps=4,
+        horizon=1.0,
+        noise_dim=d,
+        state_dim=m,
+    )
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_mixed_derivatives_equal_reference_stencils(d, m):
+    # The residual through the augmented problem agrees with the hand-written
+    # mixed stencils, relative to max(1, |reference|): to rounding where every
+    # group is analytic, and to the stencil error where a group falls back to
+    # finite differences, whose bump 1e-4 (1 + |(omega end; x)|) differs from
+    # the reference's 1e-4 (1 + |omega end| + |x|).
     import itertools
 
-    from pathhjb.bshjb import _mixed_derivatives
-    from pathhjb.funcalc import FDScheme
-
     rng = np.random.default_rng(10 * d + m)
-    steps = 4
-    for mask in itertools.product([False, True], repeat=len(_MIXED_FIELDS)):
-        v = _mixed_functional(d, m, [f for f, on in zip(_MIXED_FIELDS, mask) if on])
-        # interior point, the end_index boundary (left-limit quotient) and no end index
-        for t_index, end_index in ((1, steps), (steps, steps), (2, None)):
+    ap = _coupled_problem(d, m)
+    for mask in itertools.product([False, True], repeat=len(_MIXED_GROUPS)):
+        v = _mixed_functional(d, m, [f for group, on in zip(_MIXED_GROUPS, mask) if on for f in group])
+        tol = 1e-13 if all(mask) else 1e-7
+        for t_index in range(ap.steps):
             omega = random_path(rng, d, 0.25, t_index)
             x = rng.normal(size=m)
-            scheme = FDScheme(h_vertical=10.0 ** rng.uniform(-5, -3))
-            new = _mixed_derivatives(v, omega, x, v(omega, x), scheme, end_index)
-            ref = _reference_mixed_derivatives(v, omega, x, scheme, end_index)
-            for got, want in zip(new, ref, strict=True):
-                assert np.array_equal(got, want)
+            want = _reference_residual(ap, v, omega, x)
+            assert abs(bshjb_residual(ap, v, (omega, x)) - want) <= tol * max(1.0, abs(want))
 
 
 def test_bshjb_residual_rejects_non_finite_stencil_values():
@@ -338,3 +369,13 @@ def test_bshjb_residual_rejects_non_finite_stencil_values():
     v = MixedFunctional(eval=lambda om, x: np.inf if x[0] > 0.5 else 1.0)  # finite at the point only
     with pytest.raises(PathError, match="non-finite"):
         bshjb_residual(ap, v, (Path(np.array([[0.1, 0.2]]), 0.25), 0.5))
+
+
+def test_mixed_functional_groups_and_interior_times():
+    ev = lambda om, x: float(x[0])  # noqa: E731
+    with pytest.raises(PathError, match="dgamma, dx must be given together"):
+        MixedFunctional(eval=ev, dx=lambda om, x: np.ones(1))
+    with pytest.raises(PathError, match="dgammagamma, dxx, dxgamma"):
+        MixedFunctional(eval=ev, dgammagamma=lambda om, x: np.zeros((1, 1)), dxx=lambda om, x: np.zeros((1, 1)))
+    with pytest.raises(PathError, match="interior times"):
+        bshjb_residual(_frozen_ap(), MixedFunctional(eval=ev), (Path.constant(0.0, 3, 0.25), 0.0))

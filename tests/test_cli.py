@@ -7,7 +7,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from pathhjb.cli import SUBCOMMANDS, build_parser, main
+from pathhjb.cli import BP_DEFAULT, SUBCOMMANDS, build_parser, main, run_bp_demo
 
 FAST_OVERRIDES = {
     "gauge-suite": ["pairs=100"],
@@ -307,7 +307,7 @@ _PINNED = {
     "bp-demo": (
         "bp-demo",
         [],
-        "e013b2e7bd29dca4f3062fe9baa97e2c4b8939250a666c771c4d1ed3a3a3316b",
+        "4927b0b5a1a0c22cfa525b3351be245999d43f1dfb2746a78328edd0ba11da3d",
         "09de4a3113ef62fd5707def5650636258d51938edfbb3f67fdddfaf33b94b165",
     ),
 }
@@ -322,6 +322,13 @@ def test_outputs_are_pinned(case, tmp_path):
     assert main(argv) == 0
     assert _digest(tmp_path / f"{subcommand}.csv") == csv_digest
     assert _digest(tmp_path / "summary.txt") == summary_digest
+
+
+def test_bp_demo_default_rows_exercise_the_perturbation():
+    # the start is the first candidate within eps/2 of the maximum, so some
+    # rows select another point and pay a nonzero perturbation
+    _, rows, _, code = run_bp_demo(BP_DEFAULT, 0)
+    assert code == 0 and any(row[3] > 0 for row in rows)
 
 
 @pytest.mark.parametrize("subcommand", ["value", "dpp", "viscosity-probe", "comparison-demo"])
@@ -352,6 +359,8 @@ def test_one_dimensional_presets_reject_other_grids(subcommand, spec, tmp_path, 
         (["gauge-suite", "--override", "scale=-1"], 3, "contract violation: pair_sweep needs d >= 1, t_index >= 0, 0 < dt < inf and 0 <= scale < inf, got 1, 8, 0.125, -1.0"),
         (["ito-check", "--override", "levels=0"], 2, "config error: levels must be at least 1, got 0"),
         (["markov-compare", "--override", "levels=0"], 2, "config error: levels must be at least 1, got 0"),
+        (["ito-check", "--override", "base_steps=0"], 2, "config error: base_steps must be at least 1, got 0"),
+        (["markov-compare", "--override", "base_steps=0"], 2, "config error: base_steps must be at least 1, got 0"),
     ],
 )
 def test_counts_out_of_range_are_rejected(argv, code, message, tmp_path, capsys):

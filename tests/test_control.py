@@ -19,9 +19,9 @@ from pathhjb.control import (
     simulate_psde,
     simulate_tree,
     solve_bsde_tree,
-    ValueSolver,
     _implicit_step,
     _increments,
+    _solve_value,
     value,
     value_with_strategy,
 )
@@ -414,10 +414,10 @@ def test_engine_value_equals_recursive_oracle(grid, n_controls):
         cp, engine_calls = _counted(base)
         ref_cp, oracle_calls = _counted(base)
         p0 = Path.constant(np.full(grid.dim, 0.1 * s), 0, grid.dt)
-        engine = ValueSolver(cp, grid.steps, cp.terminal)
+        v, table = _solve_value(cp, p0, grid.steps, cp.terminal, DEFAULT_NODE_CAP)
         oracle = _RecursiveValue(ref_cp, grid.steps, ref_cp.terminal)
-        assert engine.solve(p0) == oracle.solve(p0)
-        assert engine.memo == oracle.memo
+        assert v == oracle.solve(p0)
+        assert table == oracle.memo
         assert engine_calls == oracle_calls
 
 
@@ -438,14 +438,12 @@ def test_engine_merges_identical_children():
     cp, engine_calls = _counted(base)
     ref_cp, oracle_calls = _counted(base)
     p0 = Path.constant(0.2, 0, GRID4.dt)
-    engine = ValueSolver(cp, 4, cp.terminal)
+    v, table = _solve_value(cp, p0, 4, cp.terminal, DEFAULT_NODE_CAP)
     oracle = _RecursiveValue(ref_cp, 4, ref_cp.terminal)
-    assert engine.solve(p0) == oracle.solve(p0)
-    assert engine.memo == oracle.memo and len(engine.memo) == 4
+    assert v == oracle.solve(p0)
+    assert table == oracle.memo and len(table) == 4
     assert engine_calls == oracle_calls
     assert engine_calls["drift"] == 2 * 4  # one node per level, under both controls
-    engine.solve(p0)  # a solved root is read from the memo
-    assert engine_calls == oracle_calls
 
 
 def test_argmax_replay_attains_value_in_two_noise_dimensions():
@@ -454,6 +452,15 @@ def test_argmax_replay_attains_value_in_two_noise_dimensions():
     p0 = Path.constant(np.array([0.1, -0.1]), 0, grid.dt)
     v, strat = value_with_strategy(cp, p0)
     assert cost(cp, p0, strat) == pytest.approx(v, abs=1e-12)
+
+
+def test_argmax_feedback_off_the_root_table():
+    cp = lq_problem(GRID4)
+    _, strat = value_with_strategy(cp, Path.constant(0.0, 0, GRID4.dt))
+    off = Path.constant(0.7, 1, GRID4.dt)  # no node of the root's tree
+    assert strat.control_at(off) == value_with_strategy(cp, off)[1].control_at(off)
+    with pytest.raises(PathError, match="grid index 4, the horizon"):
+        strat.control_at(Path.constant(0.0, 4, GRID4.dt))
 
 
 def test_value_cap_counts_control_fan_out():
@@ -466,7 +473,7 @@ def test_value_cap_counts_control_fan_out():
     assert calls == dict.fromkeys(calls, 0)  # the cap fires before any node is expanded
     simulate_tree(cp, p0, 7)  # the cost tree of the same depth is within the cap
     with pytest.raises(PathError):
-        ValueSolver(cp, 3, cp.terminal).solve(Path.constant(0.0, 4, grid.dt))
+        _solve_value(cp, Path.constant(0.0, 4, grid.dt), 3, cp.terminal, DEFAULT_NODE_CAP)
 
 
 # ---------------------------------------------------------------------------

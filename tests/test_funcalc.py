@@ -296,3 +296,14 @@ def test_ito_check_blowup_names_the_first_non_finite_step():
         ito_check(SQUARE, drift, UNIT_DIFFUSION, p0, 4, 2, seed=0)
     with pytest.raises(PathError):
         ito_check(SQUARE, ZERO_DRIFT, UNIT_DIFFUSION, p0, 0, 2, seed=0)
+
+
+def test_ito_check_reads_coefficients_through_the_shared_reader():
+    # n is fixed by the first diffusion value; a later value of another shape is rejected
+    p0 = Path.constant(0.0, 0, 0.25)
+    with pytest.raises(PathError, match=r"drift must return shape \(1,\) .*, got \(\)"):
+        ito_check(SQUARE, lambda p: 0.0, UNIT_DIFFUSION, p0, 2, 2, seed=0)
+    with pytest.raises(PathError, match=r"diffusion must return shape \(1, 1\) .*, got \(1,\)"):
+        ito_check(SQUARE, ZERO_DRIFT, lambda p: np.ones(1), p0, 2, 2, seed=0)
+    with pytest.raises(PathError, match=r"diffusion must return shape \(1, 2\) .*, got \(1, 1\)"):
+        ito_check(SQUARE, ZERO_DRIFT, lambda p: np.ones((1, 2 if p.t_index == 0 else 1)), p0, 2, 2, seed=0)
