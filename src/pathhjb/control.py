@@ -69,14 +69,13 @@ class BlowupError(RuntimeError):
 class ControlStrategy:
     """Open-loop control sequence or feedback map on the observed path.
 
-    Open-loop entries are indexed by absolute grid index minus start_index;
+    Open-loop entries are indexed by absolute grid index;
     a feedback map sees only the path up to the current node, so it is
     adapted by construction.
     """
 
     open_loop: Optional[tuple] = None
     feedback: Optional[Callable[[Path], object]] = None
-    start_index: int = 0
 
     def __post_init__(self):
         if (self.open_loop is None) == (self.feedback is None):
@@ -91,10 +90,9 @@ class ControlStrategy:
     def control_at(self, path: Path):
         if self.feedback is not None:
             return self.feedback(path)
-        j = path.t_index - self.start_index
-        if not 0 <= j < len(self.open_loop):
+        if path.t_index >= len(self.open_loop):
             raise PathError(f"open-loop sequence has no control for grid index {path.t_index}")
-        return self.open_loop[j]
+        return self.open_loop[path.t_index]
 
 
 @dataclass(frozen=True)
@@ -489,29 +487,25 @@ def moment_probe(
     strategy: ControlStrategy,
     n_paths: int,
     seed: int,
-    p: int = 2,
 ):
-    """Monte Carlo moment constants for the controlled state.
+    """Monte Carlo second-moment constants for the controlled state.
 
     Returns (growth_c, continuity_c):
-    growth_c fits E ||X_T||_0^p <= C (1 + ||gamma_t||_0^p);
-    continuity_c fits E ||X_r - gamma_t||_0^p <= C (1 + ||gamma_t||_0^p) (r-t)^{p/2}
+    growth_c fits E ||X_T||_0^2 <= C (1 + ||gamma_t||_0^2);
+    continuity_c fits E ||X_r - gamma_t||_0^2 <= C (1 + ||gamma_t||_0^2) (r-t)
     as the max of the ratio over intermediate times r.
     """
     g = cp.grid
     n_steps = g.steps - p0.t_index
-    base = 1.0 + sup_norm(p0) ** p
+    base = 1.0 + sup_norm(p0) ** 2
     sums_gap = np.zeros(n_steps)
     sum_end = 0.0
     for i in range(n_paths):
         x = simulate_psde(cp, p0, strategy, g.steps, seed + i)
-        sum_end += sup_norm(x) ** p
+        sum_end += sup_norm(x) ** 2
         for j in range(1, n_steps + 1):
             xr = restrict(x, p0.t_index + j)
-            sums_gap[j - 1] += _joint_gap(xr, p0) ** p
+            sums_gap[j - 1] += _joint_gap(xr, p0) ** 2
     growth_c = (sum_end / n_paths) / base
-    ratios = [
-        (sums_gap[j - 1] / n_paths) / (base * ((j * g.dt) ** (p / 2)))
-        for j in range(1, n_steps + 1)
-    ]
+    ratios = [(sums_gap[j - 1] / n_paths) / (base * (j * g.dt)) for j in range(1, n_steps + 1)]
     return growth_c, max(ratios)

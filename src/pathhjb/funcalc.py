@@ -16,11 +16,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .control import _euler_path, _paths_at, _stack_checked
-from .pathspace import Path, PathError, horizontal_extension, restrict, vertical_bump
+from .pathspace import Path, PathError, horizontal_extension, vertical_bump
 
 __all__ = [
     "PathFunctional",
-    "FDScheme",
+    "bump_size",
     "vertical_gradient",
     "vertical_hessian",
     "horizontal_derivative",
@@ -62,25 +62,10 @@ class PathFunctional:
         )
 
 
-@dataclass(frozen=True)
-class FDScheme:
-    """Finite-difference parameters: vertical bump size and horizontal step count.
-
-    The effective vertical bump is h_vertical * (1 + |endpoint|), which keeps
-    the stencil conditioning uniform across path magnitudes.
-    """
-
-    h_vertical: float = 1e-4
-    h_horizontal: int = 1
-
-    def __post_init__(self):
-        if not self.h_vertical > 0:
-            raise PathError("h_vertical must be > 0")
-        if self.h_horizontal < 1:
-            raise PathError("h_horizontal must be >= 1 grid step")
-
-    def bump_size(self, p: Path) -> float:
-        return self.h_vertical * (1.0 + float(np.linalg.norm(p.values[:, -1])))
+def bump_size(p: Path) -> float:
+    """Vertical bump of the central stencils: 1e-4 * (1 + |endpoint|), which
+    keeps their conditioning uniform across path magnitudes."""
+    return 1e-4 * (1.0 + float(np.linalg.norm(p.values[:, -1])))
 
 
 def _axis(n: int, i: int, h: float) -> np.ndarray:
@@ -114,57 +99,39 @@ def _central_hessian(shift: Callable[[np.ndarray], float], n: int, h: float, f0:
     return 0.5 * (hess + hess.T)
 
 
-def vertical_gradient(f: PathFunctional, p: Path, scheme: FDScheme = FDScheme()) -> np.ndarray:
+def vertical_gradient(f: PathFunctional, p: Path) -> np.ndarray:
     """Central difference (f(p^{+h e_i}) - f(p^{-h e_i})) / 2h per coordinate."""
-    return _central_gradient(lambda e: f.eval(vertical_bump(p, e)), p.d, scheme.bump_size(p))
+    return _central_gradient(lambda e: f.eval(vertical_bump(p, e)), p.d, bump_size(p))
 
 
-def vertical_hessian(f: PathFunctional, p: Path, scheme: FDScheme = FDScheme()) -> np.ndarray:
+def vertical_hessian(f: PathFunctional, p: Path) -> np.ndarray:
     """Second-order central stencil on endpoint bumps, symmetrized."""
-    return _central_hessian(lambda e: f.eval(vertical_bump(p, e)), p.d, scheme.bump_size(p), f.eval(p))
+    return _central_hessian(lambda e: f.eval(vertical_bump(p, e)), p.d, bump_size(p), f.eval(p))
 
 
-def horizontal_derivative(
-    f: PathFunctional,
-    p: Path,
-    scheme: FDScheme = FDScheme(),
-    end_index: int | None = None,
-) -> float:
-    """Forward quotient under hold-last-value extension.
-
-    At the final grid node (t_index + step would pass end_index) the
-    left-limit convention applies: the quotient is evaluated at the path
-    restricted to t_index - step.
-    """
-    h = scheme.h_horizontal
-    if end_index is not None and p.t_index + h > end_index:
-        if p.t_index - h < 0:
-            raise PathError("grid exhausted at both ends for horizontal derivative")
-        base = restrict(p, p.t_index - h)
-        return (f.eval(horizontal_extension(base, p.t_index)) - f.eval(base)) / (h * p.dt)
-    return (f.eval(horizontal_extension(p, p.t_index + h)) - f.eval(p)) / (h * p.dt)
+def horizontal_derivative(f: PathFunctional, p: Path) -> float:
+    """Forward quotient over one grid step under hold-last-value extension."""
+    return (f.eval(horizontal_extension(p, p.t_index + 1)) - f.eval(p)) / p.dt
 
 
-def time_derivative(
-    f: PathFunctional, p: Path, scheme: FDScheme = FDScheme(), end_index: int | None = None
-) -> float:
+def time_derivative(f: PathFunctional, p: Path) -> float:
     """Analytic horizontal derivative if present, else finite difference."""
     if f.analytic_dt is not None:
         return float(f.analytic_dt(p))
-    return horizontal_derivative(f, p, scheme, end_index)
+    return horizontal_derivative(f, p)
 
 
-def space_gradient(f: PathFunctional, p: Path, scheme: FDScheme = FDScheme()) -> np.ndarray:
+def space_gradient(f: PathFunctional, p: Path) -> np.ndarray:
     if f.analytic_dx is not None:
         return np.atleast_1d(np.asarray(f.analytic_dx(p), dtype=float))
-    return vertical_gradient(f, p, scheme)
+    return vertical_gradient(f, p)
 
 
-def space_hessian(f: PathFunctional, p: Path, scheme: FDScheme = FDScheme()) -> np.ndarray:
+def space_hessian(f: PathFunctional, p: Path) -> np.ndarray:
     if f.analytic_dxx is not None:
         h = np.asarray(f.analytic_dxx(p), dtype=float)
         return 0.5 * (h + h.T)
-    return vertical_hessian(f, p, scheme)
+    return vertical_hessian(f, p)
 
 
 def ito_check(
@@ -175,7 +142,6 @@ def ito_check(
     end_index: int,
     n_paths: int,
     seed: int,
-    scheme: FDScheme = FDScheme(),
 ) -> float:
     """Mean absolute chain-rule residual over Euler paths.
 
@@ -214,9 +180,9 @@ def ito_check(
     acc = np.zeros(n_paths)
     for k, (sig, dx) in enumerate(records, start=p0.t_index):
         paths = _paths_at(state, p0, k)
-        dtf = _stack(f.analytic_dt or partial(horizontal_derivative, f, scheme=scheme), paths, ())
-        dxf = _stack(f.analytic_dx or partial(vertical_gradient, f, scheme=scheme), paths, (d,))
-        dxxf = _stack(f.analytic_dxx or partial(vertical_hessian, f, scheme=scheme), paths, (d, d))
+        dtf = _stack(f.analytic_dt or partial(horizontal_derivative, f), paths, ())
+        dxf = _stack(f.analytic_dx or partial(vertical_gradient, f), paths, (d,))
+        dxxf = _stack(f.analytic_dxx or partial(vertical_hessian, f), paths, (d, d))
         dxxf = 0.5 * (dxxf + dxxf.swapaxes(-1, -2))
         tr = np.trace(dxxf @ (sig @ sig.swapaxes(-1, -2)), axis1=-2, axis2=-1)
         acc += dtf * dt + 0.5 * tr * dt + (dxf[:, None, :] @ dx[:, :, None])[:, 0, 0]
@@ -272,22 +238,17 @@ def time_functional(g: Callable[[float], float], dg: Optional[Callable[[float], 
     )
 
 
-def running_integral_functional(weights=None) -> PathFunctional:
-    """f(gamma_t) = sum_j <w, gamma(j dt)> dt over all grid nodes 0..t_index.
+def running_integral_functional() -> PathFunctional:
+    """f(gamma_t) = sum_j <1, gamma(j dt)> dt over all grid nodes 0..t_index.
 
     The node at the current time is included, so the vertical gradient is
-    w*dt and the horizontal derivative is exactly <w, gamma_t(t)>.
+    dt in every coordinate and the horizontal derivative is exactly
+    <1, gamma_t(t)>.
     """
-
-    def w_of(p: Path) -> np.ndarray:
-        if weights is None:
-            return np.ones(p.d)
-        return np.atleast_1d(np.asarray(weights, dtype=float))
-
     return PathFunctional(
-        eval=lambda p: float(w_of(p) @ p.values.sum(axis=1)) * p.dt,
-        analytic_dt=lambda p: float(w_of(p) @ p.values[:, -1]),
-        analytic_dx=lambda p: w_of(p) * p.dt,
+        eval=lambda p: float(np.ones(p.d) @ p.values.sum(axis=1)) * p.dt,
+        analytic_dt=lambda p: float(np.ones(p.d) @ p.values[:, -1]),
+        analytic_dx=lambda p: np.ones(p.d) * p.dt,
         analytic_dxx=lambda p: np.zeros((p.d, p.d)),
     )
 

@@ -39,7 +39,22 @@ def _one_dimensional(grid: GridConfig) -> GridConfig:
     return grid
 
 
-def lq_problem(grid: GridConfig, controls=(0.0, 0.5, 1.0)) -> ControlProblem:
+def _uncontrolled(grid: GridConfig, terminal) -> ControlProblem:
+    """Zero drift, unit noise, zero generator and the single control 0."""
+    return ControlProblem(
+        drift=lambda p, u: np.zeros(1),
+        diffusion=lambda p, u: np.array([[1.0]]),
+        generator=lambda p, y, z, u: 0.0,
+        terminal=terminal,
+        controls=(0.0,),
+        grid=_one_dimensional(grid),
+    )
+
+
+_LQ_CONTROLS = (0.0, 0.5, 1.0)
+
+
+def lq_problem(grid: GridConfig) -> ControlProblem:
     """Drift u, unit noise, running reward -u^2, terminal endpoint value.
 
     The per-node argmax of u - u^2 is path-independent, so open-loop
@@ -50,14 +65,14 @@ def lq_problem(grid: GridConfig, controls=(0.0, 0.5, 1.0)) -> ControlProblem:
         diffusion=lambda p, u: np.array([[1.0]]),
         generator=lambda p, y, z, u: -u * u,
         terminal=lambda p: float(p.values[0, -1]),
-        controls=tuple(controls),
+        controls=_LQ_CONTROLS,
         grid=_one_dimensional(grid),
     )
 
 
-def lq_solution(grid: GridConfig, controls=(0.0, 0.5, 1.0)) -> PathFunctional:
+def lq_solution(grid: GridConfig) -> PathFunctional:
     """v(gamma_t) = gamma_t(t) + max_u(u - u^2) (T - t)."""
-    c = max(u - u * u for u in controls)
+    c = max(u - u * u for u in _LQ_CONTROLS)
     return PathFunctional(
         eval=lambda p: float(p.values[0, -1]) + c * (grid.horizon - p.t),
         analytic_dt=lambda p: -c,
@@ -68,14 +83,7 @@ def lq_solution(grid: GridConfig, controls=(0.0, 0.5, 1.0)) -> PathFunctional:
 
 def heat_problem(grid: GridConfig) -> ControlProblem:
     """Uncontrolled unit-noise martingale dynamics with terminal x^2."""
-    return ControlProblem(
-        drift=lambda p, u: np.zeros(1),
-        diffusion=lambda p, u: np.array([[1.0]]),
-        generator=lambda p, y, z, u: 0.0,
-        terminal=lambda p: float(p.values[0, -1]) ** 2,
-        controls=(0.0,),
-        grid=_one_dimensional(grid),
-    )
+    return _uncontrolled(grid, lambda p: float(p.values[0, -1]) ** 2)
 
 
 def heat_solution(grid: GridConfig) -> PathFunctional:
@@ -90,14 +98,7 @@ def heat_solution(grid: GridConfig) -> PathFunctional:
 
 def quartic_problem(grid: GridConfig) -> ControlProblem:
     """Heat dynamics with terminal x^4 (genuine discretization error)."""
-    return ControlProblem(
-        drift=lambda p, u: np.zeros(1),
-        diffusion=lambda p, u: np.array([[1.0]]),
-        generator=lambda p, y, z, u: 0.0,
-        terminal=lambda p: float(p.values[0, -1]) ** 4,
-        controls=(0.0,),
-        grid=_one_dimensional(grid),
-    )
+    return _uncontrolled(grid, lambda p: float(p.values[0, -1]) ** 4)
 
 
 def quartic_closed_form(x: float, t: float, horizon: float) -> float:
@@ -108,14 +109,7 @@ def quartic_closed_form(x: float, t: float, horizon: float) -> float:
 
 def martingale_problem(grid: GridConfig) -> ControlProblem:
     """Unit-noise martingale with terminal endpoint value."""
-    return ControlProblem(
-        drift=lambda p, u: np.zeros(1),
-        diffusion=lambda p, u: np.array([[1.0]]),
-        generator=lambda p, y, z, u: 0.0,
-        terminal=lambda p: float(p.values[0, -1]),
-        controls=(0.0,),
-        grid=_one_dimensional(grid),
-    )
+    return _uncontrolled(grid, lambda p: float(p.values[0, -1]))
 
 
 def martingale_solution(grid: GridConfig) -> PathFunctional:
@@ -124,15 +118,7 @@ def martingale_solution(grid: GridConfig) -> PathFunctional:
 
 def running_cost_problem(grid: GridConfig) -> ControlProblem:
     """Unit-noise martingale paying the running rectangle integral at T."""
-    integral = running_integral_functional()
-    return ControlProblem(
-        drift=lambda p, u: np.zeros(1),
-        diffusion=lambda p, u: np.array([[1.0]]),
-        generator=lambda p, y, z, u: 0.0,
-        terminal=integral.eval,
-        controls=(0.0,),
-        grid=_one_dimensional(grid),
-    )
+    return _uncontrolled(grid, running_integral_functional().eval)
 
 
 def running_cost_solution(grid: GridConfig) -> PathFunctional:
@@ -163,7 +149,7 @@ def bangbang_problem(grid: GridConfig) -> ControlProblem:
     )
 
 
-def random_problem(grid: GridConfig, seed: int, n_controls: int = 2, path_dependent: bool = True) -> ControlProblem:
+def random_problem(grid: GridConfig, seed: int, n_controls: int = 2) -> ControlProblem:
     """Seeded bounded-coefficient instance with Lipschitz nonlinearities.
 
     Coefficients stay within tanh envelopes so the probed Lipschitz constant
@@ -175,8 +161,6 @@ def random_problem(grid: GridConfig, seed: int, n_controls: int = 2, path_depend
     d, n = grid.dim, grid.noise_dim
 
     def hist(p):
-        if not path_dependent:
-            return 0.0
         return float(np.tanh(p.values.sum(axis=1)[0] * p.dt))
 
     def drift(p, u):

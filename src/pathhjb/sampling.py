@@ -19,13 +19,11 @@ __all__ = [
 ]
 
 
-def random_path(rng: np.random.Generator, d: int, dt: float, t_index: int, scale: float = 1.0, start=None) -> Path:
-    """Brownian-type random walk path with N(0, scale^2 dt) increments."""
+def random_path(rng: np.random.Generator, d: int, dt: float, t_index: int, scale: float = 1.0) -> Path:
+    """Brownian-type random walk path with N(0, scale^2) start and
+    N(0, scale^2 dt) increments."""
     incs = rng.normal(0.0, scale * np.sqrt(dt), size=(d, t_index + 1))
-    if start is None:
-        incs[:, 0] = rng.normal(0.0, scale, size=d)
-    else:
-        incs[:, 0] = np.atleast_1d(start)
+    incs[:, 0] = rng.normal(0.0, scale, size=d)
     return Path(incs.cumsum(axis=1), dt)
 
 
@@ -37,37 +35,30 @@ def random_pair(rng: np.random.Generator, d: int, dt: float, t_index: int, scale
     )
 
 
-def _bridge(rng: np.random.Generator, d: int, dt: float, t_index: int, scale: float) -> np.ndarray:
-    # Brownian bridge pinned to zero at node 0, free at the end.
-    incs = rng.normal(0.0, scale * np.sqrt(dt), size=(d, t_index + 1))
+def _bridge(rng: np.random.Generator, d: int, dt: float, t_index: int) -> np.ndarray:
+    # Brownian bridge of scale 0.5 pinned to zero at node 0, free at the end.
+    incs = rng.normal(0.0, 0.5 * np.sqrt(dt), size=(d, t_index + 1))
     incs[:, 0] = 0.0
     return np.cumsum(incs, axis=1)
 
 
-def bridge_pair(
-    rng: np.random.Generator, d: int, dt: float, t_index: int, scale: float = 1.0, gap_scale: float = 0.5
-) -> tuple[Path, Path]:
-    """A base path and a perturbation of it sharing the start value.
+def bridge_pair(rng: np.random.Generator, d: int, dt: float, t_index: int) -> tuple[Path, Path]:
+    """A unit-scale base path and a perturbation of it sharing the start value.
 
-    The perturbation is a scaled bridge added to the base, so the pair shares
-    its history scale and the gap is controlled by gap_scale.
+    The perturbation is a bridge of scale 0.5 added to the base, so the pair
+    shares its history scale and the gap stays of the same order.
     """
-    base = random_path(rng, d, dt, t_index, scale)
-    other = Path(base.values + _bridge(rng, d, dt, t_index, gap_scale), dt)
+    base = random_path(rng, d, dt, t_index)
+    other = Path(base.values + _bridge(rng, d, dt, t_index), dt)
     return base, other
 
 
-def path_cloud(
-    rng: np.random.Generator,
-    base: Path,
-    max_t_index: int,
-    n: int,
-    scale: float = 1.0,
-) -> list[Path]:
+def path_cloud(rng: np.random.Generator, base: Path, max_t_index: int, n: int) -> list[Path]:
     """Seeded cloud over [t, T] x path-space surrogates around ``base``.
 
-    Mixes continuations of the base path, bridge perturbations of it and
-    fresh paths, at uniformly drawn later times. The base itself is included.
+    Mixes unit-scale continuations of the base path, bridge perturbations of
+    it and fresh paths, at uniformly drawn later times. The base itself is
+    included.
     """
     out = [base]
     k0 = base.t_index
@@ -76,16 +67,16 @@ def path_cloud(
         kind = i % 3
         if kind == 0:
             # continuation of base by a random walk
-            tail = rng.normal(0.0, scale * np.sqrt(base.dt), size=(base.d, k - k0)) if k > k0 else np.empty((base.d, 0))
+            tail = rng.normal(0.0, np.sqrt(base.dt), size=(base.d, k - k0)) if k > k0 else np.empty((base.d, 0))
             vals = np.concatenate([base.values, base.values[:, -1:] + np.cumsum(tail, axis=1)], axis=1)
             out.append(Path(vals, base.dt))
         elif kind == 1:
             # bumped copy of base, extended
-            bumped = base.values + _bridge(rng, base.d, base.dt, k0, 0.5 * scale)
+            bumped = base.values + _bridge(rng, base.d, base.dt, k0)
             if k > k0:
-                tail = rng.normal(0.0, scale * np.sqrt(base.dt), size=(base.d, k - k0))
+                tail = rng.normal(0.0, np.sqrt(base.dt), size=(base.d, k - k0))
                 bumped = np.concatenate([bumped, bumped[:, -1:] + np.cumsum(tail, axis=1)], axis=1)
             out.append(Path(bumped, base.dt))
         else:
-            out.append(random_path(rng, base.d, base.dt, k, scale))
+            out.append(random_path(rng, base.d, base.dt, k))
     return out

@@ -29,6 +29,7 @@ __all__ = ["CandidateSet", "BPResult", "borwein_preiss", "verify_bp"]
 
 DIAMETER_FLOOR = 1e-12
 _MAX_ROUNDS = 128
+_VERIFY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,6 @@ def borwein_preiss(
     eps: float,
     start: Path,
     domain: CandidateSet,
-    diameter_floor: float = DIAMETER_FLOOR,
     keep_sets: bool = False,
 ) -> BPResult:
     """Run the constructive principle; deltas=None means delta_i = 2^{-i}.
@@ -148,7 +148,7 @@ def borwein_preiss(
         if keep_sets:
             sets_trace.append(tuple(current))
         bound = eps / (2.0**i * delta0)
-        if len(current) == 1 or bound < diameter_floor:
+        if len(current) == 1 or bound < DIAMETER_FLOOR:
             break
 
     optimum = current[0] if len(current) == 1 else selected
@@ -173,9 +173,9 @@ def verify_bp(
     eps: float,
     start: Path,
     domain: CandidateSet,
-    tol: float = 1e-10,
 ) -> bool:
-    """Independent exhaustive check of the three principle properties.
+    """Independent exhaustive check of the three principle properties, each
+    with slack _VERIFY_TOL.
 
     (i)   rho(traj_i, optimum) <= eps / (2^i delta_0), times non-decreasing;
     (ii)  f(optimum) - sum_i delta_i rho(traj_i, optimum) >= f(start);
@@ -193,7 +193,7 @@ def verify_bp(
     if traj[-1].t_index > opt.t_index:
         return False
     for i, pt in enumerate(traj):
-        if rho(pt, opt) > eps / (2.0**i * delta0) + tol:
+        if rho(pt, opt) > eps / (2.0**i * delta0) + _VERIFY_TOL:
             return False
 
     def perturbed(p: Path) -> float:
@@ -203,7 +203,7 @@ def verify_bp(
         return s
 
     # (ii) improvement over the start point
-    if perturbed(opt) < float(f.eval(start)) - tol:
+    if perturbed(opt) < float(f.eval(start)) - _VERIFY_TOL:
         return False
 
     # (iii) strict maximality over the candidate scan
@@ -211,6 +211,6 @@ def verify_bp(
     for p in domain.at_or_after(opt.t_index):
         if p == opt:
             continue
-        if perturbed(p) >= ref + tol:
+        if perturbed(p) >= ref + _VERIFY_TOL:
             return False
     return True

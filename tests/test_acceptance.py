@@ -22,7 +22,7 @@ from pathhjb.cli import (
     run_markov_compare,
 )
 from pathhjb.control import ControlProblem, ControlStrategy, cost, dpp_check, value
-from pathhjb.funcalc import FDScheme, endpoint_functional, ito_check, vertical_gradient, vertical_hessian
+from pathhjb.funcalc import bump_size, endpoint_functional, ito_check, vertical_gradient, vertical_hessian
 from pathhjb.gauge import GaugeParams, grad_power, grad_s, hess_power, hess_s, s_functional
 from pathhjb.pathspace import GridConfig, Path, _joint_gap
 from pathhjb.phjb import phjb_residual, subsolution_probe
@@ -62,7 +62,7 @@ def test_criterion_02_gauge_subadditivity():
     _report(2, worst >= -1e-12, f"worst subadditivity gap {worst:.2e} >= -1e-12", started, 5.0)
 
 
-def _nonboundary_point(rng, scheme, scale=0.5):
+def _nonboundary_point(rng, scale=0.5):
     while True:
         d = int(rng.integers(1, 4))
         k = int(rng.integers(1, 6))
@@ -75,20 +75,19 @@ def _nonboundary_point(rng, scheme, scale=0.5):
         big = _joint_gap(p, anchor)
         if big < 1e-8 or e < 1e-6:
             continue
-        if abs(e - interior) > max(10 * scheme.bump_size(p), 0.05 * (1.0 + big)):
+        if abs(e - interior) > max(10 * bump_size(p), 0.05 * (1.0 + big)):
             return p, anchor
 
 
 def test_criterion_03_closed_form_derivatives():
     started = time.time()
     rng = np.random.default_rng(103)
-    scheme = FDScheme()
     worst_grad = 0.0
     worst_hess = 0.0
     for i in range(1000):
         m = int(rng.integers(1, 4))
         g = GaugeParams(m, 3.0)
-        p, anchor = _nonboundary_point(rng, scheme)
+        p, anchor = _nonboundary_point(rng)
         if i % 2 == 0:
             f = s_functional(anchor, g)
             an_g, an_h = grad_s(p, anchor, g), hess_s(p, anchor, g)
@@ -96,8 +95,8 @@ def test_criterion_03_closed_form_derivatives():
             a = anchor.values[:, -1]
             f = endpoint_functional(lambda x, a=a, m=m: float(np.linalg.norm(x - a) ** (2 * m)))
             an_g, an_h = grad_power(p, a, m), hess_power(p, a, m)
-        fd_g = vertical_gradient(f, p, scheme)
-        fd_h = vertical_hessian(f, p, scheme)
+        fd_g = vertical_gradient(f, p)
+        fd_h = vertical_hessian(f, p)
         worst_grad = max(worst_grad, np.linalg.norm(an_g - fd_g) / max(1.0, np.linalg.norm(an_g)))
         worst_hess = max(worst_hess, np.linalg.norm(an_h - fd_h) / max(1.0, np.linalg.norm(an_h)))
     ok = worst_grad <= 1e-6 and worst_hess <= 1e-4

@@ -11,7 +11,6 @@ from pathhjb.bshjb import (
     stack_paths,
 )
 from pathhjb.control import simulate_tree, value
-from pathhjb.funcalc import FDScheme
 from pathhjb.pathspace import Path, PathError
 from pathhjb.presets import random_augmented_problem
 from pathhjb.sampling import random_path
@@ -203,7 +202,7 @@ def test_augmented_problem_validation():
 # that bshjb_residual replaced with the PHJB residual of the augmented problem.
 
 
-def _reference_mixed_derivatives(v, omega, x, scheme, end_index):
+def _reference_mixed_derivatives(v, omega, x, end_index):
     from pathhjb.pathspace import horizontal_extension, restrict, vertical_bump
 
     def unit(n, i):
@@ -218,11 +217,11 @@ def _reference_mixed_derivatives(v, omega, x, scheme, end_index):
 
     d = omega.d
     m = x.shape[0]
-    h = scheme.h_vertical * (1.0 + float(np.linalg.norm(omega.values[:, -1])) + float(np.linalg.norm(x)))
+    h = 1e-4 * (1.0 + float(np.linalg.norm(omega.values[:, -1])) + float(np.linalg.norm(x)))
     if v.dt is not None:
         dt_v = float(v.dt(omega, x))
     else:
-        step = scheme.h_horizontal
+        step = 1
         if end_index is not None and omega.t_index + step > end_index:
             base = restrict(omega, omega.t_index - step)
             dt_v = (v(horizontal_extension(base, omega.t_index), x) - v(base, x)) / (step * omega.dt)
@@ -288,7 +287,7 @@ def _reference_mixed_derivatives(v, omega, x, scheme, end_index):
 
 
 def _reference_residual(ap, v, omega, x):
-    dt_v, dg, dgg, dxv, dxxv, dxg = _reference_mixed_derivatives(v, omega, x, FDScheme(), ap.steps)
+    dt_v, dg, dgg, dxv, dxxv, dxg = _reference_mixed_derivatives(v, omega, x, ap.steps)
     v0 = v(omega, x)
     best = -np.inf
     for u in ap.controls:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pathhjb.funcalc import (
-    FDScheme,
     PathFunctional,
     add_functionals,
+    bump_size,
     constant_functional,
     endpoint_functional,
     horizontal_derivative,
@@ -23,13 +23,6 @@ SQUARE = endpoint_functional(
     grad=lambda x: 2.0 * x,
     hess=lambda x: 2.0 * np.eye(x.shape[0]),
 )
-
-
-def test_fdscheme_validation():
-    with pytest.raises(PathError):
-        FDScheme(h_vertical=0.0)
-    with pytest.raises(PathError):
-        FDScheme(h_horizontal=0)
 
 
 def test_vertical_gradient_examples():
@@ -59,20 +52,9 @@ def test_horizontal_derivative_examples():
     assert horizontal_derivative(integ, p) == pytest.approx(0.7, abs=1e-14)
 
 
-def test_horizontal_derivative_terminal_convention():
-    # at the final grid node the quotient moves one node left
-    clock = PathFunctional(eval=lambda q: q.t)
-    p = Path(np.array([[0.0, 0.0, 0.0]]), 0.25)
-    assert horizontal_derivative(clock, p, end_index=2) == pytest.approx(1.0)
-    single = Path(np.array([[0.0]]), 0.25)
-    with pytest.raises(PathError):
-        horizontal_derivative(clock, single, end_index=0)
-
-
 def test_fd_matches_analytic_on_gauge_family():
     rng = np.random.default_rng(0)
     g = GaugeParams(3, 3.0)
-    scheme = FDScheme()
     checked = 0
     while checked < 50:
         anchor = Path(rng.normal(size=(2, 3)) * 0.5, 0.25)
@@ -80,13 +62,13 @@ def test_fd_matches_analytic_on_gauge_family():
         e = np.linalg.norm(p.values[:, -1] - anchor.values[:, -1])
         ext = np.concatenate([anchor.values, np.tile(anchor.values[:, -1:], (1, 2))], axis=1)
         interior = np.sqrt(((p.values[:, :-1] - ext[:, :-1]) ** 2).sum(axis=0)).max()
-        if abs(e - interior) < 10 * scheme.bump_size(p) or e < 1e-6:
+        if abs(e - interior) < 10 * bump_size(p) or e < 1e-6:
             continue
         f = upsilon_functional(anchor, g)
         an = grad_upsilon(p, anchor, g)
-        assert np.linalg.norm(vertical_gradient(f, p, scheme) - an) <= 1e-6 * max(1.0, np.linalg.norm(an))
+        assert np.linalg.norm(vertical_gradient(f, p) - an) <= 1e-6 * max(1.0, np.linalg.norm(an))
         anh = hess_upsilon(p, anchor, g)
-        assert np.linalg.norm(vertical_hessian(f, p, scheme) - anh) <= 1e-4 * max(1.0, np.linalg.norm(anh))
+        assert np.linalg.norm(vertical_hessian(f, p) - anh) <= 1e-4 * max(1.0, np.linalg.norm(anh))
         checked += 1
 
 
@@ -182,7 +164,7 @@ def test_ito_check_fd_fallback_close_to_analytic():
 # control stepper.
 
 
-def _reference_ito_check(f, drift, diffusion, p0, end_index, n_paths, seed, scheme=FDScheme()):
+def _reference_ito_check(f, drift, diffusion, p0, end_index, n_paths, seed):
     from pathhjb.funcalc import space_gradient, space_hessian, time_derivative
 
     rng = np.random.default_rng(seed)
@@ -206,9 +188,9 @@ def _reference_ito_check(f, drift, diffusion, p0, end_index, n_paths, seed, sche
             if draws is None:
                 draws = rng.normal(0.0, sqdt, size=(n_steps, sig.shape[1]))
             dx = b * dt + sig @ draws[k - k0]
-            dtf = time_derivative(f, pk, scheme)
-            dxf = space_gradient(f, pk, scheme)
-            dxxf = space_hessian(f, pk, scheme)
+            dtf = time_derivative(f, pk)
+            dxf = space_gradient(f, pk)
+            dxxf = space_hessian(f, pk)
             acc += dtf * dt + 0.5 * float(np.trace(dxxf @ (sig @ sig.T))) * dt + float(dxf @ dx)
             vals[:, k + 1] = vals[:, k] + dx
         vals.setflags(write=False)

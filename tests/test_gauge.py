@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathhjb.funcalc import FDScheme, vertical_gradient, vertical_hessian
+from pathhjb.funcalc import bump_size, vertical_gradient, vertical_hessian
 from pathhjb.gauge import (
     GaugeParams,
     grad_power,
@@ -35,7 +35,7 @@ def _interior_sup(p: Path, anchor: Path) -> float:
     return float(np.sqrt(((a - b)[:, :-1] ** 2).sum(axis=0)).max())
 
 
-def _nonboundary_pair(rng, g, scheme, d_max=3, scale=0.5):
+def _nonboundary_pair(rng, g, d_max=3, scale=0.5):
     # random (path, anchor) away from the branch boundary and the singular
     # set; the band is relative because the closed-form gradient degenerates
     # (and FD truncation dominates) as the two branches meet
@@ -49,7 +49,7 @@ def _nonboundary_pair(rng, g, scheme, d_max=3, scale=0.5):
         big = _joint_gap(p, anchor)
         if big < 1e-8 or e < 1e-6:
             continue
-        if abs(e - interior) > max(10 * scheme.bump_size(p), 0.05 * (1.0 + big)):
+        if abs(e - interior) > max(10 * bump_size(p), 0.05 * (1.0 + big)):
             return p, anchor
 
 
@@ -176,23 +176,21 @@ def test_grad_hess_anchor_time_precondition():
 
 def test_grad_s_matches_fd():
     rng = np.random.default_rng(8)
-    scheme = FDScheme()
     for _ in range(100):
-        p, anchor = _nonboundary_pair(rng, G33, scheme)
+        p, anchor = _nonboundary_pair(rng, G33)
         f = s_functional(anchor, G33)
         an = grad_s(p, anchor, G33)
-        fd = vertical_gradient(f, p, scheme)
+        fd = vertical_gradient(f, p)
         assert np.linalg.norm(an - fd) <= 1e-6 * max(1.0, np.linalg.norm(an))
 
 
 def test_hess_s_matches_fd():
     rng = np.random.default_rng(9)
-    scheme = FDScheme()
     for _ in range(100):
-        p, anchor = _nonboundary_pair(rng, G33, scheme)
+        p, anchor = _nonboundary_pair(rng, G33)
         f = s_functional(anchor, G33)
         an = hess_s(p, anchor, G33)
-        fd = vertical_hessian(f, p, scheme)
+        fd = vertical_hessian(f, p)
         assert np.linalg.norm(an - fd) <= 1e-4 * max(1.0, np.linalg.norm(an))
 
 
@@ -210,7 +208,6 @@ def test_power_derivatives_match_fd():
     from pathhjb.funcalc import endpoint_functional
 
     rng = np.random.default_rng(10)
-    scheme = FDScheme()
     for _ in range(100):
         d = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
@@ -219,18 +216,17 @@ def test_power_derivatives_match_fd():
         if np.linalg.norm(p.values[:, -1] - a) < 1e-2:
             continue
         f = endpoint_functional(lambda x, a=a, m=m: float(np.linalg.norm(x - a) ** (2 * m)))
-        fd = vertical_gradient(f, p, scheme)
+        fd = vertical_gradient(f, p)
         an = grad_power(p, a, m)
         assert np.linalg.norm(fd - an) <= 1e-6 * max(1.0, np.linalg.norm(an))
-        fdh = vertical_hessian(f, p, scheme)
+        fdh = vertical_hessian(f, p)
         anh = hess_power(p, a, m)
         assert np.linalg.norm(fdh - anh) <= 1e-4 * max(1.0, np.linalg.norm(anh))
 
 
 def test_upsilon_functional_consistency():
     rng = np.random.default_rng(11)
-    scheme = FDScheme()
-    p, anchor = _nonboundary_pair(rng, G33, scheme)
+    p, anchor = _nonboundary_pair(rng, G33)
     f = upsilon_functional(anchor, G33)
     assert f.eval(p) == upsilon(p, anchor, G33)
     assert np.allclose(f.analytic_dx(p), grad_upsilon(p, anchor, G33))

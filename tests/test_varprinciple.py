@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pathhjb.funcalc import PathFunctional
-from pathhjb.gauge import upsilon_bar
-from pathhjb.pathspace import Path, PathError
+from pathhjb.funcalc import PathFunctional, constant_functional
+from pathhjb.gauge import upsilon, upsilon_bar
+from pathhjb.pathspace import Path, PathError, horizontal_extension
 from pathhjb.sampling import random_path
 from pathhjb.varprinciple import CandidateSet, borwein_preiss, verify_bp
 
@@ -174,3 +174,18 @@ def test_duplicate_candidates_are_collapsed():
     start = max(items, key=f.eval)
     res = borwein_preiss(f, upsilon_bar, None, 0.5, start, domain)
     assert verify_bp(res, f, upsilon_bar, None, 0.5, start, domain)
+
+
+def test_flat_gauge_runs_rounds_down_to_the_diameter_floor():
+    # upsilon is 0 between a path and its horizontal extensions, so no round
+    # can isolate a candidate: the set only shrinks through the diameter bound
+    start = random_path(np.random.default_rng(12), 1, 0.1, 2)
+    domain = CandidateSet((start,) + tuple(horizontal_extension(start, k) for k in range(3, 7)))
+    f = constant_functional(0.0)
+    res = borwein_preiss(f, upsilon, None, 0.5, start, domain)
+    assert res.rounds == 39  # first i with 0.5 / 2^i below the 1e-12 floor
+    assert res.tail_bound == 0.5 / 2.0**39 < 1e-12
+    assert res.optimum == start
+    assert verify_bp(res, f, upsilon, None, 0.5, start, domain)
+    with pytest.raises(PathError, match="failed to settle"):
+        borwein_preiss(f, upsilon, None, 1e30, start, domain)
