@@ -22,7 +22,7 @@ from pathlib import Path as FsPath
 import numpy as np
 import yaml
 
-from . import gauge, varprinciple
+from . import gauge
 from .bshjb import remark64_check
 from .control import (
     BlowupError,
@@ -33,7 +33,7 @@ from .control import (
     value,
     value_with_strategy,
 )
-from .expressions import ExpressionError, compile_expression, path_context
+from .expressions import ExpressionError, inline_problem
 from .funcalc import PathFunctional, endpoint_functional, ito_check
 from .gauge import GaugeParams
 from .pathspace import GridConfig, Path, PathError
@@ -153,14 +153,6 @@ _INLINE_TYPES = {"drift": [""], "diffusion": [[""]], "generator": "", "terminal"
 
 _PROBLEM_DEFAULT = {"preset": "lq", "inline": dict.fromkeys(_INLINE_TYPES)}
 
-_PATH_VARS = frozenset(
-    ["t", "T", "dt", "x", "rmax", "rint"]
-    + [f"x{i}" for i in range(10)]
-    + [f"rint{i}" for i in range(10)]
-)
-_COEFF_VARS = _PATH_VARS | frozenset({"u"})
-_GEN_VARS = _COEFF_VARS | frozenset({"y", "z"} | {f"z{i}" for i in range(10)})
-
 
 def _grid_from(config: dict) -> GridConfig:
     return GridConfig(**config["grid"])
@@ -174,48 +166,7 @@ def _problem_from(config: dict, grid: GridConfig) -> ControlProblem:
     missing = [k for k, v in inline.items() if v is None]
     if missing:
         raise ConfigError(f"inline problem is missing keys: {missing}")
-    inline = _merge_config(_INLINE_TYPES, inline, "problem.inline.")
-    drift_fns = [compile_expression(e, _COEFF_VARS) for e in inline["drift"]]
-    diff_fns = [[compile_expression(e, _COEFF_VARS) for e in row] for row in inline["diffusion"]]
-    gen_fn = compile_expression(inline["generator"], _GEN_VARS)
-    term_fn = compile_expression(inline["terminal"], _PATH_VARS)
-    if len(drift_fns) != grid.dim or len(diff_fns) != grid.dim:
-        raise ConfigError("drift/diffusion rows must match grid.dim")
-    if any(len(row) != grid.noise_dim for row in diff_fns):
-        raise ConfigError("diffusion columns must match grid.noise_dim")
-
-    horizon = grid.horizon
-
-    def drift(p, u):
-        env = path_context(p, horizon)
-        env["u"] = float(u)
-        return np.array([f(env) for f in drift_fns])
-
-    def diffusion(p, u):
-        env = path_context(p, horizon)
-        env["u"] = float(u)
-        return np.array([[f(env) for f in row] for row in diff_fns])
-
-    def generator(p, y, z, u):
-        env = path_context(p, horizon)
-        env["u"] = float(u)
-        env["y"] = float(y)
-        for i in range(z.shape[0]):
-            env[f"z{i}"] = float(z[i])
-        env["z"] = float(z[0])
-        return gen_fn(env)
-
-    def terminal(p):
-        return term_fn(path_context(p, horizon))
-
-    return ControlProblem(
-        drift=drift,
-        diffusion=diffusion,
-        generator=generator,
-        terminal=terminal,
-        controls=tuple(inline["controls"]),
-        grid=grid,
-    )
+    return inline_problem(_merge_config(_INLINE_TYPES, inline, "problem.inline."), grid)
 
 
 # ---------------------------------------------------------------------------

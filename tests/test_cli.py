@@ -191,7 +191,8 @@ def _expressions(names):
     return st.recursive(leaves, extend, max_leaves=5)
 
 
-_PATH_NAMES = {"t", "T", "dt", "x", "rmax", "rint"}
+# x1, rint1 and z1 name coordinates the one-dimensional fuzzed grid does not have
+_PATH_NAMES = {"t", "T", "dt", "x", "rmax", "rint", "x0", "x1", "rint0", "rint1"}
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,7 +202,7 @@ _PATH_NAMES = {"t", "T", "dt", "x", "rmax", "rint"}
     start=st.sampled_from([-1.0, 0.0, 0.5]),
     drift=_expressions(_PATH_NAMES | {"u"}),
     diffusion=_expressions(_PATH_NAMES | {"u"}),
-    generator=_expressions(_PATH_NAMES | {"u", "y", "z"}),
+    generator=_expressions(_PATH_NAMES | {"u", "y", "z", "z0", "z1"}),
     terminal=_expressions(_PATH_NAMES),
     controls=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=1, max_size=3),
 )
@@ -309,6 +310,19 @@ _PINNED = {
         [],
         "4927b0b5a1a0c22cfa525b3351be245999d43f1dfb2746a78328edd0ba11da3d",
         "09de4a3113ef62fd5707def5650636258d51938edfbb3f67fdddfaf33b94b165",
+    ),
+    # the inline grammar on path-dependent coefficients: rint, rmax, y and z
+    "value-inline": (
+        "value",
+        [
+            'problem.inline.drift=["0.2*tanh(rint) + 0.1*u"]',
+            'problem.inline.diffusion=[["0.5 + 0.1*tanh(rmax)"]]',
+            "problem.inline.generator=0.1*tanh(y) + 0.05*z - 0.1*u*u",
+            "problem.inline.terminal=tanh(x) + 0.1*rmax + 0.05*sin(rint)",
+            "problem.inline.controls=[0.0, 1.0]",
+        ],
+        "df8014d3d693d23b2ea5aee833d4a70d002c3e48d07229068ef0219fe60991b2",
+        "fd33c0be84c1dab7803ed7bc651a15d9ead6bf822a3f9eb99561083b91976ce4",
     ),
 }
 
@@ -459,6 +473,35 @@ def test_inline_expression_rejects_unknown_names(tmp_path):
         )
     )
     assert main(["value", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [{"drift": ["x3"]}, {"terminal": "rint1"}, {"generator": "z4"}],
+)
+def test_names_the_grid_does_not_bind_are_config_errors(coeffs, tmp_path, capsys):
+    # the default grid has dim 1 and noise_dim 1
+    assert main(["value", "--config", _inline(tmp_path, **coeffs), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown variable")
+
+
+def test_a_two_dimensional_inline_problem_names_its_second_coordinate(tmp_path):
+    coeffs = {
+        "drift": ["0.1*u + 0.2*tanh(x1)", "0.3*tanh(rint1) - 0.1*u"],
+        "diffusion": [["0.5"], ["0.4 + 0.1*tanh(x0)"]],
+        "generator": "0.1*tanh(y) - 0.1*u*u",
+        "terminal": "tanh(x1) + 0.1*rint1 + 0.1*rmax",
+    }
+    argv = ["value", "--config", _inline(tmp_path, **coeffs), "--override", "grid.dim=2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert (tmp_path / "value.csv").read_text().splitlines()[1] == "0.07264084972520389,0"
+
+
+@pytest.mark.parametrize("depth", [1000, 3000])
+def test_deeply_nested_expressions_are_config_errors(depth, tmp_path, capsys):
+    assert main(["value", "--config", _inline(tmp_path, drift=["-" * depth + "u"]), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "nested too deeply" in err
 
 
 def test_help_documents_preset(capsys):
