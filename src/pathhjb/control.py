@@ -102,6 +102,15 @@ class ControlProblem:
     drift(path, u) -> (d,), diffusion(path, u) -> (d, n), read through
     ``coeffs``; generator(path, y, z, u) -> real with z a float (n,) array;
     terminal(path at final index) -> real.
+
+    A coefficient may carry an array form as its attribute ``batched``, over
+    ``vals``, an (N, d, K) array of N same-time paths on the grid's dt, and
+    a sequence ``us`` of N controls: drift.batched(vals, us) -> (N, d),
+    diffusion.batched(vals, us) -> (N, d, n), generator.batched(vals, y, z,
+    us) -> (N,) with y (N,) and z (N, n), terminal.batched(vals) -> (N,).
+    The tree engine then reads a whole level in one call. A batch whose array
+    form raises, gives a wrong shape or a non-finite value is redone by the
+    scalar callables, which raise their own errors.
     """
 
     drift: Callable[[Path, object], np.ndarray]
@@ -117,15 +126,42 @@ class ControlProblem:
         object.__setattr__(self, "controls", tuple(self.controls))
 
     def coeffs(self, paths, us) -> tuple[np.ndarray, np.ndarray]:
-        """Drift and diffusion at each (path, u) pair, drift called first, as read-only
-        float arrays of shape (N, d) and (N, d, n); the solvers' only reader of both.
-        A scalar, wrong-length or ragged result raises PathError naming the shapes."""
+        """Drift and diffusion at each (path, u) pair, as read-only float arrays of
+        shape (N, d) and (N, d, n) for N controls ``us``; the solvers' only
+        reader of both. ``paths`` is a sequence of N Paths, or an (M, d, K)
+        array of same-time paths on the grid's dt, each under N / M consecutive
+        controls (a tree level), which the array forms read when both exist.
+        The scalar path calls drift, then diffusion, at each pair. A scalar,
+        wrong-length or ragged result raises PathError naming the shapes."""
+        g = self.grid
+        if isinstance(paths, np.ndarray):
+            reps = len(us) // paths.shape[0]
+            if hasattr(self.drift, "batched") and hasattr(self.diffusion, "batched"):
+                vals = np.repeat(paths, reps, axis=0)
+                b = _try_batch(self.drift, (len(us), g.dim), vals, us)
+                sig = None if b is None else _try_batch(self.diffusion, (len(us), g.dim, g.noise_dim), vals, us)
+                if sig is not None:
+                    return _stack_checked("drift", b, (g.dim,)), _stack_checked("diffusion", sig, (g.dim, g.noise_dim))
+            paths = (path for row in paths for path in itertools.repeat(Path._wrap(row, g.dt), reps))  # one live at a time
         b, sig = [], []
         for path, u in zip(paths, us):
             b.append(self.drift(path, u))
             sig.append(self.diffusion(path, u))
-        g = self.grid
         return _stack_checked("drift", b, (g.dim,)), _stack_checked("diffusion", sig, (g.dim, g.noise_dim))
+
+
+def _try_batch(fn, shape: tuple, *args) -> Optional[np.ndarray]:
+    """``fn.batched(*args)`` as a float array of ``shape``; None when fn has no
+    array form, or it raises, or its value has another shape or is not finite:
+    the scalar path then redoes the batch."""
+    form = getattr(fn, "batched", None)
+    if form is None:
+        return None
+    try:
+        out = np.asarray(form(*args), dtype=float)
+    except Exception:  # the scalar path raises the error, naming its own expression and node
+        return None
+    return out if out.shape == shape and np.isfinite(out).all() else None
 
 
 def _stack_checked(name: str, rows: tuple, shape: tuple) -> np.ndarray:
@@ -206,7 +242,10 @@ def _forward(cp: ControlProblem, root: Path, depth: int, incs: np.ndarray, dt: f
         cur = levels[k]
         count, d, cols = cur.shape
         us = [cp.controls if strategy is None else (strategy.control_at(Path._wrap(row, dt)),) for row in cur]
-        paths = (path for row in cur for path in itertools.repeat(Path._wrap(row, dt), n_u))  # one live at a time
+        if dt == cp.grid.dt:  # the level as one array, for the array forms
+            paths = cur
+        else:
+            paths = (path for row in cur for path in itertools.repeat(Path._wrap(row, dt), n_u))
         bvec, sig = cp.coeffs(paths, [u for u_j in us for u in u_j])
         sig = sig.reshape(count, n_u, d, n).swapaxes(-1, -2)
         steps = cur[:, None, None, :, -1] + bvec.reshape(count, n_u, 1, d) * dt + incs @ sig
@@ -232,9 +271,16 @@ def _forward(cp: ControlProblem, root: Path, depth: int, incs: np.ndarray, dt: f
 def _backward(cp: ControlProblem, levels, ctrls, links, keys, incs: np.ndarray, dt: float, terminal, memo=None):
     """Backward pass Y = E[Y'] + q(path, Y, Z, u) dt, Z = E[Y' dW^T] / dt over
     ``_forward``'s levels. Without ``memo`` returns (y_levels, z_levels); with
-    it each node keeps its first control of maximal Y, recorded in ``memo``."""
+    it each node keeps its first control of maximal Y, recorded in ``memo``.
+    On the grid's dt the terminal and the generator's array forms, where they
+    exist, serve the leaves in one call and each level as one masked fixed
+    point; a batch they fail is redone by the scalar callables."""
+    on_grid = dt == cp.grid.dt
     if callable(terminal):
-        y = np.fromiter((float(terminal(Path._wrap(leaf, dt))) for leaf in levels[-1]), float, len(levels[-1]))
+        n_leaves = levels[-1].shape[0]
+        y = _try_batch(terminal, (n_leaves,), levels[-1]) if on_grid else None
+        if y is None:
+            y = np.fromiter((float(terminal(Path._wrap(leaf, dt))) for leaf in levels[-1]), float, n_leaves)
     else:
         y = np.asarray(terminal, dtype=float)
         if y.shape != (levels[-1].shape[0],):
@@ -248,16 +294,23 @@ def _backward(cp: ControlProblem, levels, ctrls, links, keys, incs: np.ndarray, 
         if links[k] is not None:
             y = y[links[k]]
         yc = y.reshape(count, n_u, b_count)
-        e = yc.mean(axis=-1).tolist()
+        e = yc.mean(axis=-1)
         # Two BLAS calls on purpose: they round differently in the last bit, and the
         # cost (one product over all rows) and value (one per row) outputs are pinned.
         rows = yc.reshape(-1, b_count) if memo is None else yc.reshape(-1, 1, b_count)
         z = (rows @ incs).reshape(count, n_u, n) / (b_count * dt)
-        y_u = np.empty((count, n_u))
-        for j, u_j in enumerate(ctrls[k]):
-            path = Path._wrap(levels[k][j], dt)
-            for i, u in enumerate(u_j):
-                y_u[j, i] = _implicit_step(cp, path, e[j][i], z[j, i], u, dt)
+        y_u = None
+        if on_grid and hasattr(cp.generator, "batched"):
+            us = np.fromiter((u for u_j in ctrls[k] for u in u_j), object, count * n_u)
+            y_u = _implicit_batch(cp, np.repeat(levels[k], n_u, axis=0), e.reshape(-1), z.reshape(-1, n), us, dt)
+        if y_u is None:
+            y_u, e = np.empty((count, n_u)), e.tolist()
+            for j, u_j in enumerate(ctrls[k]):
+                path = Path._wrap(levels[k][j], dt)
+                for i, u in enumerate(u_j):
+                    y_u[j, i] = _implicit_step(cp, path, e[j][i], z[j, i], u, dt)
+        else:
+            y_u = y_u.reshape(count, n_u)
         if memo is None:
             y, z = y_u[:, 0], z[:, 0]
         else:
@@ -318,6 +371,30 @@ def _implicit_step(cp: ControlProblem, path: Path, e_y: float, z: np.ndarray, u,
         f"implicit generator step did not converge in {FIXED_POINT_MAX_ITER} iterations: last step change "
         f"{change:.3e}, observed contraction ratio {change / prev:.3g} (estimates L*dt; check L*dt < 0.5)"
     )
+
+
+def _implicit_batch(cp: ControlProblem, vals: np.ndarray, e_y: np.ndarray, z: np.ndarray, us: np.ndarray, dt: float):
+    """``_implicit_step`` at N (node, control) rows as one masked fixed point on
+    the generator's array form: each row iterates until its own test holds, so
+    each result == the scalar step's. None when the batch must be redone row
+    by row: the form raises, a value is not finite or a row does not converge."""
+    out, rows, y = np.empty_like(e_y), np.arange(e_y.shape[0]), e_y
+    for _ in range(FIXED_POINT_MAX_ITER):
+        q = _try_batch(cp.generator, y.shape, vals, y, z, us)
+        if q is None:
+            return None
+        y_new = e_y + q * dt
+        if not np.isfinite(y_new).all():
+            return None
+        done = np.abs(y_new - y) <= FIXED_POINT_TOL * (1.0 + np.abs(y_new))
+        if done.any():
+            out[rows[done]] = y_new[done]
+            if done.all():
+                return out
+            keep = ~done
+            rows, vals, e_y, z, us, y_new = rows[keep], vals[keep], e_y[keep], z[keep], us[keep], y_new[keep]
+        y = y_new
+    return None
 
 
 def solve_bsde_tree(cp: ControlProblem, tree: NoiseTree, terminal=None) -> BsdeSolution:

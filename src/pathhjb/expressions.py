@@ -14,20 +14,29 @@ Which variables are available depends on the coefficient and on the grid:
 A name the grid does not bind is rejected before anything is evaluated.
 rmax is the running sup of the Euclidean norm of the path; rint_i is the
 running rectangle-rule integral of coordinate i including the current node.
+
+A compiled expression evaluates on (N,) arrays, one element per path. +, -, *
+and unary minus run in numpy, which rounds them as Python does; / raises
+Python's ZeroDivisionError on a zero divisor; ** and every function but abs
+call the Python callable per element, so each element's value or error is
+that of the scalar expression (numpy's exp, log, tanh and ** round
+differently from libm).
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import math
+import operator
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .control import ControlProblem
-from .pathspace import GridConfig, sup_norm
+from .pathspace import GridConfig
 
-__all__ = ["ExpressionError", "compile_expression", "inline_problem", "path_context"]
+__all__ = ["ExpressionError", "compile_expression", "inline_problem"]
 
 
 class ExpressionError(ValueError):
@@ -45,18 +54,48 @@ _FUNCTIONS: dict[str, Callable] = {
     "min": min,
     "max": max,
 }
-# The only names a compiled expression can reach besides its variables.
-_GLOBALS = {"__builtins__": {}, **_FUNCTIONS}
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
-def _check(tree: ast.Expression, variables: frozenset[str]) -> None:
-    """Reject the first node outside the grammar, depth first, and make every
-    numeric constant a float, so no big-int arithmetic can happen."""
-    stack = [tree.body]
-    while stack:
-        node = stack.pop()
+def _is_object(v) -> bool:
+    return isinstance(v, np.ndarray) and v.dtype == object
+
+
+def _div(a, b):
+    """a / b with Python's error on a zero float divisor; operands that carry a
+    complex element are Python-object arrays and divide in Python."""
+    if not (_is_object(a) or _is_object(b)) and np.any(np.equal(b, 0)):
+        raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
+def _elementwise(fn: Callable, nin: int) -> Callable:
+    """fn applied per element through np.frompyfunc. The result is a float array,
+    or a Python-object array when an element is complex, so that later
+    arithmetic on it is Python's."""
+    ufunc = np.frompyfunc(fn, nin, 1)
+
+    def apply(*args):
+        out = np.asarray(ufunc(*args), dtype=object)
+        try:
+            return out.astype(float)
+        except TypeError:  # a complex element
+            return out
+
+    return apply
+
+
+def _check(tree: ast.Expression, variables: frozenset[str]) -> dict:
+    """Reject the first node outside the grammar, depth first; make every
+    numeric constant a float, so no big-int arithmetic can happen; and route /,
+    ** and every function call but abs to its array form. Returns the globals
+    the rewritten tree is evaluated in."""
+    scope = {"__builtins__": {}, **_FUNCTIONS, "_div": _div, "_pow": _elementwise(operator.pow, 2)}
+    slots = [(vars(tree), "body")]  # (fields dict or argument list, key) of each node still to visit
+    while slots:
+        owner, key = slots.pop()
+        node = owner[key]
         if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ExpressionError(f"non-numeric constant {node.value!r}")
@@ -65,63 +104,89 @@ def _check(tree: ast.Expression, variables: frozenset[str]) -> None:
             if node.id not in variables:
                 raise ExpressionError(f"unknown variable {node.id!r} (allowed: {sorted(variables)})")
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            stack.append(node.operand)
+            slots.append((vars(node), "operand"))
         elif isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-            stack += [node.right, node.left]
+            if isinstance(node.op, (ast.Div, ast.Pow)):
+                call = ast.Call(ast.Name("_div" if isinstance(node.op, ast.Div) else "_pow", ast.Load()), [node.left, node.right], [])
+                owner[key] = ast.copy_location(call, node)
+                ast.copy_location(call.func, node)
+                slots += [(call.args, 1), (call.args, 0)]
+            else:
+                slots += [(vars(node), "right"), (vars(node), "left")]
         elif isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
                 raise ExpressionError("only abs/sqrt/exp/log/sin/cos/tanh/min/max calls are allowed")
             if node.keywords:
                 raise ExpressionError("keyword arguments are not allowed")
-            stack += reversed(node.args)
+            n_args = len(node.args)
+            if node.func.id != "abs" and n_args:
+                name = f"{node.func.id}_{n_args}"  # no variable has this shape of name
+                scope[name] = _elementwise(_FUNCTIONS[node.func.id], n_args)
+                node.func.id = name
+            slots += [(node.args, i) for i in reversed(range(n_args))]
         else:
             raise ExpressionError(f"disallowed syntax: {ast.dump(node)}")
+    return scope
 
 
-def compile_expression(text: str, variables: frozenset[str]) -> Callable[[Mapping[str, float]], float]:
-    """Check ``text`` against the grammar and compile it to a callable
-    env -> float over the given variables."""
+def compile_expression(text: str, variables: frozenset[str]) -> Callable[[Mapping], np.ndarray]:
+    """Check ``text`` against the grammar and compile it to a callable env ->
+    value, where env binds the given variables to floats or (N,) float arrays
+    and the value is a float or an (N,) float array."""
     try:
         try:
             tree = ast.parse(text, mode="eval")
         except (SyntaxError, ValueError) as exc:
             raise ExpressionError(f"cannot parse expression {text!r}: {exc}") from None
-        _check(tree, variables)
+        scope = _check(tree, variables)
         code = compile(tree, "<expression>", "eval", dont_inherit=True)
     except (RecursionError, MemoryError):  # raised by Python's parser and compiler on deep nesting
         raise ExpressionError(f"expression of {len(text)} characters is nested too deeply") from None
+    except OverflowError:  # float() of an integer literal
+        raise ExpressionError(f"expression {text!r} has an integer literal that does not fit a float") from None
 
-    def compiled(env: Mapping[str, float]) -> float:
+    def compiled(env: Mapping):
         # log(0), sqrt(-1) and complex powers are faults of the expression, not of its caller
         try:
-            out = eval(code, _GLOBALS, env)
+            with np.errstate(all="ignore"):
+                out = eval(code, scope, env)
         except (ValueError, TypeError) as exc:
             raise ExpressionError(f"expression {text!r} failed to evaluate: {exc}") from None
-        if isinstance(out, complex):
-            raise ExpressionError(f"expression {text!r} evaluated to a complex number")
+        if _is_object(out):
+            if any(isinstance(v, complex) for v in out.flat):
+                raise ExpressionError(f"expression {text!r} evaluated to a complex number")
+            out = out.astype(float)
         return out
 
     return compiled
 
 
-def path_context(path, horizon: float) -> dict[str, float]:
-    """Variable bindings read off a Path: t, T, dt, endpoint, running stats."""
-    env: dict[str, float] = {"t": path.t, "T": horizon, "dt": path.dt}
-    end = path.values[:, -1]
-    for i in range(path.d):
-        env[f"x{i}"] = float(end[i])
-    env["x"] = float(end[0])
-    env["rmax"] = sup_norm(path)
-    rint = path.values.sum(axis=1) * path.dt
-    for i in range(path.d):
-        env[f"rint{i}"] = float(rint[i])
-    env["rint"] = float(rint[0])
+def _path_env(vals: np.ndarray, dt: float, horizon: float) -> dict:
+    """Path variables of N same-time paths, ``vals`` of shape (N, d, K): t, T
+    and dt as floats, the endpoint and running statistics as (N,) arrays."""
+    d, k = vals.shape[1:]
+    env = {"t": (k - 1) * dt, "T": horizon, "dt": dt, "rmax": np.sqrt((vals**2).sum(axis=1)).max(axis=1)}
+    rint = vals.sum(axis=2) * dt
+    for i in range(d):
+        env[f"x{i}"] = vals[:, i, -1]
+        env[f"rint{i}"] = rint[:, i]
+    env["x"], env["rint"] = env["x0"], env["rint0"]
     return env
+
+
+def _columns(fns: list, env: dict, n: int) -> np.ndarray:
+    """(n, len(fns)) array of each expression's values, constants broadcast."""
+    out = np.empty((n, len(fns)))
+    for i, f in enumerate(fns):
+        out[:, i] = f(env)
+    return out
 
 
 def inline_problem(spec: Mapping, grid: GridConfig) -> ControlProblem:
     """The ControlProblem of the CLI's ``problem.inline`` keys: drift, diffusion,
-    generator and terminal expressions over the names ``grid`` binds, and controls."""
+    generator and terminal expressions over the names ``grid`` binds, and
+    controls. Each coefficient carries its array form as ``.batched``, and
+    the scalar callable is its one-row call."""
     if len(spec["drift"]) != grid.dim or len(spec["diffusion"]) != grid.dim:
         raise ExpressionError("drift/diffusion rows must match grid.dim")
     if any(len(row) != grid.noise_dim for row in spec["diffusion"]):
@@ -130,33 +195,47 @@ def inline_problem(spec: Mapping, grid: GridConfig) -> ControlProblem:
     coeff_vars = path_vars | {"u"}
     gen_vars = coeff_vars | {"y", "z"} | {f"z{i}" for i in range(grid.noise_dim)}
     drift_fns = [compile_expression(e, coeff_vars) for e in spec["drift"]]
-    diff_fns = [[compile_expression(e, coeff_vars) for e in row] for row in spec["diffusion"]]
+    diff_fns = [compile_expression(e, coeff_vars) for row in spec["diffusion"] for e in row]
     gen_fn = compile_expression(spec["generator"], gen_vars)
     term_fn = compile_expression(spec["terminal"], path_vars)
-    horizon = grid.horizon
+    horizon, shape = grid.horizon, (grid.dim, grid.noise_dim)
+
+    def coeff_env(vals, us, dt):
+        env = _path_env(vals, dt, horizon)
+        env["u"] = np.asarray(us, dtype=float)
+        return env
+
+    def drift_rows(vals, us, dt):
+        return _columns(drift_fns, coeff_env(vals, us, dt), vals.shape[0])
+
+    def diffusion_rows(vals, us, dt):
+        return _columns(diff_fns, coeff_env(vals, us, dt), vals.shape[0]).reshape(-1, *shape)
+
+    def generator_rows(vals, y, z, us, dt):
+        env = coeff_env(vals, us, dt)
+        env["y"] = y
+        for i in range(z.shape[1]):
+            env[f"z{i}"] = z[:, i]
+        env["z"] = env["z0"]
+        return _columns([gen_fn], env, vals.shape[0])[:, 0]
+
+    def terminal_rows(vals, dt):
+        return _columns([term_fn], _path_env(vals, dt, horizon), vals.shape[0])[:, 0]
 
     def drift(p, u):
-        env = path_context(p, horizon)
-        env["u"] = float(u)
-        return np.array([f(env) for f in drift_fns])
+        return drift_rows(p.values[None], (u,), p.dt)[0]
 
     def diffusion(p, u):
-        env = path_context(p, horizon)
-        env["u"] = float(u)
-        return np.array([[f(env) for f in row] for row in diff_fns])
+        return diffusion_rows(p.values[None], (u,), p.dt)[0]
 
     def generator(p, y, z, u):
-        env = path_context(p, horizon)
-        env["u"] = float(u)
-        env["y"] = float(y)
-        for i in range(z.shape[0]):
-            env[f"z{i}"] = float(z[i])
-        env["z"] = float(z[0])
-        return gen_fn(env)
+        return float(generator_rows(p.values[None], np.array([float(y)]), np.asarray(z, dtype=float).reshape(1, -1), (u,), p.dt)[0])
 
     def terminal(p):
-        return term_fn(path_context(p, horizon))
+        return float(terminal_rows(p.values[None], p.dt)[0])
 
+    for scalar, rows in ((drift, drift_rows), (diffusion, diffusion_rows), (generator, generator_rows), (terminal, terminal_rows)):
+        scalar.batched = functools.partial(rows, dt=grid.dt)
     return ControlProblem(
         drift=drift,
         diffusion=diffusion,

@@ -163,6 +163,14 @@ def test_expression_domain_error_is_config_error(tmp_path, capsys):
     assert main(["value", "--config", _inline(tmp_path, terminal="x\x00"), "--out", str(tmp_path)]) == 2
 
 
+def test_integer_literal_too_large_for_a_float_is_named(tmp_path, capsys):
+    drift = "1" + "0" * 400 + " * u"
+    assert main(["value", "--config", _inline(tmp_path, drift=[drift]), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: expression {drift!r} has an integer literal that does not fit a float")
+    assert not (tmp_path / "value.csv").exists()
+
+
 def test_state_blowup_is_contract_violation(tmp_path):
     assert main(["value", "--config", _inline(tmp_path, drift=["1e300*1e300*u"]), "--out", str(tmp_path)]) == 3
 
