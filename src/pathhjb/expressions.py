@@ -107,9 +107,9 @@ def _check(tree: ast.Expression, variables: frozenset[str]) -> dict:
             slots.append((vars(node), "operand"))
         elif isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
             if isinstance(node.op, (ast.Div, ast.Pow)):
-                call = ast.Call(ast.Name("_div" if isinstance(node.op, ast.Div) else "_pow", ast.Load()), [node.left, node.right], [])
+                func = ast.copy_location(ast.Name("_div" if isinstance(node.op, ast.Div) else "_pow", ast.Load()), node)
+                call = ast.Call(func, [node.left, node.right], [])
                 owner[key] = ast.copy_location(call, node)
-                ast.copy_location(call.func, node)
                 slots += [(call.args, 1), (call.args, 0)]
             else:
                 slots += [(vars(node), "right"), (vars(node), "left")]
@@ -223,13 +223,14 @@ def inline_problem(spec: Mapping, grid: GridConfig) -> ControlProblem:
         return _columns([term_fn], _path_env(vals, dt, horizon), vals.shape[0])[:, 0]
 
     def drift(p, u):
-        return drift_rows(p.values[None], (u,), p.dt)[0]
+        return drift_rows(p.values[None], (float(u),), p.dt)[0]
 
     def diffusion(p, u):
-        return diffusion_rows(p.values[None], (u,), p.dt)[0]
+        return diffusion_rows(p.values[None], (float(u),), p.dt)[0]
 
     def generator(p, y, z, u):
-        return float(generator_rows(p.values[None], np.array([float(y)]), np.asarray(z, dtype=float).reshape(1, -1), (u,), p.dt)[0])
+        z = np.asarray(z, dtype=float).reshape(1, -1)
+        return float(generator_rows(p.values[None], np.array([float(y)]), z, (float(u),), p.dt)[0])
 
     def terminal(p):
         return float(terminal_rows(p.values[None], p.dt)[0])
