@@ -519,15 +519,28 @@ SUBCOMMANDS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, whose help epilog is its default config as YAML,
+    dumped only when the help text is formatted."""
+
+    def __init__(self, *args, config_defaults: dict, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.config_defaults = config_defaults
+
+    def format_help(self) -> str:
+        self.epilog = "default config:\n" + yaml.safe_dump(self.config_defaults, sort_keys=False)
+        return super().format_help()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pathhjb", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_SubcommandParser)
     for name, (defaults, _, help_text, _) in SUBCOMMANDS.items():
         sp = sub.add_parser(
             name,
             help=help_text,
             description=help_text,
-            epilog="default config:\n" + yaml.safe_dump(defaults, sort_keys=False),
+            config_defaults=defaults,
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         sp.add_argument("--config", default=None, help="YAML config file")

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .control import ControlProblem, value
+from .control import ControlProblem, _try_batch, value
 from .funcalc import (
     PathFunctional,
     space_gradient,
@@ -247,9 +247,12 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
     otherwise MarkovProbeError. The reduced coefficients evaluate the path
     coefficients on constant-history paths; off-grid times (the FD solver's
     substeps) are quantized to the nearest grid index k, an O(dt) effect only
-    for coefficients that depend on t explicitly. The constant-history path of
-    each (k, node) is built once, and drift and diffusion are evaluated once
-    per (k, control) and returned read-only.
+    for coefficients that depend on t explicitly. The lattice holds one
+    read-only (nx, 1, k + 1) constant-history array per grid index k and x
+    grid; drift and diffusion are read from it through ``cp.coeffs`` once per
+    (k, control) and returned read-only, and the generator and terminal
+    through their array forms, or, where a form is missing or fails, by one
+    scalar call per node.
     """
     if cp.grid.dim != 1 or cp.grid.noise_dim != 1:
         raise PathError("markovian reduction implemented for d = n = 1")
@@ -276,27 +279,41 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
     def at(t: float, xs: np.ndarray):
         key = (int(round(t / g.dt)), xs.tobytes())
         if key not in lattice:
-            lattice[key] = [Path.constant(x, key[0], g.dt) for x in xs]
+            if not np.isfinite(xs).all():
+                raise PathError("path values must be finite")
+            vals = np.repeat(np.asarray(xs, dtype=float)[:, None, None], key[0] + 1, axis=2)
+            vals.setflags(write=False)
+            lattice[key] = vals
         return key, lattice[key]
 
     memo: dict = {}
 
     def coeffs(t: float, xs: np.ndarray, u) -> tuple:
-        key, paths = at(t, xs)
+        key, vals = at(t, xs)
         if (key, u) not in memo:
-            b, sig = cp.coeffs(paths, (u,) * len(paths))
+            b, sig = cp.coeffs(vals, (u,) * len(vals))
             memo[key, u] = b[:, 0], sig[:, 0, 0]
         return memo[key, u]
 
     def generator(t, xs, y, z, u) -> np.ndarray:
-        z = np.asarray(z, dtype=float).reshape(-1, 1)
-        return np.array([float(cp.generator(p, yi, zi, u)) for p, yi, zi in zip(at(t, xs)[1], y, z, strict=True)])
+        vals = at(t, xs)[1]
+        y, z = np.asarray(y, dtype=float), np.asarray(z, dtype=float).reshape(-1, 1)
+        out = _try_batch(cp.generator, y.shape, vals, y, z, (u,) * len(vals))
+        if out is None:
+            rows = zip(vals, y, z, strict=True)
+            out = np.array([float(cp.generator(Path._wrap(row, g.dt), yi, zi, u)) for row, yi, zi in rows])
+        return out
+
+    def terminal(xs) -> np.ndarray:
+        vals = at(g.horizon, xs)[1]
+        out = _try_batch(cp.terminal, xs.shape, vals)
+        return np.array([float(cp.terminal(Path._wrap(row, g.dt))) for row in vals]) if out is None else out
 
     return MarkovProblem(
         drift=lambda t, xs, u: coeffs(t, xs, u)[0],
         diffusion=lambda t, xs, u: coeffs(t, xs, u)[1],
         generator=generator,
-        terminal=lambda xs: np.array([float(cp.terminal(p)) for p in at(g.horizon, xs)[1]]),
+        terminal=terminal,
         controls=cp.controls,
         grid=g,
     )

@@ -4,6 +4,10 @@ suite, plus seeded random instance factories.
 Every preset is desk-scale: one-dimensional state and noise unless stated,
 bounded coefficients, finite control sets. The *_solution builders return the
 matching classical solutions with analytic derivatives.
+
+Each coefficient of a named preset carries its array form (``batched``, see
+ControlProblem), whose every element == the scalar value: powers of the
+endpoint are taken by Python per element, as numpy's ** rounds differently.
 """
 
 from __future__ import annotations
@@ -39,12 +43,43 @@ def _one_dimensional(grid: GridConfig) -> GridConfig:
     return grid
 
 
+def _with_form(scalar, form):
+    """``scalar`` carrying the array form ``form`` as its ``batched``."""
+    scalar.batched = form
+    return scalar
+
+
+def _unit_noise():
+    return _with_form(lambda p, u: np.array([[1.0]]), lambda vals, us: np.ones((vals.shape[0], 1, 1)))
+
+
+def _zero_generator():
+    return _with_form(lambda p, y, z, u: 0.0, lambda vals, y, z, us: np.zeros(vals.shape[0]))
+
+
+def _control_drift():
+    """Drift u."""
+    return _with_form(lambda p, u: np.array([float(u)]), lambda vals, us: np.asarray(us, dtype=float).reshape(-1, 1))
+
+
+def _endpoint_terminal(fn, form=None):
+    """Terminal fn(x) of the endpoint x as a float. Its array form applies
+    ``form`` to the (N,) endpoints or, by default, fn per element."""
+    if form is None:
+        per_element = np.frompyfunc(fn, 1, 1)
+
+        def form(xs):
+            return per_element(xs).astype(float)
+
+    return _with_form(lambda p: fn(float(p.values[0, -1])), lambda vals: form(vals[:, 0, -1]))
+
+
 def _uncontrolled(grid: GridConfig, terminal) -> ControlProblem:
     """Zero drift, unit noise, zero generator and the single control 0."""
     return ControlProblem(
-        drift=lambda p, u: np.zeros(1),
-        diffusion=lambda p, u: np.array([[1.0]]),
-        generator=lambda p, y, z, u: 0.0,
+        drift=_with_form(lambda p, u: np.zeros(1), lambda vals, us: np.zeros((vals.shape[0], 1))),
+        diffusion=_unit_noise(),
+        generator=_zero_generator(),
         terminal=terminal,
         controls=(0.0,),
         grid=_one_dimensional(grid),
@@ -60,11 +95,15 @@ def lq_problem(grid: GridConfig) -> ControlProblem:
     The per-node argmax of u - u^2 is path-independent, so open-loop
     enumeration attains the feedback value.
     """
+    def reward(vals, y, z, us):
+        u = np.asarray(us, dtype=float)
+        return -u * u
+
     return ControlProblem(
-        drift=lambda p, u: np.array([u]),
-        diffusion=lambda p, u: np.array([[1.0]]),
-        generator=lambda p, y, z, u: -u * u,
-        terminal=lambda p: float(p.values[0, -1]),
+        drift=_control_drift(),
+        diffusion=_unit_noise(),
+        generator=_with_form(lambda p, y, z, u: -u * u, reward),
+        terminal=_endpoint_terminal(float, np.array),
         controls=_LQ_CONTROLS,
         grid=_one_dimensional(grid),
     )
@@ -83,7 +122,7 @@ def lq_solution(grid: GridConfig) -> PathFunctional:
 
 def heat_problem(grid: GridConfig) -> ControlProblem:
     """Uncontrolled unit-noise martingale dynamics with terminal x^2."""
-    return _uncontrolled(grid, lambda p: float(p.values[0, -1]) ** 2)
+    return _uncontrolled(grid, _endpoint_terminal(lambda x: x**2))
 
 
 def heat_solution(grid: GridConfig) -> PathFunctional:
@@ -98,7 +137,7 @@ def heat_solution(grid: GridConfig) -> PathFunctional:
 
 def quartic_problem(grid: GridConfig) -> ControlProblem:
     """Heat dynamics with terminal x^4 (genuine discretization error)."""
-    return _uncontrolled(grid, lambda p: float(p.values[0, -1]) ** 4)
+    return _uncontrolled(grid, _endpoint_terminal(lambda x: x**4))
 
 
 def quartic_closed_form(x: float, t: float, horizon: float) -> float:
@@ -109,7 +148,7 @@ def quartic_closed_form(x: float, t: float, horizon: float) -> float:
 
 def martingale_problem(grid: GridConfig) -> ControlProblem:
     """Unit-noise martingale with terminal endpoint value."""
-    return _uncontrolled(grid, lambda p: float(p.values[0, -1]))
+    return _uncontrolled(grid, _endpoint_terminal(float, np.array))
 
 
 def martingale_solution(grid: GridConfig) -> PathFunctional:
@@ -118,7 +157,8 @@ def martingale_solution(grid: GridConfig) -> PathFunctional:
 
 def running_cost_problem(grid: GridConfig) -> ControlProblem:
     """Unit-noise martingale paying the running rectangle integral at T."""
-    return _uncontrolled(grid, running_integral_functional().eval)
+    dt = grid.dt
+    return _uncontrolled(grid, _with_form(running_integral_functional().eval, lambda vals: vals[:, 0].sum(axis=1) * dt))
 
 
 def running_cost_solution(grid: GridConfig) -> PathFunctional:
@@ -140,10 +180,10 @@ def running_cost_solution(grid: GridConfig) -> PathFunctional:
 def bangbang_problem(grid: GridConfig) -> ControlProblem:
     """Bang-bang drift u in {-1, +1}, unit noise, terminal |x|."""
     return ControlProblem(
-        drift=lambda p, u: np.array([float(u)]),
-        diffusion=lambda p, u: np.array([[1.0]]),
-        generator=lambda p, y, z, u: 0.0,
-        terminal=lambda p: abs(float(p.values[0, -1])),
+        drift=_control_drift(),
+        diffusion=_unit_noise(),
+        generator=_zero_generator(),
+        terminal=_endpoint_terminal(abs, np.abs),
         controls=(-1.0, 1.0),
         grid=_one_dimensional(grid),
     )

@@ -319,6 +319,25 @@ _PINNED = {
         "4927b0b5a1a0c22cfa525b3351be245999d43f1dfb2746a78328edd0ba11da3d",
         "09de4a3113ef62fd5707def5650636258d51938edfbb3f67fdddfaf33b94b165",
     ),
+    # the named presets, read through their array forms
+    "value": (
+        "value",
+        [],
+        "ac8412b3f9bd2974c78d5332f0e8878d9ae78d9459d9feddc4057d39af1204fc",
+        "80506987a395e799cf77d75879a62792094ce4cd67a6189faf69139a69bc5f2b",
+    ),
+    "dpp": (
+        "dpp",
+        [],
+        "a0ccc9fcd88b968e2a81d521ea73e2b4761d562666ad694c704429ec1ee83892",
+        "dd634cf1aca308230fc878369bc196a949361fec1cd3dec3ff43d10be424d039",
+    ),
+    "value-bangbang": (
+        "value",
+        ["problem.preset=bangbang"],
+        "58534c7d0ad1c208511d78740ac4bd77244ac3c53d92dd791f5656dcb89ed158",
+        "eabd3de0aeb11f6cc96e6399e7a5ab3d98bb900fdfdc187678b70ef0adc01191",
+    ),
     # the inline grammar on path-dependent coefficients: rint, rmax, y and z
     "value-inline": (
         "value",
@@ -520,3 +539,20 @@ def test_help_documents_preset(capsys):
     out = capsys.readouterr().out
     assert "default config" in out
     assert "pairs" in out
+
+
+def test_only_help_dumps_the_default_configs(monkeypatch, tmp_path, capsys):
+    calls = []
+    dump = yaml.safe_dump
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dump(*args, **kwargs)
+
+    monkeypatch.setattr(yaml, "safe_dump", counted)
+    assert _run("value", tmp_path) == 0
+    assert calls == []
+    with pytest.raises(SystemExit) as exc:
+        main(["value", "--help"])
+    assert exc.value.code == 0
+    assert len(calls) == 1 and "default config" in capsys.readouterr().out

@@ -473,7 +473,8 @@ def test_markov_consistency_work_is_bounded_by_the_lattice(monkeypatch):
     base = heat_problem(grid)
     p = Path.constant(0.3, 0, grid.dt)
     xg = XGrid(-4.0, 4.0, 41)
-    counts = {"drift": 0, "diffusion": 0, "paths": 0}
+    names = ("drift", "diffusion", "drift.batched", "diffusion.batched", "paths")
+    counts = dict.fromkeys(names, 0)
     in_tree = [False]
 
     def counted(name, fn):
@@ -483,6 +484,11 @@ def test_markov_consistency_work_is_bounded_by_the_lattice(monkeypatch):
 
         return wrapper
 
+    def with_counted_form(name, fn):
+        wrapper = counted(name, fn)
+        wrapper.batched = counted(f"{name}.batched", fn.batched)
+        return wrapper
+
     def tree_value(*args, **kwargs):
         in_tree[0] = True
         try:
@@ -490,20 +496,27 @@ def test_markov_consistency_work_is_bounded_by_the_lattice(monkeypatch):
         finally:
             in_tree[0] = False
 
-    cp = dataclasses.replace(base, drift=counted("drift", base.drift), diffusion=counted("diffusion", base.diffusion))
     monkeypatch.setattr(Path, "constant", classmethod(counted("paths", Path.constant.__func__)))
     monkeypatch.setattr(phjb, "value", tree_value)
-    markovian_reduction(cp)
-    probes = dict(counts)
-    # eight history probes, each comparing a shuffled and a constant history
-    assert probes == {"drift": 16, "diffusion": 16, "paths": 8}
-    counts.update(drift=0, diffusion=0, paths=0)
-    rep = markov_consistency(cp, p, xg)
-    assert rep.residual <= rep.error_bound
-    lattice = (grid.steps + 1) * xg.nx
-    assert counts["paths"] - probes["paths"] == lattice
-    assert counts["drift"] - probes["drift"] <= lattice * len(cp.controls)
-    assert counts["diffusion"] - probes["diffusion"] <= lattice * len(cp.controls)
+    lattice, per_index = (grid.steps + 1) * xg.nx, (grid.steps + 1) * len(base.controls)
+    for wrap in (with_counted_form, counted):
+        cp = dataclasses.replace(base, drift=wrap("drift", base.drift), diffusion=wrap("diffusion", base.diffusion))
+        counts.update(dict.fromkeys(names, 0))
+        markovian_reduction(cp)
+        # eight history probes, each comparing a shuffled and a constant history on the scalar callables
+        probes = {"drift": 16, "diffusion": 16, "drift.batched": 0, "diffusion.batched": 0, "paths": 8}
+        assert counts == probes
+        counts.update(dict.fromkeys(names, 0))
+        rep = markov_consistency(cp, p, xg)
+        assert rep.residual <= rep.error_bound
+        # the lattice is one constant-history array per grid index: no path beyond the probes
+        assert counts["paths"] == probes["paths"]
+        if wrap is with_counted_form:
+            assert counts["drift"] == counts["diffusion"] == 16
+            assert 0 < counts["drift.batched"] <= per_index and 0 < counts["diffusion.batched"] <= per_index
+        else:
+            assert counts["drift"] - probes["drift"] <= lattice * len(cp.controls)
+            assert counts["diffusion"] - probes["diffusion"] <= lattice * len(cp.controls)
 
 
 def test_comparison_psi_examples():
