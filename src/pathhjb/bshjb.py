@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .control import ControlProblem, ControlStrategy, cost, value
+from .control import ControlProblem, ControlStrategy, _stack_checked, cost, value
 from .funcalc import PathFunctional
 from .pathspace import GridConfig, Path, PathError
 from .phjb import phjb_residual
@@ -33,9 +33,11 @@ __all__ = [
 @dataclass(frozen=True)
 class AugmentedProblem:
     """Coefficients of a problem path-dependent in the noise, state-dependent
-    in x: base_drift(omega_path, x, u) -> (m,), base_diffusion -> (m, d),
-    base_generator(omega_path, x, y, z, u) -> real with z a d-vector,
-    base_terminal(omega_path at horizon, x) -> real.
+    in x, as array forms (see ControlProblem) over N noise paths ``omega``,
+    an (N, d, K) array, their states ``x``, an (N, m) array, and N controls
+    ``us``: base_drift(omega, x, us) -> (N, m), base_diffusion(omega, x, us)
+    -> (N, m, d), base_generator(omega, x, y, z, us) -> (N,) with y (N,) and
+    z (N, d), base_terminal(omega at horizon, x) -> (N,).
     """
 
     base_drift: Callable
@@ -82,27 +84,19 @@ def augment(ap: AugmentedProblem) -> ControlProblem:
     """
     d, m = ap.noise_dim, ap.state_dim
 
-    def drift(p: Path, u) -> np.ndarray:
-        omega, xi = split_path(p, d)
-        b = np.atleast_1d(np.asarray(ap.base_drift(omega, xi.values[:, -1], u), dtype=float))
-        if b.shape != (m,):
-            raise PathError(f"base drift must return an ({m},) vector")
-        return np.concatenate([np.zeros(d), b])
+    def drift(vals, us):
+        b = _stack_checked("base drift", ap.base_drift(vals[:, :d], vals[:, d:, -1], us), (vals.shape[0], m))
+        return np.concatenate([np.zeros((vals.shape[0], d)), b], axis=1)
 
-    def diffusion(p: Path, u) -> np.ndarray:
-        omega, xi = split_path(p, d)
-        s = np.atleast_2d(np.asarray(ap.base_diffusion(omega, xi.values[:, -1], u), dtype=float))
-        if s.shape != (m, d):
-            raise PathError(f"base diffusion must return an ({m}, {d}) matrix")
-        return np.vstack([np.eye(d), s])
+    def diffusion(vals, us):
+        s = _stack_checked("base diffusion", ap.base_diffusion(vals[:, :d], vals[:, d:, -1], us), (vals.shape[0], m, d))
+        return np.concatenate([np.broadcast_to(np.eye(d), (vals.shape[0], d, d)), s], axis=1)
 
-    def gen(p: Path, y: float, z: np.ndarray, u) -> float:
-        omega, xi = split_path(p, d)
-        return float(ap.base_generator(omega, xi.values[:, -1], y, z, u))
+    def gen(vals, y, z, us):
+        return ap.base_generator(vals[:, :d], vals[:, d:, -1], y, z, us)
 
-    def term(p: Path) -> float:
-        omega, xi = split_path(p, d)
-        return float(ap.base_terminal(omega, xi.values[:, -1]))
+    def term(vals):
+        return ap.base_terminal(vals[:, :d], vals[:, d:, -1])
 
     return ControlProblem(
         drift=drift,
@@ -115,24 +109,24 @@ def augment(ap: AugmentedProblem) -> ControlProblem:
 
 
 def _check_xu_free(ap: AugmentedProblem) -> None:
+    """Probe six random noise paths, each at three states under every control,
+    in one generator and one terminal call per path."""
     rng = np.random.default_rng(0)
-    d = ap.noise_dim
-    dt = ap.horizon / ap.steps
+    d, n_u = ap.noise_dim, len(ap.controls)
     for _ in range(6):
         k = int(rng.integers(0, ap.steps + 1))
-        omega = Path(rng.normal(size=(d, k + 1)), dt)
+        omega = rng.normal(size=(1, d, k + 1))
         y = float(rng.normal())
         z = rng.normal(size=d)
-        xs = [rng.normal(size=ap.state_dim) for _ in range(3)]
-        q_ref = ap.base_generator(omega, xs[0], y, z, ap.controls[0])
-        for x in xs:
-            for u in ap.controls:
-                if abs(ap.base_generator(omega, x, y, z, u) - q_ref) > 1e-12:
-                    raise PathError("generator depends on x or u; reduction check not applicable")
-        f_ref = ap.base_terminal(omega, xs[0])
-        for x in xs:
-            if abs(ap.base_terminal(omega, x) - f_ref) > 1e-12:
-                raise PathError("terminal depends on x; reduction check not applicable")
+        xs = np.array([rng.normal(size=ap.state_dim) for _ in range(3)])
+        n = 3 * n_u  # rows (x, u), x-major
+        args = np.repeat(omega, n, axis=0), np.repeat(xs, n_u, axis=0), np.full(n, y), np.tile(z, (n, 1)), ap.controls * 3
+        q = _stack_checked("base generator", ap.base_generator(*args), (n,))
+        if np.any(np.abs(q - q[0]) > 1e-12):
+            raise PathError("generator depends on x or u; reduction check not applicable")
+        f = _stack_checked("base terminal", ap.base_terminal(np.repeat(omega, 3, axis=0), xs), (3,))
+        if np.any(np.abs(f - f[0]) > 1e-12):
+            raise PathError("terminal depends on x; reduction check not applicable")
 
 
 def remark64_check(ap: AugmentedProblem, p_omega: Path) -> float:
@@ -147,21 +141,20 @@ def remark64_check(ap: AugmentedProblem, p_omega: Path) -> float:
     if p_omega.d != ap.noise_dim:
         raise PathError("noise path dimension must match the problem noise_dim")
     _check_xu_free(ap)
-    d = ap.noise_dim
+    d, m = ap.noise_dim, ap.state_dim
     u0 = ap.controls[0]
-    x_fill = np.zeros(ap.state_dim)
 
     noise_cp = ControlProblem(
-        drift=lambda p, u: np.zeros(d),
-        diffusion=lambda p, u: np.eye(d),
-        generator=lambda p, y, z, u: float(ap.base_generator(p, x_fill, y, z, u)),
-        terminal=lambda p: float(ap.base_terminal(p, x_fill)),
+        drift=lambda vals, us: np.zeros((vals.shape[0], d)),
+        diffusion=lambda vals, us: np.broadcast_to(np.eye(d), (vals.shape[0], d, d)),
+        generator=lambda vals, y, z, us: ap.base_generator(vals, np.zeros((vals.shape[0], m)), y, z, us),
+        terminal=lambda vals: ap.base_terminal(vals, np.zeros((vals.shape[0], m))),
         controls=(u0,),
         grid=GridConfig(ap.steps, ap.horizon, dim=d, noise_dim=d),
     )
     direct = cost(noise_cp, p_omega, ControlStrategy.constant(u0))
 
-    xi0 = Path.constant(x_fill, p_omega.t_index, p_omega.dt)
+    xi0 = Path.constant(np.zeros(m), p_omega.t_index, p_omega.dt)
     combined = stack_paths(p_omega, xi0)
     augmented = value(augment(ap), combined)
     return abs(direct - augmented)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "BlowupError",
     "ControlStrategy",
     "ControlProblem",
+    "per_path",
     "NoiseTree",
     "BsdeSolution",
     "simulate_psde",
@@ -99,24 +100,20 @@ class ControlStrategy:
 class ControlProblem:
     """Coefficient bundle (b, sigma, q, phi, U) on a uniform grid.
 
-    drift(path, u) -> (d,), diffusion(path, u) -> (d, n), read through
-    ``coeffs``; generator(path, y, z, u) -> real with z a float (n,) array;
-    terminal(path at final index) -> real.
-
-    A coefficient may carry an array form as its attribute ``batched``, over
-    ``vals``, an (N, d, K) array of N same-time paths on the grid's dt, and
-    a sequence ``us`` of N controls: drift.batched(vals, us) -> (N, d),
-    diffusion.batched(vals, us) -> (N, d, n), generator.batched(vals, y, z,
-    us) -> (N,) with y (N,) and z (N, n), terminal.batched(vals) -> (N,).
-    The tree engine then reads a whole level in one call. A batch whose array
-    form raises, gives a wrong shape or a non-finite value is redone by the
-    scalar callables, which raise their own errors.
+    Every coefficient is an array form over ``vals``, an (N, d, K) array of N
+    same-time paths on the grid's dt, and a sequence ``us`` of N controls:
+    drift(vals, us) -> (N, d), diffusion(vals, us) -> (N, d, n),
+    generator(vals, y, z, us) -> (N,) with y (N,) and z (N, n), and
+    terminal(vals) -> (N,). The solvers read a whole tree level, Euler step or
+    x grid in one call. A value of another shape raises PathError; an error
+    the form raises reaches the caller as it is. Coefficients written per
+    path enter through ``per_path``.
     """
 
-    drift: Callable[[Path, object], np.ndarray]
-    diffusion: Callable[[Path, object], np.ndarray]
-    generator: Callable[[Path, float, np.ndarray, object], float]
-    terminal: Callable[[Path], float]
+    drift: Callable[[np.ndarray, Sequence], np.ndarray]
+    diffusion: Callable[[np.ndarray, Sequence], np.ndarray]
+    generator: Callable[[np.ndarray, np.ndarray, np.ndarray, Sequence], np.ndarray]
+    terminal: Callable[[np.ndarray], np.ndarray]
     controls: tuple
     grid: GridConfig
 
@@ -125,54 +122,48 @@ class ControlProblem:
             raise PathError("control set must be nonempty")
         object.__setattr__(self, "controls", tuple(self.controls))
 
-    def coeffs(self, paths, us) -> tuple[np.ndarray, np.ndarray]:
-        """Drift and diffusion at each (path, u) pair, as read-only float arrays of
-        shape (N, d) and (N, d, n) for N controls ``us``; the solvers' only
-        reader of both. ``paths`` is a sequence of N Paths, or an (M, d, K)
-        array of same-time paths on the grid's dt, each under N / M consecutive
-        controls (a tree level), which the array forms read when both exist.
-        The scalar path calls drift, then diffusion, at each pair. A scalar,
-        wrong-length or ragged result raises PathError naming the shapes."""
-        g = self.grid
-        if isinstance(paths, np.ndarray):
-            reps = len(us) // paths.shape[0]
-            if hasattr(self.drift, "batched") and hasattr(self.diffusion, "batched"):
-                vals = np.repeat(paths, reps, axis=0)
-                b = _try_batch(self.drift, (len(us), g.dim), vals, us)
-                sig = None if b is None else _try_batch(self.diffusion, (len(us), g.dim, g.noise_dim), vals, us)
-                if sig is not None:
-                    return _stack_checked("drift", b, (g.dim,)), _stack_checked("diffusion", sig, (g.dim, g.noise_dim))
-            paths = (path for row in paths for path in itertools.repeat(Path._wrap(row, g.dt), reps))  # one live at a time
-        b, sig = [], []
-        for path, u in zip(paths, us):
-            b.append(self.drift(path, u))
-            sig.append(self.diffusion(path, u))
-        return _stack_checked("drift", b, (g.dim,)), _stack_checked("diffusion", sig, (g.dim, g.noise_dim))
+    def coeffs(self, vals: np.ndarray, us) -> tuple[np.ndarray, np.ndarray]:
+        """Drift and diffusion at N (path, control) pairs, as read-only float
+        arrays of shape (N, d) and (N, d, n) for N controls ``us``; the solvers'
+        only reader of both. ``vals`` is an (M, d, K) array of same-time paths
+        on the grid's dt, each under N / M consecutive controls (a tree level).
+        A value of another shape raises PathError naming the shapes."""
+        g, n = self.grid, len(us)
+        vals = np.repeat(vals, n // vals.shape[0], axis=0)
+        return _stack_checked("drift", self.drift(vals, us), (n, g.dim)), _stack_checked(
+            "diffusion", self.diffusion(vals, us), (n, g.dim, g.noise_dim)
+        )
 
 
-def _try_batch(fn, shape: tuple, *args) -> Optional[np.ndarray]:
-    """``fn.batched(*args)`` as a float array of ``shape``; None when fn has no
-    array form, or it raises, or its value has another shape or is not finite:
-    the scalar path then redoes the batch."""
-    form = getattr(fn, "batched", None)
-    if form is None:
-        return None
-    try:
-        out = np.asarray(form(*args), dtype=float)
-    except Exception:  # the scalar path raises the error, naming its own expression and node
-        return None
-    return out if out.shape == shape and np.isfinite(out).all() else None
+def per_path(fn: Callable, dt: float) -> Callable:
+    """The array form of a coefficient written per path: fn(path, *row) at each
+    row of ``vals``, as a Path on ``dt``, where row holds that row's entries of
+    the other arguments (u; or y, z and u; or nothing). A real value goes
+    through float(); the reader stacks the values and checks their shapes."""
+
+    def form(vals: np.ndarray, *args):
+        vals = vals.view()
+        vals.setflags(write=False)  # each row becomes a read-only Path
+        args = [a.tolist() if isinstance(a, np.ndarray) and a.ndim == 1 else a for a in args]
+        out = [fn(Path._wrap(row, dt), *rest) for row, *rest in zip(vals, *args)]
+        return [float(v) if np.ndim(v) == 0 else v for v in out]
+
+    return form
 
 
-def _stack_checked(name: str, rows: tuple, shape: tuple) -> np.ndarray:
-    """Read-only float stack of ``rows``, each of which must have ``shape``."""
+def _stack_checked(name: str, rows, shape: tuple) -> np.ndarray:
+    """Read-only float array of ``rows``, a coefficient's value or its list of
+    per-path values, which must have ``shape``: one value of shape[1:] per
+    (path, control)."""
     try:
         out = np.array(rows, dtype=float)
-    except (TypeError, ValueError):  # a ragged batch
+    except (TypeError, ValueError):  # a ragged list
         out = np.empty(0)
-    if out.shape[1:] != shape:
-        got = ", ".join(map(str, sorted({np.asarray(r, dtype=object).shape for r in rows})))
-        raise PathError(f"{name} must return shape {shape} at each (path, control), got {got}")
+    if out.shape != shape:
+        got = sorted({np.asarray(r, dtype=object).shape for r in rows}) if isinstance(rows, list) else [out.shape]
+        raise PathError(
+            f"{name} must return shape {shape[1:]} at each of {shape[0]} (path, control) pairs, got {', '.join(map(str, got))}"
+        )
     out.setflags(write=False)
     return out
 
@@ -189,9 +180,9 @@ class NoiseTree:
     """Non-recombining tree of exact +-sqrt(dt) noise increments.
 
     ``levels[k]`` holds the full path values of every depth-k node as an
-    array of shape (branching^k, d, root_cols + k) and ``controls[k][j]`` the
-    1-tuple of the control that expanded node j, both under the build
-    strategy. Increments have exact mean 0 and variance dt per coordinate.
+    array of shape (branching^k, d, root_cols + k) and ``controls[k]`` the
+    control that expanded each node as a 1-D object array, both under the
+    build strategy. Increments have exact mean 0 and variance dt per coordinate.
     """
 
     root: Path
@@ -220,6 +211,14 @@ class NoiseTree:
         return [self.node_path(self.depth, j) for j in range(self.levels[-1].shape[0])]
 
 
+def _check_dt(cp: ControlProblem, root: Path) -> float:
+    """The grid's dt, which ``root`` must share: the coefficients read their
+    paths on it."""
+    if root.dt != cp.grid.dt:
+        raise PathError(f"root path has dt {root.dt}, the grid's is {cp.grid.dt}")
+    return root.dt
+
+
 def _check_cap(fan: int, depth: int, cap: int) -> None:
     # fan = children per node: 2^n for a cost, |U| * 2^n for the value. No cap reaches 2^63.
     leaves = fan**depth if depth * math.log2(fan) <= 63 else math.inf
@@ -227,26 +226,28 @@ def _check_cap(fan: int, depth: int, cap: int) -> None:
         raise CapacityError(f"tree of depth {depth} needs {fan}^{depth} = {leaves} leaves, over the node cap {cap}")
 
 
-def _forward(cp: ControlProblem, root: Path, depth: int, incs: np.ndarray, dt: float, strategy=None):
+def _forward(cp: ControlProblem, root: Path, depth: int, incs: np.ndarray, strategy=None):
     """Forward pass: level k's node paths as one (N_k, d, c + k) array. Each node
     is expanded under ``strategy``'s control or, for the value (``strategy``
-    None), under all of U; children are ordered (node, control, move). The
+    None), under all of U; children are ordered (node, control, move), and
+    ctrls[k] holds level k's controls in that order as a 1-D object array. The
     value merges identical internal children: links[k] maps each child slot
     of level k to its row of level k + 1, keys[k] holds each row's memo key."""
+    dt = _check_dt(cp, root)
     b_count, n = incs.shape
     n_u = len(cp.controls) if strategy is None else 1
+    every = np.fromiter(cp.controls, object, len(cp.controls))  # controls may be tuples
     first = root.values[None].copy()
     first.setflags(write=False)
     levels, ctrls, links, keys = [first], [], [], [[(root.t_index, root.values.tobytes())]]
     for k in range(depth):
         cur = levels[k]
         count, d, cols = cur.shape
-        us = [cp.controls if strategy is None else (strategy.control_at(Path._wrap(row, dt)),) for row in cur]
-        if dt == cp.grid.dt:  # the level as one array, for the array forms
-            paths = cur
+        if strategy is None:
+            us = np.tile(every, count)
         else:
-            paths = (path for row in cur for path in itertools.repeat(Path._wrap(row, dt), n_u))
-        bvec, sig = cp.coeffs(paths, [u for u_j in us for u in u_j])
+            us = np.fromiter([strategy.control_at(Path._wrap(row, dt)) for row in cur], object, count)
+        bvec, sig = cp.coeffs(cur, us)
         sig = sig.reshape(count, n_u, d, n).swapaxes(-1, -2)
         steps = cur[:, None, None, :, -1] + bvec.reshape(count, n_u, 1, d) * dt + incs @ sig
         if not np.all(np.isfinite(steps)):
@@ -268,23 +269,20 @@ def _forward(cp: ControlProblem, root: Path, depth: int, incs: np.ndarray, dt: f
     return levels, ctrls, links, keys
 
 
-def _backward(cp: ControlProblem, levels, ctrls, links, keys, incs: np.ndarray, dt: float, terminal, memo=None):
+def _backward(cp: ControlProblem, levels, ctrls, links, keys, incs: np.ndarray, terminal, memo=None):
     """Backward pass Y = E[Y'] + q(path, Y, Z, u) dt, Z = E[Y' dW^T] / dt over
-    ``_forward``'s levels. Without ``memo`` returns (y_levels, z_levels); with
-    it each node keeps its first control of maximal Y, recorded in ``memo``.
-    On the grid's dt the terminal and the generator's array forms, where they
-    exist, serve the leaves in one call and each level as one masked fixed
-    point; a batch they fail is redone by the scalar callables."""
-    on_grid = dt == cp.grid.dt
+    ``_forward``'s levels, with ``terminal`` an array form or one value per
+    leaf. Without ``memo`` returns (y_levels, z_levels); with it each node
+    keeps its first control of maximal Y, recorded in ``memo``. The terminal
+    serves the leaves in one call, and each level's implicit steps are one
+    masked fixed point."""
+    dt, n_leaves = cp.grid.dt, levels[-1].shape[0]
     if callable(terminal):
-        n_leaves = levels[-1].shape[0]
-        y = _try_batch(terminal, (n_leaves,), levels[-1]) if on_grid else None
-        if y is None:
-            y = np.fromiter((float(terminal(Path._wrap(leaf, dt))) for leaf in levels[-1]), float, n_leaves)
+        y = _stack_checked("terminal", terminal(levels[-1]), (n_leaves,))
     else:
         y = np.asarray(terminal, dtype=float)
-        if y.shape != (levels[-1].shape[0],):
-            raise PathError(f"terminal data must have one value per leaf ({levels[-1].shape[0]})")
+        if y.shape != (n_leaves,):
+            raise PathError(f"terminal data must have one value per leaf ({n_leaves})")
     if not np.all(np.isfinite(y)):
         raise BlowupError("non-finite terminal data")
     b_count, n = incs.shape
@@ -299,18 +297,8 @@ def _backward(cp: ControlProblem, levels, ctrls, links, keys, incs: np.ndarray, 
         # cost (one product over all rows) and value (one per row) outputs are pinned.
         rows = yc.reshape(-1, b_count) if memo is None else yc.reshape(-1, 1, b_count)
         z = (rows @ incs).reshape(count, n_u, n) / (b_count * dt)
-        y_u = None
-        if on_grid and hasattr(cp.generator, "batched"):
-            us = np.fromiter((u for u_j in ctrls[k] for u in u_j), object, count * n_u)
-            y_u = _implicit_batch(cp, np.repeat(levels[k], n_u, axis=0), e.reshape(-1), z.reshape(-1, n), us, dt)
-        if y_u is None:
-            y_u, e = np.empty((count, n_u)), e.tolist()
-            for j, u_j in enumerate(ctrls[k]):
-                path = Path._wrap(levels[k][j], dt)
-                for i, u in enumerate(u_j):
-                    y_u[j, i] = _implicit_step(cp, path, e[j][i], z[j, i], u, dt)
-        else:
-            y_u = y_u.reshape(count, n_u)
+        vals = np.repeat(levels[k], n_u, axis=0)
+        y_u = _implicit(cp.generator, vals, e.reshape(-1), z.reshape(-1, n), ctrls[k], dt).reshape(count, n_u)
         if memo is None:
             y, z = y_u[:, 0], z[:, 0]
         else:
@@ -336,7 +324,7 @@ def simulate_tree(
     if strategy is None:
         strategy = ControlStrategy.constant(cp.controls[0])
     incs = _increments(n, p0.dt)
-    levels, ctrls = _forward(cp, p0, depth, incs, p0.dt, strategy)[:2]
+    levels, ctrls = _forward(cp, p0, depth, incs, strategy)[:2]
     return NoiseTree(root=p0, depth=depth, noise_dim=n, increments=incs, levels=tuple(levels), controls=tuple(ctrls))
 
 
@@ -353,66 +341,63 @@ class BsdeSolution:
         return float(self.y_levels[0][0])
 
 
-def _implicit_step(cp: ControlProblem, path: Path, e_y: float, z: np.ndarray, u, dt: float) -> float:
-    # y = E[Y'] + q(path, y, z, u) dt, solved by fixed point; contraction
-    # needs L*dt < 1 on the generator's y-slope, which the ratio of two
-    # successive step changes estimates.
-    y = e_y
-    change = 0.0
+def _implicit(generator: Callable, vals: np.ndarray, e_y: np.ndarray, z: np.ndarray, us, dt: float) -> np.ndarray:
+    """y = e_y + q(vals, y, z, us) dt at N (node, control) rows, by one masked
+    fixed point from y = e_y: each row iterates until its own step change is
+    within FIXED_POINT_TOL, and then leaves the batch. Contraction needs
+    L*dt < 1 on the generator's y-slope, which the ratio of two successive
+    step changes estimates. A row whose value is not finite, or that has not
+    converged in FIXED_POINT_MAX_ITER rounds, fails, and the lowest-index
+    failing row raises ContractError; rows above it stop iterating."""
+    n = e_y.shape[0]
+    out, rows, y = np.empty_like(e_y), np.arange(n), e_y
+    change, first_bad = np.zeros_like(e_y), n  # the lowest row with a non-finite value
     for _ in range(FIXED_POINT_MAX_ITER):
-        y_new = e_y + float(cp.generator(path, y, z, u)) * dt
-        if not math.isfinite(y_new):
-            raise ContractError("generator produced a non-finite value")
-        prev, change = change, abs(y_new - y)
-        if change <= FIXED_POINT_TOL * (1.0 + abs(y_new)):
-            return y_new
-        y = y_new
-    raise ContractError(
-        f"implicit generator step did not converge in {FIXED_POINT_MAX_ITER} iterations: last step change "
-        f"{change:.3e}, observed contraction ratio {change / prev:.3g} (estimates L*dt; check L*dt < 0.5)"
-    )
-
-
-def _implicit_batch(cp: ControlProblem, vals: np.ndarray, e_y: np.ndarray, z: np.ndarray, us: np.ndarray, dt: float):
-    """``_implicit_step`` at N (node, control) rows as one masked fixed point on
-    the generator's array form: each row iterates until its own test holds, so
-    each result == the scalar step's. None when the batch must be redone row
-    by row: the form raises, a value is not finite or a row does not converge."""
-    out, rows, y = np.empty_like(e_y), np.arange(e_y.shape[0]), e_y
-    for _ in range(FIXED_POINT_MAX_ITER):
-        q = _try_batch(cp.generator, y.shape, vals, y, z, us)
-        if q is None:
-            return None
-        y_new = e_y + q * dt
+        y_new = e_y + _stack_checked("generator", generator(vals, y, z, us), y.shape) * dt
+        prev, change = change, np.abs(y_new - y)
         if not np.isfinite(y_new).all():
-            return None
-        done = np.abs(y_new - y) <= FIXED_POINT_TOL * (1.0 + np.abs(y_new))
-        if done.any():
+            first_bad = min(first_bad, int(rows[~np.isfinite(y_new)][0]))
+        done = change <= FIXED_POINT_TOL * (1.0 + np.abs(y_new))
+        keep = ~done if first_bad == n else ~done & (rows < first_bad)
+        if not keep.all():
             out[rows[done]] = y_new[done]
-            if done.all():
-                return out
-            keep = ~done
-            rows, vals, e_y, z, us, y_new = rows[keep], vals[keep], e_y[keep], z[keep], us[keep], y_new[keep]
+            rows, vals, e_y, z, us = rows[keep], vals[keep], e_y[keep], z[keep], us[keep]
+            y_new, change, prev = y_new[keep], change[keep], prev[keep]
+            if rows.size == 0:
+                break
         y = y_new
-    return None
+    if rows.size:
+        c, p = float(change[0]), float(prev[0])
+        raise ContractError(
+            f"implicit generator step did not converge in {FIXED_POINT_MAX_ITER} iterations: last step change "
+            f"{c:.3e}, observed contraction ratio {c / p:.3g} (estimates L*dt; check L*dt < 0.5)"
+        )
+    if first_bad < n:
+        raise ContractError("generator produced a non-finite value")
+    return out
 
 
 def solve_bsde_tree(cp: ControlProblem, tree: NoiseTree, terminal=None) -> BsdeSolution:
     """Backward recursion Y_k = E[Y_{k+1}] + q(X_k, Y_k, Z_k, u_k) dt with
     Z_k = E[Y_{k+1} dW^T] / dt on the tree's states and controls.
 
-    ``terminal`` overrides cp.terminal; it may be a callable on leaf paths or
-    a per-leaf array ordered by leaf index.
+    ``terminal`` overrides cp.terminal; it may be a callable on leaf paths,
+    read through ``per_path``, or a per-leaf array ordered by leaf index.
     """
-    links, terminal = (None,) * tree.depth, cp.terminal if terminal is None else terminal
-    y_levels, z_levels = _backward(cp, tree.levels, tree.controls, links, None, tree.increments, tree.dt, terminal)
+    if terminal is None:
+        terminal = cp.terminal
+    elif callable(terminal):
+        terminal = per_path(terminal, tree.dt)
+    links = (None,) * tree.depth
+    y_levels, z_levels = _backward(cp, tree.levels, tree.controls, links, None, tree.increments, terminal)
     return BsdeSolution(y_levels=tuple(y_levels), z_levels=tuple(z_levels))
 
 
 def backward_semigroup(
     cp: ControlProblem, p0: Path, strategy: ControlStrategy, delta_steps: int, eta, cap: int = DEFAULT_NODE_CAP
 ) -> float:
-    """Value at p0 of the BSDE over [t, t + delta] with terminal data eta."""
+    """Value at p0 of the BSDE over [t, t + delta] with terminal data eta, a
+    callable on the paths at t + delta or one value per leaf."""
     tree = simulate_tree(cp, p0, p0.t_index + delta_steps, strategy, cap)
     return solve_bsde_tree(cp, tree, terminal=eta).root_value
 
@@ -423,21 +408,20 @@ def cost(cp: ControlProblem, p0: Path, strategy: ControlStrategy, cap: int = DEF
     return solve_bsde_tree(cp, tree).root_value
 
 
-def _solve_value(cp: ControlProblem, p0: Path, end_index: int, terminal_fn: Callable[[Path], float], cap: int):
+def _solve_value(cp: ControlProblem, p0: Path, end_index: int, terminal_fn: Callable[[np.ndarray], np.ndarray], cap: int):
     """Per-node maximization over the finite control set from p0 to end_index,
-    level by level. Returns the root value and this solve's table from each
+    level by level, with ``terminal_fn`` an array form on the paths at
+    end_index. Returns the root value and this solve's table from each
     internal node's (grid index, path bytes) to (value, first maximizing
     control); keying on the path is sound because the future law depends on
     the past only through the path."""
     depth = end_index - p0.t_index
     if depth < 0:
         raise PathError(f"path at grid index {p0.t_index} is past the end index {end_index}")
-    incs, dt, table = _increments(cp.grid.noise_dim, cp.grid.dt), cp.grid.dt, {}
+    incs, table = _increments(cp.grid.noise_dim, cp.grid.dt), {}
     _check_cap(len(cp.controls) * incs.shape[0], depth, cap)
-    if depth == 0:
-        return float(terminal_fn(Path._wrap(p0.values, dt))), table
-    _backward(cp, *_forward(cp, p0, depth, incs, dt), incs, dt, terminal_fn, table)
-    return table[(p0.t_index, p0.values.tobytes())][0], table
+    y_levels, _ = _backward(cp, *_forward(cp, p0, depth, incs), incs, terminal_fn, table)
+    return float(y_levels[0][0]), table
 
 
 def value(cp: ControlProblem, p0: Path, cap: int = DEFAULT_NODE_CAP) -> float:
@@ -473,23 +457,15 @@ def dpp_check(cp: ControlProblem, p0: Path, delta_steps: int, cap: int = DEFAULT
     def inner(path: Path) -> float:
         return _solve_value(cp, path, cp.grid.steps, cp.terminal, cap)[0]
 
-    return abs(v_direct - _solve_value(cp, p0, mid, inner, cap)[0])
+    return abs(v_direct - _solve_value(cp, p0, mid, per_path(inner, cp.grid.dt), cap)[0])
 
 
-def _paths_at(state: np.ndarray, p0: Path, k: int) -> list:
-    """The N paths of a read-only (N, d, K) Euler state restricted to grid index k
-    (p0 itself at its own index)."""
-    if k == p0.t_index:
-        return [p0] * state.shape[0]
-    dt = p0.dt
-    return [Path._wrap(x, dt) for x in state[:, :, : k + 1]]
-
-
-def _euler_path(coeffs: Callable[[list], tuple], p0: Path, end_index: int, n_paths: int, rng: np.random.Generator):
+def _euler_path(coeffs: Callable[[np.ndarray], tuple], p0: Path, end_index: int, n_paths: int, rng: np.random.Generator):
     """n_paths Euler-Maruyama paths extending p0 to end_index, stepped together.
 
-    coeffs(paths) -> (b, sigma) at the current node of each path, float arrays
-    of shape (N, d) and (N, d, n). The noise is drawn in one (N, steps, n)
+    coeffs(vals) -> (b, sigma) at the current node of each path, with vals the
+    read-only (N, d, k + 1) state up to the current grid index k, as float
+    arrays of shape (N, d) and (N, d, n). The noise is drawn in one (N, steps, n)
     batch once sigma gives n, the same stream as one (steps, n) draw per path,
     and each step adds dx = b dt + sigma dw. Returns the read-only
     (N, d, end_index + 1) state and one (sigma, dx) record per step.
@@ -508,7 +484,7 @@ def _euler_path(coeffs: Callable[[list], tuple], p0: Path, end_index: int, n_pat
     records = []
     dw = None
     for k in range(k0, end_index):
-        b, sig = coeffs(_paths_at(state, p0, k))
+        b, sig = coeffs(state[:, :, : k + 1])
         if dw is None:
             dw = rng.normal(0.0, np.sqrt(dt), size=(n_paths, end_index - k0, sig.shape[-1]))
         dx = b * dt + (sig @ dw[:, k - k0, :, None])[..., 0]
@@ -525,9 +501,10 @@ def _euler_path(coeffs: Callable[[list], tuple], p0: Path, end_index: int, n_pat
 
 def simulate_psde(cp: ControlProblem, p0: Path, strategy: ControlStrategy, end_index: int, seed: int) -> Path:
     """Euler-Maruyama path of the controlled dynamics, extending p0."""
+    _check_dt(cp, p0)
 
-    def coeffs(paths: list):
-        return cp.coeffs(paths, [strategy.control_at(path) for path in paths])
+    def coeffs(vals: np.ndarray):
+        return cp.coeffs(vals, [strategy.control_at(Path._wrap(row, p0.dt)) for row in vals])
 
     state, _ = _euler_path(coeffs, p0, end_index, 1, np.random.default_rng(seed))
     return Path._wrap(state[0], p0.dt)

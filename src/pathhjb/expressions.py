@@ -26,7 +26,6 @@ differently from libm).
 from __future__ import annotations
 
 import ast
-import functools
 import math
 import operator
 from typing import Callable, Mapping
@@ -185,8 +184,7 @@ def _columns(fns: list, env: dict, n: int) -> np.ndarray:
 def inline_problem(spec: Mapping, grid: GridConfig) -> ControlProblem:
     """The ControlProblem of the CLI's ``problem.inline`` keys: drift, diffusion,
     generator and terminal expressions over the names ``grid`` binds, and
-    controls. Each coefficient carries its array form as ``.batched``, and
-    the scalar callable is its one-row call."""
+    controls; each coefficient is the array form of its expressions."""
     if len(spec["drift"]) != grid.dim or len(spec["diffusion"]) != grid.dim:
         raise ExpressionError("drift/diffusion rows must match grid.dim")
     if any(len(row) != grid.noise_dim for row in spec["diffusion"]):
@@ -198,45 +196,30 @@ def inline_problem(spec: Mapping, grid: GridConfig) -> ControlProblem:
     diff_fns = [compile_expression(e, coeff_vars) for row in spec["diffusion"] for e in row]
     gen_fn = compile_expression(spec["generator"], gen_vars)
     term_fn = compile_expression(spec["terminal"], path_vars)
-    horizon, shape = grid.horizon, (grid.dim, grid.noise_dim)
+    horizon, dt, shape = grid.horizon, grid.dt, (grid.dim, grid.noise_dim)
 
-    def coeff_env(vals, us, dt):
+    def coeff_env(vals, us):
         env = _path_env(vals, dt, horizon)
         env["u"] = np.asarray(us, dtype=float)
         return env
 
-    def drift_rows(vals, us, dt):
-        return _columns(drift_fns, coeff_env(vals, us, dt), vals.shape[0])
+    def drift(vals, us):
+        return _columns(drift_fns, coeff_env(vals, us), vals.shape[0])
 
-    def diffusion_rows(vals, us, dt):
-        return _columns(diff_fns, coeff_env(vals, us, dt), vals.shape[0]).reshape(-1, *shape)
+    def diffusion(vals, us):
+        return _columns(diff_fns, coeff_env(vals, us), vals.shape[0]).reshape(-1, *shape)
 
-    def generator_rows(vals, y, z, us, dt):
-        env = coeff_env(vals, us, dt)
+    def generator(vals, y, z, us):
+        env = coeff_env(vals, us)
         env["y"] = y
         for i in range(z.shape[1]):
             env[f"z{i}"] = z[:, i]
         env["z"] = env["z0"]
         return _columns([gen_fn], env, vals.shape[0])[:, 0]
 
-    def terminal_rows(vals, dt):
+    def terminal(vals):
         return _columns([term_fn], _path_env(vals, dt, horizon), vals.shape[0])[:, 0]
 
-    def drift(p, u):
-        return drift_rows(p.values[None], (float(u),), p.dt)[0]
-
-    def diffusion(p, u):
-        return diffusion_rows(p.values[None], (float(u),), p.dt)[0]
-
-    def generator(p, y, z, u):
-        z = np.asarray(z, dtype=float).reshape(1, -1)
-        return float(generator_rows(p.values[None], np.array([float(y)]), z, (float(u),), p.dt)[0])
-
-    def terminal(p):
-        return float(terminal_rows(p.values[None], p.dt)[0])
-
-    for scalar, rows in ((drift, drift_rows), (diffusion, diffusion_rows), (generator, generator_rows), (terminal, terminal_rows)):
-        scalar.batched = functools.partial(rows, dt=grid.dt)
     return ControlProblem(
         drift=drift,
         diffusion=diffusion,

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .control import _euler_path, _paths_at, _stack_checked
+from .control import _euler_path, _stack_checked
 from .pathspace import Path, PathError, horizontal_extension, vertical_bump
 
 __all__ = [
@@ -153,8 +153,8 @@ def ito_check(
     i.e. the quadratic variation is the predictable sigma sigma^T dt. The mean
     shrinks as the grid is refined for smooth functionals and vanishes
     identically for functionals affine in the endpoint. The paths come from
-    the batched Euler stepper of ``simulate_psde``, and the derivatives are
-    taken once per step across the batch; a non-finite state raises
+    the Euler stepper of ``simulate_psde``, which steps them together, and the
+    derivatives are taken once per step across them; a non-finite state raises
     ``BlowupError`` before any derivative is taken. drift(path) must return a
     (d,) vector and diffusion(path) a (d, n) matrix with the same n on every
     path, and n_paths must be at least 1; else PathError.
@@ -164,14 +164,14 @@ def ito_check(
     d = p0.d
     sig_shape = []  # (d, n), n fixed by the first diffusion value
 
-    def coeffs(paths: list):
+    def coeffs(vals: np.ndarray):
         bs, sigs = [], []
-        for pk in paths:
+        for pk in _paths_at(vals, p0, vals.shape[2] - 1):
             bs.append(drift(pk))
             sigs.append(diffusion(pk))
         if not sig_shape:
             sig_shape.append((d, *(np.shape(sigs[0])[-1:] or (1,))))
-        return _stack_checked("drift", bs, (d,)), _stack_checked("diffusion", sigs, sig_shape[0])
+        return _stack_checked("drift", bs, (n_paths, d)), _stack_checked("diffusion", sigs, (n_paths, *sig_shape[0]))
 
     rng = np.random.default_rng(seed)
     dt = p0.dt
@@ -190,6 +190,15 @@ def ito_check(
     for x, a in zip(state, acc.tolist()):  # in path order: np.sum would regroup the sum
         total += abs(f.eval(Path._wrap(x, dt)) - f_start - a)
     return total / n_paths
+
+
+def _paths_at(state: np.ndarray, p0: Path, k: int) -> list:
+    """The N paths of a read-only (N, d, K) Euler state restricted to grid index k
+    (p0 itself at its own index)."""
+    if k == p0.t_index:
+        return [p0] * state.shape[0]
+    dt = p0.dt
+    return [Path._wrap(x, dt) for x in state[:, :, : k + 1]]
 
 
 def _stack(derivative: Callable[[Path], object], paths: list, shape: tuple) -> np.ndarray:

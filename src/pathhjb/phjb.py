@@ -10,12 +10,13 @@ test-functional slice used by probes and tests is {quadratic in the endpoint}
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .control import ControlProblem, _try_batch, value
+from .control import ControlProblem, _stack_checked, value
 from .funcalc import (
     PathFunctional,
     space_gradient,
@@ -100,24 +101,30 @@ def hamiltonian(cp: ControlProblem, hin: HamiltonianInput):
 
     Returns (value, argmax control); ties break to the lowest control index.
     """
-    bs, sigs = cp.coeffs((hin.path,) * len(cp.controls), cp.controls)
-    vals = [_control_term(cp, hin.path, hin.r, hin.p, hin.l, b, sig, u) for b, sig, u in zip(bs, sigs, cp.controls)]
-    i = int(np.argmax(vals))
-    return vals[i], cp.controls[i]
+    terms = _control_terms(cp, hin.path, hin.r, hin.p, hin.l, cp.controls)
+    i = int(np.argmax(terms))
+    return terms[i], cp.controls[i]
 
 
-def _control_term(cp: ControlProblem, path: Path, r: float, p, l, b, sig, u) -> float:
-    # <p, b> + 0.5 tr(l sigma sigma^T) + q(path, r, sigma^T p, u), summed in that order
-    val = float(p @ b)
-    val += 0.5 * float(np.trace(l @ (sig @ sig.T)))
-    return val + float(cp.generator(path, r, sig.T @ p, u))
+def _control_terms(cp: ControlProblem, path: Path, r: float, p, l, us) -> list:
+    """<p, b> + 0.5 tr(l sigma sigma^T) + q(path, r, sigma^T p, u) at each control
+    of ``us``, summed per control in that order, from one coefficient read."""
+    vals, n = path.values[None], len(us)
+    bs, sigs = cp.coeffs(vals, us)
+    zs = np.array([sig.T @ p for sig in sigs])
+    qs = _stack_checked("generator", cp.generator(np.repeat(vals, n, axis=0), np.full(n, r), zs, us), (n,))
+    terms = []
+    for b, sig, q in zip(bs, sigs, qs.tolist()):
+        val = float(p @ b)
+        val += 0.5 * float(np.trace(l @ (sig @ sig.T)))
+        terms.append(val + q)
+    return terms
 
 
 def generator(cp: ControlProblem, phi: PathFunctional, p: Path, u) -> float:
     """dt_phi + <dx_phi, b> + 0.5 tr(dxx_phi sigma sigma^T) + q(p, phi, sigma^T dx_phi, u)."""
-    (b,), (sig,) = cp.coeffs((p,), (u,))
     dxf = space_gradient(phi, p)
-    return time_derivative(phi, p) + _control_term(cp, p, phi.eval(p), dxf, space_hessian(phi, p), b, sig, u)
+    return time_derivative(phi, p) + _control_terms(cp, p, phi.eval(p), dxf, space_hessian(phi, p), (u,))[0]
 
 
 def phjb_residual(cp: ControlProblem, v: PathFunctional, p: Path) -> float:
@@ -230,6 +237,8 @@ class XGrid:
     def __post_init__(self):
         if not (self.hi > self.lo and self.nx >= 3):
             raise PathError("need hi > lo and nx >= 3")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and math.isfinite(self.dx)):
+            raise PathError(f"x grid needs finite lo, hi and dx, got lo={self.lo}, hi={self.hi}, nx={self.nx}")
 
     @property
     def dx(self) -> float:
@@ -243,36 +252,38 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
     """Project a path problem to (t, x) coefficients, probing state dependence.
 
     For eight random histories, each against the constant history sharing its
-    (t, endpoint), every coefficient must agree;
-    otherwise MarkovProbeError. The reduced coefficients evaluate the path
-    coefficients on constant-history paths; off-grid times (the FD solver's
-    substeps) are quantized to the nearest grid index k, an O(dt) effect only
-    for coefficients that depend on t explicitly. The lattice holds one
-    read-only (nx, 1, k + 1) constant-history array per grid index k and x
-    grid; drift and diffusion are read from it through ``cp.coeffs`` once per
-    (k, control) and returned read-only, and the generator and terminal
-    through their array forms, or, where a form is missing or fails, by one
-    scalar call per node.
+    (t, endpoint), every coefficient must agree under every control, to
+    np.allclose with atol 1e-12; otherwise MarkovProbeError. Each probe reads
+    both histories under all controls in one coefficient read and one
+    generator call. The reduced coefficients evaluate the path coefficients on
+    constant-history paths; off-grid times (the FD solver's substeps) are
+    quantized to the nearest grid index k, an O(dt) effect only for
+    coefficients that depend on t explicitly. The lattice holds one read-only
+    (nx, 1, k + 1) constant-history array per grid index k and x grid, which
+    every coefficient reads in one call; drift and diffusion are read once
+    per (k, control) and returned read-only.
     """
     if cp.grid.dim != 1 or cp.grid.noise_dim != 1:
         raise PathError("markovian reduction implemented for d = n = 1")
     g = cp.grid
     rng = np.random.default_rng(seed)
+    n_u = len(cp.controls)
     for _ in range(8):
         k = int(rng.integers(0, g.steps + 1))
         x = float(rng.normal())
         hist = rng.normal(size=(1, k + 1))
         hist[0, -1] = x
-        shuffled = Path(hist, g.dt)
-        const = Path.constant(x, k, g.dt)
+        pair = np.stack([hist, np.full((1, k + 1), x)])  # the shuffled and the constant history
         y, z = float(rng.normal()), rng.normal(size=1)
-        for u in cp.controls:
-            q = (cp.generator(shuffled, y, z, u), cp.generator(const, y, z, u))
-            for a, c in (*cp.coeffs((shuffled, const), (u, u)), q):
-                if not np.allclose(a, c, atol=1e-12):
-                    raise MarkovProbeError("coefficients depend on the path history")
-        if k == g.steps and abs(cp.terminal(shuffled) - cp.terminal(const)) > 1e-12:
-            raise MarkovProbeError("terminal functional depends on the path history")
+        us, rows = cp.controls * 2, np.repeat(pair, n_u, axis=0)
+        q = _stack_checked("generator", cp.generator(rows, np.full(2 * n_u, y), np.tile(z, (2 * n_u, 1)), us), (2 * n_u,))
+        for a in (*cp.coeffs(pair, us), q):
+            if not np.allclose(a[:n_u], a[n_u:], atol=1e-12):
+                raise MarkovProbeError("coefficients depend on the path history")
+        if k == g.steps:
+            phi = _stack_checked("terminal", cp.terminal(pair), (2,))
+            if abs(phi[0] - phi[1]) > 1e-12:
+                raise MarkovProbeError("terminal functional depends on the path history")
 
     lattice: dict = {}
 
@@ -298,16 +309,10 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
     def generator(t, xs, y, z, u) -> np.ndarray:
         vals = at(t, xs)[1]
         y, z = np.asarray(y, dtype=float), np.asarray(z, dtype=float).reshape(-1, 1)
-        out = _try_batch(cp.generator, y.shape, vals, y, z, (u,) * len(vals))
-        if out is None:
-            rows = zip(vals, y, z, strict=True)
-            out = np.array([float(cp.generator(Path._wrap(row, g.dt), yi, zi, u)) for row, yi, zi in rows])
-        return out
+        return _stack_checked("generator", cp.generator(vals, y, z, (u,) * len(vals)), y.shape)
 
     def terminal(xs) -> np.ndarray:
-        vals = at(g.horizon, xs)[1]
-        out = _try_batch(cp.terminal, xs.shape, vals)
-        return np.array([float(cp.terminal(Path._wrap(row, g.dt))) for row in vals]) if out is None else out
+        return _stack_checked("terminal", cp.terminal(at(g.horizon, xs)[1]), xs.shape)
 
     return MarkovProblem(
         drift=lambda t, xs, u: coeffs(t, xs, u)[0],

@@ -5,9 +5,8 @@ Every preset is desk-scale: one-dimensional state and noise unless stated,
 bounded coefficients, finite control sets. The *_solution builders return the
 matching classical solutions with analytic derivatives.
 
-Each coefficient of a named preset carries its array form (``batched``, see
-ControlProblem), whose every element == the scalar value: powers of the
-endpoint are taken by Python per element, as numpy's ** rounds differently.
+Every coefficient is an array form (see ControlProblem). Powers are taken by
+Python per element, as numpy's ** rounds differently from libm.
 """
 
 from __future__ import annotations
@@ -43,43 +42,43 @@ def _one_dimensional(grid: GridConfig) -> GridConfig:
     return grid
 
 
-def _with_form(scalar, form):
-    """``scalar`` carrying the array form ``form`` as its ``batched``."""
-    scalar.batched = form
-    return scalar
+def _unit_noise(vals, us):
+    return np.ones((vals.shape[0], 1, 1))
 
 
-def _unit_noise():
-    return _with_form(lambda p, u: np.array([[1.0]]), lambda vals, us: np.ones((vals.shape[0], 1, 1)))
+def _zero_drift(vals, us):
+    return np.zeros((vals.shape[0], 1))
 
 
-def _zero_generator():
-    return _with_form(lambda p, y, z, u: 0.0, lambda vals, y, z, us: np.zeros(vals.shape[0]))
+def _zero_generator(vals, y, z, us):
+    return np.zeros(vals.shape[0])
 
 
-def _control_drift():
+def _control_drift(vals, us):
     """Drift u."""
-    return _with_form(lambda p, u: np.array([float(u)]), lambda vals, us: np.asarray(us, dtype=float).reshape(-1, 1))
+    return np.asarray(us, dtype=float).reshape(-1, 1)
 
 
-def _endpoint_terminal(fn, form=None):
-    """Terminal fn(x) of the endpoint x as a float. Its array form applies
-    ``form`` to the (N,) endpoints or, by default, fn per element."""
-    if form is None:
-        per_element = np.frompyfunc(fn, 1, 1)
+def _endpoint_terminal(fn):
+    """Terminal fn(x) of the endpoint x, with fn applied by Python per element."""
+    per_element = np.frompyfunc(fn, 1, 1)
 
-        def form(xs):
-            return per_element(xs).astype(float)
+    def terminal(vals):
+        return per_element(vals[:, 0, -1]).astype(float)
 
-    return _with_form(lambda p: fn(float(p.values[0, -1])), lambda vals: form(vals[:, 0, -1]))
+    return terminal
+
+
+def _endpoint(vals):
+    return vals[:, 0, -1]
 
 
 def _uncontrolled(grid: GridConfig, terminal) -> ControlProblem:
     """Zero drift, unit noise, zero generator and the single control 0."""
     return ControlProblem(
-        drift=_with_form(lambda p, u: np.zeros(1), lambda vals, us: np.zeros((vals.shape[0], 1))),
-        diffusion=_unit_noise(),
-        generator=_zero_generator(),
+        drift=_zero_drift,
+        diffusion=_unit_noise,
+        generator=_zero_generator,
         terminal=terminal,
         controls=(0.0,),
         grid=_one_dimensional(grid),
@@ -100,10 +99,10 @@ def lq_problem(grid: GridConfig) -> ControlProblem:
         return -u * u
 
     return ControlProblem(
-        drift=_control_drift(),
-        diffusion=_unit_noise(),
-        generator=_with_form(lambda p, y, z, u: -u * u, reward),
-        terminal=_endpoint_terminal(float, np.array),
+        drift=_control_drift,
+        diffusion=_unit_noise,
+        generator=reward,
+        terminal=_endpoint,
         controls=_LQ_CONTROLS,
         grid=_one_dimensional(grid),
     )
@@ -148,7 +147,7 @@ def quartic_closed_form(x: float, t: float, horizon: float) -> float:
 
 def martingale_problem(grid: GridConfig) -> ControlProblem:
     """Unit-noise martingale with terminal endpoint value."""
-    return _uncontrolled(grid, _endpoint_terminal(float, np.array))
+    return _uncontrolled(grid, _endpoint)
 
 
 def martingale_solution(grid: GridConfig) -> PathFunctional:
@@ -158,7 +157,11 @@ def martingale_solution(grid: GridConfig) -> PathFunctional:
 def running_cost_problem(grid: GridConfig) -> ControlProblem:
     """Unit-noise martingale paying the running rectangle integral at T."""
     dt = grid.dt
-    return _uncontrolled(grid, _with_form(running_integral_functional().eval, lambda vals: vals[:, 0].sum(axis=1) * dt))
+
+    def integral(vals):
+        return vals[:, 0].sum(axis=1) * dt
+
+    return _uncontrolled(grid, integral)
 
 
 def running_cost_solution(grid: GridConfig) -> PathFunctional:
@@ -180,10 +183,10 @@ def running_cost_solution(grid: GridConfig) -> PathFunctional:
 def bangbang_problem(grid: GridConfig) -> ControlProblem:
     """Bang-bang drift u in {-1, +1}, unit noise, terminal |x|."""
     return ControlProblem(
-        drift=_control_drift(),
-        diffusion=_unit_noise(),
-        generator=_zero_generator(),
-        terminal=_endpoint_terminal(abs, np.abs),
+        drift=_control_drift,
+        diffusion=_unit_noise,
+        generator=_zero_generator,
+        terminal=lambda vals: np.abs(vals[:, 0, -1]),
         controls=(-1.0, 1.0),
         grid=_one_dimensional(grid),
     )
@@ -193,36 +196,33 @@ def random_problem(grid: GridConfig, seed: int, n_controls: int = 2) -> ControlP
     """Seeded bounded-coefficient instance with Lipschitz nonlinearities.
 
     Coefficients stay within tanh envelopes so the probed Lipschitz constant
-    is small and the implicit BSDE step contracts at desk-scale dt.
+    is small and the implicit BSDE step contracts at desk-scale dt. The
+    history term is tanh of the running integral of the first coordinate.
     """
     rng = np.random.default_rng(seed)
     a = rng.uniform(-0.5, 0.5, size=6)
     controls = tuple(np.round(rng.uniform(-1.0, 1.0, size=n_controls), 3))
-    d, n = grid.dim, grid.noise_dim
+    d, n, dt = grid.dim, grid.noise_dim, grid.dt
+    square = np.frompyfunc(lambda u: float(u) ** 2, 1, 1)  # Python's **, per element
 
-    def hist(p):
-        return float(np.tanh(p.values.sum(axis=1)[0] * p.dt))
+    def hist(vals):
+        return np.tanh(vals[:, 0].sum(axis=1) * dt)
 
-    def drift(p, u):
-        x = p.values[:, -1]
-        return a[0] * np.tanh(x) + a[1] * float(u) * np.ones(d) + a[2] * hist(p) * np.ones(d)
+    def drift(vals, us):
+        u = np.asarray(us, dtype=float)
+        return a[0] * np.tanh(vals[:, :, -1]) + (a[1] * u)[:, None] + (a[2] * hist(vals))[:, None]
 
-    def diffusion(p, u):
-        x = p.values[:, -1]
-        base = 0.5 + 0.25 * np.tanh(x[0]) + 0.1 * float(u)
-        return base * np.eye(d, n)
+    def diffusion(vals, us):
+        base = 0.5 + 0.25 * np.tanh(vals[:, 0, -1]) + 0.1 * np.asarray(us, dtype=float)
+        return base[:, None, None] * np.eye(d, n)
 
-    def gen(p, y, z, u):
-        return float(a[3] * np.tanh(y) + a[4] * np.tanh(z[0]) + a[5] * hist(p) - 0.1 * float(u) ** 2)
+    def gen(vals, y, z, us):
+        return a[3] * np.tanh(y) + a[4] * np.tanh(z[:, 0]) + a[5] * hist(vals) - 0.1 * square(us).astype(float)
 
-    return ControlProblem(
-        drift=drift,
-        diffusion=diffusion,
-        generator=gen,
-        terminal=lambda p: float(np.tanh(p.values[0, -1]) + 0.2 * np.sqrt((p.values**2).sum(axis=0)).max()),
-        controls=controls,
-        grid=grid,
-    )
+    def terminal(vals):
+        return np.tanh(vals[:, 0, -1]) + 0.2 * np.sqrt((vals**2).sum(axis=1)).max(axis=1)
+
+    return ControlProblem(drift=drift, diffusion=diffusion, generator=gen, terminal=terminal, controls=controls, grid=grid)
 
 
 def random_augmented_problem(steps: int, horizon: float, seed: int) -> AugmentedProblem:
@@ -234,15 +234,15 @@ def random_augmented_problem(steps: int, horizon: float, seed: int) -> Augmented
     rng = np.random.default_rng(seed)
     c = rng.uniform(-0.5, 0.5, size=4)
 
-    def q_bar(omega, x, y, z, u):
-        return float(c[0] + c[1] * np.tanh(omega.values[0, -1]) + c[2] * y + c[3] * np.tanh(z[0]))
+    def q_bar(omega, x, y, z, us):
+        return c[0] + c[1] * np.tanh(omega[:, 0, -1]) + c[2] * y + c[3] * np.tanh(z[:, 0])
 
     def phi_bar(omega, x):
-        return float(omega.values[0].max() + 0.5 * omega.values[0, -1])
+        return omega[:, 0].max(axis=1) + 0.5 * omega[:, 0, -1]
 
     return AugmentedProblem(
-        base_drift=lambda omega, x, u: np.zeros(1),
-        base_diffusion=lambda omega, x, u: np.zeros((1, 1)),
+        base_drift=lambda omega, x, us: np.zeros((omega.shape[0], 1)),
+        base_diffusion=lambda omega, x, us: np.zeros((omega.shape[0], 1, 1)),
         base_generator=q_bar,
         base_terminal=phi_bar,
         controls=(0.0,),

@@ -272,10 +272,10 @@ def test_criterion_12_stability_under_coefficient_perturbation():
 
     def perturbed(eps):
         return ControlProblem(
-            drift=lambda p, u: np.asarray(base.drift(p, u)) + eps,
-            diffusion=lambda p, u: np.asarray(base.diffusion(p, u)) + eps,
-            generator=lambda p, y, z, u: base.generator(p, y, z, u) + eps,
-            terminal=lambda p: base.terminal(p) + eps,
+            drift=lambda vals, us: np.asarray(base.drift(vals, us)) + eps,
+            diffusion=lambda vals, us: np.asarray(base.diffusion(vals, us)) + eps,
+            generator=lambda vals, y, z, us: base.generator(vals, y, z, us) + eps,
+            terminal=lambda vals: base.terminal(vals) + eps,
             controls=base.controls,
             grid=grid,
         )

@@ -10,13 +10,14 @@ from pathhjb.bshjb import (
     split_path,
     stack_paths,
 )
-from pathhjb.control import simulate_tree, value
+from pathhjb.control import per_path, simulate_tree, value
 from pathhjb.pathspace import Path, PathError
 from pathhjb.presets import random_augmented_problem
 from pathhjb.sampling import random_path
 
 
 def _frozen_ap(**kw):
+    """An AugmentedProblem of base coefficients written per noise path."""
     defaults = dict(
         base_drift=lambda om, x, u: np.zeros(1),
         base_diffusion=lambda om, x, u: np.zeros((1, 1)),
@@ -29,7 +30,17 @@ def _frozen_ap(**kw):
         state_dim=1,
     )
     defaults.update(kw)
+    dt = defaults["horizon"] / defaults["steps"]
+    for name in ("base_drift", "base_diffusion", "base_generator", "base_terminal"):
+        defaults[name] = per_path(defaults[name], dt)
     return AugmentedProblem(**defaults)
+
+
+def _one_row(fn, vals, *args):
+    """An array form's value at the single path ``vals``, a (d, K) array."""
+    vals = vals[None]
+    vals.setflags(write=False)
+    return np.asarray(fn(vals, *args))[0]
 
 
 def test_stack_split_roundtrip():
@@ -47,8 +58,8 @@ def test_augment_block_structure():
     cp = augment(ap)
     om = Path(np.array([[0.1, -0.4]]), 0.25)
     combined = stack_paths(om, Path.constant(2.0, 1, 0.25))
-    b = cp.drift(combined, 0.0)
-    sig = cp.diffusion(combined, 0.0)
+    b = _one_row(cp.drift, combined.values, (0.0,))
+    sig = _one_row(cp.diffusion, combined.values, (0.0,))
     assert np.all(b == 0.0)
     assert sig.shape == (2, 1)
     assert sig[0, 0] == 1.0 and sig[1, 0] == 0.0
@@ -68,7 +79,7 @@ def test_augment_zero_drift_first_block_everywhere():
         xi = random_path(rng, 1, 0.25, om.t_index)
         combined = stack_paths(om, xi)
         for u in ap.controls:
-            assert cp.drift(combined, u)[0] == 0.0
+            assert _one_row(cp.drift, combined.values, (u,))[0] == 0.0
 
 
 def test_augmented_tree_replays_noise_exactly():
@@ -291,13 +302,13 @@ def _reference_residual(ap, v, omega, x):
     v0 = v(omega, x)
     best = -np.inf
     for u in ap.controls:
-        b = np.atleast_1d(np.asarray(ap.base_drift(omega, x, u), dtype=float))
-        sig = np.atleast_2d(np.asarray(ap.base_diffusion(omega, x, u), dtype=float))
+        b = np.atleast_1d(np.asarray(_one_row(ap.base_drift, omega.values, x[None], (u,)), dtype=float))
+        sig = np.atleast_2d(np.asarray(_one_row(ap.base_diffusion, omega.values, x[None], (u,)), dtype=float))
         term = float(dxv @ b)
         term += 0.5 * float(np.trace(dxxv @ (sig @ sig.T)))
         term += 0.5 * float(np.trace(dgg))
         term += float(np.trace(sig.T @ dxg))
-        term += float(ap.base_generator(omega, x, v0, dg + sig.T @ dxv, u))
+        term += float(_one_row(ap.base_generator, omega.values, x[None], np.array([v0]), (dg + sig.T @ dxv)[None], (u,)))
         best = max(best, term)
     return dt_v + best
 

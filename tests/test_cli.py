@@ -1,6 +1,7 @@
 import filecmp
 import hashlib
 import tempfile
+import warnings
 from pathlib import Path as FsPath
 
 import pytest
@@ -171,6 +172,21 @@ def test_integer_literal_too_large_for_a_float_is_named(tmp_path, capsys):
     assert not (tmp_path / "value.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "coeffs,code,message",
+    [
+        ({"generator": "8*y"}, 3, "contract violation: implicit generator step did not converge in 50 iterations"),
+        ({"generator": "1e300*1e300*y"}, 3, "contract violation: generator produced a non-finite value"),
+        # fails at the level-1 nodes below 0 only, inside one array call over the level
+        ({"drift": ["sqrt(x)"]}, 2, "config error: expression 'sqrt(x)' failed to evaluate: math domain error"),
+    ],
+)
+def test_a_coefficient_failing_inside_the_tree_exits_and_names_the_expression(coeffs, code, message, tmp_path, capsys):
+    argv = ["value", "--config", _inline(tmp_path, **coeffs), "--override", "start_value=0.3", "--out", str(tmp_path)]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_state_blowup_is_contract_violation(tmp_path):
     assert main(["value", "--config", _inline(tmp_path, drift=["1e300*1e300*u"]), "--out", str(tmp_path)]) == 3
 
@@ -319,6 +335,13 @@ _PINNED = {
         "4927b0b5a1a0c22cfa525b3351be245999d43f1dfb2746a78328edd0ba11da3d",
         "09de4a3113ef62fd5707def5650636258d51938edfbb3f67fdddfaf33b94b165",
     ),
+    # the one subcommand that runs augment, remark64_check and random_augmented_problem
+    "bshjb-check": (
+        "bshjb-check",
+        [],
+        "8830d157e5cbf8b407592f2778b32bfc123ceacb954f7f8cf2504ca16635b49c",
+        "6f6a20040551366559dc0ba1af400efc4e2efce9b87ea991bb66d74f37bfb7ab",
+    ),
     # the named presets, read through their array forms
     "value": (
         "value",
@@ -409,6 +432,18 @@ def test_counts_out_of_range_are_rejected(argv, code, message, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.err.strip() == message and captured.out == ""
     assert not (tmp_path / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("spec,got", [("x_lo=-.inf", "lo=-inf, hi=4.0"), ("x_hi=.inf", "lo=-4.0, hi=inf"), ("x_hi=1e308", None)])
+def test_infinite_x_grids_are_contract_violations_before_any_arithmetic(spec, got, tmp_path, capsys):
+    argv = ["markov-compare", "--override", spec, "--override", "levels=1", "--out", str(tmp_path)]
+    if got is None:  # -4 .. 1e308 is finite, but its span over 40 cells is not
+        argv += ["--override", "x_lo=-1e308"]
+        got = "lo=-1e+308, hi=1e+308"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 3
+    assert capsys.readouterr().err.strip() == f"contract violation: x grid needs finite lo, hi and dx, got {got}, nx=41"
 
 
 _NOT_NUMBERS = ["abc", "foo", "[1, 2]", "{a: 1}", "null", "''"]

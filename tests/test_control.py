@@ -8,6 +8,8 @@ from pathhjb.control import (
     DEFAULT_NODE_CAP,
     BlowupError,
     CapacityError,
+    FIXED_POINT_MAX_ITER,
+    FIXED_POINT_TOL,
     ContractError,
     ControlProblem,
     ControlStrategy,
@@ -15,11 +17,12 @@ from pathhjb.control import (
     cost,
     dpp_check,
     moment_probe,
+    per_path,
     regularity_probe,
     simulate_psde,
     simulate_tree,
     solve_bsde_tree,
-    _implicit_step,
+    _implicit,
     _increments,
     _solve_value,
     value,
@@ -34,8 +37,17 @@ GRID4 = GridConfig(4, 1.0, 1, 1)
 CONST0 = ControlStrategy.constant(0.0)
 
 
+COEFFICIENTS = ("drift", "diffusion", "generator", "terminal")
+
+
+def _per_path(drift, diffusion, generator, terminal, controls, grid):
+    """The ControlProblem of coefficients written per path."""
+    forms = {name: per_path(fn, grid.dt) for name, fn in zip(COEFFICIENTS, (drift, diffusion, generator, terminal))}
+    return ControlProblem(**forms, controls=controls, grid=grid)
+
+
 def _plain(drift=0.0, sigma=1.0, q=None, phi=None, grid=GRID4, controls=(0.0,)):
-    return ControlProblem(
+    return _per_path(
         drift=lambda p, u: np.full(grid.dim, drift),
         diffusion=lambda p, u: sigma * np.eye(grid.dim, grid.noise_dim),
         generator=q or (lambda p, y, z, u: 0.0),
@@ -72,7 +84,7 @@ def test_simulate_psde_zero_dynamics_extends():
 
 def test_simulate_psde_blowup_reported():
     grid = GridConfig(8, 1.0, 1, 1)
-    cp = ControlProblem(
+    cp = _per_path(
         drift=lambda p, u: np.array([np.exp(p.values[0, -1])]) * 1e300,
         diffusion=lambda p, u: np.eye(1),
         generator=lambda p, y, z, u: 0.0,
@@ -119,7 +131,7 @@ def test_tree_shape_and_exact_moments():
 
 def test_tree_martingale_mean_exact():
     grid = GridConfig(5, 1.0, 1, 1)
-    cp = ControlProblem(
+    cp = _per_path(
         drift=lambda p, u: np.zeros(1),
         diffusion=lambda p, u: np.array([[1.0 + 0.3 * np.tanh(p.values[0, -1])]]),
         generator=lambda p, y, z, u: 0.0,
@@ -135,7 +147,7 @@ def test_tree_martingale_mean_exact():
 
 def test_tree_two_dimensional_noise():
     grid = GridConfig(3, 0.75, 2, 2)
-    cp = ControlProblem(
+    cp = _per_path(
         drift=lambda p, u: np.zeros(2),
         diffusion=lambda p, u: np.array([[1.0, 0.2], [0.0, 0.8]]),
         generator=lambda p, y, z, u: 0.0,
@@ -184,7 +196,7 @@ def test_bsde_linear_generator_matches_picard_oracle():
     tree = simulate_tree(cp, p0, 5)
     sol = solve_bsde_tree(cp, tree)
     # independent Picard iteration on the same tree
-    leaves = np.array([cp.terminal(p) for p in tree.leaf_paths()])
+    leaves = np.array([float(p.values[0, -1]) ** 2 for p in tree.leaf_paths()])
     levels = [np.zeros(2**k) for k in range(6)]
     for _ in range(60):
         nxt = [None] * 6
@@ -208,7 +220,7 @@ def test_semigroup_full_range_equals_cost():
     cp = lq_problem(GRID4)
     p0 = Path.constant(0.0, 0, GRID4.dt)
     strat = ControlStrategy(open_loop=(0.5, 0.5, 1.0, 0.0))
-    g_full = backward_semigroup(cp, p0, strat, 4, eta=cp.terminal)
+    g_full = backward_semigroup(cp, p0, strat, 4, eta=lambda p: float(p.values[0, -1]))
     assert g_full == pytest.approx(cost(cp, p0, strat), abs=1e-13)
 
 
@@ -243,7 +255,7 @@ def test_semigroup_nesting_with_open_loop_controls():
     cp = lq_problem(grid)
     p0 = Path.constant(0.0, 0, grid.dt)
     strat = ControlStrategy(open_loop=(0.0, 0.5, 1.0, 0.5))
-    eta = cp.terminal
+    eta = lambda p: float(p.values[0, -1])  # noqa: E731
     one_stage = backward_semigroup(cp, p0, strat, 4, eta)
     # the open-loop sequence is indexed by absolute grid index, so the same
     # strategy object drives both stages coherently
@@ -270,7 +282,7 @@ def test_value_vacuous_sup_is_expectation():
     cp = _plain(phi=lambda p: float(np.tanh(p.values[0, -1])), controls=(0.0, 1.0, 2.0))
     p0 = Path.constant(0.1, 0, GRID4.dt)
     tree = simulate_tree(cp, p0, 4)
-    expected = np.mean([cp.terminal(p) for p in tree.leaf_paths()])
+    expected = np.mean([float(np.tanh(p.values[0, -1])) for p in tree.leaf_paths()])
     assert value(cp, p0) == pytest.approx(expected, abs=1e-12)
 
 
@@ -352,8 +364,36 @@ def test_regularity_probe_stable_under_resampling():
     assert abs(t2 - t1) <= 0.2 * max(t1, t2) + 1e-9
 
 
+def _one_row(fn, vals, *args):
+    """An array form's value at the single path ``vals``, a (d, K) array."""
+    vals = vals[None]
+    vals.setflags(write=False)
+    return np.asarray(fn(vals, *args))[0]
+
+
+def _implicit_step(cp, vals, e_y, z, u, dt):
+    """Reference oracle: the scalar fixed point y = E[Y'] + q(path, y, z, u) dt,
+    one generator row per round, that the masked batch replaced."""
+    y = e_y
+    change = 0.0
+    for _ in range(FIXED_POINT_MAX_ITER):
+        y_new = e_y + float(_one_row(cp.generator, vals, np.array([y]), z[None], (u,))) * dt
+        if not np.isfinite(y_new):
+            raise ContractError("generator produced a non-finite value")
+        prev, change = change, abs(y_new - y)
+        if change <= FIXED_POINT_TOL * (1.0 + abs(y_new)):
+            return y_new
+        y = y_new
+    raise ContractError(
+        f"implicit generator step did not converge in {FIXED_POINT_MAX_ITER} iterations: last step change "
+        f"{change:.3e}, observed contraction ratio {change / prev:.3g} (estimates L*dt; check L*dt < 0.5)"
+    )
+
+
 class _RecursiveValue:
-    """Reference oracle: the per-node memoized recursion the level-wise engine replaced."""
+    """Reference oracle: the per-node memoized recursion the level-wise engine
+    replaced, reading one row per coefficient call; ``terminal_fn`` is an
+    array form."""
 
     def __init__(self, cp, end_index, terminal_fn):
         self.cp, self.end_index, self.terminal_fn = cp, end_index, terminal_fn
@@ -366,16 +406,16 @@ class _RecursiveValue:
     def _rec(self, vals, k):
         cp, dt = self.cp, self.cp.grid.dt
         if k == self.end_index:
-            return float(self.terminal_fn(Path._wrap(vals, dt)))
+            return float(_one_row(self.terminal_fn, vals))
         key = (k, vals.tobytes())
         if key not in self.memo:
-            path, best = Path._wrap(vals, dt), (-np.inf, None)
+            best = (-np.inf, None)
             for u in cp.controls:
-                bvec = np.atleast_1d(np.asarray(cp.drift(path, u), dtype=float))
-                sig = np.atleast_2d(np.asarray(cp.diffusion(path, u), dtype=float))
+                bvec = np.atleast_1d(np.asarray(_one_row(cp.drift, vals, (u,)), dtype=float))
+                sig = np.atleast_2d(np.asarray(_one_row(cp.diffusion, vals, (u,)), dtype=float))
                 steps = vals[:, -1][None, :] + bvec[None, :] * dt + self.incs @ sig.T
                 ys = np.array([self._rec(np.concatenate([vals, s[:, None]], axis=1), k + 1) for s in steps])
-                y = _implicit_step(cp, path, float(ys.mean()), ys @ self.incs / (len(ys) * dt), u, dt)
+                y = _implicit_step(cp, vals, float(ys.mean()), ys @ self.incs / (len(ys) * dt), u, dt)
                 if y > best[0]:
                     best = (y, u)
             self.memo[key] = best
@@ -383,15 +423,15 @@ class _RecursiveValue:
 
 
 def _counted(cp):
-    """A copy of cp whose coefficient callables count their calls."""
-    counts = dict.fromkeys(("drift", "diffusion", "generator", "terminal"), 0)
+    """A copy of cp whose coefficients count the rows they serve."""
+    counts = dict.fromkeys(COEFFICIENTS, 0)
 
     def wrap(name):
         fn = getattr(cp, name)
 
-        def counted(*args):
-            counts[name] += 1
-            return fn(*args)
+        def counted(vals, *args):
+            counts[name] += len(vals)
+            return fn(vals, *args)
 
         return counted
 
@@ -428,7 +468,7 @@ def test_dpp_check_equals_recursive_oracle(grid, n_controls):
     v = _RecursiveValue(cp, grid.steps, cp.terminal).solve(p0)
     for delta in range(grid.steps + 1):
         inner = _RecursiveValue(cp, grid.steps, cp.terminal)
-        outer = _RecursiveValue(cp, delta, inner.solve)
+        outer = _RecursiveValue(cp, delta, per_path(inner.solve, grid.dt))
         assert dpp_check(cp, p0, delta) == abs(v - outer.solve(p0))
 
 
@@ -491,8 +531,8 @@ def _reference_simulate_psde(cp, p0, strategy, end_index, seed):
         view.setflags(write=False)
         path = Path._wrap(view, dt) if k > p0.t_index else p0
         u = strategy.control_at(path)
-        bvec = np.atleast_1d(np.asarray(cp.drift(path, u), dtype=float))
-        sig = np.atleast_2d(np.asarray(cp.diffusion(path, u), dtype=float))
+        bvec = np.atleast_1d(np.asarray(_one_row(cp.drift, view, (u,)), dtype=float))
+        sig = np.atleast_2d(np.asarray(_one_row(cp.diffusion, view, (u,)), dtype=float))
         dw = rng.normal(0.0, np.sqrt(dt), size=sig.shape[1])
         vals[:, k + 1] = vals[:, k] + bvec * dt + sig @ dw
         if not np.all(np.isfinite(vals[:, k + 1])):
@@ -536,14 +576,14 @@ def test_cost_calls_each_coefficient_once_per_internal_node():
     internal = 1 + 4 + 16  # branching 4, depth 3
     for run in (
         lambda cp: cost(cp, p0, ControlStrategy.constant(cp.controls[1])),
-        lambda cp: backward_semigroup(cp, p0, ControlStrategy.constant(cp.controls[1]), 3, cp.terminal),
+        lambda cp: backward_semigroup(cp, p0, ControlStrategy.constant(cp.controls[1]), 3, lambda p: _one_row(cp.terminal, p.values)),
     ):
         cp, calls = _counted(random_problem(grid, seed=4, n_controls=2))
         run(cp)
         assert calls["drift"] == calls["diffusion"] == internal
     strat = ControlStrategy(open_loop=cp.controls + cp.controls[:1])
     tree = simulate_tree(cp, p0, 3, strat)
-    assert [set(level) for level in tree.controls] == [{(u,)} for u in strat.open_loop]
+    assert [set(level) for level in tree.controls] == [{u} for u in strat.open_loop]
     before = dict(calls)
     solve_bsde_tree(cp, tree)
     assert calls["drift"] == before["drift"] and calls["diffusion"] == before["diffusion"]
@@ -555,7 +595,7 @@ def test_cost_calls_each_coefficient_once_per_internal_node():
 
 
 def _shaped(grid, drift, diffusion=lambda p, u: np.eye(1)):
-    return ControlProblem(
+    return _per_path(
         drift=drift,
         diffusion=diffusion,
         generator=lambda p, y, z, u: 0.0,
@@ -588,7 +628,8 @@ def _reduced_coefficients(cp, p0):
 
 def _ito(cp, p0):
     u = cp.controls[0]
-    ito_check(constant_functional(0.0), lambda p: cp.drift(p, u), lambda p: cp.diffusion(p, u), p0, cp.grid.steps, 4, 0)
+    drift, diffusion = (lambda p: _one_row(cp.drift, p.values, (u,))), (lambda p: _one_row(cp.diffusion, p.values, (u,)))
+    ito_check(constant_functional(0.0), drift, diffusion, p0, cp.grid.steps, 4, 0)
 
 
 SHAPE_READERS = {
@@ -614,10 +655,41 @@ def test_coeffs_names_expected_and_received_shapes():
     cp = BAD_SHAPES["length changes with the path"]
     p, q = Path.constant(0.0, 0, GRID4.dt), Path.constant(0.5, 0, GRID4.dt)
     with pytest.raises(PathError, match=r"drift must return shape \(1,\) .*, got \(1,\), \(2,\)"):
-        cp.coeffs((p, q), (0.0, 0.0))
+        cp.coeffs(np.stack([p.values, q.values]), (0.0, 0.0))
     cp = _shaped(GRID2, lambda p, u: np.zeros(2), lambda p, u: np.zeros((2, 1)))
     with pytest.raises(PathError, match=r"diffusion must return shape \(2, 2\) .*, got \(2, 1\)"):
-        cp.coeffs((Path.constant(np.zeros(2), 0, GRID2.dt),), (0.0,))
-    b, sig = _plain(drift=0.3, grid=GRID2).coeffs((Path.constant(np.zeros(2), 0, GRID2.dt),) * 3, (0.0,) * 3)
+        cp.coeffs(Path.constant(np.zeros(2), 0, GRID2.dt).values[None], (0.0,))
+    # an array form's value of another shape is named whole
+    form = dataclasses.replace(cp, drift=lambda vals, us: np.zeros((len(us), 3)))
+    with pytest.raises(PathError, match=r"drift must return shape \(2,\) at each of 1 .*, got \(1, 3\)"):
+        form.coeffs(Path.constant(np.zeros(2), 0, GRID2.dt).values[None], (0.0,))
+    # one path under three controls
+    b, sig = _plain(drift=0.3, grid=GRID2).coeffs(Path.constant(np.zeros(2), 0, GRID2.dt).values[None], (0.0,) * 3)
     assert b.shape == (3, 2) and sig.shape == (3, 2, 2) and not b.flags.writeable
     assert np.array_equal(b, np.full((3, 2), 0.3)) and np.array_equal(sig, np.broadcast_to(np.eye(2), (3, 2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# The masked fixed point raises the error of its lowest-index failing row.
+
+
+@pytest.mark.parametrize("kinds", [(0, 1, 2), (0, 2, 1), (2, 1, 0), (1, 1, 0), (0, 0, 0)])
+def test_masked_fixed_point_raises_the_lowest_failing_rows_error(kinds):
+    # kind 0 contracts, kind 1 never does (slope 10 at dt 0.25), kind 2 is not finite
+    def generator(vals, y, z, us):
+        kind = vals[:, 0, -1]
+        return np.where(kind == 1, 10.0 * y, np.where(kind == 2, np.inf, 0.5 * np.tanh(y)))
+
+    cp = ControlProblem(drift=None, diffusion=None, generator=generator, terminal=None, controls=(0.0,), grid=GRID4)
+    vals = np.array(kinds, dtype=float).reshape(-1, 1, 1)
+    e_y, z, us = np.array([0.3, -0.2, 0.1]), np.zeros((3, 1)), np.zeros(3, dtype=object)
+    want = []
+    for i in range(3):
+        try:
+            want.append(_implicit_step(cp, vals[i], e_y[i], z[i], us[i], GRID4.dt))
+        except ContractError as exc:
+            with pytest.raises(ContractError) as got:
+                _implicit(generator, vals, e_y, z, us, GRID4.dt)
+            assert str(got.value) == str(exc)
+            return
+    assert _implicit(generator, vals, e_y, z, us, GRID4.dt).tolist() == want

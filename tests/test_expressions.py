@@ -1,5 +1,5 @@
 """The inline grammar's array evaluation against Python's scalar evaluation, and
-the engine's array-form path against the scalar path of the same problem."""
+the engine's reads of the array forms against row-by-row reads of them."""
 
 import ast
 import dataclasses
@@ -148,21 +148,21 @@ TWO_D = (
 CASES = [_bench_shaped(np.random.default_rng(s)) for s in range(6)] + [TWO_D]
 
 
-def _scalar_only(fn):
-    return lambda *args: fn(*args)
+def _row_by_row(cp):
+    """cp with each coefficient read one row per call, through per_path: the
+    scalar path of its array forms."""
 
+    def one_row(fn):
+        return lambda path, *row: fn(path.values[None], *(np.asarray([a]) for a in row))[0]
 
-def _stripped(cp):
-    """cp with every array form dropped, as dataclasses.replace drops it."""
     fields = ("drift", "diffusion", "generator", "terminal")
-    return dataclasses.replace(cp, **{f: _scalar_only(getattr(cp, f)) for f in fields})
+    return dataclasses.replace(cp, **{f: control.per_path(one_row(getattr(cp, f)), cp.grid.dt) for f in fields})
 
 
 @pytest.mark.parametrize("spec,grid,start", CASES)
 def test_array_forms_give_the_scalar_path_results(spec, grid, start):
     cp = inline_problem(spec, grid)
-    ref = _stripped(cp)
-    assert hasattr(cp.generator, "batched") and not hasattr(ref.generator, "batched")
+    ref = _row_by_row(cp)
     p0 = Path.constant(np.full(grid.dim, start), 0, grid.dt)
     assert control.value(cp, p0) == control.value(ref, p0)
     (v, strat), (v_ref, strat_ref) = control.value_with_strategy(cp, p0), control.value_with_strategy(ref, p0)
@@ -195,8 +195,9 @@ def _small(**coeffs):
     ],
 )
 def test_a_failed_batch_raises_the_scalar_path_error(coeffs, start):
+    # the form's own error reaches the caller, the one the first failing row raises alone
     cp = _small(**coeffs)
-    ref = _stripped(cp)
+    ref = _row_by_row(cp)
     p0 = Path.constant(start, 0, cp.grid.dt)
     assert _failure(lambda: control.value(cp, p0)) == _failure(lambda: control.value(ref, p0))
     strategy = ControlStrategy.constant(1.0)
@@ -210,25 +211,20 @@ def test_the_drift_failure_starts_below_the_root():
     b, _ = cp.coeffs(p0.values[None], (0.0, 1.0))
     assert b.shape == (2, 1)
     with pytest.raises(ExpressionError, match="math domain error"):
-        cp.drift.batched(np.array([[[0.3, -0.2]]]), [0.0])
+        cp.drift(np.array([[[0.3, -0.2]]]), [0.0])
 
 
-def test_array_generator_calls_are_bounded_and_the_scalar_one_is_unused():
+def test_array_generator_calls_are_bounded_by_the_fixed_point_rounds():
     spec, grid, start = CASES[0]
     cp = inline_problem(spec, grid)
-    calls = {"scalar": 0, "array": 0}
+    calls = []
 
-    def generator(*args):
-        calls["scalar"] += 1
-        return cp.generator(*args)
+    def generator(vals, *args):
+        calls.append(len(vals))
+        return cp.generator(vals, *args)
 
-    def batched(*args):
-        calls["array"] += 1
-        return cp.generator.batched(*args)
-
-    generator.batched = batched
     counted = dataclasses.replace(cp, generator=generator)
     p0 = Path.constant(start, 0, grid.dt)
     assert control.value(counted, p0) == control.value(cp, p0)
-    assert calls["scalar"] == 0
-    assert grid.steps <= calls["array"] <= grid.steps * FIXED_POINT_MAX_ITER
+    # one call per round of each level's fixed point, over the rows not yet converged
+    assert grid.steps <= len(calls) <= grid.steps * FIXED_POINT_MAX_ITER

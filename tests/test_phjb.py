@@ -1,11 +1,12 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from pathhjb import phjb
 from pathhjb.cli import COMPARISON_DEFAULT, MARKOV_DEFAULT, run_comparison_demo, run_markov_compare
-from pathhjb.control import ControlProblem, value
+from pathhjb.control import ControlProblem, per_path, value
 from pathhjb.funcalc import PathFunctional, add_functionals, constant_functional, scale_functional
 from pathhjb.gauge import GaugeParams, upsilon_bar, upsilon_bar_functional, upsilon_single
 from pathhjb.pathspace import GridConfig, Path, PathError
@@ -44,6 +45,25 @@ from pathhjb.sampling import random_path
 GRID = GridConfig(6, 0.75, 1, 1)
 
 
+def _per_path(drift, diffusion, generator, terminal, controls, grid):
+    """The ControlProblem of coefficients written per path."""
+    return ControlProblem(
+        drift=per_path(drift, grid.dt),
+        diffusion=per_path(diffusion, grid.dt),
+        generator=per_path(generator, grid.dt),
+        terminal=per_path(terminal, grid.dt),
+        controls=controls,
+        grid=grid,
+    )
+
+
+def _one_row(fn, vals, *args):
+    """An array form's value at the single path ``vals``, a (d, K) array."""
+    vals = vals[None]
+    vals.setflags(write=False)
+    return np.asarray(fn(vals, *args))[0]
+
+
 def _hin(path, r=0.0, p=0.0, l=0.0):
     return HamiltonianInput(path, r, np.atleast_1d(p), np.atleast_2d(l))
 
@@ -58,7 +78,7 @@ def test_hamiltonian_single_control():
 
 def test_hamiltonian_trace_example():
     grid = GridConfig(4, 1.0, 2, 2)
-    cp = ControlProblem(
+    cp = _per_path(
         drift=lambda p, u: np.zeros(2),
         diffusion=lambda p, u: np.eye(2),
         generator=lambda p, y, z, u: 0.0,
@@ -72,7 +92,7 @@ def test_hamiltonian_trace_example():
 
 
 def test_hamiltonian_argmax_tie_breaks_to_lowest_index():
-    cp = ControlProblem(
+    cp = _per_path(
         drift=lambda p, u: np.zeros(1),
         diffusion=lambda p, u: np.eye(1),
         generator=lambda p, y, z, u: abs(u),  # ties between +1 and -1
@@ -110,7 +130,7 @@ def test_hamiltonian_requires_symmetric_l():
 def test_hamiltonian_monotone_in_r_with_modulus():
     # generator strictly decreasing in y with slope -K
     K = 0.8
-    cp = ControlProblem(
+    cp = _per_path(
         drift=lambda p, u: np.array([u]),
         diffusion=lambda p, u: np.eye(1),
         generator=lambda p, y, z, u: -K * y + 0.3 * float(np.atleast_1d(z)[0]) + u,
@@ -131,7 +151,7 @@ def test_hamiltonian_monotone_in_r_with_modulus():
 
 
 def test_hamiltonian_convex_in_p_l_for_z_affine_generator():
-    cp = ControlProblem(
+    cp = _per_path(
         drift=lambda p, u: np.array([u]),
         diffusion=lambda p, u: np.array([[1.0 + 0.2 * u]]),
         generator=lambda p, y, z, u: 0.4 * y + 0.7 * float(np.atleast_1d(z)[0]) - u * u,
@@ -260,7 +280,7 @@ def test_supersolution_probe_classical_solution():
 
 
 def test_markovian_reduction_probes_history():
-    cp = ControlProblem(
+    cp = _per_path(
         drift=lambda p, u: np.array([p.values[0].mean()]),  # genuinely path-dependent
         diffusion=lambda p, u: np.eye(1),
         generator=lambda p, y, z, u: 0.0,
@@ -270,6 +290,15 @@ def test_markovian_reduction_probes_history():
     )
     with pytest.raises(MarkovProbeError):
         markovian_reduction(cp)
+
+
+@pytest.mark.parametrize("lo,hi,nx", [(-np.inf, 4.0, 41), (-4.0, np.inf, 41), (-np.inf, np.inf, 5), (-1e308, 1e308, 41)])
+def test_x_grid_needs_finite_bounds_and_spacing(lo, hi, nx):
+    with pytest.raises(PathError, match=re.escape(f"x grid needs finite lo, hi and dx, got lo={lo}, hi={hi}, nx={nx}")):
+        XGrid(lo, hi, nx)
+    with pytest.raises(PathError, match="need hi > lo"):
+        XGrid(np.nan, hi, nx)
+    assert XGrid(-1e307, 1e307, 3).dx == 1e307  # a wide but finite span is fine
 
 
 def test_markov_fd_martingale_terminal():
@@ -317,7 +346,7 @@ def test_markov_fd_bangbang_symmetric():
 def test_markov_consistency_deterministic_instance():
     # sigma = 0, affine terminal: upwind scheme and tree are both exact
     grid = GridConfig(4, 0.5, 1, 1)
-    cp = ControlProblem(
+    cp = _per_path(
         drift=lambda p, u: np.array([u]),
         diffusion=lambda p, u: np.zeros((1, 1)),
         generator=lambda p, y, z, u: 0.0,
@@ -369,7 +398,7 @@ def test_markov_consistency_quartic_refinement():
 
 def _deterministic_problem(grid, drift=lambda p, u: np.array([u])):
     # sigma = 0, affine terminal: upwind scheme and tree are both exact
-    return ControlProblem(
+    return _per_path(
         drift=drift,
         diffusion=lambda p, u: np.zeros((1, 1)),
         generator=lambda p, y, z, u: 0.0,
@@ -383,16 +412,17 @@ def _pointwise_fd(cp, xg, substeps=None):
     """Reference oracle: the per-point reduction and FD loop that the whole-grid
     coefficients replaced (one constant-history path per coefficient call)."""
     g, xs, dx, nx = cp.grid, xg.nodes(), xg.dx, xg.nx
-    at = lambda t, x: Path.constant(x, int(round(t / g.dt)), g.dt)
-    drift = lambda t, x, u: float(np.atleast_1d(cp.drift(at(t, x), u))[0])
-    diffusion = lambda t, x, u: float(np.atleast_2d(cp.diffusion(at(t, x), u))[0, 0])
+    at = lambda t, x: Path.constant(x, int(round(t / g.dt)), g.dt).values
+    drift = lambda t, x, u: float(np.atleast_1d(_one_row(cp.drift, at(t, x), (u,)))[0])
+    diffusion = lambda t, x, u: float(np.atleast_2d(_one_row(cp.diffusion, at(t, x), (u,)))[0, 0])
+    terminal = lambda x: float(_one_row(cp.terminal, at(g.horizon, x)))
     rates = lambda t, u: np.array([diffusion(t, x, u) ** 2 / dx**2 + abs(drift(t, x, u)) / dx for x in xs])
     worst = max(float(rates(t, u).max()) for t in np.linspace(0.0, g.horizon, 5) for u in cp.controls)
     if substeps is None:
         substeps = max(1, int(np.ceil(g.dt * worst / 0.9))) if worst > 0 else 1
     dt_sub = g.dt / substeps
     out = np.empty((g.steps + 1, nx))
-    out[g.steps] = [float(cp.terminal(at(g.horizon, x))) for x in xs]
+    out[g.steps] = [terminal(x) for x in xs]
     v = out[g.steps].copy()
     for k in range(g.steps - 1, -1, -1):
         for s in range(substeps):
@@ -411,13 +441,13 @@ def _pointwise_fd(cp, xg, substeps=None):
                 sig = np.array([diffusion(t, x, u) for x in xs])
                 dvx = np.where(b >= 0, fwd, bwd)
                 ham = b * dvx + 0.5 * sig**2 * snd
-                ham += np.array([float(cp.generator(at(t, xs[i]), v[i], np.atleast_1d(sig[i] * dvx[i]), u)) for i in range(nx)])
+                ham += np.array([float(_one_row(cp.generator, at(t, xs[i]), v[i : i + 1], np.array([[sig[i] * dvx[i]]]), (u,))) for i in range(nx)])
                 best = np.maximum(best, ham)
             v = v + dt_sub * best
         out[k] = v
     mags = [max(abs(drift(0.0, x, u)) for x in xs) for u in cp.controls]
     mags += [max(diffusion(0.0, x, u) ** 2 for x in xs) for u in cp.controls]
-    scale = max(1.0, *mags) * max(1.0, max(abs(float(cp.terminal(at(g.horizon, x)))) for x in xs))
+    scale = max(1.0, *mags) * max(1.0, max(abs(terminal(x)) for x in xs))
     return out, substeps, 10.0 * scale
 
 
@@ -473,7 +503,7 @@ def test_markov_consistency_work_is_bounded_by_the_lattice(monkeypatch):
     base = heat_problem(grid)
     p = Path.constant(0.3, 0, grid.dt)
     xg = XGrid(-4.0, 4.0, 41)
-    names = ("drift", "diffusion", "drift.batched", "diffusion.batched", "paths")
+    names = ("drift", "diffusion", "generator", "terminal", "paths")
     counts = dict.fromkeys(names, 0)
     in_tree = [False]
 
@@ -484,11 +514,6 @@ def test_markov_consistency_work_is_bounded_by_the_lattice(monkeypatch):
 
         return wrapper
 
-    def with_counted_form(name, fn):
-        wrapper = counted(name, fn)
-        wrapper.batched = counted(f"{name}.batched", fn.batched)
-        return wrapper
-
     def tree_value(*args, **kwargs):
         in_tree[0] = True
         try:
@@ -496,27 +521,21 @@ def test_markov_consistency_work_is_bounded_by_the_lattice(monkeypatch):
         finally:
             in_tree[0] = False
 
-    monkeypatch.setattr(Path, "constant", classmethod(counted("paths", Path.constant.__func__)))
+    monkeypatch.setattr(Path, "__post_init__", counted("paths", Path.__post_init__))
     monkeypatch.setattr(phjb, "value", tree_value)
-    lattice, per_index = (grid.steps + 1) * xg.nx, (grid.steps + 1) * len(base.controls)
-    for wrap in (with_counted_form, counted):
-        cp = dataclasses.replace(base, drift=wrap("drift", base.drift), diffusion=wrap("diffusion", base.diffusion))
-        counts.update(dict.fromkeys(names, 0))
-        markovian_reduction(cp)
-        # eight history probes, each comparing a shuffled and a constant history on the scalar callables
-        probes = {"drift": 16, "diffusion": 16, "drift.batched": 0, "diffusion.batched": 0, "paths": 8}
-        assert counts == probes
-        counts.update(dict.fromkeys(names, 0))
-        rep = markov_consistency(cp, p, xg)
-        assert rep.residual <= rep.error_bound
-        # the lattice is one constant-history array per grid index: no path beyond the probes
-        assert counts["paths"] == probes["paths"]
-        if wrap is with_counted_form:
-            assert counts["drift"] == counts["diffusion"] == 16
-            assert 0 < counts["drift.batched"] <= per_index and 0 < counts["diffusion.batched"] <= per_index
-        else:
-            assert counts["drift"] - probes["drift"] <= lattice * len(cp.controls)
-            assert counts["diffusion"] - probes["diffusion"] <= lattice * len(cp.controls)
+    cp = dataclasses.replace(base, **{name: counted(name, getattr(base, name)) for name in names[:4]})
+    markovian_reduction(cp)
+    # eight history probes, each one drift, diffusion and generator call over both
+    # histories and all controls, and a terminal call when it lands on the horizon
+    assert counts["drift"] == counts["diffusion"] == counts["generator"] == 8
+    assert counts["terminal"] <= 8 and counts["paths"] == 0
+    counts.update(dict.fromkeys(names, 0))
+    rep = markov_consistency(cp, p, xg)
+    assert rep.residual <= rep.error_bound
+    # the lattice is one constant-history array per grid index, read once per (grid index, control)
+    per_index = (grid.steps + 1) * len(cp.controls)
+    assert 8 < counts["drift"] <= 8 + per_index and 8 < counts["diffusion"] <= 8 + per_index
+    assert counts["paths"] == 0
 
 
 def test_comparison_psi_examples():
