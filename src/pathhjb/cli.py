@@ -212,18 +212,19 @@ ITO_DEFAULT = {
 }
 
 
+# The constant values of run_ito_check's one-dimensional functionals and
+# coefficients, read on every path at every step: built once, read-only.
+_ZERO, _ONE, _EYE, _TWO_EYE, _ZERO_2D = np.zeros(1), np.ones(1), np.eye(1), 2.0 * np.eye(1), np.zeros((1, 1))
+for _a in (_ZERO, _ONE, _EYE, _TWO_EYE, _ZERO_2D):
+    _a.setflags(write=False)
+
+
 def run_ito_check(config: dict, seed: int):
     name = config["functional"]
     if name == "square":
-        f = endpoint_functional(
-            lambda x: float(x[0]) ** 2,
-            grad=lambda x: 2.0 * x,
-            hess=lambda x: 2.0 * np.eye(1),
-        )
+        f = endpoint_functional(lambda x: float(x[0]) ** 2, grad=lambda x: 2.0 * x, hess=lambda x: _TWO_EYE)
     elif name == "endpoint":
-        f = endpoint_functional(
-            lambda x: float(x[0]), grad=lambda x: np.ones(1), hess=lambda x: np.zeros((1, 1))
-        )
+        f = endpoint_functional(lambda x: float(x[0]), grad=lambda x: _ONE, hess=lambda x: _ZERO_2D)
     elif name == "gauge":
         anchor = Path.constant(0.3, 0, config["horizon"] / config["base_steps"])
         f = gauge.upsilon_functional(anchor)
@@ -238,8 +239,8 @@ def run_ito_check(config: dict, seed: int):
         p0 = Path.constant(0.0, 0, dt)
         res = ito_check(
             f,
-            drift=lambda p: np.zeros(1),
-            diffusion=lambda p: np.eye(1),
+            drift=lambda p: _ZERO,
+            diffusion=lambda p: _EYE,
             p0=p0,
             end_index=steps,
             n_paths=config["n_paths"],

@@ -23,7 +23,6 @@ from .pathspace import (
     PathError,
     _joint_gap,
     horizontal_extension,
-    restrict,
     sup_norm,
 )
 from .sampling import bridge_pair
@@ -154,7 +153,7 @@ def per_path(fn: Callable, dt: float) -> Callable:
 def _stack_checked(name: str, rows, shape: tuple) -> np.ndarray:
     """Read-only float array of ``rows``, a coefficient's value or its list of
     per-path values, which must have ``shape``: one value of shape[1:] per
-    (path, control)."""
+    evaluation, such as a (path, control) pair."""
     try:
         out = np.array(rows, dtype=float)
     except (TypeError, ValueError):  # a ragged list
@@ -162,7 +161,7 @@ def _stack_checked(name: str, rows, shape: tuple) -> np.ndarray:
     if out.shape != shape:
         got = sorted({np.asarray(r, dtype=object).shape for r in rows}) if isinstance(rows, list) else [out.shape]
         raise PathError(
-            f"{name} must return shape {shape[1:]} at each of {shape[0]} (path, control) pairs, got {', '.join(map(str, got))}"
+            f"{name} must return shape {shape[1:]} at each of {shape[0]} evaluations, got {', '.join(map(str, got))}"
         )
     out.setflags(write=False)
     return out
@@ -293,10 +292,7 @@ def _backward(cp: ControlProblem, levels, ctrls, links, keys, incs: np.ndarray, 
             y = y[links[k]]
         yc = y.reshape(count, n_u, b_count)
         e = yc.mean(axis=-1)
-        # Two BLAS calls on purpose: they round differently in the last bit, and the
-        # cost (one product over all rows) and value (one per row) outputs are pinned.
-        rows = yc.reshape(-1, b_count) if memo is None else yc.reshape(-1, 1, b_count)
-        z = (rows @ incs).reshape(count, n_u, n) / (b_count * dt)
+        z = (yc.reshape(-1, 1, b_count) @ incs).reshape(count, n_u, n) / (b_count * dt)
         vals = np.repeat(levels[k], n_u, axis=0)
         y_u = _implicit(cp.generator, vals, e.reshape(-1), z.reshape(-1, n), ctrls[k], dt).reshape(count, n_u)
         if memo is None:
@@ -499,14 +495,16 @@ def _euler_path(coeffs: Callable[[np.ndarray], tuple], p0: Path, end_index: int,
     return state, records
 
 
+def _controlled(cp: ControlProblem, p0: Path, strategy: ControlStrategy) -> Callable[[np.ndarray], tuple]:
+    """_euler_path's coefficient reader for paths extending p0: cp.coeffs under
+    ``strategy``'s control at each path."""
+    dt = _check_dt(cp, p0)
+    return lambda vals: cp.coeffs(vals, [strategy.control_at(Path._wrap(row, dt)) for row in vals])
+
+
 def simulate_psde(cp: ControlProblem, p0: Path, strategy: ControlStrategy, end_index: int, seed: int) -> Path:
     """Euler-Maruyama path of the controlled dynamics, extending p0."""
-    _check_dt(cp, p0)
-
-    def coeffs(vals: np.ndarray):
-        return cp.coeffs(vals, [strategy.control_at(Path._wrap(row, p0.dt)) for row in vals])
-
-    state, _ = _euler_path(coeffs, p0, end_index, 1, np.random.default_rng(seed))
+    state, _ = _euler_path(_controlled(cp, p0, strategy), p0, end_index, 1, np.random.default_rng(seed))
     return Path._wrap(state[0], p0.dt)
 
 
@@ -535,31 +533,21 @@ def regularity_probe(cp: ControlProblem, samples: int, seed: int, cap: int = DEF
     return lip, tim
 
 
-def moment_probe(
-    cp: ControlProblem,
-    p0: Path,
-    strategy: ControlStrategy,
-    n_paths: int,
-    seed: int,
-):
+def moment_probe(cp: ControlProblem, p0: Path, strategy: ControlStrategy, n_paths: int, seed: int):
     """Monte Carlo second-moment constants for the controlled state.
 
     Returns (growth_c, continuity_c):
     growth_c fits E ||X_T||_0^2 <= C (1 + ||gamma_t||_0^2);
     continuity_c fits E ||X_r - gamma_t||_0^2 <= C (1 + ||gamma_t||_0^2) (r-t)
-    as the max of the ratio over intermediate times r.
+    as the max of the ratio over intermediate times r. The n_paths paths are
+    one Euler batch on ``seed``; ||X_r - gamma_t||_0 is the sup gap after
+    holding gamma_t's last value, the running max of the gap to its endpoint.
     """
     g = cp.grid
-    n_steps = g.steps - p0.t_index
+    state, _ = _euler_path(_controlled(cp, p0, strategy), p0, g.steps, n_paths, np.random.default_rng(seed))
     base = 1.0 + sup_norm(p0) ** 2
-    sums_gap = np.zeros(n_steps)
-    sum_end = 0.0
-    for i in range(n_paths):
-        x = simulate_psde(cp, p0, strategy, g.steps, seed + i)
-        sum_end += sup_norm(x) ** 2
-        for j in range(1, n_steps + 1):
-            xr = restrict(x, p0.t_index + j)
-            sums_gap[j - 1] += _joint_gap(xr, p0) ** 2
-    growth_c = (sum_end / n_paths) / base
-    ratios = [(sums_gap[j - 1] / n_paths) / (base * (j * g.dt)) for j in range(1, n_steps + 1)]
-    return growth_c, max(ratios)
+    sup_sq = np.sqrt((state**2).sum(axis=1)).max(axis=-1) ** 2
+    gaps = np.sqrt(((state[:, :, p0.t_index + 1 :] - p0.values[:, -1:]) ** 2).sum(axis=1))
+    gap_sq = np.maximum.accumulate(gaps, axis=-1) ** 2  # column j - 1: the gap of X restricted to t + j dt
+    ratios = gap_sq.mean(axis=0) / (base * g.dt * np.arange(1, gap_sq.shape[1] + 1))
+    return float(sup_sq.mean() / base), float(ratios.max())

@@ -164,8 +164,9 @@ def _path_env(vals: np.ndarray, dt: float, horizon: float) -> dict:
     """Path variables of N same-time paths, ``vals`` of shape (N, d, K): t, T
     and dt as floats, the endpoint and running statistics as (N,) arrays."""
     d, k = vals.shape[1:]
-    env = {"t": (k - 1) * dt, "T": horizon, "dt": dt, "rmax": np.sqrt((vals**2).sum(axis=1)).max(axis=1)}
-    rint = vals.sum(axis=2) * dt
+    with np.errstate(all="ignore"):  # as the expressions run: an overflow reads as inf
+        rmax, rint = np.sqrt((vals**2).sum(axis=1)).max(axis=1), vals.sum(axis=2) * dt
+    env = {"t": (k - 1) * dt, "T": horizon, "dt": dt, "rmax": rmax}
     for i in range(d):
         env[f"x{i}"] = vals[:, i, -1]
         env[f"rint{i}"] = rint[:, i]

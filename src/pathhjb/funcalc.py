@@ -157,7 +157,8 @@ def ito_check(
     derivatives are taken once per step across them; a non-finite state raises
     ``BlowupError`` before any derivative is taken. drift(path) must return a
     (d,) vector and diffusion(path) a (d, n) matrix with the same n on every
-    path, and n_paths must be at least 1; else PathError.
+    path, f's analytic derivatives a number, a (d,) vector and a (d, d)
+    matrix, and n_paths must be at least 1; else PathError.
     """
     if n_paths < 1:
         raise PathError(f"ito_check needs n_paths >= 1, got {n_paths}")
@@ -178,11 +179,14 @@ def ito_check(
     f_start = f.eval(p0)
     state, records = _euler_path(coeffs, p0, end_index, n_paths, rng)
     acc = np.zeros(n_paths)
+    dt_of = f.analytic_dt or partial(horizontal_derivative, f)
+    dx_of = f.analytic_dx or partial(vertical_gradient, f)
+    dxx_of = f.analytic_dxx or partial(vertical_hessian, f)
     for k, (sig, dx) in enumerate(records, start=p0.t_index):
         paths = _paths_at(state, p0, k)
-        dtf = _stack(f.analytic_dt or partial(horizontal_derivative, f), paths, ())
-        dxf = _stack(f.analytic_dx or partial(vertical_gradient, f), paths, (d,))
-        dxxf = _stack(f.analytic_dxx or partial(vertical_hessian, f), paths, (d, d))
+        dtf = _stack_checked("analytic_dt", [dt_of(p) for p in paths], (n_paths,))
+        dxf = _stack_checked("analytic_dx", [dx_of(p) for p in paths], (n_paths, d))
+        dxxf = _stack_checked("analytic_dxx", [dxx_of(p) for p in paths], (n_paths, d, d))
         dxxf = 0.5 * (dxxf + dxxf.swapaxes(-1, -2))
         tr = np.trace(dxxf @ (sig @ sig.swapaxes(-1, -2)), axis1=-2, axis2=-1)
         acc += dtf * dt + 0.5 * tr * dt + (dxf[:, None, :] @ dx[:, :, None])[:, 0, 0]
@@ -199,15 +203,6 @@ def _paths_at(state: np.ndarray, p0: Path, k: int) -> list:
         return [p0] * state.shape[0]
     dt = p0.dt
     return [Path._wrap(x, dt) for x in state[:, :, : k + 1]]
-
-
-def _stack(derivative: Callable[[Path], object], paths: list, shape: tuple) -> np.ndarray:
-    """derivative(p) for each path as one float (N, *shape) array; a value may
-    come in any shape of the right size, such as a 1-vector for a scalar."""
-    rows = [derivative(p) for p in paths]
-    # concatenate is the fast stack of arrays, np.array the fast one of scalars
-    flat = np.concatenate(rows) if np.ndim(rows[0]) else np.array(rows, dtype=float)
-    return np.asarray(flat, dtype=float).reshape(len(rows), *shape)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ Defaults m = 3, M = 3 everywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,33 +207,13 @@ def subadditivity_gap(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float
 
 
 # ---------------------------------------------------------------------------
-# Batched sweep over random pairs, equal (==) to the scalar functions above.
-
-# x**k per element through libm's pow, as the scalar functions take it; numpy's
-# own power differs from it in the last bits.
-_libm_pow = np.frompyfunc(math.pow, 2, 1)
-
-
-def _pow(x: np.ndarray, k: int) -> np.ndarray:
-    return _libm_pow(x, k).astype(float)
-
-
-def _cores(d_sup: np.ndarray, e: np.ndarray, m: int) -> np.ndarray:
-    """_core per element, with its zero branch where the numerator is zero.
-    That covers a zero denominator: D^{4m} = 0 (D = 0 among others) puts
-    the numerator, at most D^{6m}, below the least subnormal as well."""
-    num = _pow(_pow(d_sup, 2 * m) - _pow(e, 2 * m), 3)
-    return np.divide(num, _pow(d_sup, 4 * m), out=np.zeros_like(num), where=num != 0.0)
+# Sweep over random pairs: gaps read as one batch, then _core per pair (== the scalar code).
 
 
 def _sup_and_end(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sup_norm and endpoint norm of each path of an (N, d, k+1) batch, each
     sum taken in the order the scalar code takes it."""
     return np.sqrt((x**2).sum(axis=1)).max(axis=-1), np.sqrt((x[..., -1] ** 2).sum(axis=-1))
-
-
-def _upsilons(d_sup: np.ndarray, e: np.ndarray, g: GaugeParams) -> np.ndarray:
-    return _cores(d_sup, e, g.m) + g.M * _pow(e, 2 * g.m)
 
 
 def pair_sweep(
@@ -258,12 +237,16 @@ def pair_sweep(
     paths = incs.cumsum(axis=-1)
     if not np.isfinite(paths).all():
         raise PathError("path values must be finite")
-    p, q = paths[:, 0], paths[:, 1]
+    p, q, m = paths[:, 0], paths[:, 1], g.m
+
+    def upsilons(d_sup: np.ndarray, e: np.ndarray) -> np.ndarray:  # upsilon per (D, e), on floats as upsilon takes it
+        return np.array([_core(a, b, m) + g.M * b ** (2 * m) for a, b in zip(d_sup.tolist(), e.tolist())])
+
     d_sup, e = _sup_and_end(p - q)
-    ups = _upsilons(d_sup, e, g)
-    gap = _pow(d_sup, 2 * g.m)
-    singles = [_upsilons(*_sup_and_end(x), g) for x in (p, q, p + q)]
-    sub = 2.0 ** (2 * g.m - 1) * (singles[0] + singles[1]) - singles[2]
+    ups = upsilons(d_sup, e)
+    gap = np.array([a ** (2 * m) for a in d_sup.tolist()])
+    singles = [upsilons(*_sup_and_end(x)) for x in (p, q, p + q)]
+    sub = 2.0 ** (2 * m - 1) * (singles[0] + singles[1]) - singles[2]
     return ups - gap, g.M * gap - ups, sub
 
 

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .control import ControlProblem, _stack_checked, value
+from .control import CapacityError, ControlProblem, _stack_checked, value
 from .funcalc import (
     PathFunctional,
     space_gradient,
@@ -211,6 +211,13 @@ class CFLError(RuntimeError):
     """Explicit scheme step restriction violated."""
 
 
+# Node updates (steps x substeps x nodes x controls) of one automatic FD solve:
+# 2,700x the largest that the tests, the acceptance criteria, the CLI defaults
+# and the benchmark run (16 x 14 x 161 x 1 = 36,064, markov-compare's default
+# level 2). 6.2e7 updates at 1,921 nodes take 4 s on a 2-core desk machine.
+FD_WORK_CAP = 10**8
+
+
 @dataclass(frozen=True)
 class MarkovProblem:
     """State-dependent coefficient bundle on (t, x), one-dimensional state.
@@ -327,19 +334,26 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
 def _cfl_substeps(mp: MarkovProblem, x_grid: XGrid) -> int:
     """Smallest per-grid-step subdivision keeping the explicit scheme's rate
     at most 0.9 at every grid index, which covers every time the solver's
-    substeps use."""
+    substeps use. A solve of more than FD_WORK_CAP node updates, or a rate
+    that is not finite, raises CapacityError before any FD work."""
     g = mp.grid
     xs = x_grid.nodes()
     dx = x_grid.dx
-    worst = 0.0
+    rates = []
     for k in range(g.steps + 1):
         for u in mp.controls:
             b = mp.drift(k * g.dt, xs, u)
             sig = mp.diffusion(k * g.dt, xs, u)
-            worst = max(worst, float((sig**2 / dx**2 + np.abs(b) / dx).max()))
-    if worst == 0.0:
-        return 1
-    return max(1, int(np.ceil(g.dt * worst / 0.9)))
+            rates.append(float((sig**2 / dx**2 + np.abs(b) / dx).max()))
+    worst = max(rates) if np.isfinite(rates).all() else math.inf
+    substeps = max(1.0, float(np.ceil(g.dt * worst / 0.9)))
+    work = g.steps * substeps * x_grid.nx * len(mp.controls)
+    if not work <= FD_WORK_CAP:
+        raise CapacityError(
+            f"explicit FD solve needs {g.steps} steps x {substeps:.0f} substeps x {x_grid.nx} nodes x "
+            f"{len(mp.controls)} controls = {work:.3e} node updates, over the cap {FD_WORK_CAP:.0e}"
+        )
+    return int(substeps)
 
 
 def markov_fd_solve(mp: MarkovProblem, x_grid: XGrid, time_substeps: Optional[int] = None) -> np.ndarray:

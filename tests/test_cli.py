@@ -191,6 +191,25 @@ def test_state_blowup_is_contract_violation(tmp_path):
     assert main(["value", "--config", _inline(tmp_path, drift=["1e300*1e300*u"]), "--out", str(tmp_path)]) == 3
 
 
+def test_path_statistics_overflow_quietly_like_the_expressions(tmp_path, capsys):
+    # the states pass 1e154, so rmax's squares overflow to inf; tanh(x) reads 1.0 there
+    config = _inline(tmp_path, drift=["1e200*u"], terminal="tanh(x)", controls=[1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["value", "--config", config, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.strip() == "value: 1.0 with root control 1.0"
+
+
+def test_fd_solve_over_the_work_cap_fails_before_any_fd_work(tmp_path, capsys):
+    # 4 steps x 21,701,389 substeps x 100,001 nodes: hours of explicit updates
+    assert main(["markov-compare", "--override", "base_nx=100001", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "contract violation: explicit FD solve needs 4 steps x 21701389 substeps x 100001 nodes x 1 controls"
+        " = 8.681e+12 node updates, over the cap 1e+08"
+    )
+    assert not (tmp_path / "summary.txt").exists()
+
+
 def test_value_cap_counts_the_control_fan_out(tmp_path, capsys):
     assert main(["value", "--override", "grid.steps=12", "--out", str(tmp_path)]) == 3
     assert "6^12 = 2176782336 leaves, over the node cap 262144" in capsys.readouterr().err
@@ -322,6 +341,32 @@ _PINNED = {
         [],
         "d882feabbf128e06b4ac46cd3d5ffdd4bf4cdbff7c3fc7e1ec3ecc34435aaa46",
         "a2271aebf579f7093d81a82a0c24994b979fae495da5461e365e56773db6f08e",
+    ),
+    # the gauge sweep off its defaults: d > 1, one-node paths, zero paths (the zero
+    # branch of every pair) and the largest m
+    "gauge-suite-dim2": (
+        "gauge-suite",
+        ["dim=2"],
+        "26c9b092bfff1cfbd29e6253efd24103a9323b067a9e767a2ec3b9c609f3a4cb",
+        "5f039307ea43dcb46f36b7ec840e9ad4bd4b8d81d8e6ab699dd46b99905fc85d",
+    ),
+    "gauge-suite-t0": (
+        "gauge-suite",
+        ["t_index=0"],
+        "25c12a452d481e5bb0462c005791ade66a194d4c49e92755e96276ea1da172f6",
+        "e68d1a28e358f9d63270da8fbce3b31ef9db88ed4fd7617a170d3d6268031cba",
+    ),
+    "gauge-suite-scale0": (
+        "gauge-suite",
+        ["scale=0.0"],
+        "2ff4d56a11b0b9651fc302b71b225275003ab108f5e02f9497d9ccb884423e26",
+        "e68d1a28e358f9d63270da8fbce3b31ef9db88ed4fd7617a170d3d6268031cba",
+    ),
+    "gauge-suite-m6": (
+        "gauge-suite",
+        ["ms=[6]"],
+        "709035cc204c0cc55c7b6f2b5354acb60e4604a587fff231766eb75d9eb11803",
+        "6133c026ba552e91c76c2409ee43cfc137362fd020074e0264e01b591ecca957",
     ),
     "comparison-demo": (
         "comparison-demo",

@@ -114,6 +114,25 @@ def test_moment_probe_growth_and_continuity():
     assert abs(c2 - c1) <= 0.25 * max(c1, c2)
 
 
+def test_moment_probe_equals_the_row_by_row_statistics_of_its_batch():
+    from pathhjb.control import _controlled, _euler_path
+    from pathhjb.pathspace import _joint_gap, restrict, sup_norm
+
+    cp = _plain(drift=0.3, sigma=0.8)
+    p0 = Path(np.array([[0.2, -0.1, 0.5]]), GRID4.dt)  # t_index 2: history before the start
+    for n_paths, seed in ((1, 0), (50, 4)):
+        state, _ = _euler_path(_controlled(cp, p0, CONST0), p0, GRID4.steps, n_paths, np.random.default_rng(seed))
+        paths = [Path._wrap(x, GRID4.dt) for x in state]
+        base = 1.0 + sup_norm(p0) ** 2
+        growth = sum(sup_norm(x) ** 2 for x in paths) / n_paths / base
+        ratios = [
+            sum(_joint_gap(restrict(x, p0.t_index + j), p0) ** 2 for x in paths) / n_paths / (base * j * GRID4.dt)
+            for j in range(1, GRID4.steps - p0.t_index + 1)
+        ]
+        got = moment_probe(cp, p0, CONST0, n_paths, seed)
+        np.testing.assert_allclose(got, (growth, max(ratios)), rtol=1e-12, atol=0)
+
+
 def test_tree_shape_and_exact_moments():
     cp = _plain()
     p0 = Path.constant(0.2, 0, GRID4.dt)

@@ -289,3 +289,11 @@ def test_ito_check_reads_coefficients_through_the_shared_reader():
         ito_check(SQUARE, ZERO_DRIFT, lambda p: np.ones(1), p0, 2, 2, seed=0)
     with pytest.raises(PathError, match=r"diffusion must return shape \(1, 2\) .*, got \(1, 1\)"):
         ito_check(SQUARE, ZERO_DRIFT, lambda p: np.ones((1, 2 if p.t_index == 0 else 1)), p0, 2, 2, seed=0)
+
+
+def test_ito_check_rejects_a_derivative_of_the_wrong_shape():
+    # the derivatives are stacked by the coefficient reader's checked stack
+    p0 = Path.constant(0.0, 0, 0.25)
+    wide = PathFunctional(eval=SQUARE.eval, analytic_dt=SQUARE.analytic_dt, analytic_dx=lambda p: np.ones(2), analytic_dxx=SQUARE.analytic_dxx)
+    with pytest.raises(PathError, match=r"^analytic_dx must return shape \(1,\) at each of 3 evaluations, got \(2,\)$"):
+        ito_check(wide, ZERO_DRIFT, UNIT_DIFFUSION, p0, 2, 3, seed=0)

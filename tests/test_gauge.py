@@ -326,14 +326,12 @@ def test_pair_sweep_equals_the_scalar_loop(d, m):
 
 
 def test_pair_sweep_zero_branch_at_d_zero():
-    from pathhjb.gauge import _core, _cores
+    from pathhjb.gauge import _core
 
-    d_sup = np.array([0.0, 0.0, 1e-200, 0.5, 0.5])
-    e = np.array([0.0, 0.0, 0.0, 0.5, 0.25])
     for m in (1, 3, 6):
-        got = _cores(d_sup, e, m)
-        assert np.array_equal(got, [_core(a, b, m) for a, b in zip(d_sup, e)])
-        assert got[0] == got[1] == got[2] == got[3] == 0.0 and got[4] > 0.0
+        # D = 0, an underflowing D^{4m}, and D = e (a zero numerator) take the zero branch
+        got = [_core(a, b, m) for a, b in ((0.0, 0.0), (1e-200, 0.0), (0.5, 0.5), (0.5, 0.25))]
+        assert got[0] == got[1] == got[2] == 0.0 and got[3] > 0.0
     # a zero scale gives zero paths: D = e = 0 for every pair and its sum
     lower, upper, sub = pair_sweep(np.random.default_rng(0), G33, 4, 2, 0.125, 3, 0.0)
     assert not np.any(lower) and not np.any(upper) and not np.any(sub)
