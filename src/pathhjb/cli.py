@@ -29,8 +29,8 @@ from .control import (
     CapacityError,
     ContractError,
     ControlProblem,
+    _values,
     dpp_check,
-    value,
     value_with_strategy,
 )
 from .expressions import ExpressionError, inline_problem
@@ -446,23 +446,11 @@ def run_comparison_demo(config: dict, seed: int):
     cp = lq_problem(grid)
     rng = np.random.default_rng(seed)
 
-    value_cache: dict = {}
-
-    def w2_eval(p: Path) -> float:
-        key = p.key()
-        if key not in value_cache:
-            value_cache[key] = value(cp, p)
-        return value_cache[key]
-
-    offset = config["offset"]
-    w2 = PathFunctional(eval=w2_eval)
-    w1 = PathFunctional(eval=lambda p: w2_eval(p) - offset)
-
     # Pairs with log-spaced endpoint gaps: each beta in the ladder finds its
     # preferred gap scale, so the shrinking-gap phenomenon is observable on a
     # finite set. Every fifth pair is an exact diagonal.
     n_pairs = config["pairs"]
-    stacked = []
+    stacked, halves = [], {}
     for i in range(n_pairs):
         k = int(rng.integers(0, grid.steps + 1))
         a = random_path(rng, 1, grid.dt, k, scale=0.6)
@@ -471,7 +459,14 @@ def run_comparison_demo(config: dict, seed: int):
         else:
             delta = 10.0 ** rng.uniform(-1.8, -0.2)
             b = Path(a.values - delta, grid.dt)
+        halves.update({a.key(): a, b.key(): b})
         stacked.append(Path(np.vstack([a.values, b.values]), grid.dt))
+
+    # V at every half that psi reads, solved by grid index before the sweep
+    value_cache = dict(zip(halves, _values(cp, list(halves.values())).tolist()))
+    offset = config["offset"]
+    w2 = PathFunctional(eval=lambda p: value_cache[p.key()])
+    w1 = PathFunctional(eval=lambda p: value_cache[p.key()] - offset)
 
     header = ["beta", "psi_max", "gauge_gap", "beta_times_gap"]
     rows = []

@@ -218,45 +218,56 @@ def _check_dt(cp: ControlProblem, root: Path) -> float:
     return root.dt
 
 
-def _check_cap(fan: int, depth: int, cap: int) -> None:
-    # fan = children per node: 2^n for a cost, |U| * 2^n for the value. No cap reaches 2^63.
-    leaves = fan**depth if depth * math.log2(fan) <= 63 else math.inf
+def _check_cap(fan: int, depth: int, cap: int, roots: int = 1) -> None:
+    # fan = children per node: 2^n for a cost, |U| * 2^n for the value; a forest
+    # of N roots has N times one tree's leaves. No cap reaches 2^63.
+    leaves = roots * fan**depth if depth * math.log2(fan) <= 63 else math.inf
     if leaves > cap:
-        raise CapacityError(f"tree of depth {depth} needs {fan}^{depth} = {leaves} leaves, over the node cap {cap}")
+        what, times = ("tree", "") if roots == 1 else (f"forest of {roots} trees", f"{roots} x ")
+        raise CapacityError(f"{what} of depth {depth} needs {times}{fan}^{depth} = {leaves} leaves, over the node cap {cap}")
 
 
-def _forward(cp: ControlProblem, root: Path, depth: int, incs: np.ndarray, strategy=None):
-    """Forward pass: level k's node paths as one (N_k, d, c + k) array. Each node
-    is expanded under ``strategy``'s control or, for the value (``strategy``
-    None), under all of U; children are ordered (node, control, move), and
-    ctrls[k] holds level k's controls in that order as a 1-D object array. The
-    value merges identical internal children: links[k] maps each child slot
-    of level k to its row of level k + 1, keys[k] holds each row's memo key."""
-    dt = _check_dt(cp, root)
+def _controls_of(strategy: ControlStrategy, vals: np.ndarray, dt: float) -> np.ndarray:
+    """``strategy``'s control at each row of ``vals``, read-only same-time paths
+    on ``dt``, as a 1-D object array (controls may be tuples)."""
+    return np.fromiter((strategy.control_at(Path._wrap(row, dt)) for row in vals), object, len(vals))
+
+
+def _forward(cp: ControlProblem, roots: np.ndarray, depth: int, incs: np.ndarray, strategy=None):
+    """Forward pass from ``roots``, an (N, d, c) array of same-time paths at grid
+    index c - 1 on the grid's dt: level k's node paths as one (N_k, d, c + k)
+    array. Each node is expanded under ``strategy``'s control or, for the value
+    (``strategy`` None), under all of U; children are ordered (node, control,
+    move), and ctrls[k] holds level k's controls in that order as a 1-D object
+    array. The value merges identical internal children: links[k] maps each
+    child slot of level k to its row of level k + 1, keys[k] holds each row's
+    memo key (one per root at level 0)."""
+    dt = cp.grid.dt
     b_count, n = incs.shape
     n_u = len(cp.controls) if strategy is None else 1
     every = np.fromiter(cp.controls, object, len(cp.controls))  # controls may be tuples
-    first = root.values[None].copy()
+    first = np.array(roots, dtype=float)
     first.setflags(write=False)
-    levels, ctrls, links, keys = [first], [], [], [[(root.t_index, root.values.tobytes())]]
+    t0 = first.shape[-1] - 1
+    levels, ctrls, links, keys = [first], [], [], [[(t0, row.tobytes()) for row in first]]
     for k in range(depth):
         cur = levels[k]
         count, d, cols = cur.shape
         if strategy is None:
             us = np.tile(every, count)
         else:
-            us = np.fromiter([strategy.control_at(Path._wrap(row, dt)) for row in cur], object, count)
+            us = _controls_of(strategy, cur, dt)
         bvec, sig = cp.coeffs(cur, us)
         sig = sig.reshape(count, n_u, d, n).swapaxes(-1, -2)
         steps = cur[:, None, None, :, -1] + bvec.reshape(count, n_u, 1, d) * dt + incs @ sig
         if not np.all(np.isfinite(steps)):
-            raise BlowupError(f"non-finite state at grid index {root.t_index + k + 1}")
+            raise BlowupError(f"non-finite state at grid index {t0 + k + 1}")
         kids = np.empty(steps.shape[:-1] + (d, cols + 1))
         kids[..., :cols] = cur[:, None, None]
         kids[..., cols] = steps
         kids, link = kids.reshape(-1, d, cols + 1), None
         if strategy is None and k + 1 < depth:
-            t, size, buf, rows = root.t_index + k + 1, kids.strides[0], kids.tobytes(), {}
+            t, size, buf, rows = t0 + k + 1, kids.strides[0], kids.tobytes(), {}
             link = np.array([rows.setdefault((t, buf[i * size : (i + 1) * size]), len(rows)) for i in range(len(kids))])
             if len(rows) < len(kids):
                 kids = kids[np.unique(link, return_index=True)[1]]
@@ -319,8 +330,8 @@ def simulate_tree(
     _check_cap(2**n, depth, cap)
     if strategy is None:
         strategy = ControlStrategy.constant(cp.controls[0])
-    incs = _increments(n, p0.dt)
-    levels, ctrls = _forward(cp, p0, depth, incs, strategy)[:2]
+    incs = _increments(n, _check_dt(cp, p0))
+    levels, ctrls = _forward(cp, p0.values[None], depth, incs, strategy)[:2]
     return NoiseTree(root=p0, depth=depth, noise_dim=n, increments=incs, levels=tuple(levels), controls=tuple(ctrls))
 
 
@@ -404,20 +415,47 @@ def cost(cp: ControlProblem, p0: Path, strategy: ControlStrategy, cap: int = DEF
     return solve_bsde_tree(cp, tree).root_value
 
 
-def _solve_value(cp: ControlProblem, p0: Path, end_index: int, terminal_fn: Callable[[np.ndarray], np.ndarray], cap: int):
-    """Per-node maximization over the finite control set from p0 to end_index,
-    level by level, with ``terminal_fn`` an array form on the paths at
-    end_index. Returns the root value and this solve's table from each
-    internal node's (grid index, path bytes) to (value, first maximizing
+def _solve_forest(cp: ControlProblem, roots: np.ndarray, end_index: int, terminal_fn: Callable, cap: int):
+    """Per-node maximization over the finite control set from each row of
+    ``roots``, an (N, d, c) array of paths at grid index c - 1 on the grid's
+    dt, to end_index, level by level, with ``terminal_fn`` an array form on the
+    paths at end_index. Returns the N root values and this solve's table from
+    each internal node's (grid index, path bytes) to (value, first maximizing
     control); keying on the path is sound because the future law depends on
-    the past only through the path."""
-    depth = end_index - p0.t_index
+    the past only through the path. The engine works row by row, so each
+    root's value == its own solve's."""
+    depth = end_index - (roots.shape[-1] - 1)
     if depth < 0:
-        raise PathError(f"path at grid index {p0.t_index} is past the end index {end_index}")
+        raise PathError(f"path at grid index {roots.shape[-1] - 1} is past the end index {end_index}")
     incs, table = _increments(cp.grid.noise_dim, cp.grid.dt), {}
-    _check_cap(len(cp.controls) * incs.shape[0], depth, cap)
-    y_levels, _ = _backward(cp, *_forward(cp, p0, depth, incs), incs, terminal_fn, table)
-    return float(y_levels[0][0]), table
+    _check_cap(len(cp.controls) * incs.shape[0], depth, cap, roots.shape[0])
+    y_levels, _ = _backward(cp, *_forward(cp, roots, depth, incs), incs, terminal_fn, table)
+    return y_levels[0], table
+
+
+def _solve_value(cp: ControlProblem, p0: Path, end_index: int, terminal_fn: Callable, cap: int):
+    """``_solve_forest`` from the one root p0: its value as a float, and the table."""
+    _check_dt(cp, p0)
+    y, table = _solve_forest(cp, p0.values[None], end_index, terminal_fn, cap)
+    return float(y[0]), table
+
+
+def _values(cp: ControlProblem, paths: Sequence[Path], cap: int = DEFAULT_NODE_CAP) -> np.ndarray:
+    """V at each of ``paths``, in input order: one forest solve per grid index,
+    in chunks of at most cap // fan^depth roots, so each forest's N x fan^depth
+    leaves stay within the node cap (a path over it alone raises CapacityError
+    as ``value`` does)."""
+    out, groups, g = np.empty(len(paths)), {}, cp.grid
+    for i, p in enumerate(paths):
+        _check_dt(cp, p)
+        groups.setdefault(p.t_index, []).append(i)
+    fan = len(cp.controls) * 2**g.noise_dim
+    for k, idx in groups.items():
+        size = max(1, cap // fan ** max(g.steps - k, 0))
+        for s in range(0, len(idx), size):
+            chunk = idx[s : s + size]
+            out[chunk] = _solve_forest(cp, np.stack([paths[i].values for i in chunk]), g.steps, cp.terminal, cap)[0]
+    return out
 
 
 def value(cp: ControlProblem, p0: Path, cap: int = DEFAULT_NODE_CAP) -> float:
@@ -443,17 +481,15 @@ def value_with_strategy(cp: ControlProblem, p0: Path, cap: int = DEFAULT_NODE_CA
 
 
 def dpp_check(cp: ControlProblem, p0: Path, delta_steps: int, cap: int = DEFAULT_NODE_CAP) -> float:
-    """|V(p0) - sup_u G_{t,t+delta}[V at t+delta]| on the exact tree; V at each
-    leaf of the outer tree is a separate solve with its own table."""
-    mid = p0.t_index + delta_steps
-    if mid > cp.grid.steps:
-        raise PathError("delta_steps passes the horizon")
+    """|V(p0) - sup_u G_{t,t+delta}[V at t+delta]| on the exact tree; V at the
+    outer tree's leaves is one forest solve from them to the horizon, whose
+    leaves are as many as the direct solve's, so the cap it passed holds."""
+    room = cp.grid.steps - p0.t_index
+    if not 0 <= delta_steps <= room:
+        raise PathError(f"delta_steps must be in 0..{room} from grid index {p0.t_index}, got {delta_steps}")
     v_direct = value(cp, p0, cap)
-
-    def inner(path: Path) -> float:
-        return _solve_value(cp, path, cp.grid.steps, cp.terminal, cap)[0]
-
-    return abs(v_direct - _solve_value(cp, p0, mid, per_path(inner, cp.grid.dt), cap)[0])
+    inner = lambda vals: _solve_forest(cp, vals, cp.grid.steps, cp.terminal, cap)[0]
+    return abs(v_direct - _solve_value(cp, p0, p0.t_index + delta_steps, inner, cap)[0])
 
 
 def _euler_path(coeffs: Callable[[np.ndarray], tuple], p0: Path, end_index: int, n_paths: int, rng: np.random.Generator):
@@ -499,7 +535,7 @@ def _controlled(cp: ControlProblem, p0: Path, strategy: ControlStrategy) -> Call
     """_euler_path's coefficient reader for paths extending p0: cp.coeffs under
     ``strategy``'s control at each path."""
     dt = _check_dt(cp, p0)
-    return lambda vals: cp.coeffs(vals, [strategy.control_at(Path._wrap(row, dt)) for row in vals])
+    return lambda vals: cp.coeffs(vals, _controls_of(strategy, vals, dt))
 
 
 def simulate_psde(cp: ControlProblem, p0: Path, strategy: ControlStrategy, end_index: int, seed: int) -> Path:
@@ -513,23 +549,27 @@ def regularity_probe(cp: ControlProblem, samples: int, seed: int, cap: int = DEF
 
     lipschitz_ratio: sup |V(p) - V(p')| / ||p - p'||_0 over same-time pairs;
     time_ratio: sup |V(p) - V(ext)| / ((1 + ||p||_0) sqrt(t' - t)) where ext
-    holds the last value to a later time.
+    holds the last value to a later time. Every probe is drawn first, and V
+    at all of them is solved by grid index.
     """
+    if samples < 1:
+        raise PathError(f"regularity_probe needs samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     g = cp.grid
-    lip = 0.0
-    tim = 0.0
+    probes = []
     for _ in range(samples):
         k = int(rng.integers(0, g.steps))
         p, q = bridge_pair(rng, g.dim, g.dt, k)
-        vp = value(cp, p, cap)
+        probes += [p, q, horizontal_extension(p, int(rng.integers(k + 1, g.steps + 1)))]
+    vals = _values(cp, probes, cap).tolist()
+    lip = tim = 0.0
+    for i in range(0, len(probes), 3):
+        (p, q, ext), (vp, vq, ve) = probes[i : i + 3], vals[i : i + 3]
         gap = _joint_gap(p, q)
         if gap > 0:
-            lip = max(lip, abs(vp - value(cp, q, cap)) / gap)
-        k2 = int(rng.integers(k + 1, g.steps + 1))
-        ext = horizontal_extension(p, k2)
-        denom = (1.0 + sup_norm(p)) * np.sqrt((k2 - k) * g.dt)
-        tim = max(tim, abs(vp - value(cp, ext, cap)) / denom)
+            lip = max(lip, abs(vp - vq) / gap)
+        denom = (1.0 + sup_norm(p)) * np.sqrt((ext.t_index - p.t_index) * g.dt)
+        tim = max(tim, abs(vp - ve) / denom)
     return lip, tim
 
 
@@ -544,6 +584,10 @@ def moment_probe(cp: ControlProblem, p0: Path, strategy: ControlStrategy, n_path
     holding gamma_t's last value, the running max of the gap to its endpoint.
     """
     g = cp.grid
+    if n_paths < 1:
+        raise PathError(f"moment_probe needs n_paths >= 1, got {n_paths}")
+    if p0.t_index >= g.steps:
+        raise PathError(f"moment_probe needs p0 before the horizon, got grid index {p0.t_index} of {g.steps}")
     state, _ = _euler_path(_controlled(cp, p0, strategy), p0, g.steps, n_paths, np.random.default_rng(seed))
     base = 1.0 + sup_norm(p0) ** 2
     sup_sq = np.sqrt((state**2).sum(axis=1)).max(axis=-1) ** 2

@@ -3,7 +3,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pathhjb import control
 from pathhjb.control import (
     DEFAULT_NODE_CAP,
     BlowupError,
@@ -24,14 +26,18 @@ from pathhjb.control import (
     solve_bsde_tree,
     _implicit,
     _increments,
+    _solve_forest,
     _solve_value,
+    _values,
     value,
     value_with_strategy,
 )
+from pathhjb.expressions import inline_problem
 from pathhjb.funcalc import constant_functional, ito_check
 from pathhjb.pathspace import GridConfig, Path, PathError, horizontal_extension
 from pathhjb.phjb import HamiltonianInput, hamiltonian, markovian_reduction
 from pathhjb.presets import heat_problem, lq_problem, random_problem
+from pathhjb.sampling import random_path
 
 GRID4 = GridConfig(4, 1.0, 1, 1)
 CONST0 = ControlStrategy.constant(0.0)
@@ -533,6 +539,86 @@ def test_value_cap_counts_control_fan_out():
     simulate_tree(cp, p0, 7)  # the cost tree of the same depth is within the cap
     with pytest.raises(PathError):
         _solve_value(cp, Path.constant(0.0, 4, grid.dt), 3, cp.terminal, DEFAULT_NODE_CAP)
+
+
+# An inline problem as the CLI builds it: path statistics, u, y and z in every coefficient
+INLINE_2D = {
+    "drift": ["0.1*u + 0.2*tanh(x1) - 0.1*rint0", "0.3*tanh(rint1) - 0.1*u*x0"],
+    "diffusion": [["0.5", "0.1*tanh(rmax)"], ["0.05*x1", "0.4 + 0.1*tanh(x0)"]],
+    "generator": "0.1*tanh(y) + 0.05*z0 - 0.03*z1*u - 0.1*u*u",
+    "terminal": "tanh(x1) + 0.1*rint1 + 0.1*rmax - 0.2*x0**2",
+    "controls": [-0.5, 0.0, 1.0],
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["random-1d", "random-2d", "inline-2d"]), seed=st.integers(0, 2**16), data=st.data())
+def test_forest_values_equal_one_solve_per_root(kind, seed, data):
+    if kind == "inline-2d":
+        cp = inline_problem(INLINE_2D, GridConfig(3, 0.75, 2, 2))
+    else:
+        cp = random_problem(GridConfig(3, 0.75, 2, 2) if kind == "random-2d" else GRID4, seed=seed)
+    g, rng = cp.grid, np.random.default_rng(seed)
+    ks = data.draw(st.lists(st.integers(0, g.steps), min_size=1, max_size=8))  # mixed grid indices
+    paths = [random_path(rng, g.dim, g.dt, k) for k in ks]
+    paths += [paths[i] for i in data.draw(st.lists(st.integers(0, len(ks) - 1), max_size=3))]  # duplicate rows
+    assert _values(cp, paths).tolist() == [value(cp, p) for p in paths]
+
+
+def test_forest_splits_its_roots_into_chunks_within_the_cap(monkeypatch):
+    cp = random_problem(GridConfig(3, 0.75, 1, 1), seed=7)  # fan 2 * 2 = 4
+    paths = [random_path(np.random.default_rng(i), 1, cp.grid.dt, k) for i, k in enumerate((0, 1, 0, 1, 0, 1, 2, 0, 1))]
+    want = [value(cp, p) for p in paths]
+    sizes = []
+
+    def counted(cp, roots, *args):
+        sizes.append(roots.shape[0])
+        return _solve_forest(cp, roots, *args)
+
+    monkeypatch.setattr(control, "_solve_forest", counted)
+    # cap 128: two roots of depth 3 (4^3 leaves each), eight of depth 2, 32 of depth 1 per forest
+    assert _values(cp, paths, cap=128).tolist() == want
+    assert sizes == [2, 2, 4, 1]
+
+
+def test_forest_cap_counts_every_root_before_any_coefficient_call():
+    grid = GridConfig(4, 1.0, 1, 1)
+    cp, calls = _counted(lq_problem(grid))  # |U| = 3: fan 6
+    roots = np.zeros((5, 1, 1))
+    with pytest.raises(CapacityError, match=r"forest of 5 trees of depth 4 needs 5 x 6\^4 = 6480 leaves, over the node cap 6000"):
+        _solve_forest(cp, roots, grid.steps, cp.terminal, 6000)
+    assert calls == dict.fromkeys(calls, 0)
+    p0 = Path.constant(0.0, 0, grid.dt)
+    assert _values(cp, [p0] * 5, cap=6000).tolist() == [value(cp, p0)] * 5  # four roots, then one
+    with pytest.raises(CapacityError, match=r"tree of depth 4 needs 6\^4 = 1296 leaves, over the node cap 1000"):
+        _values(cp, [p0], cap=1000)
+
+
+def test_regularity_probe_numbers_are_those_of_one_solve_per_probe():
+    # taken when every probe was its own value solve
+    assert regularity_probe(lq_problem(GridConfig(3, 0.75, 1, 1)), 20, 6) == (1.000000000000005, 0.1874758497710766)
+    cp = random_problem(GridConfig(3, 0.75, 2, 2), seed=3, n_controls=2)
+    assert regularity_probe(cp, 15, 11) == (0.8502971409461921, 0.067158551835245)
+
+
+def test_probes_reject_vacuous_inputs_naming_the_value():
+    cp = lq_problem(GRID4)
+    with pytest.raises(PathError, match="samples >= 1, got 0"):
+        regularity_probe(cp, 0, seed=1)
+    with pytest.raises(PathError, match=r"delta_steps must be in 0..4 from grid index 0, got -1"):
+        dpp_check(cp, Path.constant(0.0, 0, GRID4.dt), -1)
+    with pytest.raises(PathError, match=r"delta_steps must be in 0..2 from grid index 2, got 3"):
+        dpp_check(cp, Path.constant(0.0, 2, GRID4.dt), 3)
+
+
+def test_moment_probe_rejects_a_start_at_the_horizon():
+    with pytest.raises(PathError, match="p0 before the horizon, got grid index 4 of 4"):
+        moment_probe(_plain(), Path(np.zeros((1, 5)), GRID4.dt), CONST0, n_paths=10, seed=0)
+
+
+def test_moment_probe_rejects_an_empty_sample():
+    with pytest.raises(PathError, match="n_paths >= 1, got 0"):
+        moment_probe(_plain(), Path.constant(0.0, 0, GRID4.dt), CONST0, n_paths=0, seed=0)
 
 
 # ---------------------------------------------------------------------------
