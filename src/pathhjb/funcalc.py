@@ -9,6 +9,7 @@ an independent cross-check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -25,9 +26,6 @@ __all__ = [
     "vertical_hessian",
     "horizontal_derivative",
     "ito_check",
-    "time_derivative",
-    "space_gradient",
-    "space_hessian",
     "constant_functional",
     "endpoint_functional",
     "time_functional",
@@ -114,24 +112,19 @@ def horizontal_derivative(f: PathFunctional, p: Path) -> float:
     return (f.eval(horizontal_extension(p, p.t_index + 1)) - f.eval(p)) / p.dt
 
 
-def time_derivative(f: PathFunctional, p: Path) -> float:
-    """Analytic horizontal derivative if present, else finite difference."""
-    if f.analytic_dt is not None:
-        return float(f.analytic_dt(p))
-    return horizontal_derivative(f, p)
-
-
-def space_gradient(f: PathFunctional, p: Path) -> np.ndarray:
-    if f.analytic_dx is not None:
-        return np.atleast_1d(np.asarray(f.analytic_dx(p), dtype=float))
-    return vertical_gradient(f, p)
-
-
-def space_hessian(f: PathFunctional, p: Path) -> np.ndarray:
-    if f.analytic_dxx is not None:
-        h = np.asarray(f.analytic_dxx(p), dtype=float)
-        return 0.5 * (h + h.T)
-    return vertical_hessian(f, p)
+def _jet(f: PathFunctional, paths) -> tuple:
+    """(dt_f, dx_f, dxx_f) at N paths of one dimension d, as float arrays of
+    shape (N,), (N, d) and (N, d, d), dxx_f symmetrized: each of f's analytic
+    fields where present, else its finite difference. A field of the wrong
+    shape at any path raises PathError naming the field."""
+    n, d = len(paths), paths[0].d
+    dt_of = f.analytic_dt or partial(horizontal_derivative, f)
+    dx_of = f.analytic_dx or partial(vertical_gradient, f)
+    dxx_of = f.analytic_dxx or partial(vertical_hessian, f)
+    dtf = _stack_checked("analytic_dt", [dt_of(p) for p in paths], (n,))
+    dxf = _stack_checked("analytic_dx", [dx_of(p) for p in paths], (n, d))
+    dxxf = _stack_checked("analytic_dxx", [dxx_of(p) for p in paths], (n, d, d))
+    return dtf, dxf, 0.5 * (dxxf + dxxf.swapaxes(-1, -2))
 
 
 def ito_check(
@@ -153,56 +146,43 @@ def ito_check(
     i.e. the quadratic variation is the predictable sigma sigma^T dt. The mean
     shrinks as the grid is refined for smooth functionals and vanishes
     identically for functionals affine in the endpoint. The paths come from
-    the Euler stepper of ``simulate_psde``, which steps them together, and the
-    derivatives are taken once per step across them; a non-finite state raises
-    ``BlowupError`` before any derivative is taken. drift(path) must return a
+    the Euler stepper of ``simulate_psde``, which steps them together, and
+    ``_jet`` reads the derivatives once per step at the paths the coefficients
+    were read at; a non-finite state raises ``BlowupError`` before any
+    derivative is taken. drift(path) must return a
     (d,) vector and diffusion(path) a (d, n) matrix with the same n on every
     path, f's analytic derivatives a number, a (d,) vector and a (d, d)
     matrix, and n_paths must be at least 1; else PathError.
     """
     if n_paths < 1:
         raise PathError(f"ito_check needs n_paths >= 1, got {n_paths}")
-    d = p0.d
+    d, dt = p0.d, p0.dt
     sig_shape = []  # (d, n), n fixed by the first diffusion value
+    step_paths = []  # the N paths at each step's grid index, p0 itself at the first
 
     def coeffs(vals: np.ndarray):
+        paths = [Path._wrap(x, dt) for x in vals] if step_paths else [p0] * n_paths
+        step_paths.append(paths)
         bs, sigs = [], []
-        for pk in _paths_at(vals, p0, vals.shape[2] - 1):
-            bs.append(drift(pk))
-            sigs.append(diffusion(pk))
+        for p in paths:
+            bs.append(drift(p))
+            sigs.append(diffusion(p))
         if not sig_shape:
             sig_shape.append((d, *(np.shape(sigs[0])[-1:] or (1,))))
         return _stack_checked("drift", bs, (n_paths, d)), _stack_checked("diffusion", sigs, (n_paths, *sig_shape[0]))
 
     rng = np.random.default_rng(seed)
-    dt = p0.dt
     f_start = f.eval(p0)
     state, records = _euler_path(coeffs, p0, end_index, n_paths, rng)
     acc = np.zeros(n_paths)
-    dt_of = f.analytic_dt or partial(horizontal_derivative, f)
-    dx_of = f.analytic_dx or partial(vertical_gradient, f)
-    dxx_of = f.analytic_dxx or partial(vertical_hessian, f)
-    for k, (sig, dx) in enumerate(records, start=p0.t_index):
-        paths = _paths_at(state, p0, k)
-        dtf = _stack_checked("analytic_dt", [dt_of(p) for p in paths], (n_paths,))
-        dxf = _stack_checked("analytic_dx", [dx_of(p) for p in paths], (n_paths, d))
-        dxxf = _stack_checked("analytic_dxx", [dxx_of(p) for p in paths], (n_paths, d, d))
-        dxxf = 0.5 * (dxxf + dxxf.swapaxes(-1, -2))
+    for paths, (sig, dx) in zip(step_paths, records):
+        dtf, dxf, dxxf = _jet(f, paths)
         tr = np.trace(dxxf @ (sig @ sig.swapaxes(-1, -2)), axis1=-2, axis2=-1)
         acc += dtf * dt + 0.5 * tr * dt + (dxf[:, None, :] @ dx[:, :, None])[:, 0, 0]
     total = 0.0
     for x, a in zip(state, acc.tolist()):  # in path order: np.sum would regroup the sum
         total += abs(f.eval(Path._wrap(x, dt)) - f_start - a)
     return total / n_paths
-
-
-def _paths_at(state: np.ndarray, p0: Path, k: int) -> list:
-    """The N paths of a read-only (N, d, K) Euler state restricted to grid index k
-    (p0 itself at its own index)."""
-    if k == p0.t_index:
-        return [p0] * state.shape[0]
-    dt = p0.dt
-    return [Path._wrap(x, dt) for x in state[:, :, : k + 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +244,6 @@ def _maybe_add(a, b, combine):
 
 
 def add_functionals(f: PathFunctional, g: PathFunctional) -> PathFunctional:
-    import operator
-
     return PathFunctional(
         eval=lambda p: f.eval(p) + g.eval(p),
         analytic_dt=_maybe_add(f.analytic_dt, g.analytic_dt, operator.add),

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .funcalc import PathFunctional
 from .pathspace import Path, PathError, _joint_gap, add_paths, sup_norm
 
 __all__ = [
@@ -254,37 +255,27 @@ def pair_sweep(
 # Smooth-functional wrappers (anchor a second path, differentiate in the first).
 
 
+def _anchored(value, dt, grad, hess, anchor: Path, g: GaugeParams) -> PathFunctional:
+    """value(., anchor, g) as a PathFunctional with horizontal derivative dt and
+    vertical derivatives grad(., anchor, g) and hess(., anchor, g)."""
+    return PathFunctional(
+        eval=lambda p: value(p, anchor, g),
+        analytic_dt=dt,
+        analytic_dx=lambda p: grad(p, anchor, g),
+        analytic_dxx=lambda p: hess(p, anchor, g),
+    )
+
+
 def s_functional(anchor: Path, g: GaugeParams = GaugeParams()):
     """s_m(., anchor) as a PathFunctional with its closed-form derivatives."""
-    from .funcalc import PathFunctional
-
-    return PathFunctional(
-        eval=lambda p: s_m(p, anchor, g),
-        analytic_dt=lambda p: 0.0,
-        analytic_dx=lambda p: grad_s(p, anchor, g),
-        analytic_dxx=lambda p: hess_s(p, anchor, g),
-    )
+    return _anchored(s_m, lambda p: 0.0, grad_s, hess_s, anchor, g)
 
 
 def upsilon_functional(anchor: Path, g: GaugeParams = GaugeParams()):
     """upsilon(., anchor) as a PathFunctional; horizontal derivative is zero."""
-    from .funcalc import PathFunctional
-
-    return PathFunctional(
-        eval=lambda p: upsilon(p, anchor, g),
-        analytic_dt=lambda p: 0.0,
-        analytic_dx=lambda p: grad_upsilon(p, anchor, g),
-        analytic_dxx=lambda p: hess_upsilon(p, anchor, g),
-    )
+    return _anchored(upsilon, lambda p: 0.0, grad_upsilon, hess_upsilon, anchor, g)
 
 
 def upsilon_bar_functional(anchor: Path, g: GaugeParams = GaugeParams()):
     """upsilon_bar(., anchor) as a PathFunctional; the time term adds 2(t - t_anchor)."""
-    from .funcalc import PathFunctional
-
-    return PathFunctional(
-        eval=lambda p: upsilon_bar(p, anchor, g),
-        analytic_dt=lambda p: 2.0 * (p.t - anchor.t),
-        analytic_dx=lambda p: grad_upsilon(p, anchor, g),
-        analytic_dxx=lambda p: hess_upsilon(p, anchor, g),
-    )
+    return _anchored(upsilon_bar, lambda p: 2.0 * (p.t - anchor.t), grad_upsilon, hess_upsilon, anchor, g)

@@ -17,14 +17,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .control import CapacityError, ControlProblem, _stack_checked, value
-from .funcalc import (
-    PathFunctional,
-    space_gradient,
-    space_hessian,
-    time_derivative,
-    vertical_gradient,
-    vertical_hessian,
-)
+from .funcalc import PathFunctional, _jet, vertical_gradient, vertical_hessian
 from .gauge import upsilon, upsilon_single
 from .pathspace import GridConfig, Path, PathError
 from .sampling import path_cloud
@@ -65,14 +58,15 @@ class SmoothFunctional(PathFunctional):
     def spot_check(self, paths: Sequence[Path]) -> None:
         """Assert analytic-vs-FD agreement on the given probe paths: within
         1e-4 of max(1, |analytic|) for the gradient, 1e-2 for the Hessian."""
-        for p in paths:
+        if not paths:
+            return
+        _, g_ans, h_ans = _jet(self, paths)
+        for p, g_an, h_an in zip(paths, g_ans, h_ans):
             g_fd = vertical_gradient(self, p)
-            g_an = np.atleast_1d(self.analytic_dx(p))
             scale = max(1.0, float(np.linalg.norm(g_an)))
             if np.linalg.norm(g_fd - g_an) > 1e-4 * scale:
                 raise PathError(f"analytic gradient disagrees with FD at {p!r}")
             h_fd = vertical_hessian(self, p)
-            h_an = np.atleast_2d(self.analytic_dxx(p))
             scale = max(1.0, float(np.linalg.norm(h_an)))
             if np.linalg.norm(h_fd - h_an) > 1e-2 * scale:
                 raise PathError(f"analytic Hessian disagrees with FD at {p!r}")
@@ -123,17 +117,22 @@ def _control_terms(cp: ControlProblem, path: Path, r: float, p, l, us) -> list:
 
 def generator(cp: ControlProblem, phi: PathFunctional, p: Path, u) -> float:
     """dt_phi + <dx_phi, b> + 0.5 tr(dxx_phi sigma sigma^T) + q(p, phi, sigma^T dx_phi, u)."""
-    dxf = space_gradient(phi, p)
-    return time_derivative(phi, p) + _control_terms(cp, p, phi.eval(p), dxf, space_hessian(phi, p), (u,))[0]
+    dtf, dxf, dxxf = _jet(phi, [p])
+    return float(dtf[0]) + _control_terms(cp, p, phi.eval(p), dxf[0], dxxf[0], (u,))[0]
+
+
+def _signed_residual(cp: ControlProblem, phi: PathFunctional, p: Path, s: float) -> float:
+    """s dt_phi(p) + H(p, s phi(p), s dx_phi(p), s dxx_phi(p))."""
+    dtf, dxf, dxxf = _jet(phi, [p])
+    hval, _ = hamiltonian(cp, HamiltonianInput(p, s * phi.eval(p), s * dxf[0], s * dxxf[0]))
+    return s * float(dtf[0]) + hval
 
 
 def phjb_residual(cp: ControlProblem, v: PathFunctional, p: Path) -> float:
     """dt_v(p) + H(p, v(p), dx_v(p), dxx_v(p)); zero for classical solutions."""
     if p.t_index >= cp.grid.steps:
         raise PathError("residual is defined at interior times only")
-    hin = HamiltonianInput(p, v.eval(p), space_gradient(v, p), space_hessian(v, p))
-    hval, _ = hamiltonian(cp, hin)
-    return time_derivative(v, p) + hval
+    return _signed_residual(cp, v, p, 1.0)
 
 
 class ProbeResult(NamedTuple):
@@ -156,9 +155,7 @@ def _probe(cp, w, test, p, n_cloud, seed, cloud, s: float) -> ProbeResult:
     touch = abs(w.eval(p) - s * test.eval(p)) <= _TOUCH_TOL
     if touch:
         touch = not any(s * (w.eval(eta) - s * test.eval(eta)) > _TOUCH_TOL for eta in cloud)
-    hin = HamiltonianInput(p, s * test.eval(p), s * space_gradient(test, p), s * space_hessian(test, p))
-    hval, _ = hamiltonian(cp, hin)
-    return ProbeResult(touch, s * time_derivative(test, p) + hval)
+    return ProbeResult(touch, _signed_residual(cp, test, p, s))
 
 
 def subsolution_probe(

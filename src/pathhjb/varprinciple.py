@@ -73,6 +73,21 @@ def _delta(deltas: Optional[Sequence[float]], i: int) -> float:
     return d
 
 
+def _shrink(g: dict, current: list, rho, selected: Path, delta: float, threshold: float) -> list:
+    """The points p of ``current`` no earlier than ``selected`` whose perturbed
+    objective g[p] - delta rho(selected, p) stays >= threshold, in order; g is
+    updated to that value at each of them, and rho runs once per point."""
+    kept = []
+    for p in current:
+        if p.t_index < selected.t_index:
+            continue
+        shrunk = g[p.key()] - delta * rho(selected, p)
+        if shrunk >= threshold:
+            g[p.key()] = shrunk
+            kept.append(p)
+    return kept
+
+
 def borwein_preiss(
     f: PathFunctional,
     rho: Callable[[Path, Path], float],
@@ -114,9 +129,9 @@ def borwein_preiss(
 
     # perturbed objective bookkeeping: g[p] = f(p) - sum_{k<i} delta_k rho(gamma^k, p)
     g = {k: v for k, v in fvals.items()}
-    current = [p for p in unique if g[p.key()] - delta0 * rho(start, p) >= f_start]
-    for p in current:
-        g[p.key()] = g[p.key()] - delta0 * rho(start, p)
+    current = _shrink(g, unique, rho, start, delta0, f_start)
+    if not current:
+        raise PathError("initial set B_0 is empty: no candidate has f - delta_0 rho(start, .) >= f(start)")
     trajectory = [start]
     sets_trace = [tuple(current)] if keep_sets else None
 
@@ -132,19 +147,9 @@ def borwein_preiss(
         ties = [p for p in current if g[p.key()] == top]
         selected = min(ties, key=lambda p: p.key())
         trajectory.append(selected)
-        threshold = g[selected.key()]
-        delta_i = _delta(deltas, i)
-        nxt = []
-        for p in current:
-            if p.t_index < selected.t_index:
-                continue
-            shrunk = g[p.key()] - delta_i * rho(selected, p)
-            if shrunk >= threshold:
-                g[p.key()] = shrunk
-                nxt.append(p)
-        if not nxt:
+        current = _shrink(g, current, rho, selected, _delta(deltas, i), g[selected.key()])
+        if not current:
             raise PathError("shrinking set became empty (rho violates the gauge contract)")
-        current = nxt
         if keep_sets:
             sets_trace.append(tuple(current))
         bound = eps / (2.0**i * delta0)

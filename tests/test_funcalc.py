@@ -165,7 +165,20 @@ def test_ito_check_fd_fallback_close_to_analytic():
 
 
 def _reference_ito_check(f, drift, diffusion, p0, end_index, n_paths, seed):
-    from pathhjb.funcalc import space_gradient, space_hessian, time_derivative
+    # the per-path dispatch funcalc kept before its one jet reader
+    def time_derivative(f, p):
+        return float(f.analytic_dt(p)) if f.analytic_dt is not None else horizontal_derivative(f, p)
+
+    def space_gradient(f, p):
+        if f.analytic_dx is not None:
+            return np.atleast_1d(np.asarray(f.analytic_dx(p), dtype=float))
+        return vertical_gradient(f, p)
+
+    def space_hessian(f, p):
+        if f.analytic_dxx is not None:
+            h = np.asarray(f.analytic_dxx(p), dtype=float)
+            return 0.5 * (h + h.T)
+        return vertical_hessian(f, p)
 
     rng = np.random.default_rng(seed)
     dt = p0.dt

@@ -7,7 +7,15 @@ import pytest
 from pathhjb import phjb
 from pathhjb.cli import COMPARISON_DEFAULT, MARKOV_DEFAULT, run_comparison_demo, run_markov_compare
 from pathhjb.control import ControlProblem, per_path, value
-from pathhjb.funcalc import PathFunctional, add_functionals, constant_functional, scale_functional
+from pathhjb.funcalc import (
+    PathFunctional,
+    add_functionals,
+    constant_functional,
+    horizontal_derivative,
+    scale_functional,
+    vertical_gradient,
+    vertical_hessian,
+)
 from pathhjb.gauge import GaugeParams, upsilon_bar, upsilon_bar_functional, upsilon_single
 from pathhjb.pathspace import GridConfig, Path, PathError
 from pathhjb.phjb import (
@@ -119,6 +127,25 @@ def test_smooth_functional_requires_all_derivatives_and_spot_checks():
     )
     with pytest.raises(PathError):
         broken.spot_check([random_path(rng, 1, GRID.dt, 2)])
+
+
+_WIDE_DX = {
+    "phjb_residual": phjb_residual,
+    "subsolution_probe": lambda cp, f, p: subsolution_probe(cp, f, f, p, cloud=[p]),
+    "supersolution_probe": lambda cp, f, p: supersolution_probe(cp, f, f, p, cloud=[p]),
+    "generator": lambda cp, f, p: generator(cp, f, p, cp.controls[0]),
+    "spot_check": lambda cp, f, p: f.spot_check([p, p]),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(_WIDE_DX))
+def test_jet_consumers_reject_a_gradient_of_the_wrong_shape(consumer):
+    sol = heat_solution(GRID)
+    wide = SmoothFunctional(eval=sol.eval, analytic_dt=sol.analytic_dt, analytic_dx=lambda p: np.ones(2), analytic_dxx=sol.analytic_dxx)
+    n = 2 if consumer == "spot_check" else 1
+    msg = rf"^analytic_dx must return shape \(1,\) at each of {n} evaluations, got \(2,\)$"
+    with pytest.raises(PathError, match=msg):
+        _WIDE_DX[consumer](heat_problem(GRID), wide, Path.constant(0.3, 1, GRID.dt))
 
 
 def test_hamiltonian_requires_symmetric_l():
@@ -606,23 +633,38 @@ def test_comparison_psi_beta_ladder_shrinks_gap():
 
 
 # ---------------------------------------------------------------------------
-# Reference oracle: the two probe bodies before they shared one signed body.
+# Reference oracle: the two probe bodies before they shared one signed body,
+# and the per-path derivative dispatch before the one jet reader.
+
+
+def _reference_dispatch(f, p):
+    # the per-path dispatch funcalc kept before its one jet reader: (dt, dx, dxx)
+    dt = float(f.analytic_dt(p)) if f.analytic_dt is not None else horizontal_derivative(f, p)
+    if f.analytic_dx is not None:
+        dx = np.atleast_1d(np.asarray(f.analytic_dx(p), dtype=float))
+    else:
+        dx = vertical_gradient(f, p)
+    if f.analytic_dxx is not None:
+        h = np.asarray(f.analytic_dxx(p), dtype=float)
+        dxx = 0.5 * (h + h.T)
+    else:
+        dxx = vertical_hessian(f, p)
+    return dt, dx, dxx
 
 
 def _reference_probe(cp, w, test, p, cloud, touch_tol, sub):
-    from pathhjb.funcalc import space_gradient, space_hessian, time_derivative
-
+    dt, dx, dxx = _reference_dispatch(test, p)
     if sub:
         touch = abs(w.eval(p) - test.eval(p)) <= touch_tol
         if touch:
             touch = not any(w.eval(eta) - test.eval(eta) > touch_tol for eta in cloud)
-        hin = HamiltonianInput(p, test.eval(p), space_gradient(test, p), space_hessian(test, p))
-        return touch, time_derivative(test, p) + hamiltonian(cp, hin)[0]
+        hin = HamiltonianInput(p, test.eval(p), dx, dxx)
+        return touch, dt + hamiltonian(cp, hin)[0]
     touch = abs(w.eval(p) + test.eval(p)) <= touch_tol
     if touch:
         touch = not any(w.eval(eta) + test.eval(eta) < -touch_tol for eta in cloud)
-    hin = HamiltonianInput(p, -test.eval(p), -space_gradient(test, p), -space_hessian(test, p))
-    return touch, -time_derivative(test, p) + hamiltonian(cp, hin)[0]
+    hin = HamiltonianInput(p, -test.eval(p), -dx, -dxx)
+    return touch, -dt + hamiltonian(cp, hin)[0]
 
 
 def test_probes_equal_reference_bodies():
@@ -643,6 +685,12 @@ def test_probes_equal_reference_bodies():
                 for test in candidates + [add_functionals(test, constant_functional(0.5)) for test in candidates]:
                     got = probe(cp, sol, test, p, cloud=cloud)
                     assert tuple(got) == _reference_probe(cp, sol, test, p, cloud, 1e-9, sub)
+                    # the residual is the probe's s = +1 case; the generator reads the same jet
+                    dt, dx, dxx = _reference_dispatch(test, p)
+                    r = test.eval(p)
+                    assert phjb_residual(cp, test, p) == dt + hamiltonian(cp, HamiltonianInput(p, r, dx, dxx))[0]
+                    for u in cp.controls:
+                        assert generator(cp, test, p, u) == dt + phjb._control_terms(cp, p, r, dx, dxx, (u,))[0]
 
 
 def test_markov_consistency_checks_the_cap_before_any_work():

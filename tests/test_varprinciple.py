@@ -189,3 +189,34 @@ def test_flat_gauge_runs_rounds_down_to_the_diameter_floor():
     assert verify_bp(res, f, upsilon, None, 0.5, start, domain)
     with pytest.raises(PathError, match="failed to settle"):
         borwein_preiss(f, upsilon, None, 1e30, start, domain)
+
+
+def test_initial_set_reads_rho_once_per_candidate():
+    # a start outside the candidates; deltas of length 1 stop the run at round 1,
+    # before its shrink step reads rho, so every read seen is B_0's or the check's
+    rng = np.random.default_rng(13)
+    domain = _domain(rng, n=40)
+    f = _tanh_objective([1.0, 0.3, 0.2])
+    start = Path.constant(-1.0, 0, 0.1)
+    seen = []
+
+    def counting(a, b):
+        seen.append((a.key(), b.key()))
+        return 1e-3 * upsilon_bar(a, b)
+
+    with pytest.raises(PathError, match="deltas sequence exhausted at round 1"):
+        borwein_preiss(f, counting, [1.0], 10.0, start, domain)
+    unique = list(dict.fromkeys(p.key() for p in domain.items))
+    assert seen == [(start.key(), start.key())] + [(start.key(), k) for k in unique]
+    survivors = [p for p in domain.items if f.eval(p) - 1e-3 * upsilon_bar(start, p) >= f.eval(start)]
+    assert 0 < len(survivors) < len(unique)  # B_0 kept some candidates and dropped others
+
+
+def test_empty_initial_set_is_a_path_error():
+    # a start outside the candidates whose objective beats all of them
+    rng = np.random.default_rng(14)
+    domain = _domain(rng, n=10)
+    start = Path.constant(5.0, 0, 0.1)
+    f = PathFunctional(eval=lambda p: float(p.values[0, -1]))
+    with pytest.raises(PathError, match="initial set B_0 is empty"):
+        borwein_preiss(f, upsilon_bar, None, 100.0, start, domain)
