@@ -219,23 +219,25 @@ for _a in (_ZERO, _ONE, _EYE, _TWO_EYE, _ZERO_2D):
     _a.setflags(write=False)
 
 
+def _ito_functional(name: str, dt: float):
+    if name == "square":
+        return endpoint_functional(lambda x: float(x[0]) ** 2, grad=lambda x: 2.0 * x, hess=lambda x: _TWO_EYE)
+    if name == "endpoint":
+        return endpoint_functional(lambda x: float(x[0]), grad=lambda x: _ONE, hess=lambda x: _ZERO_2D)
+    if name == "gauge":  # anchored on the level's own grid: gauge values compare paths of one dt
+        return gauge.upsilon_functional(Path.constant(0.3, 0, dt))
+    raise ConfigError(f"unknown functional {name!r} (square, endpoint, gauge)")
+
+
 def run_ito_check(config: dict, seed: int):
     name = config["functional"]
-    if name == "square":
-        f = endpoint_functional(lambda x: float(x[0]) ** 2, grad=lambda x: 2.0 * x, hess=lambda x: _TWO_EYE)
-    elif name == "endpoint":
-        f = endpoint_functional(lambda x: float(x[0]), grad=lambda x: _ONE, hess=lambda x: _ZERO_2D)
-    elif name == "gauge":
-        anchor = Path.constant(0.3, 0, config["horizon"] / config["base_steps"])
-        f = gauge.upsilon_functional(anchor)
-    else:
-        raise ConfigError(f"unknown functional {name!r} (square, endpoint, gauge)")
     header = ["level", "steps", "dt", "mean_abs_residual", "ratio_to_prev"]
     rows = []
     prev = None
     for level in range(config["levels"]):
         steps = config["base_steps"] * 2**level
         dt = config["horizon"] / steps
+        f = _ito_functional(name, dt)
         p0 = Path.constant(0.0, 0, dt)
         res = ito_check(
             f,

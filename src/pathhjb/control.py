@@ -22,6 +22,7 @@ from .pathspace import (
     Path,
     PathError,
     _joint_gap,
+    _sq_cols,
     horizontal_extension,
     sup_norm,
 )
@@ -590,8 +591,8 @@ def moment_probe(cp: ControlProblem, p0: Path, strategy: ControlStrategy, n_path
         raise PathError(f"moment_probe needs p0 before the horizon, got grid index {p0.t_index} of {g.steps}")
     state, _ = _euler_path(_controlled(cp, p0, strategy), p0, g.steps, n_paths, np.random.default_rng(seed))
     base = 1.0 + sup_norm(p0) ** 2
-    sup_sq = np.sqrt((state**2).sum(axis=1)).max(axis=-1) ** 2
-    gaps = np.sqrt(((state[:, :, p0.t_index + 1 :] - p0.values[:, -1:]) ** 2).sum(axis=1))
+    sup_sq = np.sqrt(_sq_cols(state)).max(axis=-1) ** 2
+    gaps = np.sqrt(_sq_cols(state[:, :, p0.t_index + 1 :] - p0.values[:, -1:]))
     gap_sq = np.maximum.accumulate(gaps, axis=-1) ** 2  # column j - 1: the gap of X restricted to t + j dt
     ratios = gap_sq.mean(axis=0) / (base * g.dt * np.arange(1, gap_sq.shape[1] + 1))
     return float(sup_sq.mean() / base), float(ratios.max())

@@ -33,7 +33,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .control import ControlProblem
-from .pathspace import GridConfig
+from .pathspace import GridConfig, _sq_cols
 
 __all__ = ["ExpressionError", "compile_expression", "inline_problem"]
 
@@ -165,7 +165,7 @@ def _path_env(vals: np.ndarray, dt: float, horizon: float) -> dict:
     and dt as floats, the endpoint and running statistics as (N,) arrays."""
     d, k = vals.shape[1:]
     with np.errstate(all="ignore"):  # as the expressions run: an overflow reads as inf
-        rmax, rint = np.sqrt((vals**2).sum(axis=1)).max(axis=1), vals.sum(axis=2) * dt
+        rmax, rint = np.sqrt(_sq_cols(vals)).max(axis=1), vals.sum(axis=2) * dt
     env = {"t": (k - 1) * dt, "T": horizon, "dt": dt, "rmax": rmax}
     for i in range(d):
         env[f"x{i}"] = vals[:, i, -1]

@@ -16,12 +16,14 @@ Defaults m = 3, M = 3 everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .funcalc import PathFunctional
-from .pathspace import Path, PathError, _joint_gap, add_paths, sup_norm
+from .pathspace import Path, PathError, _check_comparable, _joint_sq, _sq_cols, add_paths
+from .sampling import _walks
 
 __all__ = [
     "GaugeParams",
@@ -60,14 +62,17 @@ class GaugeParams:
 def _gaps(p: Path, q: Path) -> tuple[float, float]:
     """(sup gap D, endpoint gap e); D is taken after hold-last-value extension.
 
-    The endpoint gap uses the same summation order as the columnwise sup, so
-    D >= e holds exactly in floating point (the endpoint column is one of the
-    columns the sup ranges over).
+    Both are read from the one array of squared column gaps (_joint_sq), whose
+    last entry is the endpoint gap's, so D >= e holds exactly in floating point
+    at every dimension. Paths of different dt or dimension raise PathError.
     """
-    d_sup = _joint_gap(p, q)
-    diff_last = p.values[:, -1] - q.values[:, -1]
-    e = float(np.sqrt((diff_last**2).sum()))
-    return d_sup, e
+    _check_comparable(p, q)
+    return _sup_and_end(_joint_sq(p, q))
+
+
+def _sup_and_end(sq: np.ndarray) -> tuple[float, float]:
+    """(sup norm, endpoint norm) from a path's squared column norms."""
+    return math.sqrt(sq.max()), math.sqrt(sq[-1])
 
 
 def _core(d_sup: float, e: float, m: int) -> float:
@@ -83,10 +88,7 @@ def _core(d_sup: float, e: float, m: int) -> float:
 
 def s_m(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float:
     """Smooth core (D^{2m} - e^{2m})^3 / D^{4m}, zero branch at D = 0."""
-    d_sup, e = _gaps(p, q)
-    if d_sup == 0.0:
-        return 0.0
-    return _core(d_sup, e, g.m)
+    return _core(*_gaps(p, q), g.m)  # D = 0 forces e = 0: the zero numerator branch
 
 
 def upsilon(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float:
@@ -97,8 +99,8 @@ def upsilon(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float:
 
 def upsilon_single(p: Path, g: GaugeParams = GaugeParams()) -> float:
     """upsilon of p against the zero path of the same time (notational shortcut)."""
-    e = float(np.sqrt((p.values[:, -1] ** 2).sum()))  # the endpoint gap to zero, as in _gaps
-    return _core(sup_norm(p), e, g.m) + g.M * e ** (2 * g.m)
+    d_sup, e = _sup_and_end(_sq_cols(p.values))
+    return _core(d_sup, e, g.m) + g.M * e ** (2 * g.m)
 
 
 def upsilon_bar(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float:
@@ -113,21 +115,15 @@ def _pow0(x: float, k: int) -> float:
 
 
 def grad_s(p: Path, anchor: Path, g: GaugeParams = GaugeParams()) -> np.ndarray:
-    """Closed-form vertical gradient of s_m(., anchor) at p.
-
-    Single displayed formula; the squared numerator factor vanishes
-    identically on the endpoint-dominant branch, and the zero branch at
-    D = 0 is explicit.
-    """
+    """Closed-form vertical gradient of s_m(., anchor) at p: one displayed formula,
+    whose squared numerator factor vanishes on the endpoint-dominant branch."""
     if anchor.t_index > p.t_index:
         raise PathError("anchor time must not exceed the path time")
     d_sup, e = _gaps(p, anchor)
-    if d_sup == 0.0 or e == 0.0:
-        return np.zeros(p.d)
     m = g.m
     den = d_sup ** (4 * m)
-    if den == 0.0:
-        return np.zeros(p.d)  # subnormal scale, see _core
+    if den == 0.0 or e == 0.0:
+        return np.zeros(p.d)  # D = 0, a subnormal scale (see _core) or equal endpoints
     x = p.values[:, -1] - anchor.values[:, -1]
     a = d_sup ** (2 * m) - e ** (2 * m)
     coef = -6.0 * m * a**2 * _pow0(e, 2 * m - 2) / den
@@ -139,12 +135,10 @@ def hess_s(p: Path, anchor: Path, g: GaugeParams = GaugeParams()) -> np.ndarray:
     if anchor.t_index > p.t_index:
         raise PathError("anchor time must not exceed the path time")
     d_sup, e = _gaps(p, anchor)
-    if d_sup == 0.0:
-        return np.zeros((p.d, p.d))
     m = g.m
     den = d_sup ** (4 * m)
     if den == 0.0:
-        return np.zeros((p.d, p.d))  # subnormal scale, see _core
+        return np.zeros((p.d, p.d))  # D = 0 or a subnormal scale, see _core
     x = p.values[:, -1] - anchor.values[:, -1]
     a = d_sup ** (2 * m) - e ** (2 * m)
     eye = np.eye(p.d)
@@ -211,12 +205,6 @@ def subadditivity_gap(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float
 # Sweep over random pairs: gaps read as one batch, then _core per pair (== the scalar code).
 
 
-def _sup_and_end(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sup_norm and endpoint norm of each path of an (N, d, k+1) batch, each
-    sum taken in the order the scalar code takes it."""
-    return np.sqrt((x**2).sum(axis=1)).max(axis=-1), np.sqrt((x[..., -1] ** 2).sum(axis=-1))
-
-
 def pair_sweep(
     rng: np.random.Generator, g: GaugeParams, pairs: int, d: int, dt: float, t_index: int, scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,24 +217,17 @@ def pair_sweep(
     equal (==) to the scalar functions' value on the same pair. Arguments
     that random_pair would turn into an invalid Path raise PathError.
     """
-    if d < 1 or t_index < 0 or not 0 < dt < np.inf or not 0 <= scale < np.inf:
-        raise PathError(f"pair_sweep needs d >= 1, t_index >= 0, 0 < dt < inf and 0 <= scale < inf, got {d}, {t_index}, {dt}, {scale}")
-    k1 = t_index + 1
-    z = rng.standard_normal((pairs, 2, d * k1 + d))
-    incs = z[..., : d * k1].reshape(pairs, 2, d, k1) * (scale * np.sqrt(dt))
-    incs[..., 0] = z[..., d * k1 :] * scale  # the start value, drawn after the increments
-    paths = incs.cumsum(axis=-1)
-    if not np.isfinite(paths).all():
-        raise PathError("path values must be finite")
+    paths = _walks(rng, 2 * pairs, d, dt, t_index, scale, "pair_sweep").reshape(pairs, 2, d, t_index + 1)
     p, q, m = paths[:, 0], paths[:, 1], g.m
 
-    def upsilons(d_sup: np.ndarray, e: np.ndarray) -> np.ndarray:  # upsilon per (D, e), on floats as upsilon takes it
-        return np.array([_core(a, b, m) + g.M * b ** (2 * m) for a, b in zip(d_sup.tolist(), e.tolist())])
+    def upsilons(x: np.ndarray) -> tuple[np.ndarray, list]:  # upsilon and D per path of a batch, as upsilon_single takes them
+        sq = _sq_cols(x)
+        d_sup, e = np.sqrt(sq.max(axis=-1)).tolist(), np.sqrt(sq[:, -1]).tolist()
+        return np.array([_core(a, b, m) + g.M * b ** (2 * m) for a, b in zip(d_sup, e)]), d_sup
 
-    d_sup, e = _sup_and_end(p - q)
-    ups = upsilons(d_sup, e)
-    gap = np.array([a ** (2 * m) for a in d_sup.tolist()])
-    singles = [upsilons(*_sup_and_end(x)) for x in (p, q, p + q)]
+    ups, d_sup = upsilons(p - q)
+    gap = np.array([a ** (2 * m) for a in d_sup])
+    singles = [upsilons(x)[0] for x in (p, q, p + q)]
     sub = 2.0 ** (2 * m - 1) * (singles[0] + singles[1]) - singles[2]
     return ups - gap, g.M * gap - ups, sub
 

@@ -9,6 +9,7 @@ bumping a continuous path at its current time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,26 +142,37 @@ def _check_comparable(p: Path, q: Path) -> None:
         raise PathError(f"paths have different dimension: {p.d} vs {q.d}")
 
 
+def _sq_cols(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each column of a (..., d, k+1) array: the one
+    norm pass. A sup reads its max and an endpoint gap its last entry, so the
+    two share their summation order and the sup is never below the endpoint."""
+    return np.add.reduce(x * x, axis=-2)
+
+
 def sup_norm(p: Path) -> float:
     """Sup over grid nodes of the Euclidean norm of the path value."""
-    return float(np.sqrt((p.values**2).sum(axis=0)).max())
+    return math.sqrt(_sq_cols(p.values).max())  # a correctly rounded sqrt is monotone
 
 
-def _joint_gap(p: Path, q: Path) -> float:
-    """Sup-norm gap after extending the shorter path by holding its last value."""
+def _joint_sq(p: Path, q: Path) -> np.ndarray:
+    """_sq_cols of p - q after extending the shorter path by holding its last
+    value; the last entry is the squared endpoint gap |p(t) - q(s)|^2."""
     kp, kq = p.t_index, q.t_index
     a, b = p.values, q.values
     if kp == kq:
         diff = a - b
     elif kp < kq:
-        diff = np.empty_like(b)
+        diff = a[:, -1:] - b
         diff[:, : kp + 1] = a - b[:, : kp + 1]
-        diff[:, kp + 1 :] = a[:, -1:] - b[:, kp + 1 :]
     else:
-        diff = np.empty_like(a)
+        diff = a - b[:, -1:]
         diff[:, : kq + 1] = a[:, : kq + 1] - b
-        diff[:, kq + 1 :] = a[:, kq + 1 :] - b[:, -1:]
-    return float(np.sqrt((diff**2).sum(axis=0)).max())
+    return _sq_cols(diff)
+
+
+def _joint_gap(p: Path, q: Path) -> float:
+    """Sup-norm gap after extending the shorter path by holding its last value."""
+    return math.sqrt(_joint_sq(p, q).max())
 
 
 def d_infty(p: Path, q: Path) -> float:

@@ -7,9 +7,11 @@ meaningful.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .pathspace import Path
+from .pathspace import Path, PathError
 
 __all__ = [
     "random_path",
@@ -19,20 +21,36 @@ __all__ = [
 ]
 
 
+def _walks(rng: np.random.Generator, n: int, d: int, dt: float, t_index: int, scale: float, name: str = "random_path") -> np.ndarray:
+    """n Brownian-type random walks as one read-only (n, d, t_index + 1) array.
+
+    One standard-normal batch in the stream of n random_path calls (each
+    walk's increments, then its starts), scaled as numpy's ``normal`` scales
+    (0.0 + z * s: a zero scale gives +0.0). Bad arguments raise before drawing.
+    """
+    if d < 1 or t_index < 0 or not 0 < dt < np.inf or not 0 <= scale < np.inf:
+        raise PathError(f"{name} needs d >= 1, t_index >= 0, 0 < dt < inf and 0 <= scale < inf, got {d}, {t_index}, {dt}, {scale}")
+    k1 = t_index + 1
+    z = rng.standard_normal((n, d * k1 + d))
+    w = z[:, : d * k1].reshape(n, d, k1) * (scale * math.sqrt(dt))
+    w[..., 0] = z[:, d * k1 :] * scale  # the start value, drawn after the increments
+    w += 0.0
+    w = w.cumsum(axis=-1)
+    if not np.isfinite(w).all():
+        raise PathError("path values must be finite")
+    w.setflags(write=False)
+    return w
+
+
 def random_path(rng: np.random.Generator, d: int, dt: float, t_index: int, scale: float = 1.0) -> Path:
     """Brownian-type random walk path with N(0, scale^2) start and
     N(0, scale^2 dt) increments."""
-    incs = rng.normal(0.0, scale * np.sqrt(dt), size=(d, t_index + 1))
-    incs[:, 0] = rng.normal(0.0, scale, size=d)
-    return Path(incs.cumsum(axis=1), dt)
+    return Path._wrap(_walks(rng, 1, d, dt, t_index, scale)[0], float(dt))
 
 
 def random_pair(rng: np.random.Generator, d: int, dt: float, t_index: int, scale: float = 1.0) -> tuple[Path, Path]:
-    """Two independent same-grid, same-time random paths."""
-    return (
-        random_path(rng, d, dt, t_index, scale),
-        random_path(rng, d, dt, t_index, scale),
-    )
+    """Two independent same-grid, same-time random paths (two random_path draws)."""
+    return tuple(Path._wrap(x, float(dt)) for x in _walks(rng, 2, d, dt, t_index, scale, "random_pair"))
 
 
 def _bridge(rng: np.random.Generator, d: int, dt: float, t_index: int) -> np.ndarray:

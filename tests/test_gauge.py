@@ -21,8 +21,9 @@ from pathhjb.gauge import (
     upsilon_functional,
     upsilon_single,
 )
-from pathhjb.pathspace import Path, PathError, _joint_gap, d_infty, sub_paths, zero_like
-from pathhjb.sampling import random_pair
+from pathhjb.gauge import _core, _gaps
+from pathhjb.pathspace import Path, PathError, _joint_gap, d_infty, sub_paths, sup_norm, zero_like
+from pathhjb.sampling import random_pair, random_path
 
 G33 = GaugeParams(3, 3.0)
 
@@ -326,8 +327,6 @@ def test_pair_sweep_equals_the_scalar_loop(d, m):
 
 
 def test_pair_sweep_zero_branch_at_d_zero():
-    from pathhjb.gauge import _core
-
     for m in (1, 3, 6):
         # D = 0, an underflowing D^{4m}, and D = e (a zero numerator) take the zero branch
         got = [_core(a, b, m) for a, b in ((0.0, 0.0), (1e-200, 0.0), (0.5, 0.5), (0.5, 0.25))]
@@ -344,3 +343,82 @@ def test_pair_sweep_rejects_what_random_pair_cannot_build():
             pair_sweep(rng, G33, 4, d, dt, t_index, scale)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PathError, match="finite"):
         pair_sweep(rng, G33, 4, 1, 1e10, 3, 1e305)
+
+
+# ---------------------------------------------------------------------------
+# The one norm pass against the formulas it replaced: a sqrt per column, then
+# the max, and the endpoint gap as its own reduction over the last column.
+
+
+def _sup_norm_oracle(p):
+    return float(np.sqrt((p.values**2).sum(axis=0)).max())
+
+
+def _joint_gap_oracle(p, q):
+    k = max(p.t_index, q.t_index)
+    a = np.concatenate([p.values, np.repeat(p.values[:, -1:], k - p.t_index, axis=1)], axis=1)
+    b = np.concatenate([q.values, np.repeat(q.values[:, -1:], k - q.t_index, axis=1)], axis=1)
+    return float(np.sqrt(((a - b) ** 2).sum(axis=0)).max())
+
+
+def _gaps_oracle(p, q):
+    return _joint_gap_oracle(p, q), float(np.sqrt(((p.values[:, -1] - q.values[:, -1]) ** 2).sum()))
+
+
+def _upsilon_single_oracle(p, g):
+    e = float(np.sqrt((p.values[:, -1] ** 2).sum()))
+    return _core(_sup_norm_oracle(p), e, g.m) + g.M * e ** (2 * g.m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.sampled_from([0.0, 0.5, 1.0, 1e-3, 40.0]),
+    st.sampled_from([G33, GaugeParams(1, 5.0), GaugeParams(6, 3.0)]),
+)
+def test_norm_pass_equals_the_replaced_formulas(seed, d, kp, kq, scale, g):
+    # d < 8: numpy sums a column of fewer than 8 values in sequence, so the
+    # endpoint gap read from the column sums is the replaced reduction's
+    rng = np.random.default_rng(seed)
+    p, q = random_path(rng, d, 0.25, kp, scale), random_path(rng, d, 0.25, kq, scale)
+    for x in (p, q):
+        assert sup_norm(x) == _sup_norm_oracle(x) and type(sup_norm(x)) is float
+        assert upsilon_single(x, g) == _upsilon_single_oracle(x, g)
+    assert _joint_gap(p, q) == _joint_gap_oracle(p, q) and type(_joint_gap(p, q)) is float
+    assert _gaps(p, q) == _gaps_oracle(p, q) and _gaps(q, p) == _gaps_oracle(q, p)
+    d_sup, e = _gaps_oracle(p, q)
+    assert upsilon(p, q, g) == _core(d_sup, e, g.m) + g.M * e ** (2 * g.m)
+    if kp == kq:
+        assert subadditivity_gap(p, q, g) == 2.0 ** (2 * g.m - 1) * (
+            _upsilon_single_oracle(p, g) + _upsilon_single_oracle(q, g)
+        ) - _upsilon_single_oracle(Path(p.values + q.values, 0.25), g)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(0, 6), st.integers(0, 6), st.floats(1.0, 50.0))
+def test_sup_gap_is_never_below_the_endpoint_gap(seed, d, kp, kq, lift):
+    # the endpoint column lifted above the others, so D and e are the same
+    # real number and only the summation order could tell them apart
+    rng = np.random.default_rng(seed)
+    p, q = random_path(rng, d, 0.25, kp, 0.5), random_path(rng, d, 0.25, kq, 0.5)
+    v = p.values.copy()
+    v[:, -1] = q.values[:, -1] + lift * (p.values[:, -1] - q.values[:, -1] + 1.0)
+    p = Path(v, 0.25)
+    d_sup, e = _gaps(p, q)
+    assert d_sup >= e
+    assert s_m(p, q) >= 0.0 and s_m(q, p) >= 0.0
+
+
+def test_gauge_values_reject_incomparable_paths():
+    p = Path.constant(1.0, 2, 0.1)
+    other_dim = Path.constant(np.zeros(2), 2, 0.1)
+    other_dt = Path.constant(0.0, 2, 0.2)
+    for q in (other_dim, other_dt):
+        for fn in (s_m, upsilon, upsilon_bar, grad_s, hess_s, grad_upsilon, hess_upsilon):
+            with pytest.raises(PathError, match="paths have different"):
+                fn(p, q)
+            with pytest.raises(PathError, match="paths have different"):
+                fn(q, p)
