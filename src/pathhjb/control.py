@@ -211,11 +211,13 @@ class NoiseTree:
         return [self.node_path(self.depth, j) for j in range(self.levels[-1].shape[0])]
 
 
-def _check_dt(cp: ControlProblem, root: Path) -> float:
-    """The grid's dt, which ``root`` must share: the coefficients read their
-    paths on it."""
+def _check_root(cp: ControlProblem, root: Path) -> float:
+    """The grid's dt, which ``root`` must share, as it must the grid's
+    dimension: the coefficients read their paths on both."""
     if root.dt != cp.grid.dt:
         raise PathError(f"root path has dt {root.dt}, the grid's is {cp.grid.dt}")
+    if root.d != cp.grid.dim:
+        raise PathError(f"root path has dimension {root.d}, the grid's is {cp.grid.dim}")
     return root.dt
 
 
@@ -240,9 +242,7 @@ def _forward(cp: ControlProblem, roots: np.ndarray, depth: int, incs: np.ndarray
     array. Each node is expanded under ``strategy``'s control or, for the value
     (``strategy`` None), under all of U; children are ordered (node, control,
     move), and ctrls[k] holds level k's controls in that order as a 1-D object
-    array. The value merges identical internal children: links[k] maps each
-    child slot of level k to its row of level k + 1, keys[k] holds each row's
-    memo key (one per root at level 0)."""
+    array. Returns (levels, ctrls)."""
     dt = cp.grid.dt
     b_count, n = incs.shape
     n_u = len(cp.controls) if strategy is None else 1
@@ -250,7 +250,7 @@ def _forward(cp: ControlProblem, roots: np.ndarray, depth: int, incs: np.ndarray
     first = np.array(roots, dtype=float)
     first.setflags(write=False)
     t0 = first.shape[-1] - 1
-    levels, ctrls, links, keys = [first], [], [], [[(t0, row.tobytes()) for row in first]]
+    levels, ctrls = [first], []
     for k in range(depth):
         cur = levels[k]
         count, d, cols = cur.shape
@@ -266,27 +266,21 @@ def _forward(cp: ControlProblem, roots: np.ndarray, depth: int, incs: np.ndarray
         kids = np.empty(steps.shape[:-1] + (d, cols + 1))
         kids[..., :cols] = cur[:, None, None]
         kids[..., cols] = steps
-        kids, link = kids.reshape(-1, d, cols + 1), None
-        if strategy is None and k + 1 < depth:
-            t, size, buf, rows = t0 + k + 1, kids.strides[0], kids.tobytes(), {}
-            link = np.array([rows.setdefault((t, buf[i * size : (i + 1) * size]), len(rows)) for i in range(len(kids))])
-            if len(rows) < len(kids):
-                kids = kids[np.unique(link, return_index=True)[1]]
-            keys.append(list(rows))
+        kids = kids.reshape(-1, d, cols + 1)
         kids.setflags(write=False)
         levels.append(kids)
         ctrls.append(us)
-        links.append(link)
-    return levels, ctrls, links, keys
+    return levels, ctrls
 
 
-def _backward(cp: ControlProblem, levels, ctrls, links, keys, incs: np.ndarray, terminal, memo=None):
+def _backward(cp: ControlProblem, levels, ctrls, incs: np.ndarray, terminal):
     """Backward pass Y = E[Y'] + q(path, Y, Z, u) dt, Z = E[Y' dW^T] / dt over
     ``_forward``'s levels, with ``terminal`` an array form or one value per
-    leaf. Without ``memo`` returns (y_levels, z_levels); with it each node
-    keeps its first control of maximal Y, recorded in ``memo``. The terminal
-    serves the leaves in one call, and each level's implicit steps are one
-    masked fixed point."""
+    leaf. Each node keeps its first control of maximal Y: for a cost the one
+    control it has, for the value the argmax over U. Returns (y_levels,
+    z_levels, best_levels), best_levels[k] the kept control index of each
+    internal node of level k. The terminal serves the leaves in one call, and
+    each level's implicit steps are one masked fixed point."""
     dt, n_leaves = cp.grid.dt, levels[-1].shape[0]
     if callable(terminal):
         y = _stack_checked("terminal", terminal(levels[-1]), (n_leaves,))
@@ -297,26 +291,21 @@ def _backward(cp: ControlProblem, levels, ctrls, links, keys, incs: np.ndarray, 
     if not np.all(np.isfinite(y)):
         raise BlowupError("non-finite terminal data")
     b_count, n = incs.shape
-    y_levels, z_levels = [y], [np.zeros((y.shape[0], n))]
+    y_levels, z_levels, best_levels = [y], [np.zeros((y.shape[0], n))], []
     for k in range(len(ctrls) - 1, -1, -1):
-        count, n_u = levels[k].shape[0], 1 if memo is None else len(cp.controls)
-        if links[k] is not None:
-            y = y[links[k]]
+        count = levels[k].shape[0]
+        n_u = len(ctrls[k]) // count
         yc = y.reshape(count, n_u, b_count)
         e = yc.mean(axis=-1)
         z = (yc.reshape(-1, 1, b_count) @ incs).reshape(count, n_u, n) / (b_count * dt)
         vals = np.repeat(levels[k], n_u, axis=0)
         y_u = _implicit(cp.generator, vals, e.reshape(-1), z.reshape(-1, n), ctrls[k], dt).reshape(count, n_u)
-        if memo is None:
-            y, z = y_u[:, 0], z[:, 0]
-        else:
-            best = y_u.argmax(axis=1)
-            y = y_u[np.arange(count), best]
-            for key, y_j, i in zip(keys[k], y.tolist(), best.tolist()):
-                memo[key] = (y_j, cp.controls[i])
+        rows, best = np.arange(count), y_u.argmax(axis=1)
+        y, z = y_u[rows, best], z[rows, best]
         y_levels.append(y)
         z_levels.append(z)
-    return y_levels[::-1], z_levels[::-1]
+        best_levels.append(best)
+    return y_levels[::-1], z_levels[::-1], best_levels[::-1]
 
 
 def simulate_tree(
@@ -331,8 +320,8 @@ def simulate_tree(
     _check_cap(2**n, depth, cap)
     if strategy is None:
         strategy = ControlStrategy.constant(cp.controls[0])
-    incs = _increments(n, _check_dt(cp, p0))
-    levels, ctrls = _forward(cp, p0.values[None], depth, incs, strategy)[:2]
+    incs = _increments(n, _check_root(cp, p0))
+    levels, ctrls = _forward(cp, p0.values[None], depth, incs, strategy)
     return NoiseTree(root=p0, depth=depth, noise_dim=n, increments=incs, levels=tuple(levels), controls=tuple(ctrls))
 
 
@@ -396,8 +385,7 @@ def solve_bsde_tree(cp: ControlProblem, tree: NoiseTree, terminal=None) -> BsdeS
         terminal = cp.terminal
     elif callable(terminal):
         terminal = per_path(terminal, tree.dt)
-    links = (None,) * tree.depth
-    y_levels, z_levels = _backward(cp, tree.levels, tree.controls, links, None, tree.increments, terminal)
+    y_levels, z_levels, _ = _backward(cp, tree.levels, tree.controls, tree.increments, terminal)
     return BsdeSolution(y_levels=tuple(y_levels), z_levels=tuple(z_levels))
 
 
@@ -420,25 +408,17 @@ def _solve_forest(cp: ControlProblem, roots: np.ndarray, end_index: int, termina
     """Per-node maximization over the finite control set from each row of
     ``roots``, an (N, d, c) array of paths at grid index c - 1 on the grid's
     dt, to end_index, level by level, with ``terminal_fn`` an array form on the
-    paths at end_index. Returns the N root values and this solve's table from
-    each internal node's (grid index, path bytes) to (value, first maximizing
-    control); keying on the path is sound because the future law depends on
-    the past only through the path. The engine works row by row, so each
-    root's value == its own solve's."""
+    paths at end_index. Returns the N root values, the node paths of each
+    level and each internal node's first maximizing control index. The engine
+    works row by row, so each root's value == its own solve's."""
     depth = end_index - (roots.shape[-1] - 1)
     if depth < 0:
         raise PathError(f"path at grid index {roots.shape[-1] - 1} is past the end index {end_index}")
-    incs, table = _increments(cp.grid.noise_dim, cp.grid.dt), {}
+    incs = _increments(cp.grid.noise_dim, cp.grid.dt)
     _check_cap(len(cp.controls) * incs.shape[0], depth, cap, roots.shape[0])
-    y_levels, _ = _backward(cp, *_forward(cp, roots, depth, incs), incs, terminal_fn, table)
-    return y_levels[0], table
-
-
-def _solve_value(cp: ControlProblem, p0: Path, end_index: int, terminal_fn: Callable, cap: int):
-    """``_solve_forest`` from the one root p0: its value as a float, and the table."""
-    _check_dt(cp, p0)
-    y, table = _solve_forest(cp, p0.values[None], end_index, terminal_fn, cap)
-    return float(y[0]), table
+    levels, ctrls = _forward(cp, roots, depth, incs)
+    y_levels, _, best_levels = _backward(cp, levels, ctrls, incs, terminal_fn)
+    return y_levels[0], levels, best_levels
 
 
 def _values(cp: ControlProblem, paths: Sequence[Path], cap: int = DEFAULT_NODE_CAP) -> np.ndarray:
@@ -448,7 +428,7 @@ def _values(cp: ControlProblem, paths: Sequence[Path], cap: int = DEFAULT_NODE_C
     as ``value`` does)."""
     out, groups, g = np.empty(len(paths)), {}, cp.grid
     for i, p in enumerate(paths):
-        _check_dt(cp, p)
+        _check_root(cp, p)
         groups.setdefault(p.t_index, []).append(i)
     fan = len(cp.controls) * 2**g.noise_dim
     for k, idx in groups.items():
@@ -461,24 +441,30 @@ def _values(cp: ControlProblem, paths: Sequence[Path], cap: int = DEFAULT_NODE_C
 
 def value(cp: ControlProblem, p0: Path, cap: int = DEFAULT_NODE_CAP) -> float:
     """Supremum of the BSDE cost over adapted controls, exact on the tree."""
-    return _solve_value(cp, p0, cp.grid.steps, cp.terminal, cap)[0]
+    return float(_values(cp, [p0], cap)[0])
 
 
 def value_with_strategy(cp: ControlProblem, p0: Path, cap: int = DEFAULT_NODE_CAP):
     """Value plus the argmax feedback strategy that attains it. The feedback
-    reads the root solve's table; at a path off it, it solves from that path
-    without keeping the result."""
-    v, table = _solve_value(cp, p0, cp.grid.steps, cp.terminal, cap)
+    reads a table from each internal node of the root's tree, keyed by (grid
+    index, path bytes), to its first maximizing control; keying on the path is
+    sound because the future law depends on the past only through the path.
+    At a path off the table it solves from that path without keeping the result."""
+    _check_root(cp, p0)
+    y, levels, best_levels = _solve_forest(cp, p0.values[None], cp.grid.steps, cp.terminal, cap)
+    table = {
+        (p0.t_index + k, row.tobytes()): i for k, best in enumerate(best_levels) for row, i in zip(levels[k], best.tolist())
+    }
 
     def best_control(path: Path):
         key = (path.t_index, path.values.tobytes())
         if key in table:
-            return table[key][1]
+            return cp.controls[table[key]]
         if path.t_index == cp.grid.steps:
             raise PathError(f"no control is chosen at grid index {path.t_index}, the horizon")
-        return _solve_value(cp, path, cp.grid.steps, cp.terminal, cap)[1][key][1]
+        return value_with_strategy(cp, path, cap)[1].control_at(path)
 
-    return v, ControlStrategy(feedback=best_control)
+    return float(y[0]), ControlStrategy(feedback=best_control)
 
 
 def dpp_check(cp: ControlProblem, p0: Path, delta_steps: int, cap: int = DEFAULT_NODE_CAP) -> float:
@@ -490,7 +476,7 @@ def dpp_check(cp: ControlProblem, p0: Path, delta_steps: int, cap: int = DEFAULT
         raise PathError(f"delta_steps must be in 0..{room} from grid index {p0.t_index}, got {delta_steps}")
     v_direct = value(cp, p0, cap)
     inner = lambda vals: _solve_forest(cp, vals, cp.grid.steps, cp.terminal, cap)[0]
-    return abs(v_direct - _solve_value(cp, p0, p0.t_index + delta_steps, inner, cap)[0])
+    return abs(v_direct - float(_solve_forest(cp, p0.values[None], p0.t_index + delta_steps, inner, cap)[0][0]))
 
 
 def _euler_path(coeffs: Callable[[np.ndarray], tuple], p0: Path, end_index: int, n_paths: int, rng: np.random.Generator):
@@ -535,7 +521,7 @@ def _euler_path(coeffs: Callable[[np.ndarray], tuple], p0: Path, end_index: int,
 def _controlled(cp: ControlProblem, p0: Path, strategy: ControlStrategy) -> Callable[[np.ndarray], tuple]:
     """_euler_path's coefficient reader for paths extending p0: cp.coeffs under
     ``strategy``'s control at each path."""
-    dt = _check_dt(cp, p0)
+    dt = _check_root(cp, p0)
     return lambda vals: cp.coeffs(vals, _controls_of(strategy, vals, dt))
 
 

@@ -156,9 +156,8 @@ def hess_s(p: Path, anchor: Path, g: GaugeParams = GaugeParams()) -> np.ndarray:
 
 def grad_power(p: Path, a, m: int) -> np.ndarray:
     """Vertical gradient of |gamma_t(t) - a|^{2m}: 2m e^{2m-2} (endpoint - a)."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    x = p.values[:, -1] - a
-    e = float(np.linalg.norm(x))
+    gap = p.values - np.atleast_1d(np.asarray(a, dtype=float))[:, None]
+    x, e = gap[:, -1], math.sqrt(_sq_cols(gap)[-1])  # the array _gaps reads, so the same rounding of e
     if e == 0.0:
         return np.zeros(p.d)
     return 2.0 * m * _pow0(e, 2 * m - 2) * x
@@ -168,9 +167,8 @@ def hess_power(p: Path, a, m: int) -> np.ndarray:
     """Vertical Hessian of |gamma_t(t) - a|^{2m}:
     2m e^{2m-2} I + 4m(m-1) e^{2m-4} (endpoint-a)(endpoint-a)^T.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    x = p.values[:, -1] - a
-    e = float(np.linalg.norm(x))
+    gap = p.values - np.atleast_1d(np.asarray(a, dtype=float))[:, None]
+    x, e = gap[:, -1], math.sqrt(_sq_cols(gap)[-1])  # the array _gaps reads, so the same rounding of e
     eye = np.eye(p.d)
     if e == 0.0:
         return 2.0 * eye if m == 1 else np.zeros((p.d, p.d))

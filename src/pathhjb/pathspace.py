@@ -123,12 +123,12 @@ class GridConfig:
     noise_dim: int = 1
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise PathError(f"steps must be >= 1, got {self.steps}")
-        if not self.horizon > 0:
-            raise PathError(f"horizon must be > 0, got {self.horizon}")
-        if self.dim < 1 or self.noise_dim < 1:
-            raise PathError("dim and noise_dim must be >= 1")
+        for name in ("steps", "dim", "noise_dim"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                raise PathError(f"{name} must be an integer >= 1, got {v!r}")
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+            raise PathError(f"horizon must be finite and > 0, got {self.horizon}")
 
     @property
     def dt(self) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from .control import CapacityError, ControlProblem, _stack_checked, value
 from .funcalc import PathFunctional, _jet, vertical_gradient, vertical_hessian
 from .gauge import upsilon, upsilon_single
-from .pathspace import GridConfig, Path, PathError
+from .pathspace import GridConfig, Path, PathError, _joint_sq
 from .sampling import path_cloud
 
 __all__ = [
@@ -455,7 +455,7 @@ def comparison_psi(
     if not (beta > 0 and eps > 0 and nu > 1):
         raise PathError("need beta > 0, eps > 0, nu > 1")
     t = p.t
-    egap = float(np.linalg.norm(p.values[:, -1] - q.values[:, -1]))
+    egap = math.sqrt(_joint_sq(p, q)[-1])  # the e that upsilon(p, q) reads
     out = w1.eval(p) - w2.eval(q)
     out -= beta * upsilon(p, q)
     out -= beta ** (1.0 / 3.0) * egap**2

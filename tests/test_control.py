@@ -27,7 +27,6 @@ from pathhjb.control import (
     _implicit,
     _increments,
     _solve_forest,
-    _solve_value,
     _values,
     value,
     value_with_strategy,
@@ -472,6 +471,12 @@ ORACLE_CASES = [
 ]
 
 
+def _node_path(key, d, dt):
+    """The path of an oracle memo key (grid index, path bytes)."""
+    k, buf = key
+    return Path._wrap(np.frombuffer(buf).reshape(d, k + 1), dt)
+
+
 @pytest.mark.parametrize("grid,n_controls", ORACLE_CASES)
 def test_engine_value_equals_recursive_oracle(grid, n_controls):
     for s in range(3):
@@ -479,10 +484,13 @@ def test_engine_value_equals_recursive_oracle(grid, n_controls):
         cp, engine_calls = _counted(base)
         ref_cp, oracle_calls = _counted(base)
         p0 = Path.constant(np.full(grid.dim, 0.1 * s), 0, grid.dt)
-        v, table = _solve_value(cp, p0, grid.steps, cp.terminal, DEFAULT_NODE_CAP)
+        v, strat = value_with_strategy(cp, p0)
         oracle = _RecursiveValue(ref_cp, grid.steps, ref_cp.terminal)
         assert v == oracle.solve(p0)
-        assert table == oracle.memo
+        # an oracle node off the strategy's table would cost the engine a solve
+        assert {key: strat.control_at(_node_path(key, grid.dim, grid.dt)) for key in oracle.memo} == {
+            key: u for key, (_, u) in oracle.memo.items()
+        }
         assert engine_calls == oracle_calls
 
 
@@ -497,18 +505,18 @@ def test_dpp_check_equals_recursive_oracle(grid, n_controls):
         assert dpp_check(cp, p0, delta) == abs(v - outer.solve(p0))
 
 
-def test_engine_merges_identical_children():
+def test_engine_expands_the_plain_tree_when_children_coincide():
     # no noise and a drift that ignores u: each node's four children are one path
     base = _plain(sigma=0.0, drift=0.3, controls=(0.0, 1.0))
     cp, engine_calls = _counted(base)
-    ref_cp, oracle_calls = _counted(base)
+    ref_cp, _ = _counted(base)
     p0 = Path.constant(0.2, 0, GRID4.dt)
-    v, table = _solve_value(cp, p0, 4, cp.terminal, DEFAULT_NODE_CAP)
-    oracle = _RecursiveValue(ref_cp, 4, ref_cp.terminal)
-    assert v == oracle.solve(p0)
-    assert table == oracle.memo and len(table) == 4
-    assert engine_calls == oracle_calls
-    assert engine_calls["drift"] == 2 * 4  # one node per level, under both controls
+    assert value(cp, p0) == _RecursiveValue(ref_cp, 4, ref_cp.terminal).solve(p0)
+    assert engine_calls["drift"] == 2 * (1 + 4 + 16 + 64)  # every node of levels 0..3, under both controls
+    cp, engine_calls = _counted(base)
+    with pytest.raises(CapacityError, match=r"4\^4 = 256 leaves, over the node cap 255"):
+        value(cp, p0, cap=255)
+    assert engine_calls == dict.fromkeys(engine_calls, 0)
 
 
 def test_argmax_replay_attains_value_in_two_noise_dimensions():
@@ -537,8 +545,8 @@ def test_value_cap_counts_control_fan_out():
         value(cp, p0)
     assert calls == dict.fromkeys(calls, 0)  # the cap fires before any node is expanded
     simulate_tree(cp, p0, 7)  # the cost tree of the same depth is within the cap
-    with pytest.raises(PathError):
-        _solve_value(cp, Path.constant(0.0, 4, grid.dt), 3, cp.terminal, DEFAULT_NODE_CAP)
+    with pytest.raises(PathError, match="path at grid index 4 is past the end index 3"):
+        _solve_forest(cp, np.zeros((1, 1, 5)), 3, cp.terminal, DEFAULT_NODE_CAP)
 
 
 # An inline problem as the CLI builds it: path statistics, u, y and z in every coefficient
@@ -609,6 +617,28 @@ def test_probes_reject_vacuous_inputs_naming_the_value():
         dpp_check(cp, Path.constant(0.0, 0, GRID4.dt), -1)
     with pytest.raises(PathError, match=r"delta_steps must be in 0..2 from grid index 2, got 3"):
         dpp_check(cp, Path.constant(0.0, 2, GRID4.dt), 3)
+
+
+def test_every_entry_point_rejects_a_root_of_another_dimension():
+    cp = lq_problem(GRID4)  # one-dimensional
+    p0 = Path.constant([0.0, 0.0], 0, GRID4.dt)
+    calls = [
+        lambda: value(cp, p0),
+        lambda: value_with_strategy(cp, p0),
+        lambda: _values(cp, [p0]),
+        lambda: dpp_check(cp, p0, 2),
+        lambda: cost(cp, p0, CONST0),
+        lambda: simulate_tree(cp, p0, 2),
+        lambda: backward_semigroup(cp, p0, CONST0, 2, lambda p: 0.0),
+        lambda: simulate_psde(cp, p0, CONST0, 4, seed=0),
+        lambda: moment_probe(cp, p0, CONST0, n_paths=4, seed=0),
+    ]
+    for call in calls:
+        with pytest.raises(PathError, match="root path has dimension 2, the grid's is 1"):
+            call()
+    _, strat = value_with_strategy(cp, Path.constant(0.0, 0, GRID4.dt))
+    with pytest.raises(PathError, match="root path has dimension 2, the grid's is 1"):
+        strat.control_at(Path.constant([0.0, 0.0], 1, GRID4.dt))  # off the table
 
 
 def test_moment_probe_rejects_a_start_at_the_horizon():

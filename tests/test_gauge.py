@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathhjb.funcalc import bump_size, vertical_gradient, vertical_hessian
+from pathhjb.funcalc import PathFunctional, bump_size, vertical_gradient, vertical_hessian
 from pathhjb.gauge import (
     GaugeParams,
     grad_power,
@@ -22,6 +22,7 @@ from pathhjb.gauge import (
     upsilon_single,
 )
 from pathhjb.gauge import _core, _gaps
+from pathhjb.phjb import comparison_psi
 from pathhjb.pathspace import Path, PathError, _joint_gap, d_infty, sub_paths, sup_norm, zero_like
 from pathhjb.sampling import random_pair, random_path
 
@@ -223,6 +224,23 @@ def test_power_derivatives_match_fd():
         fdh = vertical_hessian(f, p)
         anh = hess_power(p, a, m)
         assert np.linalg.norm(fdh - anh) <= 1e-4 * max(1.0, np.linalg.norm(anh))
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_endpoint_gap_is_read_once_from_the_norm_pass(d):
+    # grad_s, hess_s and upsilon read e from _gaps; the power terms and
+    # comparison_psi must use the same rounding of e, not a second norm
+    rng, m = np.random.default_rng(40 + d), 3
+    zero = PathFunctional(eval=lambda p: 0.0)
+    for _ in range(100):
+        p, q = Path(rng.normal(size=(d, 3)), 0.25), Path(rng.normal(size=(d, 3)), 0.25)
+        e, x, a = _gaps(p, q)[1], p.values[:, -1] - q.values[:, -1], q.values[:, -1]
+        assert np.array_equal(grad_power(p, a, m), 2.0 * m * e**4 * x)
+        assert np.array_equal(hess_power(p, a, m), 2.0 * m * e**4 * np.eye(d) + 4.0 * m * (m - 1) * e**2 * np.outer(x, x))
+        psi = comparison_psi(zero, zero, p, q, beta=2.0, eps=0.1, nu=2.0, horizon=1.0)
+        assert psi == -2.0 * upsilon(p, q) - 2.0 ** (1.0 / 3.0) * e**2 - 0.1 * ((2.0 - p.t) / 2.0) * (
+            upsilon_single(p) + upsilon_single(q)
+        )
 
 
 def test_upsilon_functional_consistency():

@@ -49,6 +49,22 @@ def test_grid_config():
         GridConfig(0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((2.5, 1.0), "steps must be an integer >= 1, got 2.5"),
+        ((3, 0.75, 2.0, 2), "dim must be an integer >= 1, got 2.0"),
+        ((3, 0.75, 1, True), "noise_dim must be an integer >= 1, got True"),
+        ((True, 1.0), "steps must be an integer >= 1, got True"),
+        ((4, float("inf")), "horizon must be finite and > 0, got inf"),
+        ((4, float("nan")), "horizon must be finite and > 0, got nan"),
+    ],
+)
+def test_grid_config_rejects_non_integer_counts_and_an_infinite_horizon(args, message):
+    with pytest.raises(PathError, match=f"^{message}$"):
+        GridConfig(*args)
+
+
 def test_sup_norm_examples():
     assert sup_norm(zero_like(Path.constant(0.0, 3, 0.1))) == 0.0
     assert sup_norm(Path.constant(2.0, 4, 0.1)) == 2.0
