@@ -511,7 +511,7 @@ SUBCOMMANDS = {
     "value": (VALUE_DEFAULT, run_value, "tree value of a preset or inline problem", ()),
     "dpp": (DPP_DEFAULT, run_dpp, "dynamic-programming residual at each intermediate delta", ("deltas",)),
     "markov-compare": (MARKOV_DEFAULT, run_markov_compare, "tree value vs explicit FD solution on a state-dependent instance", ("levels", "base_steps")),
-    "viscosity-probe": (VISC_DEFAULT, run_viscosity_probe, "touch-point probe and residual sign for a classical solution", ("n_paths",)),
+    "viscosity-probe": (VISC_DEFAULT, run_viscosity_probe, "touch-point probe and residual sign for a classical solution", ("n_paths", "cloud")),
     "bshjb-check": (BSHJB_DEFAULT, run_bshjb_check, "noise-path BSDE vs augmented value on in-contract instances", ("instances",)),
     "comparison-demo": (COMPARISON_DEFAULT, run_comparison_demo, "doubling-of-variables maximization across a beta ladder", ("betas",)),
 }

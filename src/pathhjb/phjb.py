@@ -11,7 +11,7 @@ test-functional slice used by probes and tests is {quadratic in the endpoint}
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -122,7 +122,9 @@ def generator(cp: ControlProblem, phi: PathFunctional, p: Path, u) -> float:
 
 
 def _signed_residual(cp: ControlProblem, phi: PathFunctional, p: Path, s: float) -> float:
-    """s dt_phi(p) + H(p, s phi(p), s dx_phi(p), s dxx_phi(p))."""
+    """s dt_phi(p) + H(p, s phi(p), s dx_phi(p), s dxx_phi(p)), at interior times only."""
+    if p.t_index >= cp.grid.steps:
+        raise PathError("residual is defined at interior times only")
     dtf, dxf, dxxf = _jet(phi, [p])
     hval, _ = hamiltonian(cp, HamiltonianInput(p, s * phi.eval(p), s * dxf[0], s * dxxf[0]))
     return s * float(dtf[0]) + hval
@@ -130,8 +132,6 @@ def _signed_residual(cp: ControlProblem, phi: PathFunctional, p: Path, s: float)
 
 def phjb_residual(cp: ControlProblem, v: PathFunctional, p: Path) -> float:
     """dt_v(p) + H(p, v(p), dx_v(p), dxx_v(p)); zero for classical solutions."""
-    if p.t_index >= cp.grid.steps:
-        raise PathError("residual is defined at interior times only")
     return _signed_residual(cp, v, p, 1.0)
 
 
@@ -150,12 +150,17 @@ _TOUCH_TOL = 1e-9
 
 def _probe(cp, w, test, p, n_cloud, seed, cloud, s: float) -> ProbeResult:
     # s = +1.0 tests w - test for a maximum, s = -1.0 tests w + test for a minimum
+    residual = _signed_residual(cp, test, p, s)  # refuses the horizon before any sampling
     if cloud is None:
+        if not n_cloud >= 1:
+            raise PathError(f"probe needs n_cloud >= 1, got {n_cloud}")
         cloud = _cloud(p, cp, n_cloud, seed)
+    elif len(cloud) == 0:
+        raise PathError("probe needs a nonempty cloud")
     touch = abs(w.eval(p) - s * test.eval(p)) <= _TOUCH_TOL
     if touch:
         touch = not any(s * (w.eval(eta) - s * test.eval(eta)) > _TOUCH_TOL for eta in cloud)
-    return ProbeResult(touch, _signed_residual(cp, test, p, s))
+    return ProbeResult(touch, residual)
 
 
 def subsolution_probe(
@@ -172,7 +177,8 @@ def subsolution_probe(
     is_touch_point holds when (w - test)(p) = 0 and w - test <= 0 on the
     cloud (later-or-equal-time samples), both within 1e-9. The residual
     dt_test + H(p, test(p), dx_test, dxx_test) must be >= 0 for a
-    subsolution; the caller interprets it.
+    subsolution; the caller interprets it. A point at or past the horizon,
+    n_cloud < 1 or an empty given cloud raises PathError.
     """
     return _probe(cp, w, test, p, n_cloud, seed, cloud, 1.0)
 
@@ -191,7 +197,8 @@ def supersolution_probe(
     is_touch_point holds when (w + test)(p) = 0 and w + test >= 0 on the
     cloud, both within 1e-9. The residual
     -dt_test + H(p, -test(p), -dx_test, -dxx_test) must be <= 0 for a
-    supersolution.
+    supersolution. A point at or past the horizon,
+    n_cloud < 1 or an empty given cloud raises PathError.
     """
     return _probe(cp, w, test, p, n_cloud, seed, cloud, -1.0)
 
@@ -217,16 +224,16 @@ FD_WORK_CAP = 10**8
 
 @dataclass(frozen=True)
 class MarkovProblem:
-    """State-dependent coefficient bundle on (t, x), one-dimensional state.
+    """State-dependent coefficient bundle on (grid index, x), one-dimensional state.
 
     Every callable acts on a whole x grid ``xs`` and returns one value per
-    node: drift(t, xs, u), diffusion(t, xs, u), generator(t, xs, y, z, u)
-    with y and z shaped like xs, and terminal(xs).
+    node: drift(k, xs, u), diffusion(k, xs, u), generator(k, xs, y, z, u)
+    at grid index k, with y and z shaped like xs, and terminal(xs).
     """
 
-    drift: Callable[[float, np.ndarray, object], np.ndarray]
-    diffusion: Callable[[float, np.ndarray, object], np.ndarray]
-    generator: Callable[[float, np.ndarray, np.ndarray, np.ndarray, object], np.ndarray]
+    drift: Callable[[int, np.ndarray, object], np.ndarray]
+    diffusion: Callable[[int, np.ndarray, object], np.ndarray]
+    generator: Callable[[int, np.ndarray, np.ndarray, np.ndarray, object], np.ndarray]
     terminal: Callable[[np.ndarray], np.ndarray]
     controls: tuple
     grid: GridConfig
@@ -239,8 +246,10 @@ class XGrid:
     nx: int
 
     def __post_init__(self):
-        if not (self.hi > self.lo and self.nx >= 3):
-            raise PathError("need hi > lo and nx >= 3")
+        if isinstance(self.nx, bool) or not isinstance(self.nx, (int, np.integer)) or self.nx < 3:
+            raise PathError(f"nx must be an integer >= 3, got {self.nx!r}")
+        if not self.hi > self.lo:
+            raise PathError(f"need hi > lo, got lo={self.lo}, hi={self.hi}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and math.isfinite(self.dx)):
             raise PathError(f"x grid needs finite lo, hi and dx, got lo={self.lo}, hi={self.hi}, nx={self.nx}")
 
@@ -253,19 +262,17 @@ class XGrid:
 
 
 def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
-    """Project a path problem to (t, x) coefficients, probing state dependence.
+    """Project a path problem to (grid index, x) coefficients, probing state dependence.
 
     For eight random histories, each against the constant history sharing its
-    (t, endpoint), every coefficient must agree under every control, to
-    np.allclose with atol 1e-12; otherwise MarkovProbeError. Each probe reads
-    both histories under all controls in one coefficient read and one
-    generator call. The reduced coefficients evaluate the path coefficients on
-    constant-history paths; off-grid times (the FD solver's substeps) are
-    quantized to the nearest grid index k, an O(dt) effect only for
-    coefficients that depend on t explicitly. The lattice holds one read-only
-    (nx, 1, k + 1) constant-history array per grid index k and x grid, which
-    every coefficient reads in one call; drift and diffusion are read once
-    per (k, control) and returned read-only.
+    (grid index, endpoint), every coefficient must agree under every control,
+    to np.allclose with atol 1e-12; otherwise MarkovProbeError. Each probe
+    reads both histories under all controls in one coefficient read and one
+    generator call, and compares drift, diffusion and generator in one
+    np.allclose. A reduced coefficient at grid index k reads its path
+    coefficient once, on the (nx, 1, k + 1) array of the x grid's
+    constant-history paths, through the same shape check as
+    ``ControlProblem.coeffs``; the reduction keeps nothing between calls.
     """
     if cp.grid.dim != 1 or cp.grid.noise_dim != 1:
         raise PathError("markovian reduction implemented for d = n = 1")
@@ -281,69 +288,55 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
         y, z = float(rng.normal()), rng.normal(size=1)
         us, rows = cp.controls * 2, np.repeat(pair, n_u, axis=0)
         q = _stack_checked("generator", cp.generator(rows, np.full(2 * n_u, y), np.tile(z, (2 * n_u, 1)), us), (2 * n_u,))
-        for a in (*cp.coeffs(pair, us), q):
-            if not np.allclose(a[:n_u], a[n_u:], atol=1e-12):
-                raise MarkovProbeError("coefficients depend on the path history")
+        b, sig = cp.coeffs(pair, us)
+        if not np.allclose(*np.split(np.column_stack((b, sig[:, 0], q)), 2), atol=1e-12):
+            raise MarkovProbeError("coefficients depend on the path history")
         if k == g.steps:
             phi = _stack_checked("terminal", cp.terminal(pair), (2,))
             if abs(phi[0] - phi[1]) > 1e-12:
                 raise MarkovProbeError("terminal functional depends on the path history")
 
-    lattice: dict = {}
+    def at(k: int, xs: np.ndarray) -> np.ndarray:
+        if not np.isfinite(xs).all():
+            raise PathError("path values must be finite")
+        return np.repeat(np.asarray(xs, dtype=float)[:, None, None], k + 1, axis=2)
 
-    def at(t: float, xs: np.ndarray):
-        key = (int(round(t / g.dt)), xs.tobytes())
-        if key not in lattice:
-            if not np.isfinite(xs).all():
-                raise PathError("path values must be finite")
-            vals = np.repeat(np.asarray(xs, dtype=float)[:, None, None], key[0] + 1, axis=2)
-            vals.setflags(write=False)
-            lattice[key] = vals
-        return key, lattice[key]
+    def drift(k, xs, u) -> np.ndarray:
+        return _stack_checked("drift", cp.drift(at(k, xs), (u,) * len(xs)), (len(xs), 1))[:, 0]
 
-    memo: dict = {}
+    def diffusion(k, xs, u) -> np.ndarray:
+        return _stack_checked("diffusion", cp.diffusion(at(k, xs), (u,) * len(xs)), (len(xs), 1, 1))[:, 0, 0]
 
-    def coeffs(t: float, xs: np.ndarray, u) -> tuple:
-        key, vals = at(t, xs)
-        if (key, u) not in memo:
-            b, sig = cp.coeffs(vals, (u,) * len(vals))
-            memo[key, u] = b[:, 0], sig[:, 0, 0]
-        return memo[key, u]
-
-    def generator(t, xs, y, z, u) -> np.ndarray:
-        vals = at(t, xs)[1]
+    def generator(k, xs, y, z, u) -> np.ndarray:
+        vals = at(k, xs)
         y, z = np.asarray(y, dtype=float), np.asarray(z, dtype=float).reshape(-1, 1)
         return _stack_checked("generator", cp.generator(vals, y, z, (u,) * len(vals)), y.shape)
 
     def terminal(xs) -> np.ndarray:
-        return _stack_checked("terminal", cp.terminal(at(g.horizon, xs)[1]), xs.shape)
+        return _stack_checked("terminal", cp.terminal(at(g.steps, xs)), xs.shape)
 
-    return MarkovProblem(
-        drift=lambda t, xs, u: coeffs(t, xs, u)[0],
-        diffusion=lambda t, xs, u: coeffs(t, xs, u)[1],
-        generator=generator,
-        terminal=terminal,
-        controls=cp.controls,
-        grid=g,
-    )
+    return MarkovProblem(drift, diffusion, generator, terminal, cp.controls, g)
 
 
-def _cfl_substeps(mp: MarkovProblem, x_grid: XGrid) -> int:
-    """Smallest per-grid-step subdivision keeping the explicit scheme's rate
-    at most 0.9 at every grid index, which covers every time the solver's
-    substeps use. A solve of more than FD_WORK_CAP node updates, or a rate
-    that is not finite, raises CapacityError before any FD work."""
+def _coefficient_table(mp: MarkovProblem, x_grid: XGrid) -> tuple:
+    """Drift and diffusion on the x grid, read once per (grid index, control), as (steps+1, |U|, nx)
+    arrays b and sig, and the rates max over x of sigma^2/dx^2 + |b|/dx, (steps+1, |U|)."""
+    g, xs, dx = mp.grid, x_grid.nodes(), x_grid.dx
+    pairs = [(mp.drift(k, xs, u), mp.diffusion(k, xs, u)) for k in range(g.steps + 1) for u in mp.controls]
+    b, sig = (np.reshape(a, (g.steps + 1, len(mp.controls), x_grid.nx)) for a in zip(*pairs))
+    return b, sig, (sig**2 / dx**2 + np.abs(b) / dx).max(axis=2)
+
+
+def _cfl_substeps(mp: MarkovProblem, x_grid: XGrid, rates: np.ndarray, given: Optional[int] = None) -> int:
+    """Per-grid-step subdivision of an FD solve with the table's ``rates``: the ``given`` count,
+    or else the smallest keeping the rate at most 0.9 at every grid index. A rate that is
+    not finite, or more than FD_WORK_CAP node updates, raises CapacityError."""
     g = mp.grid
-    xs = x_grid.nodes()
-    dx = x_grid.dx
-    rates = []
-    for k in range(g.steps + 1):
-        for u in mp.controls:
-            b = mp.drift(k * g.dt, xs, u)
-            sig = mp.diffusion(k * g.dt, xs, u)
-            rates.append(float((sig**2 / dx**2 + np.abs(b) / dx).max()))
-    worst = max(rates) if np.isfinite(rates).all() else math.inf
-    substeps = max(1.0, float(np.ceil(g.dt * worst / 0.9)))
+    if given is not None and (isinstance(given, bool) or not isinstance(given, (int, np.integer)) or given < 1):
+        raise PathError(f"time_substeps must be an integer >= 1, got {given!r}")
+    if not np.isfinite(rates).all():
+        raise CapacityError(f"explicit FD solve needs finite rates sigma^2/dx^2 + |b|/dx, got max {rates.max()}")
+    substeps = max(1.0, float(np.ceil(g.dt * rates.max() / 0.9))) if given is None else float(given)
     work = g.steps * substeps * x_grid.nx * len(mp.controls)
     if not work <= FD_WORK_CAP:
         raise CapacityError(
@@ -357,42 +350,41 @@ def markov_fd_solve(mp: MarkovProblem, x_grid: XGrid, time_substeps: Optional[in
     """Explicit backward scheme for the reduced equation, per-node max over U.
 
     Upwinded first differences per control, central second differences
-    (one-sided 3-point stencil at the boundary). Each grid step is subdivided
-    into ``time_substeps`` explicit updates (chosen automatically to satisfy
-    the monotonicity restriction dt_sub * max(sigma^2/dx^2 + |b|/dx) <= 1
-    when not given; an explicit value that violates it raises CFLError).
+    (one-sided 3-point stencil at the boundary). Drift and diffusion are read
+    once per (grid index, control) into one table; a substep at time t reads
+    it at grid index round(t / dt). Each grid step takes ``time_substeps``
+    explicit updates, an integer >= 1 (else PathError); when not given, the
+    fewest with rate dt_sub * max(sigma^2/dx^2 + |b|/dx) <= 0.9 at every grid
+    index. A given count whose rate exceeds 1 where its substeps read raises
+    CFLError. Over FD_WORK_CAP node updates, or at a rate that is not finite,
+    either count raises CapacityError before any FD step.
     Returns V of shape (steps+1, nx) with V[k] the solution at time k*dt.
     """
     g = mp.grid
-    if time_substeps is None:
-        time_substeps = _cfl_substeps(mp, x_grid)
-    dt_sub = g.dt / time_substeps
-    xs = x_grid.nodes()
-    dx = x_grid.dx
-    nx = x_grid.nx
+    b, sig, rates = _coefficient_table(mp, x_grid)
+    substeps = _cfl_substeps(mp, x_grid, rates, time_substeps)
+    dt_sub = g.dt / substeps
+    xs, dx, nx = x_grid.nodes(), x_grid.dx, x_grid.nx
     out = np.empty((g.steps + 1, nx))
     out[g.steps] = mp.terminal(xs)
     v = out[g.steps].copy()
     for k in range(g.steps - 1, -1, -1):
-        for s in range(time_substeps):
-            t = (k + 1) * g.dt - s * dt_sub
+        for s in range(substeps):
+            j = round(((k + 1) * g.dt - s * dt_sub) / g.dt)
             d1 = (v[1:] - v[:-1]) / dx
             fwd, bwd = np.concatenate((d1, d1[-1:])), np.concatenate((d1[:1], d1))
             d2 = (v[2:] - 2 * v[1:-1] + v[:-2]) / dx**2
             snd = np.concatenate((d2[:1], d2, d2[-1:]))
             best = np.full(nx, -np.inf)
-            for u in mp.controls:
-                b = mp.drift(t, xs, u)
-                sig = mp.diffusion(t, xs, u)
-                rate = dt_sub * (sig**2 / dx**2 + np.abs(b) / dx).max()
+            for u, bj, sj, rate in zip(mp.controls, b[j], sig[j], dt_sub * rates[j]):
                 if rate > 1.0 + 1e-12:
                     raise CFLError(
                         f"dt={dt_sub} too large for dx={dx}: rate dt*max(sigma^2/dx^2 + |b|/dx) = {rate} > 1 "
-                        f"(explicit scheme not monotone; the automatic choice is {_cfl_substeps(mp, x_grid)} substeps)"
+                        f"(explicit scheme not monotone; the automatic choice is {_cfl_substeps(mp, x_grid, rates)} substeps)"
                     )
-                dvx = np.where(b >= 0, fwd, bwd)
-                ham = b * dvx + 0.5 * sig**2 * snd
-                ham += mp.generator(t, xs, v, sig * dvx, u)
+                dvx = np.where(bj >= 0, fwd, bwd)
+                ham = bj * dvx + 0.5 * sj**2 * snd
+                ham += mp.generator(j, xs, v, sj * dvx, u)
                 best = np.maximum(best, ham)
             v = v + dt_sub * best
         out[k] = v
@@ -416,7 +408,8 @@ def markov_consistency(
 
     The bound c*(dt_tree + dt_fd + dx^2) takes c from the coefficient and
     terminal magnitudes at time 0; it is a reporting aid for the combined
-    tree + scheme discretization error, not a proof.
+    tree + scheme discretization error, not a proof. One table of the reduced
+    drift and diffusion serves the substep count, the bound and the FD solve.
     """
     x = float(p.values[0, -1])
     if not x_grid.lo <= x <= x_grid.hi:
@@ -424,13 +417,15 @@ def markov_consistency(
     tree_v = value(cp, p)  # checks the node cap before any work
     mp = markovian_reduction(cp, seed)
     g = cp.grid
-    substeps = _cfl_substeps(mp, x_grid)
-    grid_v = markov_fd_solve(mp, x_grid, substeps)
-    xs = x_grid.nodes()
-    fd_v = float(np.interp(x, xs, grid_v[p.t_index]))
-    b = [float(np.abs(mp.drift(0.0, xs, u)).max()) for u in cp.controls]
-    sig2 = [float((mp.diffusion(0.0, xs, u) ** 2).max()) for u in cp.controls]
-    scale = max(1.0, *b, *sig2) * max(1.0, float(np.abs(grid_v[g.steps]).max()))
+    b, sig, rates = _coefficient_table(mp, x_grid)
+    substeps = _cfl_substeps(mp, x_grid, rates)
+    # The solve stays one markov_fd_solve call, the FD phase a trace sees, and reads this
+    # table back through the grid-index protocol, so the reduction is read once.
+    read = lambda table: lambda k, xs, u: table[k, mp.controls.index(u)]
+    grid_v = markov_fd_solve(replace(mp, drift=read(b), diffusion=read(sig)), x_grid, substeps)
+    fd_v = float(np.interp(x, x_grid.nodes(), grid_v[p.t_index]))
+    mags = [*np.abs(b[0]).max(axis=1).tolist(), *(sig[0] ** 2).max(axis=1).tolist()]
+    scale = max(1.0, *mags) * max(1.0, float(np.abs(grid_v[g.steps]).max()))
     bound = 10.0 * scale * (g.dt + g.dt / substeps + x_grid.dx**2)
     return ConsistencyReport(abs(tree_v - fd_v), tree_v, fd_v, bound)
 

@@ -470,6 +470,7 @@ def test_one_dimensional_presets_reject_other_grids(subcommand, spec, tmp_path, 
         (["markov-compare", "--override", "levels=0"], 2, "config error: levels must be at least 1, got 0"),
         (["ito-check", "--override", "base_steps=0"], 2, "config error: base_steps must be at least 1, got 0"),
         (["markov-compare", "--override", "base_steps=0"], 2, "config error: base_steps must be at least 1, got 0"),
+        (["viscosity-probe", "--override", "cloud=0"], 2, "config error: cloud must be at least 1, got 0"),
     ],
 )
 def test_counts_out_of_range_are_rejected(argv, code, message, tmp_path, capsys):

@@ -758,7 +758,7 @@ def _hamiltonian_sweep(cp, p0):
 def _reduced_coefficients(cp, p0):
     mp = markovian_reduction(cp)
     for k in range(cp.grid.steps + 1):
-        mp.drift(k * cp.grid.dt, np.linspace(-1.0, 1.0, 5), cp.controls[0])
+        mp.drift(k, np.linspace(-1.0, 1.0, 5), cp.controls[0])
 
 
 def _ito(cp, p0):

@@ -21,6 +21,7 @@ from pathhjb.pathspace import GridConfig, Path, PathError
 from pathhjb.phjb import (
     CFLError,
     _cfl_substeps,
+    _coefficient_table,
     HamiltonianInput,
     MarkovProbeError,
     SmoothFunctional,
@@ -306,6 +307,20 @@ def test_supersolution_probe_classical_solution():
     assert probe.residual <= 1e-8
 
 
+@pytest.mark.parametrize("probe", [subsolution_probe, supersolution_probe])
+def test_probes_refuse_the_horizon_and_empty_clouds(probe):
+    cp, sol = heat_problem(GRID), heat_solution(GRID)
+    for k in (GRID.steps, GRID.steps + 1):
+        with pytest.raises(PathError, match="residual is defined at interior times only"):
+            probe(cp, sol, sol, Path.constant(0.3, k, GRID.dt), n_cloud=10)
+    p = Path.constant(0.3, 2, GRID.dt)
+    for n_cloud in (0, -3):
+        with pytest.raises(PathError, match=f"probe needs n_cloud >= 1, got {n_cloud}"):
+            probe(cp, sol, sol, p, n_cloud=n_cloud)
+    with pytest.raises(PathError, match="probe needs a nonempty cloud"):
+        probe(cp, sol, sol, p, cloud=[])
+
+
 def test_markovian_reduction_probes_history():
     cp = _per_path(
         drift=lambda p, u: np.array([p.values[0].mean()]),  # genuinely path-dependent
@@ -328,6 +343,13 @@ def test_x_grid_needs_finite_bounds_and_spacing(lo, hi, nx):
     assert XGrid(-1e307, 1e307, 3).dx == 1e307  # a wide but finite span is fine
 
 
+@pytest.mark.parametrize("nx", [41.0, 2, -3, True, "41"])
+def test_x_grid_needs_an_integer_nx_of_at_least_3(nx):
+    with pytest.raises(PathError, match=re.escape(f"nx must be an integer >= 3, got {nx!r}")):
+        XGrid(-3.0, 3.0, nx)
+    assert XGrid(-3.0, 3.0, np.int64(3)).nodes().tolist() == [-3.0, 0.0, 3.0]
+
+
 def test_markov_fd_martingale_terminal():
     grid = GridConfig(8, 0.5, 1, 1)
     mp = markovian_reduction(martingale_problem(grid))
@@ -346,6 +368,10 @@ def test_markov_fd_heat_closed_form():
     assert v[0] == pytest.approx(expected, abs=1e-10)
 
 
+def _auto_substeps(mp, xg):
+    return _cfl_substeps(mp, xg, _coefficient_table(mp, xg)[2])
+
+
 def test_markov_fd_cfl_guard():
     grid = GridConfig(4, 0.5, 1, 1)
     mp = markovian_reduction(heat_problem(grid))
@@ -353,11 +379,58 @@ def test_markov_fd_cfl_guard():
     with pytest.raises(CFLError) as exc:
         markov_fd_solve(mp, xg, time_substeps=1)
     rate = grid.dt * (1.0 / xg.dx**2 + 0.0 / xg.dx)  # sigma = 1, b = 0
-    auto = _cfl_substeps(mp, xg)
+    auto = _auto_substeps(mp, xg)
     assert auto == int(np.ceil(rate / 0.9)) > 1
     assert f"= {rate} > 1" in str(exc.value)
     assert f"automatic choice is {auto} substeps" in str(exc.value)
     markov_fd_solve(mp, xg, time_substeps=auto)
+
+
+@pytest.mark.parametrize("bad", [-2, 0, 2.5, True])
+def test_markov_fd_time_substeps_must_be_an_integer_of_at_least_1(bad):
+    mp = markovian_reduction(heat_problem(GridConfig(4, 0.5, 1, 1)))
+    with pytest.raises(PathError, match=re.escape(f"time_substeps must be an integer >= 1, got {bad!r}")):
+        markov_fd_solve(mp, XGrid(-3.0, 3.0, 61), time_substeps=bad)
+
+
+def test_markov_fd_explicit_substeps_pass_the_cap_before_any_fd_step():
+    from pathhjb.control import CapacityError
+
+    grid = GridConfig(4, 0.5, 1, 1)
+    mp = markovian_reduction(heat_problem(grid))
+    xg = XGrid(-3.0, 3.0, 61)
+    steps_run = []
+    counted = dataclasses.replace(mp, generator=lambda *args: steps_run.append(args[0]) or mp.generator(*args))
+    with pytest.raises(CapacityError, match=re.escape("4 steps x 10000000 substeps x 61 nodes x 1 controls = 2.440e+09 node updates, over the cap 1e+08")):
+        markov_fd_solve(counted, xg, time_substeps=10**7)
+    blowup = dataclasses.replace(counted, drift=lambda k, xs, u: np.where(xs > 2.0, np.inf, 0.0))
+    for substeps in (None, 1, 100):
+        with pytest.raises(CapacityError, match="explicit FD solve needs finite rates"):
+            markov_fd_solve(blowup, xg, substeps)
+    assert steps_run == []
+    auto = _auto_substeps(mp, xg)
+    assert np.array_equal(markov_fd_solve(counted, xg, np.int64(auto)), markov_fd_solve(mp, xg))
+    assert len(steps_run) == grid.steps * auto
+
+
+def test_markov_fd_solve_reads_a_rewrapped_reduction():
+    # the benchmark's traced run rewraps the reduced problem's four callables with dataclasses.replace
+    grid = GridConfig(4, 0.5, 1, 1)
+    xg = XGrid(-3.0, 3.0, 25)
+    for problem in (quartic_problem, bangbang_problem):
+        mp = markovian_reduction(problem(grid))
+        calls = dict.fromkeys(("drift", "diffusion", "generator", "terminal"), 0)
+
+        def wrapped(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        rewrapped = dataclasses.replace(mp, **{name: wrapped(name, getattr(mp, name)) for name in calls})
+        assert np.array_equal(markov_fd_solve(rewrapped, xg), markov_fd_solve(mp, xg))
+        assert all(calls.values()), calls
 
 
 def test_markov_fd_bangbang_symmetric():
@@ -494,7 +567,7 @@ def test_markov_fd_solve_equals_pointwise_oracle(name):
     xg = XGrid(-3.0, 3.0, 25)
     ref, substeps, _ = _pointwise_fd(cp, xg)
     mp = markovian_reduction(cp)
-    assert _cfl_substeps(mp, xg) == substeps
+    assert _auto_substeps(mp, xg) == substeps
     assert np.array_equal(markov_fd_solve(mp, xg), ref)
 
 
@@ -559,9 +632,9 @@ def test_markov_consistency_work_is_bounded_by_the_lattice(monkeypatch):
     counts.update(dict.fromkeys(names, 0))
     rep = markov_consistency(cp, p, xg)
     assert rep.residual <= rep.error_bound
-    # the lattice is one constant-history array per grid index, read once per (grid index, control)
+    # one table, read once per (grid index, control), serves the substep count, the FD solve and the bound
     per_index = (grid.steps + 1) * len(cp.controls)
-    assert 8 < counts["drift"] <= 8 + per_index and 8 < counts["diffusion"] <= 8 + per_index
+    assert counts["drift"] == counts["diffusion"] == 8 + per_index
     assert counts["paths"] == 0
 
 

@@ -234,8 +234,7 @@ def _reduction_arrays(cp, xg):
     y, z = rng.normal(size=xg.nx), rng.normal(size=xg.nx)
     out = [mp.terminal(xs)]
     for k, u in itertools.product(range(cp.grid.steps + 1), cp.controls):
-        t = k * cp.grid.dt
-        out += [mp.drift(t, xs, u), mp.diffusion(t, xs, u), mp.generator(t, xs, y, z, u)]
+        out += [mp.drift(k, xs, u), mp.diffusion(k, xs, u), mp.generator(k, xs, y, z, u)]
     return out
 
 
