@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import sys
 from pathlib import Path as FsPath
@@ -61,6 +62,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONTRACT = 3
 EXIT_PROPERTY = 4
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml where PyYAML has it: the same values, faster
 
 
 class ConfigError(ValueError):
@@ -125,14 +127,14 @@ def _apply_override(supplied: dict, spec: str) -> None:
         node = node.setdefault(k, {})
         if not isinstance(node, dict):
             raise ConfigError(f"override {dotted} goes through {k}, which is not a mapping")
-    node[leaf] = yaml.safe_load(raw)
+    node[leaf] = yaml.load(raw, Loader=_YAML_LOADER)
 
 
 def _load_config(defaults: dict, config_path: str | None, overrides: list[str]) -> dict:
     supplied: dict = {}
     if config_path is not None:
         with open(config_path, "r", encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh)
+            loaded = yaml.load(fh, Loader=_YAML_LOADER)
         if loaded is None:
             raise ConfigError(f"config file {config_path} is empty")
         if not isinstance(loaded, dict):
@@ -530,6 +532,7 @@ class _SubcommandParser(argparse.ArgumentParser):
         return super().format_help()
 
 
+@functools.cache  # built on first use, then kept for the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pathhjb", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_SubcommandParser)

@@ -339,38 +339,50 @@ class BsdeSolution:
 
 
 def _implicit(generator: Callable, vals: np.ndarray, e_y: np.ndarray, z: np.ndarray, us, dt: float) -> np.ndarray:
-    """y = e_y + q(vals, y, z, us) dt at N (node, control) rows, by one masked
-    fixed point from y = e_y: each row iterates until its own step change is
-    within FIXED_POINT_TOL, and then leaves the batch. Contraction needs
-    L*dt < 1 on the generator's y-slope, which the ratio of two successive
-    step changes estimates. A row whose value is not finite, or that has not
-    converged in FIXED_POINT_MAX_ITER rounds, fails, and the lowest-index
-    failing row raises ContractError; rows above it stop iterating."""
-    n = e_y.shape[0]
-    out, rows, y = np.empty_like(e_y), np.arange(n), e_y
-    change, first_bad = np.zeros_like(e_y), n  # the lowest row with a non-finite value
-    for _ in range(FIXED_POINT_MAX_ITER):
-        y_new = e_y + _stack_checked("generator", generator(vals, y, z, us), y.shape) * dt
-        prev, change = change, np.abs(y_new - y)
-        if not np.isfinite(y_new).all():
-            first_bad = min(first_bad, int(rows[~np.isfinite(y_new)][0]))
-        done = change <= FIXED_POINT_TOL * (1.0 + np.abs(y_new))
-        keep = ~done if first_bad == n else ~done & (rows < first_bad)
+    """y = T(y) = e_y + q(vals, y, z, us) dt at N (node, control) rows, by one masked safeguarded
+    secant on F(y) = T(y) - y from y0 = e_y: round 0 takes the plain step y1 = T(y0), each later
+    round each row's secant step through its last two iterates, or the plain step where that is
+    not finite. A row leaves the batch with T(y) once |F(y)| is within FIXED_POINT_TOL. The ratio
+    |F(y1)| / |F(y0)| is the y-slope of q times dt between y0 and y1, at most L*dt: a row not yet
+    converged whose ratio is 0.5 or more fails the L*dt < 0.5 contract. So does a row whose value
+    is not finite, or that has not converged in FIXED_POINT_MAX_ITER rounds; the lowest-index
+    failing row raises its own ContractError, and rows above it stop iterating."""
+    out, rows, y = np.empty_like(e_y), np.arange(len(e_y)), e_y
+    y_old = f_old = e_y  # the previous iterate and its F, read from round 1 on
+    first_bad, error = len(e_y), None  # the lowest failing row and its message
+    for r in range(FIXED_POINT_MAX_ITER):
+        t = e_y + _stack_checked("generator", generator(vals, y, z, us), y.shape) * dt
+        f = t - y
+        done = np.abs(f) <= FIXED_POINT_TOL * (1.0 + np.abs(t))
+        failed = ~np.isfinite(t)
+        if r == 1:
+            ratio = np.abs(f) / np.abs(f_old)
+            failed |= ~done & (ratio >= 0.5)
+        if failed.any():
+            i = int(np.flatnonzero(failed)[0])
+            first_bad = int(rows[i])
+            error = "generator produced a non-finite value" if not np.isfinite(t[i]) else (
+                f"implicit generator step does not contract: observed contraction ratio {ratio[i]:.3g} (estimates L*dt; needs L*dt < 0.5)"
+            )
+        keep = ~done & (rows < first_bad)
         if not keep.all():
-            out[rows[done]] = y_new[done]
-            rows, vals, e_y, z, us = rows[keep], vals[keep], e_y[keep], z[keep], us[keep]
-            y_new, change, prev = y_new[keep], change[keep], prev[keep]
+            out[rows[done]] = t[done]
+            rows, vals, e_y, z, us, y, t, f, y_old, f_old = (a[keep] for a in (rows, vals, e_y, z, us, y, t, f, y_old, f_old))
             if rows.size == 0:
                 break
-        y = y_new
-    if rows.size:
-        c, p = float(change[0]), float(prev[0])
-        raise ContractError(
-            f"implicit generator step did not converge in {FIXED_POINT_MAX_ITER} iterations: last step change "
-            f"{c:.3e}, observed contraction ratio {c / p:.3g} (estimates L*dt; check L*dt < 0.5)"
-        )
-    if first_bad < n:
-        raise ContractError("generator produced a non-finite value")
+        if r == FIXED_POINT_MAX_ITER - 1:
+            c, p = float(abs(f[0])), float(abs(f_old[0]))
+            raise ContractError(
+                f"implicit generator step did not converge in {FIXED_POINT_MAX_ITER} iterations: last step change "
+                f"{c:.3e}, observed contraction ratio {c / p:.3g} (estimates L*dt; check L*dt < 0.5)"
+            )
+        if r:
+            with np.errstate(all="ignore"):  # a zero denominator or an overflow takes the plain step
+                step = y - f * (y - y_old) / (f - f_old)
+            t = np.where(np.isfinite(step), step, t)
+        y_old, f_old, y = y, f, t
+    if error is not None:
+        raise ContractError(error)
     return out
 
 

@@ -327,16 +327,21 @@ def _coefficient_table(mp: MarkovProblem, x_grid: XGrid) -> tuple:
     return b, sig, (sig**2 / dx**2 + np.abs(b) / dx).max(axis=2)
 
 
+def _auto_substeps(dt: float, rates: np.ndarray) -> float:
+    """The fewest substeps of a grid step ``dt`` keeping every rate of ``rates`` at most 0.9."""
+    return max(1.0, float(np.ceil(dt * rates.max() / 0.9)))
+
+
 def _cfl_substeps(mp: MarkovProblem, x_grid: XGrid, rates: np.ndarray, given: Optional[int] = None) -> int:
     """Per-grid-step subdivision of an FD solve with the table's ``rates``: the ``given`` count,
-    or else the smallest keeping the rate at most 0.9 at every grid index. A rate that is
-    not finite, or more than FD_WORK_CAP node updates, raises CapacityError."""
+    or else the automatic one. A rate that is not finite, or more than FD_WORK_CAP node
+    updates, raises CapacityError."""
     g = mp.grid
     if given is not None and (isinstance(given, bool) or not isinstance(given, (int, np.integer)) or given < 1):
         raise PathError(f"time_substeps must be an integer >= 1, got {given!r}")
     if not np.isfinite(rates).all():
         raise CapacityError(f"explicit FD solve needs finite rates sigma^2/dx^2 + |b|/dx, got max {rates.max()}")
-    substeps = max(1.0, float(np.ceil(g.dt * rates.max() / 0.9))) if given is None else float(given)
+    substeps = _auto_substeps(g.dt, rates) if given is None else float(given)
     work = g.steps * substeps * x_grid.nx * len(mp.controls)
     if not work <= FD_WORK_CAP:
         raise CapacityError(
@@ -380,7 +385,7 @@ def markov_fd_solve(mp: MarkovProblem, x_grid: XGrid, time_substeps: Optional[in
                 if rate > 1.0 + 1e-12:
                     raise CFLError(
                         f"dt={dt_sub} too large for dx={dx}: rate dt*max(sigma^2/dx^2 + |b|/dx) = {rate} > 1 "
-                        f"(explicit scheme not monotone; the automatic choice is {_cfl_substeps(mp, x_grid, rates)} substeps)"
+                        f"(explicit scheme not monotone; the automatic choice is {_auto_substeps(g.dt, rates):.0f} substeps)"
                     )
                 dvx = np.where(bj >= 0, fwd, bwd)
                 ham = bj * dvx + 0.5 * sj**2 * snd

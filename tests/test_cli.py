@@ -1,5 +1,8 @@
 import filecmp
 import hashlib
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path as FsPath
@@ -8,7 +11,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from pathhjb.cli import BP_DEFAULT, SUBCOMMANDS, build_parser, main, run_bp_demo
+from pathhjb import cli
+from pathhjb.cli import BP_DEFAULT, SUBCOMMANDS, _load_config, build_parser, main, run_bp_demo
 
 FAST_OVERRIDES = {
     "gauge-suite": ["pairs=100"],
@@ -175,7 +179,7 @@ def test_integer_literal_too_large_for_a_float_is_named(tmp_path, capsys):
 @pytest.mark.parametrize(
     "coeffs,code,message",
     [
-        ({"generator": "8*y"}, 3, "contract violation: implicit generator step did not converge in 50 iterations"),
+        ({"generator": "8*y"}, 3, "contract violation: implicit generator step does not contract: observed contraction ratio 2 "),
         ({"generator": "1e300*1e300*y"}, 3, "contract violation: generator produced a non-finite value"),
         # fails at the level-1 nodes below 0 only, inside one array call over the level
         ({"drift": ["sqrt(x)"]}, 2, "config error: expression 'sqrt(x)' failed to evaluate: math domain error"),
@@ -416,8 +420,8 @@ _PINNED = {
             "problem.inline.terminal=tanh(x) + 0.1*rmax + 0.05*sin(rint)",
             "problem.inline.controls=[0.0, 1.0]",
         ],
-        "df8014d3d693d23b2ea5aee833d4a70d002c3e48d07229068ef0219fe60991b2",
-        "fd33c0be84c1dab7803ed7bc651a15d9ead6bf822a3f9eb99561083b91976ce4",
+        "9aebd3e6ecbd50f0557af91a76abfcfccc4ec38442d17138299dd4f426b57542",
+        "c4374b8e3748e45b4da107ef6d67b1f4e13b4ef3532cb1827aee57017eb54e26",
     ),
 }
 
@@ -602,7 +606,7 @@ def test_a_two_dimensional_inline_problem_names_its_second_coordinate(tmp_path):
     }
     argv = ["value", "--config", _inline(tmp_path, **coeffs), "--override", "grid.dim=2", "--out", str(tmp_path)]
     assert main(argv) == 0
-    assert (tmp_path / "value.csv").read_text().splitlines()[1] == "0.07264084972520389,0"
+    assert (tmp_path / "value.csv").read_text().splitlines()[1] == "0.072640849725204071,0"
 
 
 @pytest.mark.parametrize("depth", [1000, 3000])
@@ -637,3 +641,50 @@ def test_only_help_dumps_the_default_configs(monkeypatch, tmp_path, capsys):
         main(["value", "--help"])
     assert exc.value.code == 0
     assert len(calls) == 1 and "default config" in capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call_and_keeps_nothing_between_them(monkeypatch, tmp_path):
+    seen = []
+    defaults, _, help_text, counts = SUBCOMMANDS["value"]
+
+    def runner(config, seed):
+        seen.append((config, seed))
+        return ["value"], [(0.0,)], ["value: 0.0"], 0
+
+    monkeypatch.setitem(SUBCOMMANDS, "value", (defaults, runner, help_text, counts))
+    assert main(["value", "--seed", "5", "--override", "start_value=0.5", "--override", "cap=7", "--out", str(tmp_path)]) == 0
+    assert main(["value", "--out", str(tmp_path)]) == 0
+    assert build_parser() is build_parser()
+    (first, first_seed), (second, second_seed) = seen
+    assert (first["start_value"], first["cap"], first_seed) == (0.5, 7, 5)
+    assert (second, second_seed) == (_load_config(defaults, None, []), 0)
+
+
+def test_help_is_the_same_on_every_call(capsys):
+    for argv in (["--help"], ["dpp", "--help"]):
+        outs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                main(argv)
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].startswith("usage: pathhjb")
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = "import pathhjb.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(FsPath(cli.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout == "0\n"
+
+
+def test_configs_load_through_libyaml_where_pyyaml_has_it(tmp_path, capsys):
+    assert cli._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    text = FsPath(_inline(tmp_path, generator="-0.1*u*u + 0.2*tanh(y)")).read_text()
+    text += "grid: {steps: 3, horizon: 1.0}\nstart_value: -0.25\ndeltas: [1, 2]\nother: [1e3, .inf, null, true, '1']\n"
+    assert yaml.load(text, Loader=cli._YAML_LOADER) == yaml.safe_load(text)
+    # malformed YAML in a file or in an override is a config error
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("grid: {steps: 2\n")
+    assert main(["value", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert main(["value", "--override", "grid.steps=[1, 2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")

@@ -236,7 +236,7 @@ def test_bsde_contract_error_on_stiff_generator():
     cp = _plain(q=lambda p, y, z, u: 10.0 * y)  # L*dt = 2.5, no contraction
     p0 = Path.constant(0.3, 0, GRID4.dt)
     tree = simulate_tree(cp, p0, 4)
-    with pytest.raises(ContractError, match=r"in 50 iterations: last step change .*, observed contraction ratio 2\.5 "):
+    with pytest.raises(ContractError, match=r"does not contract: observed contraction ratio 2\.5 \(estimates L\*dt; needs L\*dt < 0\.5\)$"):
         solve_bsde_tree(cp, tree)
 
 
@@ -396,22 +396,41 @@ def _one_row(fn, vals, *args):
 
 
 def _implicit_step(cp, vals, e_y, z, u, dt):
-    """Reference oracle: the scalar fixed point y = E[Y'] + q(path, y, z, u) dt,
-    one generator row per round, that the masked batch replaced."""
-    y = e_y
-    change = 0.0
-    for _ in range(FIXED_POINT_MAX_ITER):
-        y_new = e_y + float(_one_row(cp.generator, vals, np.array([y]), z[None], (u,))) * dt
-        if not np.isfinite(y_new):
+    """Reference oracle: the implicit step y = E[Y'] + q(path, y, z, u) dt of one row,
+    one generator row per round: the plain step y1 = T(y0) from y0 = E[Y'], then the
+    safeguarded secant on F(y) = T(y) - y, with the round-1 contraction check."""
+    y = y_old = f_old = e_y
+    for r in range(FIXED_POINT_MAX_ITER):
+        t = e_y + float(_one_row(cp.generator, vals, np.array([y]), z[None], (u,))) * dt
+        if not np.isfinite(t):
             raise ContractError("generator produced a non-finite value")
-        prev, change = change, abs(y_new - y)
-        if change <= FIXED_POINT_TOL * (1.0 + abs(y_new)):
-            return y_new
-        y = y_new
-    raise ContractError(
-        f"implicit generator step did not converge in {FIXED_POINT_MAX_ITER} iterations: last step change "
-        f"{change:.3e}, observed contraction ratio {change / prev:.3g} (estimates L*dt; check L*dt < 0.5)"
-    )
+        f = t - y
+        if abs(f) <= FIXED_POINT_TOL * (1.0 + abs(t)):
+            return t
+        if r == 1 and abs(f) / abs(f_old) >= 0.5:
+            raise ContractError(
+                f"implicit generator step does not contract: observed contraction ratio {abs(f) / abs(f_old):.3g} "
+                "(estimates L*dt; needs L*dt < 0.5)"
+            )
+        if r == FIXED_POINT_MAX_ITER - 1:
+            raise ContractError(
+                f"implicit generator step did not converge in {FIXED_POINT_MAX_ITER} iterations: last step change "
+                f"{abs(f):.3e}, observed contraction ratio {abs(f) / abs(f_old):.3g} (estimates L*dt; check L*dt < 0.5)"
+            )
+        step = y - f * (y - y_old) / (f - f_old) if r and f != f_old else t
+        y_old, f_old, y = y, f, step if np.isfinite(step) else t
+
+
+def _plain_step(cp, vals, e_y, z, u, dt):
+    """Second oracle: the plain fixed point y <- T(y) from y = E[Y'], one generator
+    row per round, stopping on the same test as the engine; no contract check."""
+    y = e_y
+    for _ in range(FIXED_POINT_MAX_ITER):
+        t = e_y + float(_one_row(cp.generator, vals, np.array([y]), z[None], (u,))) * dt
+        if abs(t - y) <= FIXED_POINT_TOL * (1.0 + abs(t)):
+            return t
+        y = t
+    raise AssertionError("the plain iteration did not converge")
 
 
 class _RecursiveValue:
@@ -603,10 +622,10 @@ def test_forest_cap_counts_every_root_before_any_coefficient_call():
 
 
 def test_regularity_probe_numbers_are_those_of_one_solve_per_probe():
-    # taken when every probe was its own value solve
+    # taken when every probe was its own value solve; the second re-taken for the secant implicit step
     assert regularity_probe(lq_problem(GridConfig(3, 0.75, 1, 1)), 20, 6) == (1.000000000000005, 0.1874758497710766)
     cp = random_problem(GridConfig(3, 0.75, 2, 2), seed=3, n_controls=2)
-    assert regularity_probe(cp, 15, 11) == (0.8502971409461921, 0.067158551835245)
+    assert regularity_probe(cp, 15, 11) == (0.8502971409461848, 0.06715855183524587)
 
 
 def test_probes_reject_vacuous_inputs_naming_the_value():
@@ -808,16 +827,22 @@ def test_coeffs_names_expected_and_received_shapes():
 # The masked fixed point raises the error of its lowest-index failing row.
 
 
-@pytest.mark.parametrize("kinds", [(0, 1, 2), (0, 2, 1), (2, 1, 0), (1, 1, 0), (0, 0, 0)])
+@pytest.mark.parametrize(
+    "kinds",
+    [(0, 1, 2), (0, 2, 1), (2, 1, 0), (1, 1, 0), (0, 0, 0), (0, 3, 0), (3, 2, 0), (0, 3, 4), (0, 4, 3), (4, 2, 3), (2, 4, 0)],
+)
 def test_masked_fixed_point_raises_the_lowest_failing_rows_error(kinds):
-    # kind 0 contracts, kind 1 never does (slope 10 at dt 0.25), kind 2 is not finite
+    # kind 0 contracts; kind 1 is steep at ratio 2.5 (slope 10 at dt 0.25) and kind 3 at
+    # ratio 0.75 (slope 3), both caught at round 1; kind 2 is not finite; kind 4 passes the
+    # round-1 check (ratio 2/11) but jumps over its would-be root, so it never converges
     def generator(vals, y, z, us):
-        kind = vals[:, 0, -1]
-        return np.where(kind == 1, 10.0 * y, np.where(kind == 2, np.inf, 0.5 * np.tanh(y)))
+        e, kind = vals[:, 0, 0], vals[:, 0, -1]
+        jump = 4.0 * (0.1 + 0.01 * np.where(y - e <= 0.1, 1.0, -1.0))
+        return np.select([kind == 1, kind == 2, kind == 3, kind == 4], [10.0 * y, np.inf, 3.0 * y, jump], 0.5 * np.tanh(y))
 
     cp = ControlProblem(drift=None, diffusion=None, generator=generator, terminal=None, controls=(0.0,), grid=GRID4)
-    vals = np.array(kinds, dtype=float).reshape(-1, 1, 1)
     e_y, z, us = np.array([0.3, -0.2, 0.1]), np.zeros((3, 1)), np.zeros(3, dtype=object)
+    vals = np.stack([e_y, np.array(kinds, dtype=float)], axis=-1).reshape(-1, 1, 2)
     want = []
     for i in range(3):
         try:
@@ -828,3 +853,98 @@ def test_masked_fixed_point_raises_the_lowest_failing_rows_error(kinds):
             assert str(got.value) == str(exc)
             return
     assert _implicit(generator, vals, e_y, z, us, GRID4.dt).tolist() == want
+
+
+def test_a_linear_generator_converges_in_three_rounds_per_level():
+    # q = a y with a dt = 0.45: the secant through the first two iterates is exact, so each level
+    # takes the plain step, the secant step onto y = E[Y'] / (1 - a dt), and the convergence check
+    calls = []
+
+    def generator(vals, y, z, us):
+        calls.append(len(y))
+        return 1.8 * y
+
+    cp = dataclasses.replace(_plain(), generator=generator)
+    sol = solve_bsde_tree(cp, simulate_tree(cp, Path.constant(0.3, 0, GRID4.dt), 4))
+    assert calls == [8, 8, 8, 4, 4, 4, 2, 2, 2, 1, 1, 1]  # one array call per round over a level's rows
+    for k in range(4):
+        e = sol.y_levels[k + 1].reshape(-1, 2).mean(axis=1)
+        assert np.allclose(sol.y_levels[k], e / (1 - 0.45), rtol=4 * FIXED_POINT_TOL, atol=0)
+
+
+@pytest.mark.parametrize("a,ratio", [(2.0, "0.5"), (3.0, "0.75"), (10.0, "2.5")])
+def test_the_round_one_ratio_enforces_the_contract(a, ratio):
+    # q = a y at dt = 0.25: the plain iteration converges at a dt = 0.5 and the secant would
+    # solve a dt = 2.5, but each breaks L*dt < 0.5 and is refused after two rounds
+    calls = []
+
+    def generator(vals, y, z, us):
+        calls.append(len(y))
+        return a * y
+
+    e_y = np.array([1.0, -0.5])
+    with pytest.raises(ContractError) as got:
+        _implicit(generator, np.zeros((2, 1, 1)), e_y, np.zeros((2, 1)), np.zeros(2, dtype=object), GRID4.dt)
+    assert str(got.value) == (
+        f"implicit generator step does not contract: observed contraction ratio {ratio} (estimates L*dt; needs L*dt < 0.5)"
+    )
+    assert calls == [2, 2]
+
+
+def test_a_row_that_jumps_over_its_root_fails_after_the_last_round():
+    # kind 4 of the lowest-failing-row test alone: it passes the round-1 check and never converges
+    calls = []
+
+    def generator(vals, y, z, us):
+        calls.append(len(y))
+        return 4.0 * (0.1 + 0.01 * np.where(y - 0.3 <= 0.1, 1.0, -1.0))
+
+    with pytest.raises(ContractError, match=r"did not converge in 50 iterations: last step change 1\.\d+e-02, "):
+        _implicit(generator, np.zeros((1, 1, 1)), np.array([0.3]), np.zeros((1, 1)), np.zeros(1, dtype=object), GRID4.dt)
+    assert calls == [1] * FIXED_POINT_MAX_ITER
+
+
+def test_a_zero_secant_denominator_takes_the_plain_step():
+    # F(y) = T(y) - y is 1 - 0.75 y up to y = 1, 0.25 on [1, 1.4] and 0.25 - 0.5 (y - 1.4) after,
+    # so the secant step lands on the plateau, where F equals its last value
+    def generator(vals, y, z, us):
+        return 4.0 * (y + np.where(y <= 1.4, np.maximum(1.0 - 0.75 * y, 0.25), 0.25 - 0.5 * (y - 1.4)))
+
+    cp = ControlProblem(drift=None, diffusion=None, generator=generator, terminal=None, controls=(0.0,), grid=GRID4)
+    args = (np.zeros((1, 1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1, dtype=object), GRID4.dt)
+    out = _implicit(generator, *args)
+    assert out.tolist() == [_implicit_step(cp, *(a[0] for a in args[:4]), GRID4.dt)]
+    assert out[0] == pytest.approx(1.9, rel=4 * FIXED_POINT_TOL)
+
+
+# the bench's inline problem shape: a y coefficient of size 0.2, z and rint terms
+BENCH_INLINE = {
+    "drift": ["0.12*u + -0.21*tanh(x) + 0.05*tanh(rint)"],
+    "diffusion": [["0.6 + 0.1*tanh(rmax)"]],
+    "generator": "-0.1*u*u + -0.2*tanh(y) + 0.17*tanh(z) + -0.23*tanh(rint)",
+    "terminal": "tanh(x) + 0.2*rmax + 0.15*sin(rint)",
+    "controls": [-0.4, 0.6],
+}
+
+
+@pytest.mark.parametrize("kind", ["random-1d", "random-2d", "bench-inline"])
+def test_the_secant_agrees_with_the_plain_iteration(kind, monkeypatch):
+    # every implicit row of a value solve, against the plain fixed point the secant replaced
+    if kind == "bench-inline":
+        cp = inline_problem(BENCH_INLINE, GRID4)
+    else:
+        cp = random_problem(GridConfig(3, 0.75, 2, 2) if kind == "random-2d" else GRID4, seed=11, n_controls=3)
+    batches = []
+
+    def recorded(generator, vals, e_y, z, us, dt):
+        out = _implicit(generator, vals, e_y, z, us, dt)
+        batches.append((vals, e_y, z, us, dt, out))
+        return out
+
+    monkeypatch.setattr(control, "_implicit", recorded)
+    value(cp, Path.constant(np.full(cp.grid.dim, 0.2), 0, cp.grid.dt))
+    assert sum(len(b[1]) for b in batches) > 100
+    for vals, e_y, z, us, dt, out in batches:
+        for i in range(len(e_y)):
+            want = _plain_step(cp, vals[i], e_y[i], z[i], us[i], dt)
+            assert abs(out[i] - want) <= 4 * FIXED_POINT_TOL * (1 + abs(want))

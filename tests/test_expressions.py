@@ -189,7 +189,7 @@ def _small(**coeffs):
 @pytest.mark.parametrize(
     "coeffs,start",
     [
-        ({"generator": "8*y"}, 0.3),  # slope 2 on dt = 0.25: no convergence in 50 rounds
+        ({"generator": "8*y"}, 0.3),  # slope 2 on dt = 0.25: refused at round 1, observed ratio 2
         ({"generator": "1e300*1e300*y"}, 0.3),  # non-finite
         ({"drift": ["sqrt(x)"]}, 0.3),  # fails at the level-1 nodes below 0 only
     ],

@@ -6,7 +6,7 @@ import pytest
 
 from pathhjb import phjb
 from pathhjb.cli import COMPARISON_DEFAULT, MARKOV_DEFAULT, run_comparison_demo, run_markov_compare
-from pathhjb.control import ControlProblem, per_path, value
+from pathhjb.control import CapacityError, ControlProblem, per_path, value
 from pathhjb.funcalc import (
     PathFunctional,
     add_functionals,
@@ -384,6 +384,20 @@ def test_markov_fd_cfl_guard():
     assert f"= {rate} > 1" in str(exc.value)
     assert f"automatic choice is {auto} substeps" in str(exc.value)
     markov_fd_solve(mp, xg, time_substeps=auto)
+
+
+def test_markov_fd_cfl_guard_quotes_an_automatic_count_over_the_cap():
+    # one substep is within the cap but not monotone; the automatic count, 38,580,247 substeps,
+    # is quoted without its own cap check, which it would fail
+    grid = GridConfig(4, 0.5, 1, 1)
+    mp = markovian_reduction(heat_problem(grid))
+    xg = XGrid(-3.0, 3.0, 100001)
+    with pytest.raises(CFLError) as exc:
+        markov_fd_solve(mp, xg, 1)
+    assert f"= {grid.dt * (1.0 / xg.dx**2 + 0.0 / xg.dx)} > 1" in str(exc.value)  # sigma = 1, b = 0
+    assert str(exc.value).endswith("(explicit scheme not monotone; the automatic choice is 38580247 substeps)")
+    with pytest.raises(CapacityError, match="4 steps x 38580247 substeps x 100001 nodes"):
+        _auto_substeps(mp, xg)
 
 
 @pytest.mark.parametrize("bad", [-2, 0, 2.5, True])
