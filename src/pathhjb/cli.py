@@ -454,7 +454,7 @@ def run_comparison_demo(config: dict, seed: int):
     # preferred gap scale, so the shrinking-gap phenomenon is observable on a
     # finite set. Every fifth pair is an exact diagonal.
     n_pairs = config["pairs"]
-    stacked, halves = [], {}
+    stacked = {}  # each stacked pair path -> its two halves, in draw order
     for i in range(n_pairs):
         k = int(rng.integers(0, grid.steps + 1))
         a = random_path(rng, 1, grid.dt, k, scale=0.6)
@@ -463,35 +463,29 @@ def run_comparison_demo(config: dict, seed: int):
         else:
             delta = 10.0 ** rng.uniform(-1.8, -0.2)
             b = Path(a.values - delta, grid.dt)
-        halves.update({a.key(): a, b.key(): b})
-        stacked.append(Path(np.vstack([a.values, b.values]), grid.dt))
+        stacked[Path(np.vstack([a.values, b.values]), grid.dt)] = (a, b)
 
     # V at every half that psi reads, solved by grid index before the sweep
-    value_cache = dict(zip(halves, _values(cp, list(halves.values())).tolist()))
+    halves = dict.fromkeys(h for pair in stacked.values() for h in pair)
+    value_cache = dict(zip(halves, _values(cp, list(halves)).tolist()))
     offset = config["offset"]
-    w2 = PathFunctional(eval=lambda p: value_cache[p.key()])
-    w1 = PathFunctional(eval=lambda p: value_cache[p.key()] - offset)
+    w2 = PathFunctional(eval=value_cache.__getitem__)
+    w1 = PathFunctional(eval=lambda p: value_cache[p] - offset)
 
     header = ["beta", "psi_max", "gauge_gap", "beta_times_gap"]
     rows = []
     prev = None
     monotone = True
+    domain = CandidateSet(tuple(stacked))
     for beta in config["betas"]:
         def psi(sp: Path, beta=beta) -> float:
-            a = Path._wrap(sp.values[:1], sp.dt)
-            b = Path._wrap(sp.values[1:], sp.dt)
-            return comparison_psi(
-                w1, w2, a, b, beta, config["eps"], config["nu"], grid.horizon
-            )
+            return comparison_psi(w1, w2, *stacked[sp], beta, config["eps"], config["nu"], grid.horizon)
 
         f = PathFunctional(eval=psi)
-        domain = CandidateSet(tuple(stacked))
         start = max(stacked, key=f.eval)
         result = borwein_preiss(f, gauge.upsilon_bar, None, 1.0 / beta, start, domain)
         opt = result.optimum
-        a = Path._wrap(opt.values[:1], opt.dt)
-        b = Path._wrap(opt.values[1:], opt.dt)
-        gap = gauge.upsilon(a, b)
+        gap = gauge.upsilon(*stacked[opt])
         rows.append((beta, f.eval(opt), gap, beta * gap))
         if prev is not None and beta * gap > prev + 1e-12:
             monotone = False

@@ -22,6 +22,7 @@ from .pathspace import (
     Path,
     PathError,
     _joint_gap,
+    _keys,
     _sq_cols,
     horizontal_extension,
     sup_norm,
@@ -374,7 +375,7 @@ def _implicit(generator: Callable, vals: np.ndarray, e_y: np.ndarray, z: np.ndar
             c, p = float(abs(f[0])), float(abs(f_old[0]))
             raise ContractError(
                 f"implicit generator step did not converge in {FIXED_POINT_MAX_ITER} iterations: last step change "
-                f"{c:.3e}, observed contraction ratio {c / p:.3g} (estimates L*dt; check L*dt < 0.5)"
+                f"{c:.3e}, ratio of the last two step changes {c / p:.3g} (the step needs L*dt < 0.5)"
             )
         if r:
             with np.errstate(all="ignore"):  # a zero denominator or an overflow takes the plain step
@@ -457,24 +458,24 @@ def value(cp: ControlProblem, p0: Path, cap: int = DEFAULT_NODE_CAP) -> float:
 
 
 def value_with_strategy(cp: ControlProblem, p0: Path, cap: int = DEFAULT_NODE_CAP):
-    """Value plus the argmax feedback strategy that attains it. The feedback
-    reads a table from each internal node of the root's tree, keyed by (grid
-    index, path bytes), to its first maximizing control; keying on the path is
-    sound because the future law depends on the past only through the path.
-    At a path off the table it solves from that path without keeping the result."""
+    """Value plus the argmax feedback strategy that attains it. The feedback reads a table from
+    the ``Path.key()`` of each internal node of the root's tree to its first maximizing control
+    (sound, as the future law depends on the past only through the path); at a path off the
+    table it reads the root argmax of one solve from that path."""
     _check_root(cp, p0)
     y, levels, best_levels = _solve_forest(cp, p0.values[None], cp.grid.steps, cp.terminal, cap)
     table = {
-        (p0.t_index + k, row.tobytes()): i for k, best in enumerate(best_levels) for row, i in zip(levels[k], best.tolist())
+        key: i for k, best in enumerate(best_levels) for key, i in zip(_keys(p0.t_index + k, levels[k]), best.tolist())
     }
 
     def best_control(path: Path):
-        key = (path.t_index, path.values.tobytes())
-        if key in table:
-            return cp.controls[table[key]]
-        if path.t_index == cp.grid.steps:
-            raise PathError(f"no control is chosen at grid index {path.t_index}, the horizon")
-        return value_with_strategy(cp, path, cap)[1].control_at(path)
+        i = table.get(path.key())
+        if i is None:
+            if path.t_index == cp.grid.steps:
+                raise PathError(f"no control is chosen at grid index {path.t_index}, the horizon")
+            _check_root(cp, path)
+            i = int(_solve_forest(cp, path.values[None], cp.grid.steps, cp.terminal, cap)[2][0][0])
+        return cp.controls[i]
 
     return float(y[0]), ControlStrategy(feedback=best_control)
 

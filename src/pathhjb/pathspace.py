@@ -94,23 +94,26 @@ class Path:
         return self.values[:, -1].copy()
 
     def key(self) -> tuple:
-        """Hashable identity (used for deterministic tie-breaks and memoization)."""
+        """The path's one identity: (grid index, bytes of the values), equal exactly when every
+        value has the same bits (+0.0 and -0.0 differ). ``==`` and ``hash`` read (dt, key()), and
+        every map over paths keys on it; ``_keys`` gives it at each row of a level array."""
         return (self.t_index, self.values.tobytes())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Path):
             return NotImplemented
-        return (
-            self.dt == other.dt
-            and self.values.shape == other.values.shape
-            and bool(np.array_equal(self.values, other.values))
-        )
+        return self.dt == other.dt and self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash((self.dt, self.values.shape, self.values.tobytes()))
+        return hash((self.dt, self.key()))
 
     def __repr__(self) -> str:
         return f"Path(d={self.d}, t_index={self.t_index}, dt={self.dt}, end={self.values[:, -1]})"
+
+
+def _keys(t_index: int, rows: np.ndarray) -> list:
+    """Path.key() of each row of ``rows``, an (N, d, t_index + 1) array of same-time path values."""
+    return [(t_index, row.tobytes()) for row in rows]
 
 
 @dataclass(frozen=True)

@@ -334,8 +334,8 @@ def _auto_substeps(dt: float, rates: np.ndarray) -> float:
 
 def _cfl_substeps(mp: MarkovProblem, x_grid: XGrid, rates: np.ndarray, given: Optional[int] = None) -> int:
     """Per-grid-step subdivision of an FD solve with the table's ``rates``: the ``given`` count,
-    or else the automatic one. A rate that is not finite, or more than FD_WORK_CAP node
-    updates, raises CapacityError."""
+    or else the automatic one. A rate that is not finite, or more than FD_WORK_CAP node updates,
+    raises CapacityError; then the first rate over 1 the substeps read, in order, CFLError."""
     g = mp.grid
     if given is not None and (isinstance(given, bool) or not isinstance(given, (int, np.integer)) or given < 1):
         raise PathError(f"time_substeps must be an integer >= 1, got {given!r}")
@@ -348,7 +348,22 @@ def _cfl_substeps(mp: MarkovProblem, x_grid: XGrid, rates: np.ndarray, given: Op
             f"explicit FD solve needs {g.steps} steps x {substeps:.0f} substeps x {x_grid.nx} nodes x "
             f"{len(mp.controls)} controls = {work:.3e} node updates, over the cap {FD_WORK_CAP:.0e}"
         )
+    dt_sub = g.dt / substeps
+    read = dt_sub * rates[list(dict.fromkeys(j for _, j in _substep_reads(g, int(substeps))))]
+    over = np.flatnonzero(read > 1.0 + 1e-12)
+    if over.size:
+        raise CFLError(
+            f"dt={dt_sub} too large for dx={x_grid.dx}: rate dt*max(sigma^2/dx^2 + |b|/dx) = {read.flat[over[0]]} > 1 "
+            f"(explicit scheme not monotone; the automatic choice is {_auto_substeps(g.dt, rates):.0f} substeps)"
+        )
     return int(substeps)
+
+
+def _substep_reads(g: GridConfig, substeps: int):
+    """(grid step k, grid index j) of each substep of an FD solve, in its order: k from the last,
+    and substep s of step k reads the coefficient table at the grid index nearest its time."""
+    dt_sub = g.dt / substeps
+    return ((k, round(((k + 1) * g.dt - s * dt_sub) / g.dt)) for k in range(g.steps - 1, -1, -1) for s in range(substeps))
 
 
 def markov_fd_solve(mp: MarkovProblem, x_grid: XGrid, time_substeps: Optional[int] = None) -> np.ndarray:
@@ -360,9 +375,10 @@ def markov_fd_solve(mp: MarkovProblem, x_grid: XGrid, time_substeps: Optional[in
     it at grid index round(t / dt). Each grid step takes ``time_substeps``
     explicit updates, an integer >= 1 (else PathError); when not given, the
     fewest with rate dt_sub * max(sigma^2/dx^2 + |b|/dx) <= 0.9 at every grid
-    index. A given count whose rate exceeds 1 where its substeps read raises
-    CFLError. Over FD_WORK_CAP node updates, or at a rate that is not finite,
-    either count raises CapacityError before any FD step.
+    index. Over FD_WORK_CAP node updates, or at a rate that is not finite,
+    either count raises CapacityError; a given count whose rate exceeds 1
+    where its substeps read raises CFLError. Every guard runs before any FD
+    step and any call of the generator or the terminal.
     Returns V of shape (steps+1, nx) with V[k] the solution at time k*dt.
     """
     g = mp.grid
@@ -373,26 +389,19 @@ def markov_fd_solve(mp: MarkovProblem, x_grid: XGrid, time_substeps: Optional[in
     out = np.empty((g.steps + 1, nx))
     out[g.steps] = mp.terminal(xs)
     v = out[g.steps].copy()
-    for k in range(g.steps - 1, -1, -1):
-        for s in range(substeps):
-            j = round(((k + 1) * g.dt - s * dt_sub) / g.dt)
-            d1 = (v[1:] - v[:-1]) / dx
-            fwd, bwd = np.concatenate((d1, d1[-1:])), np.concatenate((d1[:1], d1))
-            d2 = (v[2:] - 2 * v[1:-1] + v[:-2]) / dx**2
-            snd = np.concatenate((d2[:1], d2, d2[-1:]))
-            best = np.full(nx, -np.inf)
-            for u, bj, sj, rate in zip(mp.controls, b[j], sig[j], dt_sub * rates[j]):
-                if rate > 1.0 + 1e-12:
-                    raise CFLError(
-                        f"dt={dt_sub} too large for dx={dx}: rate dt*max(sigma^2/dx^2 + |b|/dx) = {rate} > 1 "
-                        f"(explicit scheme not monotone; the automatic choice is {_auto_substeps(g.dt, rates):.0f} substeps)"
-                    )
-                dvx = np.where(bj >= 0, fwd, bwd)
-                ham = bj * dvx + 0.5 * sj**2 * snd
-                ham += mp.generator(j, xs, v, sj * dvx, u)
-                best = np.maximum(best, ham)
-            v = v + dt_sub * best
-        out[k] = v
+    for k, j in _substep_reads(g, substeps):
+        d1 = (v[1:] - v[:-1]) / dx
+        fwd, bwd = np.concatenate((d1, d1[-1:])), np.concatenate((d1[:1], d1))
+        d2 = (v[2:] - 2 * v[1:-1] + v[:-2]) / dx**2
+        snd = np.concatenate((d2[:1], d2, d2[-1:]))
+        best = np.full(nx, -np.inf)
+        for u, bj, sj in zip(mp.controls, b[j], sig[j]):
+            dvx = np.where(bj >= 0, fwd, bwd)
+            ham = bj * dvx + 0.5 * sj**2 * snd
+            ham += mp.generator(j, xs, v, sj * dvx, u)
+            best = np.maximum(best, ham)
+        v = v + dt_sub * best
+        out[k] = v  # the last substep of step k leaves V at time k*dt
     return out
 
 

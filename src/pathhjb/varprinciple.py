@@ -34,18 +34,17 @@ _VERIFY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Finite surrogate for the later-time path domain; shared dt and d."""
+    """Finite surrogate for the later-time path domain; shared dt and d. Each
+    path is kept once, at its first occurrence (``Path`` equality)."""
 
     items: tuple[Path, ...]
 
     def __post_init__(self):
-        items = tuple(self.items)
+        items = tuple(dict.fromkeys(self.items))
         if not items:
             raise PathError("candidate set must be nonempty")
-        dt0, d0 = items[0].dt, items[0].d
-        for p in items:
-            if p.dt != dt0 or p.d != d0:
-                raise PathError("all candidates must share dt and dimension")
+        if len({(p.dt, p.d) for p in items}) > 1:
+            raise PathError("all candidates must share dt and dimension")
         object.__setattr__(self, "items", items)
 
     def at_or_after(self, t_index: int) -> list[Path]:
@@ -73,18 +72,20 @@ def _delta(deltas: Optional[Sequence[float]], i: int) -> float:
     return d
 
 
-def _shrink(g: dict, current: list, rho, selected: Path, delta: float, threshold: float) -> list:
-    """The points p of ``current`` no earlier than ``selected`` whose perturbed
-    objective g[p] - delta rho(selected, p) stays >= threshold, in order; g is
-    updated to that value at each of them, and rho runs once per point."""
+def _shrink(g: list, paths: list, current: list, rho, selected: Path, delta: float, threshold: float) -> list:
+    """The positions i of ``current`` whose path paths[i] is no earlier than
+    ``selected`` and whose perturbed objective g[i] - delta rho(selected,
+    paths[i]) stays >= threshold, in order; g[i] is updated to that value at
+    each of them, and rho runs once per point."""
     kept = []
-    for p in current:
+    for i in current:
+        p = paths[i]
         if p.t_index < selected.t_index:
             continue
-        shrunk = g[p.key()] - delta * rho(selected, p)
+        shrunk = g[i] - delta * rho(selected, p)
         if shrunk >= threshold:
-            g[p.key()] = shrunk
-            kept.append(p)
+            g[i] = shrunk
+            kept.append(i)
     return kept
 
 
@@ -105,11 +106,13 @@ def borwein_preiss(
     if not eps > 0:
         raise PathError("eps must be > 0")
     later = domain.at_or_after(start.t_index)
-    fvals = {p.key(): float(f.eval(p)) for p in later}
+    # perturbed objective by position in later, f itself until B_0 is drawn:
+    # g[j] = f(p) - sum_{k<i} delta_k rho(gamma^k, p)
+    g = [float(f.eval(p)) for p in later]
     f_start = float(f.eval(start))
-    if not np.isfinite(f_start) or not all(np.isfinite(v) for v in fvals.values()):
+    if not np.isfinite(f_start) or not all(np.isfinite(v) for v in g):
         raise PathError("objective is not finite on the candidate set (not bounded above)")
-    sup_f = max(fvals.values(), default=f_start)
+    sup_f = max(g, default=f_start)
     if f_start < sup_f - eps - 1e-12:
         raise PathError(
             f"start is not eps-maximal: f(start)={f_start} < sup f - eps = {sup_f - eps}"
@@ -119,44 +122,30 @@ def borwein_preiss(
     if rho(start, start) != 0.0:
         raise PathError("rho(start, start) must be 0 (empty initial set otherwise)")
 
-    # dedupe structurally identical candidates; they are one point of the space
-    seen: set = set()
-    unique = []
-    for p in later:
-        if p.key() not in seen:
-            seen.add(p.key())
-            unique.append(p)
-
-    # perturbed objective bookkeeping: g[p] = f(p) - sum_{k<i} delta_k rho(gamma^k, p)
-    g = {k: v for k, v in fvals.items()}
-    current = _shrink(g, unique, rho, start, delta0, f_start)
+    current = _shrink(g, later, range(len(later)), rho, start, delta0, f_start)
     if not current:
         raise PathError("initial set B_0 is empty: no candidate has f - delta_0 rho(start, .) >= f(start)")
     trajectory = [start]
-    sets_trace = [tuple(current)] if keep_sets else None
+    sets_trace = [tuple(later[i] for i in current)] if keep_sets else None
 
-    i = 0
-    selected = start
-    while True:
-        i += 1
-        if i > _MAX_ROUNDS:
-            raise PathError("perturbed maximization failed to settle (rho not gauge-like?)")
+    for i in range(1, _MAX_ROUNDS + 1):
         # argmax of the current perturbed objective; ties break toward the
         # lexicographically smallest path encoding
-        top = max(g[p.key()] for p in current)
-        ties = [p for p in current if g[p.key()] == top]
-        selected = min(ties, key=lambda p: p.key())
+        top = max(g[j] for j in current)
+        best = min((j for j in current if g[j] == top), key=lambda j: later[j].key())
+        selected = later[best]
         trajectory.append(selected)
-        current = _shrink(g, current, rho, selected, _delta(deltas, i), g[selected.key()])
+        current = _shrink(g, later, current, rho, selected, _delta(deltas, i), g[best])
         if not current:
             raise PathError("shrinking set became empty (rho violates the gauge contract)")
         if keep_sets:
-            sets_trace.append(tuple(current))
-        bound = eps / (2.0**i * delta0)
-        if len(current) == 1 or bound < DIAMETER_FLOOR:
+            sets_trace.append(tuple(later[j] for j in current))
+        if len(current) == 1 or eps / (2.0**i * delta0) < DIAMETER_FLOOR:
             break
+    else:
+        raise PathError("perturbed maximization failed to settle (rho not gauge-like?)")
 
-    optimum = current[0] if len(current) == 1 else selected
+    optimum = later[current[0]] if len(current) == 1 else selected
     pert = 0.0
     for k, pt in enumerate(trajectory):
         pert += _delta(deltas, k) * rho(pt, optimum)
@@ -208,14 +197,9 @@ def verify_bp(
         return s
 
     # (ii) improvement over the start point
-    if perturbed(opt) < float(f.eval(start)) - _VERIFY_TOL:
+    ref = perturbed(opt)
+    if ref < float(f.eval(start)) - _VERIFY_TOL:
         return False
 
-    # (iii) strict maximality over the candidate scan
-    ref = perturbed(opt)
-    for p in domain.at_or_after(opt.t_index):
-        if p == opt:
-            continue
-        if perturbed(p) >= ref + _VERIFY_TOL:
-            return False
-    return True
+    # (iii) strict maximality over the candidate scan, each a point other than the optimum
+    return not any(perturbed(p) >= ref + _VERIFY_TOL for p in domain.at_or_after(opt.t_index) if p != opt)

@@ -415,7 +415,7 @@ def _implicit_step(cp, vals, e_y, z, u, dt):
         if r == FIXED_POINT_MAX_ITER - 1:
             raise ContractError(
                 f"implicit generator step did not converge in {FIXED_POINT_MAX_ITER} iterations: last step change "
-                f"{abs(f):.3e}, observed contraction ratio {abs(f) / abs(f_old):.3g} (estimates L*dt; check L*dt < 0.5)"
+                f"{abs(f):.3e}, ratio of the last two step changes {abs(f) / abs(f_old):.3g} (the step needs L*dt < 0.5)"
             )
         step = y - f * (y - y_old) / (f - f_old) if r and f != f_old else t
         y_old, f_old, y = y, f, step if np.isfinite(step) else t
@@ -553,6 +553,38 @@ def test_argmax_feedback_off_the_root_table():
     assert strat.control_at(off) == value_with_strategy(cp, off)[1].control_at(off)
     with pytest.raises(PathError, match="grid index 4, the horizon"):
         strat.control_at(Path.constant(0.0, 4, GRID4.dt))
+    # off the table the feedback reads the root argmax of one solve from the path
+    cp, calls = _counted(random_problem(GRID4, seed=3, n_controls=3))
+    _, strat = value_with_strategy(cp, Path.constant(0.0, 0, GRID4.dt))
+    rng = np.random.default_rng(8)
+    for off in [random_path(rng, 1, GRID4.dt, k) for k in (0, 1, 2, 3) for _ in range(3)]:
+        calls["terminal"] = 0
+        got = strat.control_at(off)
+        assert calls["terminal"] == 6 ** (4 - off.t_index)  # the leaves of one solve
+        assert got == value_with_strategy(cp, off)[1].control_at(off)
+    with pytest.raises(PathError, match="path at grid index 5 is past the end index 4"):
+        strat.control_at(Path.constant(0.0, 5, GRID4.dt))
+    with pytest.raises(PathError, match=r"root path has dt 0\.5, the grid's is 0\.25"):
+        strat.control_at(Path.constant(0.0, 1, 0.5))
+
+
+def _table(strategy: ControlStrategy) -> dict:
+    """The argmax table a value_with_strategy feedback reads."""
+    fn = strategy.feedback
+    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))["table"]
+
+
+def test_the_argmax_table_keys_each_internal_node_by_its_path_key():
+    cp = random_problem(GRID4, seed=3, n_controls=3)
+    p0 = Path(np.array([[0.1, -0.2]]), GRID4.dt)
+    _, strat = value_with_strategy(cp, p0)
+    _, levels, best_levels = _solve_forest(cp, p0.values[None], GRID4.steps, cp.terminal, DEFAULT_NODE_CAP)
+    want = {}
+    for k, best in enumerate(best_levels):
+        for j, i in enumerate(best.tolist()):
+            want.setdefault(Path._wrap(levels[k][j], GRID4.dt).key(), i)
+    assert _table(strat) == want
+    assert len(want) == sum(len(b) for b in best_levels)  # no two internal nodes share a path here
 
 
 def test_value_cap_counts_control_fan_out():
@@ -899,7 +931,10 @@ def test_a_row_that_jumps_over_its_root_fails_after_the_last_round():
         calls.append(len(y))
         return 4.0 * (0.1 + 0.01 * np.where(y - 0.3 <= 0.1, 1.0, -1.0))
 
-    with pytest.raises(ContractError, match=r"did not converge in 50 iterations: last step change 1\.\d+e-02, "):
+    with pytest.raises(
+        ContractError,
+        match=r"did not converge in 50 iterations: last step change 1\.\d+e-02, ratio of the last two step changes 0\.618 \(the step needs L\*dt < 0\.5\)$",
+    ):
         _implicit(generator, np.zeros((1, 1, 1)), np.array([0.3]), np.zeros((1, 1)), np.zeros(1, dtype=object), GRID4.dt)
     assert calls == [1] * FIXED_POINT_MAX_ITER
 
@@ -948,3 +983,70 @@ def test_the_secant_agrees_with_the_plain_iteration(kind, monkeypatch):
         for i in range(len(e_y)):
             want = _plain_step(cp, vals[i], e_y[i], z[i], us[i], dt)
             assert abs(out[i] - want) <= 4 * FIXED_POINT_TOL * (1 + abs(want))
+
+
+def _linear_in_z(a: float, steps: int, phi) -> ControlProblem:
+    """q = a z, unit noise, no drift on [0, 1]; ``phi`` a function of the endpoint."""
+    return ControlProblem(
+        drift=lambda vals, us: np.zeros((len(vals), 1)),
+        diffusion=lambda vals, us: np.ones((len(vals), 1, 1)),
+        generator=lambda vals, y, z, us: a * z[:, 0],
+        terminal=lambda vals: phi(vals[:, 0, -1]),
+        controls=(0.0,),
+        grid=GridConfig(steps, 1.0, 1, 1),
+    )
+
+
+def _biased_walk(a: float, steps: int, phi) -> float:
+    """E[phi(x_T)] from x_0 = 0 by enumeration of the +-sqrt(dt) walk, each step
+    weighted (1 +- a sqrt(dt)) / 2: a probability only when a sqrt(dt) <= 1."""
+    r = np.sqrt(1.0 / steps)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=steps)))
+    weights = np.prod((1.0 + a * r * signs) / 2.0, axis=1)
+    return float(weights @ phi(r * signs.sum(axis=1)))
+
+
+HINGE = lambda x: np.maximum(-x - 0.2, 0.0)
+INDICATOR = lambda x: (x < -0.2).astype(float)
+
+
+@pytest.mark.parametrize(
+    "steps,phi,want",
+    [
+        (4, np.zeros_like, 0.0),
+        (4, HINGE, -0.05546875),
+        (4, INDICATOR, -0.07421875),
+        (16, HINGE, 1.3087725732674468e-05),
+        (16, INDICATOR, 3.7095467963155215e-05),
+    ],
+)
+def test_a_generator_linear_in_z_values_the_biased_walk(steps, phi, want):
+    # Y = E[Y'] + a Z dt weights child b by (1 + a dW_b) / 2, so the tree value is exact
+    # enumeration under those weights. At a = 3, a sqrt(dt) is 1.5 at 4 steps, outside the
+    # bound sqrt(dt) |dq/dz| <= 1: two nonnegative terminals get negative values, below the
+    # zero terminal's 0, so comparison fails there. At 16 steps (0.75) it holds again.
+    cp = _linear_in_z(3.0, steps, phi)
+    got = value(cp, Path.constant(0.0, 0, cp.grid.dt))
+    assert abs(got - _biased_walk(3.0, steps, phi)) <= 1e-15
+    assert abs(got - want) <= 1e-15
+    assert (got < 0.0) == (steps == 4 and phi is not np.zeros_like)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ordered_data_give_ordered_values(seed):
+    # random_problem keeps |dq/dz| <= 0.5, inside sqrt(dt) |dq/dz| <= 1 at every dt <= 4
+    grid = GridConfig(3, 0.75, 1, 1)
+    low = random_problem(grid, seed=seed, n_controls=2)
+    bump = lambda vals: 0.1 * np.abs(np.tanh(vals[:, 0, -1]))  # >= 0, and 0 at x = 0
+    higher = {
+        "terminal": dataclasses.replace(low, terminal=lambda vals: low.terminal(vals) + bump(vals)),
+        "generator": dataclasses.replace(low, generator=lambda vals, y, z, us: low.generator(vals, y, z, us) + bump(vals)),
+    }
+    higher["both"] = dataclasses.replace(higher["terminal"], generator=higher["generator"].generator)
+    rng = np.random.default_rng(seed)
+    paths = [random_path(rng, 1, grid.dt, int(rng.integers(0, grid.steps + 1))) for _ in range(40)]
+    v_low = _values(low, paths)
+    for name, high in higher.items():
+        v_high = _values(high, paths)
+        assert (v_high >= v_low).all(), name
+        assert (v_high > v_low).any(), name

@@ -40,6 +40,27 @@ def test_path_equality_and_hash():
     c = Path(np.array([[1.0, 2.5]]), 0.5)
     assert a == b and hash(a) == hash(b)
     assert a != c
+    zero, signed = Path.constant(0.0, 0, 1.0), Path.constant(-0.0, 0, 1.0)  # one identity: the bits
+    assert zero != signed and len({zero, signed}) == 2
+
+
+@st.composite
+def _small_paths(draw):
+    # few values, shapes and dts, so equal pairs and signed-zero near misses are common;
+    # (d, k) = (2, 0) and (1, 1) share their byte count
+    d, k = draw(st.sampled_from([(1, 0), (1, 1), (2, 0), (1, 2)]))
+    vals = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=d * (k + 1), max_size=d * (k + 1)))
+    return Path(np.reshape(vals, (d, k + 1)), draw(st.sampled_from([0.25, 0.5])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_paths(), _small_paths())
+def test_equality_and_hash_follow_dt_and_key(a, b):
+    same = a.dt == b.dt and a.key() == b.key()
+    assert (a == b) is same and (a != b) is not same
+    if same:
+        assert hash(a) == hash(b)
+    assert len({a, b}) == (1 if same else 2)
 
 
 def test_grid_config():

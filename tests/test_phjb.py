@@ -400,6 +400,47 @@ def test_markov_fd_cfl_guard_quotes_an_automatic_count_over_the_cap():
         _auto_substeps(mp, xg)
 
 
+def _first_cfl_violation(mp, rates, substeps):
+    """Reference oracle: the rate the FD loop's own guard met first, reading grid step k
+    from the last, then substep s, then control u, as the solve reads its table."""
+    dt = mp.grid.dt
+    dt_sub = dt / substeps
+    for k in range(mp.grid.steps - 1, -1, -1):
+        for s in range(substeps):
+            for rate in dt_sub * rates[round(((k + 1) * dt - s * dt_sub) / dt)]:
+                if rate > 1.0 + 1e-12:
+                    return rate, dt_sub
+    return None
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 3])
+def test_markov_fd_cfl_guard_runs_before_any_fd_step(substeps):
+    # diffusion 1.0 below grid index 2 and 0.05 from there: the substeps at grid indices 4, 3 and 2
+    # are monotone, and the first that reads grid index 1 is not; two controls with different
+    # rates show the guard quotes the first violation in reading order, not the largest
+    grid = GridConfig(4, 0.5, 1, 1)
+    heat = markovian_reduction(heat_problem(grid))
+    calls = []
+    mp = dataclasses.replace(
+        heat,
+        diffusion=lambda k, xs, u: np.full(len(xs), (1.0 + u if k < 2 else 0.05)),
+        generator=lambda k, *args: calls.append(k) or heat.generator(k, *args),
+        terminal=lambda xs: calls.append("terminal") or heat.terminal(xs),
+        controls=(0.0, 0.5),
+    )
+    xg = XGrid(-3.0, 3.0, 61)
+    with pytest.raises(CFLError) as exc:
+        markov_fd_solve(mp, xg, time_substeps=substeps)
+    assert calls == []
+    rates = _coefficient_table(mp, xg)[2]
+    rate, dt_sub = _first_cfl_violation(mp, rates, substeps)
+    assert rate < dt_sub * rates.max()
+    assert str(exc.value) == (
+        f"dt={dt_sub} too large for dx={xg.dx}: rate dt*max(sigma^2/dx^2 + |b|/dx) = {rate} > 1 "
+        f"(explicit scheme not monotone; the automatic choice is {_auto_substeps(mp, xg)} substeps)"
+    )
+
+
 @pytest.mark.parametrize("bad", [-2, 0, 2.5, True])
 def test_markov_fd_time_substeps_must_be_an_integer_of_at_least_1(bad):
     mp = markovian_reduction(heat_problem(GridConfig(4, 0.5, 1, 1)))

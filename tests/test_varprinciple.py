@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -174,6 +175,31 @@ def test_duplicate_candidates_are_collapsed():
     start = max(items, key=f.eval)
     res = borwein_preiss(f, upsilon_bar, None, 0.5, start, domain)
     assert verify_bp(res, f, upsilon_bar, None, 0.5, start, domain)
+
+
+def test_a_candidate_set_keeps_each_path_once_and_f_reads_it_once():
+    rng = np.random.default_rng(15)
+    a, b = random_path(rng, 1, 0.1, 2), random_path(rng, 1, 0.1, 3)
+    zero, signed = Path.constant(0.0, 2, 0.1), Path.constant(-0.0, 2, 0.1)  # bit-distinct
+    domain = CandidateSet((a, b, Path(a.values, 0.1), zero, b, signed, zero))
+    assert domain.items == (a, b, zero, signed) and domain.items[0] is a
+    reads = []
+    f = PathFunctional(eval=lambda p: reads.append(p) or float(p.values[0, -1]))
+    res = borwein_preiss(f, upsilon_bar, None, 10.0, a, domain)
+    assert reads == [a, b, zero, signed, a]  # each candidate, then the start
+    assert verify_bp(res, f, upsilon_bar, None, 10.0, a, domain)
+
+
+def test_verify_reads_the_signed_zero_twin_of_the_optimum():
+    # f tells -0.0 from +0.0, and so do the construction and the check: an optimum
+    # beaten by its twin fails (iii), where value equality would have skipped the twin
+    plus, minus = Path.constant(0.0, 1, 0.1), Path.constant(-0.0, 1, 0.1)
+    domain = CandidateSet((minus, plus))
+    f = PathFunctional(eval=lambda p: math.copysign(1.0, p.values[0, -1]))
+    res = borwein_preiss(f, upsilon_bar, None, 10.0, plus, domain)
+    assert res.optimum is plus and verify_bp(res, f, upsilon_bar, None, 10.0, plus, domain)
+    wrong = dataclasses.replace(res, optimum=minus, trajectory=(minus,))
+    assert not verify_bp(wrong, f, upsilon_bar, None, 10.0, minus, domain)
 
 
 def test_flat_gauge_runs_rounds_down_to_the_diameter_floor():
