@@ -261,15 +261,23 @@ class XGrid:
         return np.linspace(self.lo, self.hi, self.nx)
 
 
+def _isclose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.isclose(a, b, rtol=1e-5, atol=1e-12) on float arrays, by its own formula."""
+    with np.errstate(invalid="ignore"):
+        return (np.abs(a - b) <= 1e-12 + 1e-5 * np.abs(b)) & np.isfinite(b) | (a == b)
+
+
 def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
     """Project a path problem to (grid index, x) coefficients, probing state dependence.
 
     For eight random histories, each against the constant history sharing its
     (grid index, endpoint), every coefficient must agree under every control,
-    to np.allclose with atol 1e-12; otherwise MarkovProbeError. Each probe
-    reads both histories under all controls in one coefficient read and one
-    generator call, and compares drift, diffusion and generator in one
-    np.allclose. A reduced coefficient at grid index k reads its path
+    to np.isclose with atol 1e-12; otherwise MarkovProbeError, for the
+    earliest-drawn probe that fails, its coefficients checked before its
+    terminal. The probes are drawn first; those at one grid index are read
+    together, both histories of each under all controls, in one generator
+    call, one coefficient read and, at the horizon, one terminal call.
+    A reduced coefficient at grid index k reads its path
     coefficient once, on the (nx, 1, k + 1) array of the x grid's
     constant-history paths, through the same shape check as
     ``ControlProblem.coeffs``; the reduction keeps nothing between calls.
@@ -278,23 +286,36 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
         raise PathError("markovian reduction implemented for d = n = 1")
     g = cp.grid
     rng = np.random.default_rng(seed)
-    n_u = len(cp.controls)
-    for _ in range(8):
+    n_u, ks, pairs = len(cp.controls), [], []
+    ys, zs = np.empty(8), np.empty(8)
+    for i in range(8):
         k = int(rng.integers(0, g.steps + 1))
         x = float(rng.normal())
         hist = rng.normal(size=(1, k + 1))
         hist[0, -1] = x
-        pair = np.stack([hist, np.full((1, k + 1), x)])  # the shuffled and the constant history
-        y, z = float(rng.normal()), rng.normal(size=1)
-        us, rows = cp.controls * 2, np.repeat(pair, n_u, axis=0)
-        q = _stack_checked("generator", cp.generator(rows, np.full(2 * n_u, y), np.tile(z, (2 * n_u, 1)), us), (2 * n_u,))
-        b, sig = cp.coeffs(pair, us)
-        if not np.allclose(*np.split(np.column_stack((b, sig[:, 0], q)), 2), atol=1e-12):
-            raise MarkovProbeError("coefficients depend on the path history")
+        ks.append(k)
+        pairs.append(np.stack([hist, np.full((1, k + 1), x)]))  # the shuffled and the constant history
+        ys[i], zs[i] = rng.normal(), rng.normal()
+    at_index: dict[int, list[int]] = {}
+    for i, k in enumerate(ks):
+        at_index.setdefault(k, []).append(i)
+    # per probe, both histories' drift, diffusion and generator under each control, and terminals
+    coef, phi = np.empty((8, 2, n_u, 3)), np.zeros((8, 2))
+    for k, idx in at_index.items():
+        m, stacked = len(idx), np.concatenate([pairs[i] for i in idx])
+        us, rows = cp.controls * (2 * m), np.repeat(stacked, n_u, axis=0)
+        y, z = np.repeat(ys[idx], 2 * n_u), np.repeat(zs[idx], 2 * n_u)[:, None]
+        q = _stack_checked("generator", cp.generator(rows, y, z, us), (2 * m * n_u,))
+        b, sig = cp.coeffs(stacked, us)
+        coef[idx] = np.column_stack((b, sig[:, 0], q)).reshape(m, 2, n_u, 3)
         if k == g.steps:
-            phi = _stack_checked("terminal", cp.terminal(pair), (2,))
-            if abs(phi[0] - phi[1]) > 1e-12:
-                raise MarkovProbeError("terminal functional depends on the path history")
+            phi[idx] = _stack_checked("terminal", cp.terminal(stacked), (2 * m,)).reshape(m, 2)
+    close = _isclose(coef[:, 0], coef[:, 1]).all(axis=(1, 2))
+    failed = np.flatnonzero(~close | (np.abs(phi[:, 0] - phi[:, 1]) > 1e-12))
+    if failed.size and not close[failed[0]]:
+        raise MarkovProbeError("coefficients depend on the path history")
+    if failed.size:
+        raise MarkovProbeError("terminal functional depends on the path history")
 
     def at(k: int, xs: np.ndarray) -> np.ndarray:
         if not np.isfinite(xs).all():
@@ -320,11 +341,15 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
 
 def _coefficient_table(mp: MarkovProblem, x_grid: XGrid) -> tuple:
     """Drift and diffusion on the x grid, read once per (grid index, control), as (steps+1, |U|, nx)
-    arrays b and sig, and the rates max over x of sigma^2/dx^2 + |b|/dx, (steps+1, |U|)."""
-    g, xs, dx = mp.grid, x_grid.nodes(), x_grid.dx
-    pairs = [(mp.drift(k, xs, u), mp.diffusion(k, xs, u)) for k in range(g.steps + 1) for u in mp.controls]
-    b, sig = (np.reshape(a, (g.steps + 1, len(mp.controls), x_grid.nx)) for a in zip(*pairs))
-    return b, sig, (sig**2 / dx**2 + np.abs(b) / dx).max(axis=2)
+    arrays b and sig, the rates max over x of sigma^2/dx^2 + |b|/dx, (steps+1, |U|), and the
+    grid's nodes xs they were read at. A read of another shape than xs raises PathError."""
+    g, xs, dx, nx = mp.grid, x_grid.nodes(), x_grid.dx, x_grid.nx
+    reads = [(mp.drift(k, xs, u), mp.diffusion(k, xs, u)) for k in range(g.steps + 1) for u in mp.controls]
+    b, sig = (
+        _stack_checked(name, list(rows), (len(reads), nx)).reshape(g.steps + 1, len(mp.controls), nx)
+        for name, rows in zip(("drift", "diffusion"), zip(*reads))
+    )
+    return b, sig, (sig**2 / dx**2 + np.abs(b) / dx).max(axis=2), xs
 
 
 def _auto_substeps(dt: float, rates: np.ndarray) -> float:
@@ -370,37 +395,50 @@ def markov_fd_solve(mp: MarkovProblem, x_grid: XGrid, time_substeps: Optional[in
     """Explicit backward scheme for the reduced equation, per-node max over U.
 
     Upwinded first differences per control, central second differences
-    (one-sided 3-point stencil at the boundary). Drift and diffusion are read
-    once per (grid index, control) into one table; a substep at time t reads
-    it at grid index round(t / dt). Each grid step takes ``time_substeps``
-    explicit updates, an integer >= 1 (else PathError); when not given, the
-    fewest with rate dt_sub * max(sigma^2/dx^2 + |b|/dx) <= 0.9 at every grid
-    index. Over FD_WORK_CAP node updates, or at a rate that is not finite,
-    either count raises CapacityError; a given count whose rate exceeds 1
-    where its substeps read raises CFLError. Every guard runs before any FD
-    step and any call of the generator or the terminal.
+    (one-sided 3-point stencil at the boundary), kept in two buffers that
+    every substep rewrites. Drift and diffusion are read once per (grid
+    index, control) into one table, with 0.5 sigma^2 and the upwind side;
+    a substep at time t reads it at grid index round(t / dt). Each grid step
+    takes ``time_substeps`` explicit updates, an integer >= 1 (else
+    PathError); when not given, the fewest with rate
+    dt_sub * max(sigma^2/dx^2 + |b|/dx) <= 0.9 at every grid index. Over
+    FD_WORK_CAP node updates, or at a rate that is not finite, either count
+    raises CapacityError; a given count whose rate exceeds 1 where its
+    substeps read raises CFLError. Every guard runs before any FD step and
+    any call of the generator or the terminal. Drift, diffusion, generator
+    and terminal must each return one value per node, else PathError.
     Returns V of shape (steps+1, nx) with V[k] the solution at time k*dt.
     """
     g = mp.grid
-    b, sig, rates = _coefficient_table(mp, x_grid)
+    b, sig, rates, xs = _coefficient_table(mp, x_grid)
     substeps = _cfl_substeps(mp, x_grid, rates, time_substeps)
-    dt_sub = g.dt / substeps
-    xs, dx, nx = x_grid.nodes(), x_grid.dx, x_grid.nx
+    dt_sub, dx, nx = g.dt / substeps, x_grid.dx, x_grid.nx
+    rows = [list(zip(mp.controls, b[j], 0.5 * sig[j] ** 2, b[j] >= 0, sig[j])) for j in range(g.steps + 1)]
     out = np.empty((g.steps + 1, nx))
-    out[g.steps] = mp.terminal(xs)
+    out[g.steps] = _stack_checked("terminal", mp.terminal(xs), (nx,))
     v = out[g.steps].copy()
+    # d1[1:nx] holds the first differences and d1[0], d1[nx] repeat its ends, so d1[:-1] is the
+    # backward and d1[1:] the forward difference at each node; d2 likewise the second difference
+    d1, d2 = np.empty(nx + 1), np.empty(nx)
+    bwd, fwd, inner, mid = d1[:-1], d1[1:], d1[1:nx], d2[1:-1]
     for k, j in _substep_reads(g, substeps):
-        d1 = (v[1:] - v[:-1]) / dx
-        fwd, bwd = np.concatenate((d1, d1[-1:])), np.concatenate((d1[:1], d1))
-        d2 = (v[2:] - 2 * v[1:-1] + v[:-2]) / dx**2
-        snd = np.concatenate((d2[:1], d2, d2[-1:]))
-        best = np.full(nx, -np.inf)
-        for u, bj, sj in zip(mp.controls, b[j], sig[j]):
-            dvx = np.where(bj >= 0, fwd, bwd)
-            ham = bj * dvx + 0.5 * sj**2 * snd
-            ham += mp.generator(j, xs, v, sj * dvx, u)
-            best = np.maximum(best, ham)
-        v = v + dt_sub * best
+        np.subtract(v[1:], v[:-1], out=inner)
+        inner /= dx
+        d1[0], d1[nx] = d1[1], d1[nx - 1]
+        np.multiply(v[1:-1], 2, out=mid)
+        np.subtract(v[2:], mid, out=mid)
+        mid += v[:-2]
+        mid /= dx**2
+        d2[0], d2[-1] = d2[1], d2[-2]
+        best = None
+        for u, bj, half_var, upwind, sj in rows[j]:
+            dvx = np.where(upwind, fwd, bwd)
+            ham = bj * dvx
+            ham += half_var * d2
+            ham += _stack_checked("generator", mp.generator(j, xs, v, sj * dvx, u), (nx,))
+            best = ham if best is None else np.maximum(best, ham, out=best)
+        best *= dt_sub
+        v += best
         out[k] = v  # the last substep of step k leaves V at time k*dt
     return out
 
@@ -423,7 +461,9 @@ def markov_consistency(
     The bound c*(dt_tree + dt_fd + dx^2) takes c from the coefficient and
     terminal magnitudes at time 0; it is a reporting aid for the combined
     tree + scheme discretization error, not a proof. One table of the reduced
-    drift and diffusion serves the substep count, the bound and the FD solve.
+    drift and diffusion serves the FD solve, which picks the automatic
+    substep count and runs the CFL guard once, and the bound, which reads the
+    same count off the table's rates.
     """
     x = float(p.values[0, -1])
     if not x_grid.lo <= x <= x_grid.hi:
@@ -431,16 +471,15 @@ def markov_consistency(
     tree_v = value(cp, p)  # checks the node cap before any work
     mp = markovian_reduction(cp, seed)
     g = cp.grid
-    b, sig, rates = _coefficient_table(mp, x_grid)
-    substeps = _cfl_substeps(mp, x_grid, rates)
+    b, sig, rates, xs = _coefficient_table(mp, x_grid)
     # The solve stays one markov_fd_solve call, the FD phase a trace sees, and reads this
     # table back through the grid-index protocol, so the reduction is read once.
     read = lambda table: lambda k, xs, u: table[k, mp.controls.index(u)]
-    grid_v = markov_fd_solve(replace(mp, drift=read(b), diffusion=read(sig)), x_grid, substeps)
-    fd_v = float(np.interp(x, x_grid.nodes(), grid_v[p.t_index]))
+    grid_v = markov_fd_solve(replace(mp, drift=read(b), diffusion=read(sig)), x_grid)
+    fd_v = float(np.interp(x, xs, grid_v[p.t_index]))
     mags = [*np.abs(b[0]).max(axis=1).tolist(), *(sig[0] ** 2).max(axis=1).tolist()]
     scale = max(1.0, *mags) * max(1.0, float(np.abs(grid_v[g.steps]).max()))
-    bound = 10.0 * scale * (g.dt + g.dt / substeps + x_grid.dx**2)
+    bound = 10.0 * scale * (g.dt + g.dt / _auto_substeps(g.dt, rates) + x_grid.dx**2)
     return ConsistencyReport(abs(tree_v - fd_v), tree_v, fd_v, bound)
 
 

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathhjb import phjb
 from pathhjb.cli import COMPARISON_DEFAULT, MARKOV_DEFAULT, run_comparison_demo, run_markov_compare
@@ -680,17 +681,198 @@ def test_markov_consistency_work_is_bounded_by_the_lattice(monkeypatch):
     monkeypatch.setattr(phjb, "value", tree_value)
     cp = dataclasses.replace(base, **{name: counted(name, getattr(base, name)) for name in names[:4]})
     markovian_reduction(cp)
-    # eight history probes, each one drift, diffusion and generator call over both
-    # histories and all controls, and a terminal call when it lands on the horizon
-    assert counts["drift"] == counts["diffusion"] == counts["generator"] == 8
-    assert counts["terminal"] <= 8 and counts["paths"] == 0
+    # the eight probes read their two histories under all controls in one drift, diffusion
+    # and generator call per distinct grid index, and one terminal call at the horizon
+    probed = _probe_indices(grid, seed=0)
+    assert len(probed) == 4  # seed 0 draws grid indices 4, 3, 0, 4, 4, 3, 1, 4
+    assert counts["drift"] == counts["diffusion"] == counts["generator"] == len(probed)
+    assert counts["terminal"] == (grid.steps in probed) and counts["paths"] == 0
     counts.update(dict.fromkeys(names, 0))
     rep = markov_consistency(cp, p, xg)
     assert rep.residual <= rep.error_bound
     # one table, read once per (grid index, control), serves the substep count, the FD solve and the bound
     per_index = (grid.steps + 1) * len(cp.controls)
-    assert counts["drift"] == counts["diffusion"] == 8 + per_index
+    assert counts["drift"] == counts["diffusion"] == len(probed) + per_index
     assert counts["paths"] == 0
+
+
+def _probe_indices(grid, seed):
+    """The distinct grid indices of the reduction's eight probes, drawn from ``seed``'s stream
+    as the reduction draws them: grid index, endpoint, history, y and z per probe."""
+    rng, ks = np.random.default_rng(seed), []
+    for _ in range(8):
+        ks.append(int(rng.integers(0, grid.steps + 1)))
+        rng.normal(), rng.normal(size=(1, ks[-1] + 1)), rng.normal(), rng.normal(size=1)
+    return set(ks)
+
+
+def test_markov_consistency_runs_the_cfl_guard_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _cfl_substeps(*args)
+
+    monkeypatch.setattr(phjb, "_cfl_substeps", counted)
+    grid = GridConfig(4, 0.5, 1, 1)
+    for problem in (heat_problem, bangbang_problem):
+        calls.clear()
+        markov_consistency(problem(grid), Path.constant(0.3, 0, grid.dt), XGrid(-4.0, 4.0, 41))
+        assert len(calls) == 1 and calls[0][3] is None  # the automatic count
+
+
+# a scalar, or an (nx, 1) column, where one value per node is due
+_SHAPE_CASES = {
+    "scalar-terminal": ("terminal", dict(terminal=lambda xs: 1.0)),
+    "column-terminal": ("terminal", dict(terminal=lambda xs: xs[:, None] ** 2)),
+    "scalar-generator": ("generator", dict(generator=lambda k, xs, y, z, u: 0.0)),
+    "scalar-drift": ("drift", dict(drift=lambda k, xs, u: 0.0)),
+    "column-diffusion": ("diffusion", dict(diffusion=lambda k, xs, u: np.ones((len(xs), 1)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHAPE_CASES))
+def test_markov_fd_solve_needs_one_value_per_node(case):
+    name, fields = _SHAPE_CASES[case]
+    mp = dataclasses.replace(markovian_reduction(heat_problem(GridConfig(4, 0.5, 1, 1))), **fields)
+    with pytest.raises(PathError, match=f"^{name} must return shape"):
+        markov_fd_solve(mp, XGrid(-3.0, 3.0, 21))
+
+
+def _stencil_fd(mp, xg, substeps=None):
+    """Reference oracle: the FD loop the buffered sweep replaced, which rebuilds its stencils by
+    concatenation at every substep and takes the max over U from -inf."""
+    g = mp.grid
+    b, sig, rates, _ = _coefficient_table(mp, xg)
+    substeps = _cfl_substeps(mp, xg, rates, substeps)
+    dt_sub = g.dt / substeps
+    xs, dx, nx = xg.nodes(), xg.dx, xg.nx
+    out = np.empty((g.steps + 1, nx))
+    out[g.steps] = mp.terminal(xs)
+    v = out[g.steps].copy()
+    for k, j in phjb._substep_reads(g, substeps):
+        d1 = (v[1:] - v[:-1]) / dx
+        fwd, bwd = np.concatenate((d1, d1[-1:])), np.concatenate((d1[:1], d1))
+        d2 = (v[2:] - 2 * v[1:-1] + v[:-2]) / dx**2
+        snd = np.concatenate((d2[:1], d2, d2[-1:]))
+        best = np.full(nx, -np.inf)
+        for u, bj, sj in zip(mp.controls, b[j], sig[j]):
+            dvx = np.where(bj >= 0, fwd, bwd)
+            ham = bj * dvx + 0.5 * sj**2 * snd
+            ham += mp.generator(j, xs, v, sj * dvx, u)
+            best = np.maximum(best, ham)
+        v = v + dt_sub * best
+        out[k] = v
+    return out
+
+
+def _random_markov_problem(rng, n_u, steps):
+    """A reduced problem with |U| = n_u random controls of either sign, so drifts of both
+    signs, time-dependent coefficients and a generator in y, z and u."""
+    controls = tuple(rng.normal(size=n_u).tolist())
+    shift, tilt = rng.normal(size=2)
+    return phjb.MarkovProblem(
+        drift=lambda k, xs, u: u * np.sin(xs + shift * k) + tilt * xs,
+        diffusion=lambda k, xs, u: (0.3 + 0.2 * abs(u)) * (1.0 + 0.5 * np.cos(xs - k)),
+        generator=lambda k, xs, y, z, u: -0.2 * y + u * z - 0.5 * u * u + 0.1 * xs,
+        terminal=lambda xs: np.abs(xs) + np.sin(2.0 * xs + shift),
+        controls=controls,
+        grid=GridConfig(steps, 0.5, 1, 1),
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_markov_fd_solve_equals_the_stencil_loop(seed):
+    rng = np.random.default_rng(seed)
+    mp = _random_markov_problem(rng, n_u=1 + seed % 3, steps=int(rng.integers(1, 5)))
+    xg = XGrid(-3.0, 3.0, (3, 81)[seed] if seed < 2 else int(rng.integers(3, 82)))
+    auto = _auto_substeps(mp, xg)
+    for substeps in (None, auto + int(rng.integers(0, 4))):
+        assert np.array_equal(markov_fd_solve(mp, xg, substeps), _stencil_fd(mp, xg, substeps))
+
+
+def _per_probe_verdict(cp, seed=0):
+    """Reference oracle: the per-probe loop the grouped reduction replaced, as the message of
+    the MarkovProbeError that markovian_reduction(cp, seed) raises, or None."""
+    g = cp.grid
+    rng = np.random.default_rng(seed)
+    n_u = len(cp.controls)
+    for _ in range(8):
+        k = int(rng.integers(0, g.steps + 1))
+        x = float(rng.normal())
+        hist = rng.normal(size=(1, k + 1))
+        hist[0, -1] = x
+        pair = np.stack([hist, np.full((1, k + 1), x)])
+        y, z = float(rng.normal()), rng.normal(size=1)
+        us, rows = cp.controls * 2, np.repeat(pair, n_u, axis=0)
+        q = np.asarray(cp.generator(rows, np.full(2 * n_u, y), np.tile(z, (2 * n_u, 1)), us), dtype=float)
+        b, sig = cp.coeffs(pair, us)
+        if not np.allclose(*np.split(np.column_stack((b, sig[:, 0], q)), 2), atol=1e-12):
+            return "coefficients depend on the path history"
+        if k == g.steps:
+            phi = np.asarray(cp.terminal(pair), dtype=float)
+            if abs(phi[0] - phi[1]) > 1e-12:
+                return "terminal functional depends on the path history"
+    return None
+
+
+def _history_problem(drift=None, generator=None, terminal=None):
+    """Heat-like coefficients on a 4-step grid, with history dependence only where given."""
+    return _per_path(
+        drift=drift or (lambda p, u: np.array([u * p.values[0, -1]])),
+        diffusion=lambda p, u: np.eye(1),
+        generator=generator or (lambda p, y, z, u: -0.5 * y + u * z[0]),
+        terminal=terminal or (lambda p: float(p.values[0, -1]) ** 2),
+        controls=(-0.5, 1.0),
+        grid=GridConfig(4, 0.5, 1, 1),
+    )
+
+
+_HISTORY_CASES = {
+    # the drift's relative history term is near the rtol of 1e-5, so 7 of the 20 seeds pass
+    "drift": dict(drift=lambda p, u: np.array([p.values[0, -1] * (1.0 + 5e-6 * (p.values[0, 0] - p.values[0, -1]))])),
+    "generator": dict(generator=lambda p, y, z, u: -0.5 * y + u * z[0] + 0.1 * p.values[0].mean()),
+    "terminal": dict(terminal=lambda p: float(p.values[0].max())),
+    # history in the drift at grid indices 1 and 2 only, and in the terminal: the earliest-drawn
+    # failing probe decides the message
+    "drift and terminal": dict(
+        drift=lambda p, u: np.array([p.values[0].mean() if p.t_index in (1, 2) else p.values[0, -1]]),
+        terminal=lambda p: float(p.values[0].max()),
+    ),
+}
+
+
+def test_markovian_reduction_gives_the_per_probe_verdict():
+    verdicts = set()
+    for name, fields in _HISTORY_CASES.items():
+        cp = _history_problem(**fields)
+        for seed in range(20):
+            ref = _per_probe_verdict(cp, seed)
+            try:
+                markovian_reduction(cp, seed)
+                got = None
+            except MarkovProbeError as exc:
+                got = str(exc)
+            assert got == ref, (name, seed)
+            verdicts.add((name, got))
+    coef, term = "coefficients depend on the path history", "terminal functional depends on the path history"
+    assert verdicts == {
+        ("drift", None), ("drift", coef), ("generator", coef), ("terminal", None), ("terminal", term),
+        ("drift and terminal", coef), ("drift and terminal", term),
+    }
+
+
+_edge_floats = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-12, -1e-12, 5e-13, 1.0, -1.0])
+_floats = st.one_of(_edge_floats, st.floats(allow_nan=True, allow_infinity=True))
+# pairs at the tolerance's edge: b and b times 1 + r, with |r| about rtol
+_near = st.tuples(st.floats(-1e3, 1e3), st.floats(-2e-5, 2e-5)).map(lambda br: (br[0] * (1.0 + br[1]), br[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.tuples(_floats, _floats), _near), min_size=1, max_size=16))
+def test_closeness_helper_equals_np_isclose(pairs):
+    a, b = np.array(pairs, dtype=float).T
+    assert np.array_equal(phjb._isclose(a, b), np.isclose(a, b, 1e-5, 1e-12))
 
 
 def test_comparison_psi_examples():
