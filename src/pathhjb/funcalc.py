@@ -207,8 +207,8 @@ def endpoint_functional(
     return PathFunctional(
         eval=lambda p: float(g(p.values[:, -1])),
         analytic_dt=lambda p: 0.0,
-        analytic_dx=(lambda p: np.atleast_1d(grad(p.values[:, -1]))) if grad else None,
-        analytic_dxx=(lambda p: np.atleast_2d(hess(p.values[:, -1]))) if hess else None,
+        analytic_dx=(lambda p: np.array(grad(p.values[:, -1]), copy=None, ndmin=1)) if grad else None,
+        analytic_dxx=(lambda p: np.array(hess(p.values[:, -1]), copy=None, ndmin=2)) if hess else None,
     )
 
 

@@ -17,12 +17,13 @@ Defaults m = 3, M = 3 everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .funcalc import PathFunctional
-from .pathspace import Path, PathError, _check_comparable, _joint_sq, _sq_cols, add_paths
+from .pathspace import Path, PathError, _check_comparable, _joint_sq, _sq_cols, _sq_max
 from .sampling import _walks
 
 __all__ = [
@@ -53,10 +54,10 @@ class GaugeParams:
     M: float = 3.0
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or not 1 <= self.m <= MAX_M:
-            raise PathError(f"m must be an integer in [1, {MAX_M}], got {self.m}")
-        if not np.isfinite(self.M):
-            raise PathError("M must be finite")
+        if isinstance(self.m, bool) or not isinstance(self.m, int) or not 1 <= self.m <= MAX_M:
+            raise PathError(f"m must be an integer in [1, {MAX_M}], got {self.m!r}")
+        if not isinstance(self.M, numbers.Real) or not -math.inf < self.M < math.inf:
+            raise PathError(f"M must be a finite real, got {self.M!r}")
 
 
 def _gaps(p: Path, q: Path) -> tuple[float, float]:
@@ -67,12 +68,18 @@ def _gaps(p: Path, q: Path) -> tuple[float, float]:
     at every dimension. Paths of different dt or dimension raise PathError.
     """
     _check_comparable(p, q)
-    return _sup_and_end(_joint_sq(p, q))
+    return _sup_and_end(_joint_sq(p, q).tolist())
 
 
-def _sup_and_end(sq: np.ndarray) -> tuple[float, float]:
-    """(sup norm, endpoint norm) from a path's squared column norms."""
-    return math.sqrt(sq.max()), math.sqrt(sq[-1])
+def _sup_and_end(row: list) -> tuple[float, float]:
+    """(sup norm, endpoint norm) from one path's squared column norms as Python floats."""
+    return math.sqrt(_sq_max(row)), math.sqrt(row[-1])
+
+
+def _upsilon_row(row: list, g: GaugeParams) -> float:
+    """upsilon from one path's squared column norms as Python floats (ndarray.tolist())."""
+    d_sup, e = _sup_and_end(row)
+    return _core(d_sup, e, g.m) + g.M * e ** (2 * g.m)
 
 
 def _core(d_sup: float, e: float, m: int) -> float:
@@ -93,14 +100,13 @@ def s_m(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float:
 
 def upsilon(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float:
     """Smooth core plus M times the endpoint gap to the 2m (0 at D = 0, where e = 0)."""
-    d_sup, e = _gaps(p, q)
-    return _core(d_sup, e, g.m) + g.M * e ** (2 * g.m)
+    _check_comparable(p, q)
+    return _upsilon_row(_joint_sq(p, q).tolist(), g)
 
 
 def upsilon_single(p: Path, g: GaugeParams = GaugeParams()) -> float:
     """upsilon of p against the zero path of the same time (notational shortcut)."""
-    d_sup, e = _sup_and_end(_sq_cols(p.values))
-    return _core(d_sup, e, g.m) + g.M * e ** (2 * g.m)
+    return _upsilon_row(_sq_cols(p.values).tolist(), g)
 
 
 def upsilon_bar(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float:
@@ -192,11 +198,15 @@ def subadditivity_gap(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float
     """2^{2m-1} (upsilon(p) + upsilon(q)) - upsilon(p + q), nonnegative for M >= 3.
 
     upsilon of a single path means upsilon against the zero path of the same
-    time; p and q must share the grid and time.
+    time; p and q must share the grid and time (add_paths' checks). p, q and
+    p + q are read from one norm pass over their stack.
     """
-    s = add_paths(p, q)
-    m = g.m
-    return 2.0 ** (2 * m - 1) * (upsilon_single(p, g) + upsilon_single(q, g)) - upsilon_single(s, g)
+    _check_comparable(p, q)
+    if p.t_index != q.t_index:
+        raise PathError("pointwise sum needs equal times")
+    a, b = p.values, q.values
+    up, uq, us = [_upsilon_row(row, g) for row in _sq_cols(np.array([a, b, a + b])).tolist()]
+    return 2.0 ** (2 * g.m - 1) * (up + uq) - us
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +227,10 @@ def pair_sweep(
     """
     paths = _walks(rng, 2 * pairs, d, dt, t_index, scale, "pair_sweep").reshape(pairs, 2, d, t_index + 1)
     p, q, m = paths[:, 0], paths[:, 1], g.m
-
-    def upsilons(x: np.ndarray) -> tuple[np.ndarray, list]:  # upsilon and D per path of a batch, as upsilon_single takes them
-        sq = _sq_cols(x)
-        d_sup, e = np.sqrt(sq.max(axis=-1)).tolist(), np.sqrt(sq[:, -1]).tolist()
-        return np.array([_core(a, b, m) + g.M * b ** (2 * m) for a, b in zip(d_sup, e)]), d_sup
-
-    ups, d_sup = upsilons(p - q)
-    gap = np.array([a ** (2 * m) for a in d_sup])
-    singles = [upsilons(x)[0] for x in (p, q, p + q)]
+    rows = _sq_cols(p - q).tolist()
+    ups = np.array([_upsilon_row(row, g) for row in rows])
+    gap = np.array([_sup_and_end(row)[0] ** (2 * m) for row in rows])
+    singles = [np.array([_upsilon_row(row, g) for row in _sq_cols(x).tolist()]) for x in (p, q, p + q)]
     sub = 2.0 ** (2 * m - 1) * (singles[0] + singles[1]) - singles[2]
     return ups - gap, g.M * gap - ups, sub
 

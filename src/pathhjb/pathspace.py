@@ -148,13 +148,21 @@ def _check_comparable(p: Path, q: Path) -> None:
 def _sq_cols(x: np.ndarray) -> np.ndarray:
     """Squared Euclidean norm of each column of a (..., d, k+1) array: the one
     norm pass. A sup reads its max and an endpoint gap its last entry, so the
-    two share their summation order and the sup is never below the endpoint."""
+    two share their summation order and the sup is never below the endpoint.
+    A loop over the rows would sum one column of d >= 8 in another order."""
     return np.add.reduce(x * x, axis=-2)
+
+
+def _sq_max(row: list) -> float:
+    """ndarray.max of squared column norms read as Python floats (tolist()). A square is NaN only
+    where paths hold inf (add_paths, sub_paths and vertical_bump can overflow to it), and Python's
+    max could skip it; the sum shows it."""
+    return math.nan if math.isnan(sum(row)) else max(row)
 
 
 def sup_norm(p: Path) -> float:
     """Sup over grid nodes of the Euclidean norm of the path value."""
-    return math.sqrt(_sq_cols(p.values).max())  # a correctly rounded sqrt is monotone
+    return math.sqrt(_sq_max(_sq_cols(p.values).tolist()))  # a correctly rounded sqrt is monotone
 
 
 def _joint_sq(p: Path, q: Path) -> np.ndarray:
@@ -175,7 +183,7 @@ def _joint_sq(p: Path, q: Path) -> np.ndarray:
 
 def _joint_gap(p: Path, q: Path) -> float:
     """Sup-norm gap after extending the shorter path by holding its last value."""
-    return math.sqrt(_joint_sq(p, q).max())
+    return math.sqrt(_sq_max(_joint_sq(p, q).tolist()))
 
 
 def d_infty(p: Path, q: Path) -> float:

@@ -36,7 +36,7 @@ def _walks(rng: np.random.Generator, n: int, d: int, dt: float, t_index: int, sc
     w[..., 0] = z[:, d * k1 :] * scale  # the start value, drawn after the increments
     w += 0.0
     w = w.cumsum(axis=-1)
-    if not np.isfinite(w).all():
+    if np.count_nonzero(np.isfinite(w[..., -1])) < n * d:  # the last column: a non-finite partial sum stays so
         raise PathError("path values must be finite")
     w.setflags(write=False)
     return w
@@ -50,7 +50,8 @@ def random_path(rng: np.random.Generator, d: int, dt: float, t_index: int, scale
 
 def random_pair(rng: np.random.Generator, d: int, dt: float, t_index: int, scale: float = 1.0) -> tuple[Path, Path]:
     """Two independent same-grid, same-time random paths (two random_path draws)."""
-    return tuple(Path._wrap(x, float(dt)) for x in _walks(rng, 2, d, dt, t_index, scale, "random_pair"))
+    a, b = _walks(rng, 2, d, dt, t_index, scale, "random_pair")
+    return Path._wrap(a, float(dt)), Path._wrap(b, float(dt))
 
 
 def _bridge(rng: np.random.Generator, d: int, dt: float, t_index: int) -> np.ndarray:

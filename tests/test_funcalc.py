@@ -310,3 +310,29 @@ def test_ito_check_rejects_a_derivative_of_the_wrong_shape():
     wide = PathFunctional(eval=SQUARE.eval, analytic_dt=SQUARE.analytic_dt, analytic_dx=lambda p: np.ones(2), analytic_dxx=SQUARE.analytic_dxx)
     with pytest.raises(PathError, match=r"^analytic_dx must return shape \(1,\) at each of 3 evaluations, got \(2,\)$"):
         ito_check(wide, ZERO_DRIFT, UNIT_DIFFUSION, p0, 2, 3, seed=0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_endpoint_functional_shapes_its_jet_as_atleast_1d_and_2d(d):
+    # each return kind of grad and hess: the jet reads it as np.atleast_1d / np.atleast_2d,
+    # the very object when that is what they return
+    p = Path(np.arange(3.0 * d).reshape(d, 3), 0.25)
+    kinds = [1.5, np.array(2.5), [0.5] * d, np.arange(1.0, d + 1), np.arange(float(d * d)).reshape(d, d), [[1, 2]] * d]
+    for ret in kinds:
+        f = endpoint_functional(lambda x: 0.0, grad=lambda x: ret, hess=lambda x: ret)
+        for got, want in ((f.analytic_dx(p), np.atleast_1d(ret)), (f.analytic_dxx(p), np.atleast_2d(ret))):
+            assert type(got) is np.ndarray and got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert (got is ret) == (want is ret)
+
+
+def test_endpoint_functional_jet_of_the_wrong_shape_is_named_by_ito_check():
+    p0 = Path.constant(np.zeros(2), 0, 0.25)
+    drift, diffusion = (lambda p: np.zeros(2)), (lambda p: np.eye(2))
+    ones = lambda x: np.ones(2)
+    wide = endpoint_functional(lambda x: 0.0, grad=lambda x: np.ones(3), hess=lambda x: np.eye(2))
+    with pytest.raises(PathError, match=r"^analytic_dx must return shape \(2,\) at each of 3 evaluations, got \(3,\)$"):
+        ito_check(wide, drift, diffusion, p0, 2, 3, seed=0)
+    flat = endpoint_functional(lambda x: 0.0, grad=ones, hess=ones)  # a (d,) Hessian reads as (1, d)
+    with pytest.raises(PathError, match=r"^analytic_dxx must return shape \(2, 2\) at each of 3 evaluations, got \(1, 2\)$"):
+        ito_check(flat, drift, diffusion, p0, 2, 3, seed=0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ from pathhjb.gauge import (
 )
 from pathhjb.gauge import _core, _gaps
 from pathhjb.phjb import comparison_psi
-from pathhjb.pathspace import Path, PathError, _joint_gap, d_infty, sub_paths, sup_norm, zero_like
+from pathhjb.pathspace import Path, PathError, _joint_gap, add_paths, d_infty, sub_paths, sup_norm, zero_like
 from pathhjb.sampling import random_pair, random_path
 
 G33 = GaugeParams(3, 3.0)
@@ -60,6 +62,14 @@ def test_gauge_params_validation():
         GaugeParams(0, 3.0)
     with pytest.raises(PathError):
         GaugeParams(7, 3.0)  # m capped to keep powers in double range
+    for m in (True, False, 2.0, np.int64(2)):  # a bool is no integer here, as for GridConfig's counts
+        with pytest.raises(PathError, match=f"^{re.escape(f'm must be an integer in [1, 6], got {m!r}')}$"):
+            GaugeParams(m, 3.0)
+    for big_m in ("3", None, [3.0], 1j, np.inf, -np.inf, np.nan):
+        with pytest.raises(PathError, match="^M must be a finite real, got "):
+            GaugeParams(2, big_m)
+    for big_m in (3, 3.0, np.float64(5.0), np.int64(4), 10**400):
+        assert GaugeParams(2, big_m).M == big_m
 
 
 def test_s_m_examples():
@@ -402,6 +412,11 @@ def test_norm_pass_equals_the_replaced_formulas(seed, d, kp, kq, scale, g):
     # endpoint gap read from the column sums is the replaced reduction's
     rng = np.random.default_rng(seed)
     p, q = random_path(rng, d, 0.25, kp, scale), random_path(rng, d, 0.25, kq, scale)
+    same_time = random_path(rng, d, 0.25, kp, scale)
+    for m in range(1, 7):  # one stacked norm pass == the composition it replaced, at every m
+        for big_m in (3.0, 5.0):
+            h = GaugeParams(m, big_m)
+            assert subadditivity_gap(p, same_time, h) == _subadditivity_oracle(p, same_time, h)
     for x in (p, q):
         assert sup_norm(x) == _sup_norm_oracle(x) and type(sup_norm(x)) is float
         assert upsilon_single(x, g) == _upsilon_single_oracle(x, g)
@@ -413,6 +428,52 @@ def test_norm_pass_equals_the_replaced_formulas(seed, d, kp, kq, scale, g):
         assert subadditivity_gap(p, q, g) == 2.0 ** (2 * g.m - 1) * (
             _upsilon_single_oracle(p, g) + _upsilon_single_oracle(q, g)
         ) - _upsilon_single_oracle(Path(p.values + q.values, 0.25), g)
+
+
+def _subadditivity_oracle(p, q, g):
+    # the composition subadditivity_gap was: add_paths' checks and sum, then three upsilon_single reads
+    return 2.0 ** (2 * g.m - 1) * (upsilon_single(p, g) + upsilon_single(q, g)) - upsilon_single(add_paths(p, q), g)
+
+
+def _outcome(fn, *args):
+    # repr of the value, or the exception's type and message: inf and nan compare by repr
+    try:
+        return repr(fn(*args))
+    except (PathError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_subadditivity_gap_keeps_the_composed_oracle_at_overflow_and_errors(m):
+    g = GaugeParams(m, 3.0)
+    big, huge = 1e60, 1.5e308  # a finite square whose power overflows a float; a square (and a sum) that is inf
+    cases = [([[huge, 1.0, 2.0]], [[huge, 0.5, 1.0]]), ([[1.0, 2.0, huge]], [[0.5, 1.0, huge]]),
+             ([[huge, -huge], [1.0, 2.0]], [[-huge, huge], [3.0, 4.0]]), ([[1.0, big]], [[2.0, 0.5]]),
+             ([[1.0, 2.0]], [[huge, -huge]]), ([[0.0, 1e-200]], [[0.0, 1e-200]])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in cases:
+            p, q = Path(np.array(a), 0.5), Path(np.array(b), 0.5)
+            assert _outcome(subadditivity_gap, p, q, g) == _outcome(_subadditivity_oracle, p, q, g)
+        assert _outcome(subadditivity_gap, *[Path(np.array(a), 0.5) for a in cases[0]], g) == "nan"
+    p = Path.constant(1.0, 2, 0.5)
+    for q in (Path.constant(1.0, 2, 0.25), Path.constant(np.ones(2), 2, 0.5), Path.constant(1.0, 3, 0.5)):
+        for x, y in ((p, q), (q, p)):
+            want = _outcome(add_paths, x, y)
+            assert want[0] == "PathError" and _outcome(subadditivity_gap, x, y, g) == want
+
+
+def test_scalar_readers_keep_the_nan_square_of_an_overflowed_path():
+    # add_paths can overflow to a path holding inf; two such paths give a NaN
+    # square, which ndarray.max returns and Python's max could skip
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col in range(3):
+            v = np.ones((1, 3))
+            v[0, col] = 1e308
+            s = add_paths(Path(v, 0.5), Path(v, 0.5))
+            assert np.isnan(np.sqrt(((s.values - s.values) ** 2).max()))  # the parent's ndarray.max read
+            for got in (d_infty(s, s), _joint_gap(s, s), _gaps(s, s)[0], s_m(s, s), upsilon(s, s)):
+                assert np.isnan(got)
+            assert sup_norm(s) == np.inf
 
 
 @settings(max_examples=400, deadline=None)

@@ -6,6 +6,7 @@ from pathhjb.pathspace import (
     GridConfig,
     Path,
     PathError,
+    _sq_cols,
     d_infty,
     horizontal_extension,
     restrict,
@@ -191,3 +192,20 @@ def test_d_infty_symmetry_property(xs, ys):
     q = Path(np.array([ys]), 0.5)
     assert d_infty(p, q) == d_infty(q, p)
     assert d_infty(p, q) >= 0.0
+
+
+def test_norm_pass_is_numpys_column_reduction_at_every_batch_rank():
+    # A loop over the rows (sq += r * r) would be faster but not the same sums:
+    # with one column and d >= 8 add.reduce adds in unrolled blocks. Each batch
+    # slice must also read as its own (d, k+1) pass, which the stacked gauge reads rely on.
+    rng = np.random.default_rng(24)
+    for d in range(1, 13):
+        for t_index in range(9):
+            for batch in ((), (3,), (2, 3)):
+                for _ in range(8 if batch else 24):
+                    x = rng.normal(size=(*batch, d, t_index + 1))
+                    got = _sq_cols(x)
+                    assert got.shape == (*batch, t_index + 1)
+                    assert got.tobytes() == np.add.reduce(x * x, axis=-2).tobytes()
+                    for idx in np.ndindex(*batch):
+                        assert got[idx].tobytes() == np.add.reduce(x[idx] * x[idx], axis=0).tobytes()

@@ -75,3 +75,23 @@ def test_sampler_rejects_arguments_before_drawing(sampler, d, dt, t_index, scale
 def test_sampler_rejects_overflowing_walks():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PathError, match="finite"):
         random_path(np.random.default_rng(0), 1, 1e10, 3, 1e305)
+
+
+@pytest.mark.parametrize("sampler", [random_path, random_pair])
+@pytest.mark.parametrize(
+    "d,dt,t_index,scale,where",
+    [(1, 1e10, 3, 1e305, "increment"), (3, 1e-6, 0, 1.7e308, "start"), (1, 0.25, 40, 8e307, "partial sum")],
+)
+def test_an_overflowing_walk_raises_after_its_draws(sampler, d, dt, t_index, scale, where):
+    # the check reads the last column of the cumulative sum, where an overflow
+    # anywhere in the walk shows; the batch is drawn first, as for a finite walk
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    n, k1 = (2 if sampler is random_pair else 1), t_index + 1
+    z = twin.standard_normal((n, d * k1 + d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps, starts = z[:, : d * k1].reshape(n, d, k1)[..., 1:] * (scale * np.sqrt(dt)), z[:, d * k1 :] * scale
+        overflows = {"increment": not np.isfinite(steps).all(), "start": not np.isfinite(starts).all()}
+        assert [k for k, v in overflows.items() if v] == ([where] if where in overflows else [])  # else only a sum overflows
+        with pytest.raises(PathError, match="^path values must be finite$"):
+            sampler(rng, d, dt, t_index, scale)
+    assert rng.bit_generator.state == twin.bit_generator.state
