@@ -288,7 +288,7 @@ def run_bp_demo(config: dict, seed: int):
         eps = config["eps_slack"]
         fvals = [f.eval(p) for p in items]
         top = max(fvals)  # an eps/2-maximal start, not the argmax, leaves the construction room to move
-        start = items[next(i for i, fv in enumerate(fvals) if fv >= top - eps / 2)]
+        start = items[next((i for i, fv in enumerate(fvals) if fv >= top - eps / 2), 0)]  # none only at eps <= 0 or NaN, which borwein_preiss refuses
         result = borwein_preiss(f, rho, None, eps, start, domain)
         ok = verify_bp(result, f, rho, None, eps, start, domain)
         all_ok &= ok
@@ -508,7 +508,7 @@ SUBCOMMANDS = {
     "dpp": (DPP_DEFAULT, run_dpp, "dynamic-programming residual at each intermediate delta", ("deltas",)),
     "markov-compare": (MARKOV_DEFAULT, run_markov_compare, "tree value vs explicit FD solution on a state-dependent instance", ("levels", "base_steps")),
     "viscosity-probe": (VISC_DEFAULT, run_viscosity_probe, "touch-point probe and residual sign for a classical solution", ("n_paths", "cloud")),
-    "bshjb-check": (BSHJB_DEFAULT, run_bshjb_check, "noise-path BSDE vs augmented value on in-contract instances", ("instances",)),
+    "bshjb-check": (BSHJB_DEFAULT, run_bshjb_check, "noise-path BSDE vs augmented value on in-contract instances", ("instances", "steps")),
     "comparison-demo": (COMPARISON_DEFAULT, run_comparison_demo, "doubling-of-variables maximization across a beta ladder", ("betas",)),
 }
 
@@ -560,8 +560,8 @@ def main(argv=None) -> int:
     except (ConfigError, ExpressionError, yaml.YAMLError, OSError) as exc:  # the runners read no files
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ArithmeticError as exc:
-        print(f"config error: coefficient expression failed to evaluate: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:  # an expression's own faults are ExpressionErrors
+        print(f"config error: a value left the double range: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (BlowupError, CapacityError, ContractError, CFLError, MarkovProbeError, PathError) as exc:
         print(f"contract violation: {exc}", file=sys.stderr)

@@ -16,11 +16,12 @@ rmax is the running sup of the Euclidean norm of the path; rint_i is the
 running rectangle-rule integral of coordinate i including the current node.
 
 A compiled expression evaluates on (N,) arrays, one element per path. +, -, *
-and unary minus run in numpy, which rounds them as Python does; / raises
-Python's ZeroDivisionError on a zero divisor; ** and every function but abs
-call the Python callable per element, so each element's value or error is
-that of the scalar expression (numpy's exp, log, tanh and ** round
-differently from libm).
+and unary minus run in numpy, which rounds them as Python does; / fails as
+Python's does on a zero divisor; ** and every function but abs call the Python
+callable per element, so each element's value or error is that of the scalar
+expression (numpy's exp, log, tanh and ** round differently from libm). A /
+or ** that fails (a zero divisor, an overflow) raises ExpressionError naming
+the expression, as a failing function call does.
 """
 
 from __future__ import annotations
@@ -145,11 +146,11 @@ def compile_expression(text: str, variables: frozenset[str]) -> Callable[[Mappin
         raise ExpressionError(f"expression {text!r} has an integer literal that does not fit a float") from None
 
     def compiled(env: Mapping):
-        # log(0), sqrt(-1) and complex powers are faults of the expression, not of its caller
+        # log(0), sqrt(-1), / by zero, overflow and complex powers are faults of the expression, not of its caller
         try:
             with np.errstate(all="ignore"):
                 out = eval(code, scope, env)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ArithmeticError) as exc:
             raise ExpressionError(f"expression {text!r} failed to evaluate: {exc}") from None
         if _is_object(out):
             if any(isinstance(v, complex) for v in out.flat):

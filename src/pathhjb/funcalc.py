@@ -72,39 +72,31 @@ def _axis(n: int, i: int, h: float) -> np.ndarray:
     return e
 
 
-def _central_gradient(shift: Callable[[np.ndarray], float], n: int, h: float) -> np.ndarray:
-    """Central difference (f(+h e_i) - f(-h e_i)) / 2h per coordinate, f = shift."""
+def vertical_gradient(f: PathFunctional, p: Path) -> np.ndarray:
+    """Central difference (f(p^{+h e_i}) - f(p^{-h e_i})) / 2h per coordinate."""
+    n, h = p.d, bump_size(p)
     g = np.empty(n)
     for i in range(n):
-        g[i] = (shift(_axis(n, i, h)) - shift(_axis(n, i, -h))) / (2.0 * h)
+        g[i] = (f.eval(vertical_bump(p, _axis(n, i, h))) - f.eval(vertical_bump(p, _axis(n, i, -h)))) / (2.0 * h)
     if not np.all(np.isfinite(g)):
         raise PathError("non-finite evaluation in central gradient")
     return g
 
 
-def _central_hessian(shift: Callable[[np.ndarray], float], n: int, h: float, f0: float) -> np.ndarray:
-    """Second-order central stencil around f0 = shift(0), symmetrized."""
+def vertical_hessian(f: PathFunctional, p: Path) -> np.ndarray:
+    """Second-order central stencil on endpoint bumps around f(p), symmetrized."""
+    n, h, f0 = p.d, bump_size(p), f.eval(p)
     hess = np.empty((n, n))
     for i in range(n):
         ei = _axis(n, i, h)
-        hess[i, i] = (shift(ei) - 2.0 * f0 + shift(_axis(n, i, -h))) / h**2
+        hess[i, i] = (f.eval(vertical_bump(p, ei)) - 2.0 * f0 + f.eval(vertical_bump(p, _axis(n, i, -h)))) / h**2
         for j in range(i + 1, n):
             ej = _axis(n, j, h)
-            cross = shift(ei + ej) - shift(ei - ej) - shift(-ei + ej) + shift(-ei - ej)
-            hess[i, j] = hess[j, i] = cross / (4.0 * h**2)
+            pp, pm, mp, mm = (f.eval(vertical_bump(p, e)) for e in (ei + ej, ei - ej, -ei + ej, -ei - ej))
+            hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * h**2)
     if not np.all(np.isfinite(hess)):
         raise PathError("non-finite evaluation in central Hessian")
     return 0.5 * (hess + hess.T)
-
-
-def vertical_gradient(f: PathFunctional, p: Path) -> np.ndarray:
-    """Central difference (f(p^{+h e_i}) - f(p^{-h e_i})) / 2h per coordinate."""
-    return _central_gradient(lambda e: f.eval(vertical_bump(p, e)), p.d, bump_size(p))
-
-
-def vertical_hessian(f: PathFunctional, p: Path) -> np.ndarray:
-    """Second-order central stencil on endpoint bumps, symmetrized."""
-    return _central_hessian(lambda e: f.eval(vertical_bump(p, e)), p.d, bump_size(p), f.eval(p))
 
 
 def horizontal_derivative(f: PathFunctional, p: Path) -> float:

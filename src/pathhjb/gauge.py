@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcalc import PathFunctional
-from .pathspace import Path, PathError, _check_comparable, _joint_sq, _sq_cols, _sq_max
+from .pathspace import Path, PathError, _check_comparable, _finite, _joint_sq, _pointwise, _sq_cols
 from .sampling import _walks
 
 __all__ = [
@@ -73,7 +73,7 @@ def _gaps(p: Path, q: Path) -> tuple[float, float]:
 
 def _sup_and_end(row: list) -> tuple[float, float]:
     """(sup norm, endpoint norm) from one path's squared column norms as Python floats."""
-    return math.sqrt(_sq_max(row)), math.sqrt(row[-1])
+    return math.sqrt(max(row)), math.sqrt(row[-1])
 
 
 def _upsilon_row(row: list, g: GaugeParams) -> float:
@@ -198,15 +198,20 @@ def subadditivity_gap(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float
     """2^{2m-1} (upsilon(p) + upsilon(q)) - upsilon(p + q), nonnegative for M >= 3.
 
     upsilon of a single path means upsilon against the zero path of the same
-    time; p and q must share the grid and time (add_paths' checks). p, q and
-    p + q are read from one norm pass over their stack.
+    time. The outcome is that of upsilon_single(p), upsilon_single(q) and
+    upsilon_single(add_paths(p, q)) in that order, errors included, read from
+    one norm pass over the stack of p, q and p + q.
     """
-    _check_comparable(p, q)
-    if p.t_index != q.t_index:
-        raise PathError("pointwise sum needs equal times")
-    a, b = p.values, q.values
-    up, uq, us = [_upsilon_row(row, g) for row in _sq_cols(np.array([a, b, a + b])).tolist()]
-    return 2.0 ** (2 * g.m - 1) * (up + uq) - us
+    try:
+        s = _pointwise(p, q, np.add, "sum")
+    except PathError:
+        upsilon_single(p, g), upsilon_single(q, g)  # read before add_paths' checks: their overflow comes first
+        raise
+    rows = _sq_cols(np.array([p.values, q.values, s])).tolist()
+    up, uq = _upsilon_row(rows[0], g), _upsilon_row(rows[1], g)
+    if math.inf in rows[2]:  # a square past the double range, or a sum that overflowed
+        _finite(s)
+    return 2.0 ** (2 * g.m - 1) * (up + uq) - _upsilon_row(rows[2], g)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +235,7 @@ def pair_sweep(
     rows = _sq_cols(p - q).tolist()
     ups = np.array([_upsilon_row(row, g) for row in rows])
     gap = np.array([_sup_and_end(row)[0] ** (2 * m) for row in rows])
-    singles = [np.array([_upsilon_row(row, g) for row in _sq_cols(x).tolist()]) for x in (p, q, p + q)]
+    singles = [np.array([_upsilon_row(row, g) for row in _sq_cols(x).tolist()]) for x in (p, q, _finite(p + q))]
     sub = 2.0 ** (2 * m - 1) * (singles[0] + singles[1]) - singles[2]
     return ups - gap, g.M * gap - ups, sub
 

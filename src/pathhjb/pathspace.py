@@ -51,8 +51,7 @@ class Path:
             v = v[None, :]
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise PathError(f"values must be a (d, k+1) matrix, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise PathError("path values must be finite")
+        _finite(v)
         if not 0 < self.dt < np.inf:
             raise PathError(f"dt must be a positive real, got {self.dt}")
         v = v.copy()
@@ -62,8 +61,9 @@ class Path:
 
     @classmethod
     def _wrap(cls, values: np.ndarray, dt: float) -> "Path":
-        # Internal fast path: caller guarantees a finite, read-only float
-        # (d, k+1) array that is never mutated afterwards.
+        # Internal fast path for a read-only float (d, k+1) array never mutated afterwards. Callers check
+        # with _finite what they made: the walk sampler, and the surgeries add_paths, sub_paths and
+        # vertical_bump their result. Only the Euler stepper wraps unchecked mid-run rows.
         p = object.__new__(cls)
         fields = p.__dict__  # filled directly: the frozen __setattr__ is bypassed
         fields["values"], fields["dt"] = values, dt
@@ -111,6 +111,13 @@ class Path:
         return f"Path(d={self.d}, t_index={self.t_index}, dt={self.dt}, end={self.values[:, -1]})"
 
 
+def _finite(v: np.ndarray) -> np.ndarray:
+    """v, once every entry is finite; else PathError. The one finiteness check of path values."""
+    if np.count_nonzero(np.isfinite(v)) < v.size:
+        raise PathError("path values must be finite")
+    return v
+
+
 def _keys(t_index: int, rows: np.ndarray) -> list:
     """Path.key() of each row of ``rows``, an (N, d, t_index + 1) array of same-time path values."""
     return [(t_index, row.tobytes()) for row in rows]
@@ -153,16 +160,9 @@ def _sq_cols(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x * x, axis=-2)
 
 
-def _sq_max(row: list) -> float:
-    """ndarray.max of squared column norms read as Python floats (tolist()). A square is NaN only
-    where paths hold inf (add_paths, sub_paths and vertical_bump can overflow to it), and Python's
-    max could skip it; the sum shows it."""
-    return math.nan if math.isnan(sum(row)) else max(row)
-
-
 def sup_norm(p: Path) -> float:
     """Sup over grid nodes of the Euclidean norm of the path value."""
-    return math.sqrt(_sq_max(_sq_cols(p.values).tolist()))  # a correctly rounded sqrt is monotone
+    return math.sqrt(max(_sq_cols(p.values).tolist()))  # a correctly rounded sqrt is monotone
 
 
 def _joint_sq(p: Path, q: Path) -> np.ndarray:
@@ -183,7 +183,7 @@ def _joint_sq(p: Path, q: Path) -> np.ndarray:
 
 def _joint_gap(p: Path, q: Path) -> float:
     """Sup-norm gap after extending the shorter path by holding its last value."""
-    return math.sqrt(_sq_max(_joint_sq(p, q).tolist()))
+    return math.sqrt(max(_joint_sq(p, q).tolist()))
 
 
 def d_infty(p: Path, q: Path) -> float:
@@ -193,14 +193,13 @@ def d_infty(p: Path, q: Path) -> float:
 
 
 def vertical_bump(p: Path, x) -> Path:
-    """Return the path equal to p except its final value is incremented by x."""
+    """The path p with its final value incremented by x; a non-finite result raises PathError."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (p.d,):
         raise PathError(f"bump must be a vector of dim {p.d}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise PathError("bump must be finite")
     v = p.values.copy()
     v[:, -1] += x
+    _finite(v[:, -1])  # a non-finite bump, or one that overflows
     v.setflags(write=False)
     return Path._wrap(v, p.dt)
 
@@ -236,21 +235,21 @@ def zero_like(p: Path) -> Path:
     return Path._wrap(v, p.dt)
 
 
-def add_paths(p: Path, q: Path) -> Path:
-    """Pointwise sum of two equal-time paths."""
+def _pointwise(p: Path, q: Path, op, name: str) -> np.ndarray:
+    """op(p.values, q.values), read-only, of two paths on one grid at one time; not checked finite."""
     _check_comparable(p, q)
     if p.t_index != q.t_index:
-        raise PathError("pointwise sum needs equal times")
-    v = p.values + q.values
+        raise PathError(f"pointwise {name} needs equal times")
+    v = op(p.values, q.values)
     v.setflags(write=False)
-    return Path._wrap(v, p.dt)
+    return v
+
+
+def add_paths(p: Path, q: Path) -> Path:
+    """Pointwise sum of two equal-time paths; a sum that overflows raises PathError."""
+    return Path._wrap(_finite(_pointwise(p, q, np.add, "sum")), p.dt)
 
 
 def sub_paths(p: Path, q: Path) -> Path:
-    """Pointwise difference of two equal-time paths."""
-    _check_comparable(p, q)
-    if p.t_index != q.t_index:
-        raise PathError("pointwise difference needs equal times")
-    v = p.values - q.values
-    v.setflags(write=False)
-    return Path._wrap(v, p.dt)
+    """Pointwise difference of two equal-time paths; a difference that overflows raises PathError."""
+    return Path._wrap(_finite(_pointwise(p, q, np.subtract, "difference")), p.dt)

@@ -19,7 +19,7 @@ import numpy as np
 from .control import CapacityError, ControlProblem, _stack_checked, value
 from .funcalc import PathFunctional, _jet, vertical_gradient, vertical_hessian
 from .gauge import upsilon, upsilon_single
-from .pathspace import GridConfig, Path, PathError, _joint_sq
+from .pathspace import GridConfig, Path, PathError, _finite, _joint_sq
 from .sampling import path_cloud
 
 __all__ = [
@@ -318,9 +318,7 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
         raise MarkovProbeError("terminal functional depends on the path history")
 
     def at(k: int, xs: np.ndarray) -> np.ndarray:
-        if not np.isfinite(xs).all():
-            raise PathError("path values must be finite")
-        return np.repeat(np.asarray(xs, dtype=float)[:, None, None], k + 1, axis=2)
+        return np.repeat(_finite(np.asarray(xs, dtype=float))[:, None, None], k + 1, axis=2)
 
     def drift(k, xs, u) -> np.ndarray:
         return _stack_checked("drift", cp.drift(at(k, xs), (u,) * len(xs)), (len(xs), 1))[:, 0]

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .pathspace import Path, PathError
+from .pathspace import Path, PathError, _finite
 
 __all__ = [
     "random_path",
@@ -36,8 +36,7 @@ def _walks(rng: np.random.Generator, n: int, d: int, dt: float, t_index: int, sc
     w[..., 0] = z[:, d * k1 :] * scale  # the start value, drawn after the increments
     w += 0.0
     w = w.cumsum(axis=-1)
-    if np.count_nonzero(np.isfinite(w[..., -1])) < n * d:  # the last column: a non-finite partial sum stays so
-        raise PathError("path values must be finite")
+    _finite(w[..., -1])  # the last column: a non-finite partial sum stays so
     w.setflags(write=False)
     return w
 

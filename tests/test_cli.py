@@ -133,7 +133,7 @@ def test_inline_path_dependent_problem_dpp(tmp_path):
     assert all(float(r.split(",")[1]) <= 1e-10 for r in rows)
 
 
-def test_expression_runtime_error_is_config_error(tmp_path):
+def test_expression_runtime_error_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "div.yaml"
     cfg.write_text(
         yaml.safe_dump(
@@ -151,6 +151,11 @@ def test_expression_runtime_error_is_config_error(tmp_path):
         )
     )
     assert main(["value", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == "config error: expression '1/x' failed to evaluate: float division by zero"
+    # an overflow in exp or ** names the expression too
+    for terminal, why in (("exp(1000 * x)", "math range error"), ("(2 + x) ** 2000", "(34, 'Numerical result out of range')")):
+        assert main(["value", "--config", _inline(tmp_path, terminal=terminal), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.strip() == f"config error: expression {terminal!r} failed to evaluate: {why}"
 
 
 def _inline(tmp_path, **coeffs):
@@ -475,10 +480,38 @@ def test_one_dimensional_presets_reject_other_grids(subcommand, spec, tmp_path, 
         (["ito-check", "--override", "base_steps=0"], 2, "config error: base_steps must be at least 1, got 0"),
         (["markov-compare", "--override", "base_steps=0"], 2, "config error: base_steps must be at least 1, got 0"),
         (["viscosity-probe", "--override", "cloud=0"], 2, "config error: cloud must be at least 1, got 0"),
+        (["bshjb-check", "--override", "steps=0"], 2, "config error: steps must be at least 1, got 0"),
     ],
 )
 def test_counts_out_of_range_are_rejected(argv, code, message, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.strip() == message and captured.out == ""
+    assert not (tmp_path / "summary.txt").exists()
+
+
+_OUT_OF_RANGE = "config error: a value left the double range: (34, 'Numerical result out of range')"
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        # Python float powers past the double range, in commands that read no expression
+        (["gauge-suite", "--override", "scale=1e30"], 2, _OUT_OF_RANGE),
+        (["markov-compare", "--override", "x_lo=-1e300", "--override", "x_hi=1e300"], 2, _OUT_OF_RANGE),
+        (["bp-demo", "--override", "dt=1e300"], 2, _OUT_OF_RANGE),
+        (["ito-check", "--override", "horizon=1e308"], 2, _OUT_OF_RANGE),
+        (["value", "--override", "problem.preset=heat", "--override", "start_value=1e308"], 2, _OUT_OF_RANGE),
+        # no start within eps/2 of the max: the perturbed maximization refuses eps, as at 0
+        (["bp-demo", "--override", "eps_slack=-1"], 3, "contract violation: eps must be > 0"),
+        (["bp-demo", "--override", "eps_slack=.nan"], 3, "contract violation: eps must be > 0"),
+        (["bp-demo", "--override", "eps_slack=0"], 3, "contract violation: eps must be > 0"),
+    ],
+)
+def test_arithmetic_outside_the_expressions_is_not_named_an_expression(argv, code, message, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow on the way
+        assert main(argv + ["--out", str(tmp_path)]) == code
     captured = capsys.readouterr()
     assert captured.err.strip() == message and captured.out == ""
     assert not (tmp_path / "summary.txt").exists()

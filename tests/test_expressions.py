@@ -32,7 +32,7 @@ def _reference(text: str):
     def scalar(env: dict):
         try:
             out = eval(code, {"__builtins__": {}, **_MATH}, env)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ArithmeticError) as exc:
             raise ExpressionError(f"expression {text!r} failed to evaluate: {exc}") from None
         if isinstance(out, complex):
             raise ExpressionError(f"expression {text!r} evaluated to a complex number")

@@ -25,7 +25,7 @@ from pathhjb.gauge import (
 )
 from pathhjb.gauge import _core, _gaps
 from pathhjb.phjb import comparison_psi
-from pathhjb.pathspace import Path, PathError, _joint_gap, add_paths, d_infty, sub_paths, sup_norm, zero_like
+from pathhjb.pathspace import Path, PathError, _joint_gap, add_paths, d_infty, sub_paths, sup_norm, vertical_bump, zero_like
 from pathhjb.sampling import random_pair, random_path
 
 G33 = GaugeParams(3, 3.0)
@@ -454,26 +454,41 @@ def test_subadditivity_gap_keeps_the_composed_oracle_at_overflow_and_errors(m):
         for a, b in cases:
             p, q = Path(np.array(a), 0.5), Path(np.array(b), 0.5)
             assert _outcome(subadditivity_gap, p, q, g) == _outcome(_subadditivity_oracle, p, q, g)
-        assert _outcome(subadditivity_gap, *[Path(np.array(a), 0.5) for a in cases[0]], g) == "nan"
-    p = Path.constant(1.0, 2, 0.5)
+        want = ("PathError", "path values must be finite")  # the sum of the first case overflows
+        assert _outcome(subadditivity_gap, *[Path(np.array(a), 0.5) for a in cases[0]], g) == want
+    p, big_end = Path.constant(1.0, 2, 0.5), Path(np.array([[1.0, 1.0, big]]), 0.5)
     for q in (Path.constant(1.0, 2, 0.25), Path.constant(np.ones(2), 2, 0.5), Path.constant(1.0, 3, 0.5)):
         for x, y in ((p, q), (q, p)):
             want = _outcome(add_paths, x, y)
             assert want[0] == "PathError" and _outcome(subadditivity_gap, x, y, g) == want
+        for x, y in ((big_end, q), (q, big_end)):  # upsilon_single(big_end) overflows at m >= 2, before add_paths' checks
+            want = _outcome(_subadditivity_oracle, x, y, g)
+            assert want[0] == ("OverflowError" if m >= 2 else "PathError") and _outcome(subadditivity_gap, x, y, g) == want
 
 
-def test_scalar_readers_keep_the_nan_square_of_an_overflowed_path():
-    # add_paths can overflow to a path holding inf; two such paths give a NaN
-    # square, which ndarray.max returns and Python's max could skip
+def test_the_surgeries_refuse_an_overflowed_path():
+    # no Path holds inf: add_paths, sub_paths and vertical_bump check what they build,
+    # subadditivity_gap and pair_sweep the sum they read
+    finite = ("PathError", "path values must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         for col in range(3):
             v = np.ones((1, 3))
             v[0, col] = 1e308
-            s = add_paths(Path(v, 0.5), Path(v, 0.5))
-            assert np.isnan(np.sqrt(((s.values - s.values) ** 2).max()))  # the parent's ndarray.max read
-            for got in (d_infty(s, s), _joint_gap(s, s), _gaps(s, s)[0], s_m(s, s), upsilon(s, s)):
-                assert np.isnan(got)
-            assert sup_norm(s) == np.inf
+            p, neg = Path(v, 0.5), Path(-v, 0.5)
+            assert _outcome(add_paths, p, p) == _outcome(sub_paths, p, neg) == finite
+            assert _outcome(vertical_bump, p, [1e308]) == (finite if col == 2 else repr(vertical_bump(p, [1e308])))
+            assert _outcome(vertical_bump, p, [np.inf]) == _outcome(vertical_bump, p, [np.nan]) == finite
+            for m in range(1, 7):
+                assert _outcome(subadditivity_gap, p, p, GaugeParams(m, 3.0)) == finite
+        # the sum's check runs after the single reads, as in the composed oracle: their overflow comes first
+        big_end = Path(np.array([[1.0, 1.0, 1e60]]), 0.5)
+        assert _outcome(subadditivity_gap, big_end, big_end, GaugeParams(3, 3.0))[0] == "OverflowError"
+        # seed 6 draws two pairs of finite walks, and the second pair's sum overflows
+        rng = np.random.default_rng(6)
+        assert all(np.isfinite(x.values).all() for _ in range(2) for x in random_pair(rng, 1, 0.5, 0, 1e308))
+        with pytest.raises(PathError, match="^path values must be finite$"):
+            pair_sweep(np.random.default_rng(6), G33, 2, 1, 0.5, 0, 1e308)
+        assert sup_norm(add_paths(Path([[1e154, 1.0]], 0.5), Path([[1e154, 1.0]], 0.5))) == np.inf  # finite, its square is not
 
 
 @settings(max_examples=400, deadline=None)
