@@ -106,9 +106,10 @@ class ControlProblem:
     drift(vals, us) -> (N, d), diffusion(vals, us) -> (N, d, n),
     generator(vals, y, z, us) -> (N,) with y (N,) and z (N, n), and
     terminal(vals) -> (N,). The solvers read a whole tree level, Euler step or
-    x grid in one call. A value of another shape raises PathError; an error
-    the form raises reaches the caller as it is. Coefficients written per
-    path enter through ``per_path``.
+    x grid in one call, and may pass ``vals`` read-only, such as a tree level
+    itself: a form must not write into it. A value of another shape raises
+    PathError; an error the form raises reaches the caller as it is.
+    Coefficients written per path enter through ``per_path``.
     """
 
     drift: Callable[[np.ndarray, Sequence], np.ndarray]
@@ -130,7 +131,7 @@ class ControlProblem:
         on the grid's dt, each under N / M consecutive controls (a tree level).
         A value of another shape raises PathError naming the shapes."""
         g, n = self.grid, len(us)
-        vals = np.repeat(vals, n // vals.shape[0], axis=0)
+        vals = vals if n == len(vals) else np.repeat(vals, n // len(vals), axis=0)  # a tree level under all of U
         return _stack_checked("drift", self.drift(vals, us), (n, g.dim)), _stack_checked(
             "diffusion", self.diffusion(vals, us), (n, g.dim, g.noise_dim)
         )
@@ -255,14 +256,11 @@ def _forward(cp: ControlProblem, roots: np.ndarray, depth: int, incs: np.ndarray
     for k in range(depth):
         cur = levels[k]
         count, d, cols = cur.shape
-        if strategy is None:
-            us = np.tile(every, count)
-        else:
-            us = _controls_of(strategy, cur, dt)
+        us = every[None].repeat(count, axis=0).reshape(-1) if strategy is None else _controls_of(strategy, cur, dt)
         bvec, sig = cp.coeffs(cur, us)
         sig = sig.reshape(count, n_u, d, n).swapaxes(-1, -2)
         steps = cur[:, None, None, :, -1] + bvec.reshape(count, n_u, 1, d) * dt + incs @ sig
-        if not np.all(np.isfinite(steps)):
+        if not np.isfinite(steps).all():
             raise BlowupError(f"non-finite state at grid index {t0 + k + 1}")
         kids = np.empty(steps.shape[:-1] + (d, cols + 1))
         kids[..., :cols] = cur[:, None, None]
@@ -289,20 +287,20 @@ def _backward(cp: ControlProblem, levels, ctrls, incs: np.ndarray, terminal):
         y = np.asarray(terminal, dtype=float)
         if y.shape != (n_leaves,):
             raise PathError(f"terminal data must have one value per leaf ({n_leaves})")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise BlowupError("non-finite terminal data")
     b_count, n = incs.shape
     y_levels, z_levels, best_levels = [y], [np.zeros((y.shape[0], n))], []
     for k in range(len(ctrls) - 1, -1, -1):
         count = levels[k].shape[0]
         n_u = len(ctrls[k]) // count
-        yc = y.reshape(count, n_u, b_count)
-        e = yc.mean(axis=-1)
-        z = (yc.reshape(-1, 1, b_count) @ incs).reshape(count, n_u, n) / (b_count * dt)
-        vals = np.repeat(levels[k], n_u, axis=0)
-        y_u = _implicit(cp.generator, vals, e.reshape(-1), z.reshape(-1, n), ctrls[k], dt).reshape(count, n_u)
-        rows, best = np.arange(count), y_u.argmax(axis=1)
-        y, z = y_u[rows, best], z[rows, best]
+        yc = y.reshape(-1, b_count)
+        e = np.add.reduce(yc, axis=-1) / b_count  # numpy's own mean
+        z = (yc[:, None] @ incs)[:, 0] / (b_count * dt)
+        vals = levels[k] if n_u == 1 else np.repeat(levels[k], n_u, axis=0)
+        y_u = _implicit(cp.generator, vals, e, z, ctrls[k], dt)
+        best = y_u.reshape(count, n_u).argmax(axis=1)
+        y, z = y_u[best + n_u * np.arange(count)], z[best + n_u * np.arange(count)]
         y_levels.append(y)
         z_levels.append(z)
         best_levels.append(best)
@@ -355,22 +353,27 @@ def _implicit(generator: Callable, vals: np.ndarray, e_y: np.ndarray, z: np.ndar
         t = e_y + _stack_checked("generator", generator(vals, y, z, us), y.shape) * dt
         f = t - y
         done = np.abs(f) <= FIXED_POINT_TOL * (1.0 + np.abs(t))
-        failed = ~np.isfinite(t)
-        if r == 1:
-            ratio = np.abs(f) / np.abs(f_old)
-            failed |= ~done & (ratio >= 0.5)
-        if failed.any():
-            i = int(np.flatnonzero(failed)[0])
-            first_bad = int(rows[i])
-            error = "generator produced a non-finite value" if not np.isfinite(t[i]) else (
-                f"implicit generator step does not contract: observed contraction ratio {ratio[i]:.3g} (estimates L*dt; needs L*dt < 0.5)"
-            )
-        keep = ~done & (rows < first_bad)
-        if not keep.all():
+        if r == 1 or not np.isfinite(t).all():  # else no row can fail this round
+            failed = ~np.isfinite(t)
+            if r == 1:
+                ratio = np.abs(f) / np.abs(f_old)
+                failed |= ~done & (ratio >= 0.5)
+            i = int(failed.argmax())
+            if failed[i]:
+                first_bad = int(rows[i])
+                error = "generator produced a non-finite value" if not np.isfinite(t[i]) else (
+                    f"implicit generator step does not contract: observed contraction ratio {ratio[i]:.3g} (estimates L*dt; needs L*dt < 0.5)"
+                )
+        n_done = np.count_nonzero(done)
+        if n_done == len(t):  # every row leaves: no gather
+            out[rows] = t
+            break
+        if n_done or rows[-1] >= first_bad:  # else no row leaves
             out[rows[done]] = t[done]
-            rows, vals, e_y, z, us, y, t, f, y_old, f_old = (a[keep] for a in (rows, vals, e_y, z, us, y, t, f, y_old, f_old))
-            if rows.size == 0:
+            keep = (~done & (rows < first_bad)).nonzero()[0]
+            if keep.size == 0:
                 break
+            rows, vals, e_y, z, us, y, t, f, y_old, f_old = (a[keep] for a in (rows, vals, e_y, z, us, y, t, f, y_old, f_old))
         if r == FIXED_POINT_MAX_ITER - 1:
             c, p = float(abs(f[0])), float(abs(f_old[0]))
             raise ContractError(

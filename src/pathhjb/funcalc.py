@@ -169,8 +169,9 @@ def ito_check(
     acc = np.zeros(n_paths)
     for paths, (sig, dx) in zip(step_paths, records):
         dtf, dxf, dxxf = _jet(f, paths)
-        tr = np.trace(dxxf @ (sig @ sig.swapaxes(-1, -2)), axis1=-2, axis2=-1)
-        acc += dtf * dt + 0.5 * tr * dt + (dxf[:, None, :] @ dx[:, :, None])[:, 0, 0]
+        with np.errstate(all="ignore"):  # an overflow leaves a non-finite residual, not a warning
+            tr = np.trace(dxxf @ (sig @ sig.swapaxes(-1, -2)), axis1=-2, axis2=-1)
+            acc += dtf * dt + 0.5 * tr * dt + (dxf[:, None, :] @ dx[:, :, None])[:, 0, 0]
     total = 0.0
     for x, a in zip(state, acc.tolist()):  # in path order: np.sum would regroup the sum
         total += abs(f.eval(Path._wrap(x, dt)) - f_start - a)

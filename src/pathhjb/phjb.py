@@ -252,6 +252,8 @@ class XGrid:
             raise PathError(f"need hi > lo, got lo={self.lo}, hi={self.hi}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and math.isfinite(self.dx)):
             raise PathError(f"x grid needs finite lo, hi and dx, got lo={self.lo}, hi={self.hi}, nx={self.nx}")
+        if not math.isfinite(self.dx * self.dx):  # the FD rates divide by dx^2
+            raise PathError(f"x grid spacing dx={self.dx} has a square past the double range, from lo={self.lo}, hi={self.hi}, nx={self.nx}")
 
     @property
     def dx(self) -> float:
@@ -280,7 +282,8 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
     A reduced coefficient at grid index k reads its path
     coefficient once, on the (nx, 1, k + 1) array of the x grid's
     constant-history paths, through the same shape check as
-    ``ControlProblem.coeffs``; the reduction keeps nothing between calls.
+    ``ControlProblem.coeffs``, built once per grid index and x grid: each grid
+    index keeps the read-only array of the last x grid it was read on.
     """
     if cp.grid.dim != 1 or cp.grid.noise_dim != 1:
         raise PathError("markovian reduction implemented for d = n = 1")
@@ -317,8 +320,15 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
     if failed.size:
         raise MarkovProbeError("terminal functional depends on the path history")
 
+    memo: dict = {}  # grid index -> (x grid, its read-only constant-history array), the last grid read there
+
     def at(k: int, xs: np.ndarray) -> np.ndarray:
-        return np.repeat(_finite(np.asarray(xs, dtype=float))[:, None, None], k + 1, axis=2)
+        xs = np.asarray(xs, dtype=float)
+        grid = (xs.shape, xs.tobytes())
+        if memo.get(k, (None,))[0] != grid:
+            memo[k] = grid, np.repeat(_finite(xs)[:, None, None], k + 1, axis=2)
+            memo[k][1].setflags(write=False)
+        return memo[k][1]
 
     def drift(k, xs, u) -> np.ndarray:
         return _stack_checked("drift", cp.drift(at(k, xs), (u,) * len(xs)), (len(xs), 1))[:, 0]

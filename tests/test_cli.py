@@ -491,6 +491,9 @@ def test_counts_out_of_range_are_rejected(argv, code, message, tmp_path, capsys)
 
 
 _OUT_OF_RANGE = "config error: a value left the double range: (34, 'Numerical result out of range')"
+_DX_SQUARED = (
+    "contract violation: x grid spacing dx=5e+298 has a square past the double range, from lo=-1e+300, hi=1e+300, nx=41"
+)
 
 
 @pytest.mark.parametrize(
@@ -498,7 +501,8 @@ _OUT_OF_RANGE = "config error: a value left the double range: (34, 'Numerical re
     [
         # Python float powers past the double range, in commands that read no expression
         (["gauge-suite", "--override", "scale=1e30"], 2, _OUT_OF_RANGE),
-        (["markov-compare", "--override", "x_lo=-1e300", "--override", "x_hi=1e300"], 2, _OUT_OF_RANGE),
+        # an x grid spacing whose square leaves the double range is refused before the FD rates
+        (["markov-compare", "--override", "x_lo=-1e300", "--override", "x_hi=1e300"], 3, _DX_SQUARED),
         (["bp-demo", "--override", "dt=1e300"], 2, _OUT_OF_RANGE),
         (["ito-check", "--override", "horizon=1e308"], 2, _OUT_OF_RANGE),
         (["value", "--override", "problem.preset=heat", "--override", "start_value=1e308"], 2, _OUT_OF_RANGE),
@@ -515,6 +519,22 @@ def test_arithmetic_outside_the_expressions_is_not_named_an_expression(argv, cod
     captured = capsys.readouterr()
     assert captured.err.strip() == message and captured.out == ""
     assert not (tmp_path / "summary.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["ito-check", "--override", "horizon=1e308"], 2, _OUT_OF_RANGE),
+        (["markov-compare", "--override", "x_lo=-1e300", "--override", "x_hi=1e300"], 3, _DX_SQUARED),
+    ],
+)
+def test_out_of_range_runs_raise_no_warning_on_the_way(argv, code, message, tmp_path, capsys):
+    # ito_check accumulates its residuals under errstate: an overflow leaves a non-finite
+    # residual, and only the exit message reaches stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == message + "\n"
 
 
 @pytest.mark.parametrize("spec,got", [("x_lo=-.inf", "lo=-inf, hi=4.0"), ("x_hi=.inf", "lo=-4.0, hi=inf"), ("x_hi=1e308", None)])

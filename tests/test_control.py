@@ -25,6 +25,7 @@ from pathhjb.control import (
     simulate_tree,
     solve_bsde_tree,
     _implicit,
+    _stack_checked,
     _increments,
     _solve_forest,
     _values,
@@ -1050,3 +1051,255 @@ def test_ordered_data_give_ordered_values(seed):
         v_high = _values(high, paths)
         assert (v_high >= v_low).all(), name
         assert (v_high > v_low).any(), name
+
+
+# ---------------------------------------------------------------------------
+# The engine against its earlier form, kept here as an oracle: the same iterates, the same
+# rows per coefficient call, the same outputs to the bit and the same errors.
+
+
+def _parent_implicit(generator, vals, e_y, z, us, dt):
+    """The masked secant as it was when every round built its failure and keep masks and
+    gathered every array with the keep mask."""
+    out, rows, y = np.empty_like(e_y), np.arange(len(e_y)), e_y
+    y_old = f_old = e_y
+    first_bad, error = len(e_y), None
+    for r in range(FIXED_POINT_MAX_ITER):
+        t = e_y + _stack_checked("generator", generator(vals, y, z, us), y.shape) * dt
+        f = t - y
+        done = np.abs(f) <= FIXED_POINT_TOL * (1.0 + np.abs(t))
+        failed = ~np.isfinite(t)
+        if r == 1:
+            ratio = np.abs(f) / np.abs(f_old)
+            failed |= ~done & (ratio >= 0.5)
+        if failed.any():
+            i = int(np.flatnonzero(failed)[0])
+            first_bad = int(rows[i])
+            error = "generator produced a non-finite value" if not np.isfinite(t[i]) else (
+                f"implicit generator step does not contract: observed contraction ratio {ratio[i]:.3g} (estimates L*dt; needs L*dt < 0.5)"
+            )
+        keep = ~done & (rows < first_bad)
+        if not keep.all():
+            out[rows[done]] = t[done]
+            rows, vals, e_y, z, us, y, t, f, y_old, f_old = (a[keep] for a in (rows, vals, e_y, z, us, y, t, f, y_old, f_old))
+            if rows.size == 0:
+                break
+        if r == FIXED_POINT_MAX_ITER - 1:
+            c, p = float(abs(f[0])), float(abs(f_old[0]))
+            raise ContractError(
+                f"implicit generator step did not converge in {FIXED_POINT_MAX_ITER} iterations: last step change "
+                f"{c:.3e}, ratio of the last two step changes {c / p:.3g} (the step needs L*dt < 0.5)"
+            )
+        if r:
+            with np.errstate(all="ignore"):
+                step = y - f * (y - y_old) / (f - f_old)
+            t = np.where(np.isfinite(step), step, t)
+        y_old, f_old, y = y, f, t
+    if error is not None:
+        raise ContractError(error)
+    return out
+
+
+def _parent_forward(cp, roots, depth, incs, strategy=None):
+    """The forward pass as it was when every level was repeated once per control, also for one."""
+    dt = cp.grid.dt
+    b_count, n = incs.shape
+    n_u = len(cp.controls) if strategy is None else 1
+    every = np.fromiter(cp.controls, object, len(cp.controls))
+    first = np.array(roots, dtype=float)
+    first.setflags(write=False)
+    t0 = first.shape[-1] - 1
+    levels, ctrls = [first], []
+    for k in range(depth):
+        cur = levels[k]
+        count, d, cols = cur.shape
+        us = np.tile(every, count) if strategy is None else control._controls_of(strategy, cur, dt)
+        rows = np.repeat(cur, len(us) // count, axis=0)
+        bvec = _stack_checked("drift", cp.drift(rows, us), (len(us), d))
+        sig = _stack_checked("diffusion", cp.diffusion(rows, us), (len(us), d, n))
+        sig = sig.reshape(count, n_u, d, n).swapaxes(-1, -2)
+        steps = cur[:, None, None, :, -1] + bvec.reshape(count, n_u, 1, d) * dt + incs @ sig
+        if not np.all(np.isfinite(steps)):
+            raise BlowupError(f"non-finite state at grid index {t0 + k + 1}")
+        kids = np.empty(steps.shape[:-1] + (d, cols + 1))
+        kids[..., :cols] = cur[:, None, None]
+        kids[..., cols] = steps
+        kids = kids.reshape(-1, d, cols + 1)
+        kids.setflags(write=False)
+        levels.append(kids)
+        ctrls.append(us)
+    return levels, ctrls
+
+
+def _parent_backward(cp, levels, ctrls, incs, terminal):
+    """The backward pass as it was when E[Y'] was a mean, Z went through (count, n_u, n) and
+    every level was repeated once per control, also for one."""
+    dt, n_leaves = cp.grid.dt, levels[-1].shape[0]
+    y = _stack_checked("terminal", terminal(levels[-1]), (n_leaves,))
+    if not np.all(np.isfinite(y)):
+        raise BlowupError("non-finite terminal data")
+    b_count, n = incs.shape
+    y_levels, z_levels, best_levels = [y], [np.zeros((y.shape[0], n))], []
+    for k in range(len(ctrls) - 1, -1, -1):
+        count = levels[k].shape[0]
+        n_u = len(ctrls[k]) // count
+        yc = y.reshape(count, n_u, b_count)
+        e = yc.mean(axis=-1)
+        z = (yc.reshape(-1, 1, b_count) @ incs).reshape(count, n_u, n) / (b_count * dt)
+        vals = np.repeat(levels[k], n_u, axis=0)
+        y_u = _parent_implicit(cp.generator, vals, e.reshape(-1), z.reshape(-1, n), ctrls[k], dt).reshape(count, n_u)
+        rows, best = np.arange(count), y_u.argmax(axis=1)
+        y, z = y_u[rows, best], z[rows, best]
+        y_levels.append(y)
+        z_levels.append(z)
+        best_levels.append(best)
+    return y_levels[::-1], z_levels[::-1], best_levels[::-1]
+
+
+def _outcome(fn):
+    """fn()'s value, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# generator families by row, the kind in vals[:, 0, 0] and parameters a, c, e_y and dt after it
+TANH, LINEAR, SQUARE, INF_PAST, NAN_PAST, JUMP = range(6)
+KINDS = [TANH] * 4 + [LINEAR, SQUARE, INF_PAST, NAN_PAST, JUMP]  # mostly rows that converge
+
+
+def _families(vals, y, z, us):
+    kind, a, c, e, dt = (vals[:, 0, j] for j in range(5))
+    with np.errstate(all="ignore"):
+        return np.select(
+            [kind == TANH, kind == LINEAR, kind == SQUARE, kind == INF_PAST, kind == NAN_PAST],
+            [
+                a * np.tanh(y) + 0.3 * z[:, 0],  # contracts while |a| dt < 0.5
+                a * y + c,  # |a| up to 3: round 1 refuses |a| dt >= 0.5
+                a * y * y + c,  # blows up to inf from a large enough start
+                np.where(y > c, np.inf, 0.4 * np.tanh(y)),  # a row at inf is both done and failed
+                np.where(y > c, np.nan, 0.4 * np.tanh(y)),
+            ],
+            4.0 * (0.1 + 0.01 * np.where(y - e <= 0.4 * dt, 1.0, -1.0)),  # no root: 50 rounds, then refused
+        )
+
+
+@st.composite
+def _implicit_batches(draw):
+    n, dt = draw(st.integers(1, 9)), draw(st.sampled_from([0.05, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0]))
+    unit, huge = st.floats(-2.0, 2.0), st.sampled_from([1e155, -1e200, 1e300])  # a huge E[Y'] overflows y*y
+    rows = [
+        (draw(st.sampled_from(KINDS)), draw(st.floats(-3.0, 3.0)), draw(unit), draw(st.one_of(unit, huge)), dt)
+        for _ in range(n)
+    ]
+    vals = np.array(rows, dtype=float)[:, None, :]
+    e_y, z = vals[:, 0, 3].copy(), np.array([[draw(unit)] for _ in range(n)])
+    return vals, e_y, z, np.array([draw(st.sampled_from([0.0, -0.5])) for _ in range(n)], dtype=object), dt
+
+
+@settings(max_examples=400, deadline=None)
+@given(_implicit_batches())
+def test_the_implicit_step_repeats_its_parent_bit_for_bit(batch):
+    got, want = [], []
+
+    def logged(calls):
+        def generator(vals, y, z, us):
+            calls.append((vals.tobytes(), y.tobytes(), z.tobytes(), tuple(us)))
+            return _families(vals, y, z, us)
+
+        return generator
+
+    new = _outcome(lambda: _implicit(logged(got), *batch).tobytes())
+    old = _outcome(lambda: _parent_implicit(logged(want), *batch).tobytes())
+    assert new == old
+    assert got == want  # the same iterates at the same rows, round by round
+
+
+@pytest.mark.parametrize(
+    "kind,a,c,e,want",
+    [
+        (TANH, 0.5, 0.0, 0.2, None),
+        (LINEAR, 3.0, 0.0, 0.2, "implicit generator step does not contract: observed contraction ratio 0.75 "),
+        (SQUARE, 1.0, 0.0, 1e200, "generator produced a non-finite value"),
+        (INF_PAST, 0.0, 0.1, 0.2, "generator produced a non-finite value"),
+        (NAN_PAST, 0.0, 0.1, 0.2, "generator produced a non-finite value"),
+        (JUMP, 0.0, 0.0, 0.2, "implicit generator step did not converge in 50 iterations"),
+    ],
+)
+def test_each_fuzzed_family_reaches_its_outcome(kind, a, c, e, want):
+    # next to a converging row, each family ends as the fuzz above relies on; the INF_PAST row
+    # is at inf in round 0, so both done and failed
+    vals = np.array([(TANH, 0.5, 0.0, 0.3, 0.25), (kind, a, c, e, 0.25)])[:, None, :]
+    args = (vals, vals[:, 0, 3].copy(), np.zeros((2, 1)), np.zeros(2, dtype=object), 0.25)
+    got = _outcome(lambda: _implicit(_families, *args))
+    if want is None:
+        assert np.isfinite(got).all()
+    else:
+        assert got[0] is ContractError and got[1].startswith(want)
+
+
+def _logged(cp):
+    """A copy of cp whose coefficients log (name, rows) per call."""
+    calls = []
+
+    def wrap(name):
+        fn = getattr(cp, name)
+
+        def logged(vals, *args):
+            calls.append((name, len(vals)))
+            return fn(vals, *args)
+
+        return logged
+
+    return dataclasses.replace(cp, **{name: wrap(name) for name in COEFFICIENTS}), calls
+
+
+ENGINE_CASES = [
+    ("random-1d", 1),
+    ("random-1d", 3),
+    ("random-2d", 2),
+    ("random-2d", 3),
+    ("bench-inline", 2),
+    ("lq", 3),
+]
+
+
+def _engine_problem(kind, n_controls, seed):
+    if kind == "bench-inline":
+        return inline_problem(BENCH_INLINE, GRID4)
+    if kind == "lq":
+        return lq_problem(GRID4)
+    return random_problem(GridConfig(3, 0.75, 2, 2) if kind == "random-2d" else GRID4, seed=seed, n_controls=n_controls)
+
+
+@settings(max_examples=24, deadline=None)
+@given(case=st.sampled_from(ENGINE_CASES), seed=st.integers(0, 50), cost_of=st.sampled_from([None, 0, -1]))
+def test_the_engine_repeats_its_parent_bit_for_bit(case, seed, cost_of):
+    # a value (every control per node) or a cost (one control per node), with the parent's
+    # passes on a twin of the problem: the same levels, values, z, argmax and coefficient calls
+    base = _engine_problem(*case, seed)
+    rng = np.random.default_rng(seed)
+    roots = rng.normal(size=(2, base.grid.dim, 2))
+    strategy = None if cost_of is None else ControlStrategy.constant(base.controls[cost_of])
+    incs = _increments(base.grid.noise_dim, base.grid.dt)
+    depth = base.grid.steps - 1
+    results = []
+    for forward, backward in ((control._forward, control._backward), (_parent_forward, _parent_backward)):
+        cp, calls = _logged(base)
+        levels, ctrls = forward(cp, roots, depth, incs, strategy)
+        y_levels, z_levels, best_levels = backward(cp, levels, ctrls, incs, cp.terminal)
+        arrays = [*levels, *y_levels, *z_levels, *best_levels]
+        results.append(([a.tobytes() for a in arrays], [a.dtype for a in arrays], [list(c) for c in ctrls], calls))
+    assert results[0] == results[1]
+
+
+def test_a_form_that_writes_into_vals_meets_a_read_only_array():
+    # a cost reads each tree level itself: a form must not write into its paths
+    def writes(vals, *args):
+        vals[:, 0, -1] = 0.0
+
+    for name in COEFFICIENTS:
+        cp = dataclasses.replace(_plain(), **{name: writes})
+        with pytest.raises(ValueError, match="assignment destination is read-only"):
+            cost(cp, Path.constant(0.3, 0, GRID4.dt), CONST0)

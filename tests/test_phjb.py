@@ -25,6 +25,7 @@ from pathhjb.phjb import (
     _coefficient_table,
     HamiltonianInput,
     MarkovProbeError,
+    MarkovProblem,
     SmoothFunctional,
     XGrid,
     comparison_psi,
@@ -341,7 +342,9 @@ def test_x_grid_needs_finite_bounds_and_spacing(lo, hi, nx):
         XGrid(lo, hi, nx)
     with pytest.raises(PathError, match="need hi > lo"):
         XGrid(np.nan, hi, nx)
-    assert XGrid(-1e307, 1e307, 3).dx == 1e307  # a wide but finite span is fine
+    assert XGrid(-1e153, 1e153, 3).dx == 1e153  # a wide span is fine while dx^2 is finite
+    with pytest.raises(PathError, match=re.escape("x grid spacing dx=1e+307 has a square past the double range")):
+        XGrid(-1e307, 1e307, 3)
 
 
 @pytest.mark.parametrize("nx", [41.0, 2, -3, True, "41"])
@@ -367,6 +370,42 @@ def test_markov_fd_heat_closed_form():
     v = markov_fd_solve(mp, xg)
     expected = xg.nodes() ** 2 + 0.5
     assert v[0] == pytest.approx(expected, abs=1e-10)
+
+
+def _fresh_reduction(cp):
+    """markovian_reduction's coefficients without its kept arrays: a fresh (nx, 1, k + 1)
+    constant-history array at every call."""
+    at = lambda k, xs: np.repeat(np.asarray(xs, dtype=float)[:, None, None], k + 1, axis=2)
+    return MarkovProblem(
+        drift=lambda k, xs, u: np.asarray(cp.drift(at(k, xs), (u,) * len(xs)), dtype=float)[:, 0],
+        diffusion=lambda k, xs, u: np.asarray(cp.diffusion(at(k, xs), (u,) * len(xs)), dtype=float)[:, 0, 0],
+        generator=lambda k, xs, y, z, u: np.asarray(
+            cp.generator(at(k, xs), np.asarray(y, dtype=float), np.asarray(z, dtype=float).reshape(-1, 1), (u,) * len(xs)),
+            dtype=float,
+        ),
+        terminal=lambda xs: np.asarray(cp.terminal(at(cp.grid.steps, xs)), dtype=float),
+        controls=cp.controls,
+        grid=cp.grid,
+    )
+
+
+@pytest.mark.parametrize("make", [quartic_problem, heat_problem, bangbang_problem])
+def test_the_reduction_builds_each_constant_history_once_per_grid_index_and_x_grid(make, monkeypatch):
+    grid = GridConfig(4, 0.5, 1, 1)
+    cp = make(grid)
+    mp = markovian_reduction(cp)
+    builds, finite = [], phjb._finite
+    monkeypatch.setattr(phjb, "_finite", lambda v: builds.append(len(v)) or finite(v))  # one check per build
+    coarse, fine = XGrid(-3.0, 3.0, 21), XGrid(-3.0, 3.0, 31)
+    got = markov_fd_solve(mp, coarse)
+    assert builds == [21] * (grid.steps + 1)  # one per grid index the solve reads
+    assert np.array_equal(markov_fd_solve(mp, coarse), got) and len(builds) == grid.steps + 1  # all kept
+    markov_fd_solve(mp, fine)
+    assert builds[grid.steps + 1 :] == [31] * (grid.steps + 1)  # another x grid: built again
+    monkeypatch.undo()
+    assert np.array_equal(got, markov_fd_solve(_fresh_reduction(cp), coarse))
+    with pytest.raises(PathError, match="path values must be finite"):
+        mp.drift(0, np.array([0.0, np.nan]), cp.controls[0])  # the kept check of each build
 
 
 def _auto_substeps(mp, xg):
