@@ -234,7 +234,11 @@ def _check_cap(fan: int, depth: int, cap: int, roots: int = 1) -> None:
 
 def _controls_of(strategy: ControlStrategy, vals: np.ndarray, dt: float) -> np.ndarray:
     """``strategy``'s control at each row of ``vals``, read-only same-time paths
-    on ``dt``, as a 1-D object array (controls may be tuples)."""
+    on ``dt``, as a 1-D object array (controls may be tuples). An open-loop
+    strategy is read once: every row shares the grid index."""
+    if strategy.open_loop is not None:
+        u = strategy.control_at(Path._wrap(vals[0], dt))
+        return np.fromiter(itertools.repeat(u, len(vals)), object, len(vals))
     return np.fromiter((strategy.control_at(Path._wrap(row, dt)) for row in vals), object, len(vals))
 
 
@@ -243,8 +247,9 @@ def _forward(cp: ControlProblem, roots: np.ndarray, depth: int, incs: np.ndarray
     index c - 1 on the grid's dt: level k's node paths as one (N_k, d, c + k)
     array. Each node is expanded under ``strategy``'s control or, for the value
     (``strategy`` None), under all of U; children are ordered (node, control,
-    move), and ctrls[k] holds level k's controls in that order as a 1-D object
-    array. Returns (levels, ctrls)."""
+    move): node j's child under control i and move m is row (j * n_u + i) *
+    2^n + m of the next level, and ctrls[k] holds level k's controls in that
+    order as a 1-D object array. Returns (levels, ctrls)."""
     dt = cp.grid.dt
     b_count, n = incs.shape
     n_u = len(cp.controls) if strategy is None else 1
@@ -462,14 +467,18 @@ def value(cp: ControlProblem, p0: Path, cap: int = DEFAULT_NODE_CAP) -> float:
 
 def value_with_strategy(cp: ControlProblem, p0: Path, cap: int = DEFAULT_NODE_CAP):
     """Value plus the argmax feedback strategy that attains it. The feedback reads a table from
-    the ``Path.key()`` of each internal node of the root's tree to its first maximizing control
-    (sound, as the future law depends on the past only through the path); at a path off the
-    table it reads the root argmax of one solve from that path."""
+    the ``Path.key()`` of each internal node the strategy plays from p0, 2^(n k) nodes at level
+    k (63 keys for bang-bang at 6 steps, 511 at 9), to its first maximizing control (sound, as
+    the future law depends on the past only through the path); off the table each lookup costs
+    one solve from that path, whose root argmax it reads."""
     _check_root(cp, p0)
     y, levels, best_levels = _solve_forest(cp, p0.values[None], cp.grid.steps, cp.terminal, cap)
-    table = {
-        key: i for k, best in enumerate(best_levels) for key, i in zip(_keys(p0.t_index + k, levels[k]), best.tolist())
-    }
+    n_u, b_count = len(cp.controls), 2**cp.grid.noise_dim
+    table, played = {}, [0]  # the played nodes of level k, by index
+    for k, best in enumerate(best_levels):
+        kept = best[played].tolist()
+        table.update(zip(_keys(p0.t_index + k, levels[k][played]), kept))
+        played = [(j * n_u + i) * b_count + m for j, i in zip(played, kept) for m in range(b_count)]
 
     def best_control(path: Path):
         i = table.get(path.key())

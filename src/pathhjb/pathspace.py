@@ -96,7 +96,8 @@ class Path:
     def key(self) -> tuple:
         """The path's one identity: (grid index, bytes of the values), equal exactly when every
         value has the same bits (+0.0 and -0.0 differ). ``==`` and ``hash`` read (dt, key()), and
-        every map over paths keys on it; ``_keys`` gives it at each row of a level array."""
+        every map over paths keys on it; ``_keys`` gives it at each row of a level array, such as
+        the played nodes of a value tree that ``value_with_strategy``'s argmax table covers."""
         return (self.t_index, self.values.tobytes())
 
     def __eq__(self, other) -> bool:

@@ -34,9 +34,9 @@ from pathhjb.control import (
 )
 from pathhjb.expressions import inline_problem
 from pathhjb.funcalc import constant_functional, ito_check
-from pathhjb.pathspace import GridConfig, Path, PathError, horizontal_extension
+from pathhjb.pathspace import GridConfig, Path, PathError, _keys, horizontal_extension
 from pathhjb.phjb import HamiltonianInput, hamiltonian, markovian_reduction
-from pathhjb.presets import heat_problem, lq_problem, random_problem
+from pathhjb.presets import bangbang_problem, heat_problem, lq_problem, random_problem
 from pathhjb.sampling import random_path
 
 GRID4 = GridConfig(4, 1.0, 1, 1)
@@ -505,13 +505,13 @@ def test_engine_value_equals_recursive_oracle(grid, n_controls):
         ref_cp, oracle_calls = _counted(base)
         p0 = Path.constant(np.full(grid.dim, 0.1 * s), 0, grid.dt)
         v, strat = value_with_strategy(cp, p0)
+        solve_calls = dict(engine_calls)  # before any lookup: one off the played table costs a solve
         oracle = _RecursiveValue(ref_cp, grid.steps, ref_cp.terminal)
         assert v == oracle.solve(p0)
-        # an oracle node off the strategy's table would cost the engine a solve
+        assert solve_calls == oracle_calls
         assert {key: strat.control_at(_node_path(key, grid.dim, grid.dt)) for key in oracle.memo} == {
             key: u for key, (_, u) in oracle.memo.items()
         }
-        assert engine_calls == oracle_calls
 
 
 @pytest.mark.parametrize("grid,n_controls", ORACLE_CASES)
@@ -575,17 +575,67 @@ def _table(strategy: ControlStrategy) -> dict:
     return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))["table"]
 
 
-def test_the_argmax_table_keys_each_internal_node_by_its_path_key():
+def test_the_argmax_table_keys_each_played_node_by_its_path_key():
     cp = random_problem(GRID4, seed=3, n_controls=3)
     p0 = Path(np.array([[0.1, -0.2]]), GRID4.dt)
     _, strat = value_with_strategy(cp, p0)
     _, levels, best_levels = _solve_forest(cp, p0.values[None], GRID4.steps, cp.terminal, DEFAULT_NODE_CAP)
-    want = {}
+    want, played = {}, [0]
     for k, best in enumerate(best_levels):
-        for j, i in enumerate(best.tolist()):
-            want.setdefault(Path._wrap(levels[k][j], GRID4.dt).key(), i)
+        for j in played:
+            want.setdefault(Path._wrap(levels[k][j], GRID4.dt).key(), int(best[j]))
+        # node j's children under control i: rows (j * |U| + i) * 2 + m of the next level
+        played = [(j * 3 + int(best[j])) * 2 + m for j in played for m in (0, 1)]
     assert _table(strat) == want
-    assert len(want) == sum(len(b) for b in best_levels)  # no two internal nodes share a path here
+    assert len(want) == 2 ** (GRID4.steps - p0.t_index) - 1  # no two played nodes share a path here
+
+
+def _full_table(cp, p0):
+    """Reference oracle: the argmax table value_with_strategy built over every internal node of
+    the root's full tree, from its path key to its first maximizing control index."""
+    _, levels, best_levels = _solve_forest(cp, p0.values[None], cp.grid.steps, cp.terminal, DEFAULT_NODE_CAP)
+    return {
+        key: i for k, best in enumerate(best_levels) for key, i in zip(_keys(p0.t_index + k, levels[k]), best.tolist())
+    }
+
+
+# each case: the problem, then the played table's and the full table's sizes
+PLAYED_CASES = {
+    **{
+        f"random-{i}": (
+            lambda g=g, n=n: random_problem(g, seed=80, n_controls=n),
+            sum(2 ** (g.noise_dim * k) for k in range(g.steps)),
+            sum((n * 2**g.noise_dim) ** k for k in range(g.steps)),
+        )
+        for i, (g, n) in enumerate(ORACLE_CASES)
+    },
+    "bangbang-6": (lambda: bangbang_problem(GridConfig(6, 0.75, 1, 1)), 63, 1365),
+    "lq-5": (lambda: lq_problem(GridConfig(5, 1.0, 1, 1)), 31, 1555),
+    "coinciding-children": (lambda: _plain(sigma=0.0, drift=0.3, controls=(0.0, 1.0)), 4, 4),
+}
+
+
+@pytest.mark.parametrize("case", PLAYED_CASES)
+def test_the_played_table_answers_as_the_full_table_did(case):
+    make, played_size, full_size = PLAYED_CASES[case]
+    cp, calls = _counted(make())
+    g = cp.grid
+    p0 = Path.constant(np.full(g.dim, 0.1), 0, g.dt)
+    full = _full_table(cp, p0)
+    _, strat = value_with_strategy(cp, p0)
+    table = _table(strat)
+    assert (len(table), len(full)) == (played_size, full_size)
+    # the played subtree: the internal nodes of the tree the feedback itself builds from p0
+    replay = simulate_tree(cp, p0, g.steps, strat)
+    assert set(table) == {replay.node_path(k, j).key() for k in range(g.steps) for j in range(len(replay.levels[k]))}
+    fan = len(cp.controls) * 2**g.noise_dim
+    for key, i in full.items():
+        calls.update(dict.fromkeys(calls, 0))
+        assert strat.control_at(_node_path(key, g.dim, g.dt)) == cp.controls[i]
+        if key in table:
+            assert calls == dict.fromkeys(calls, 0)
+        else:  # one solve from the node: its leaves
+            assert calls["terminal"] == fan ** (g.steps - key[0])
 
 
 def test_value_cap_counts_control_fan_out():
@@ -1303,3 +1353,58 @@ def test_a_form_that_writes_into_vals_meets_a_read_only_array():
         cp = dataclasses.replace(_plain(), **{name: writes})
         with pytest.raises(ValueError, match="assignment destination is read-only"):
             cost(cp, Path.constant(0.3, 0, GRID4.dt), CONST0)
+
+
+def _parent_controls_of(strategy, vals, dt):
+    """Reference oracle: a strategy's control read at each row of ``vals`` on its own."""
+    return np.fromiter((strategy.control_at(Path._wrap(row, dt)) for row in vals), object, len(vals))
+
+
+def test_an_open_loop_strategy_is_read_once_per_level(monkeypatch):
+    # tuple controls: the drift reads u[0] and the diffusion u[1]
+    cp = _per_path(
+        drift=lambda p, u: np.array([u[0]]),
+        diffusion=lambda p, u: np.array([[u[1]]]),
+        generator=lambda p, y, z, u: 0.2 * np.tanh(y) - 0.1 * u[0] ** 2,
+        terminal=lambda p: float(np.tanh(p.values[0, -1])),
+        controls=((0.0, 1.0), (0.5, 0.5)),
+        grid=GRID4,
+    )
+    p0 = Path.constant(0.1, 0, GRID4.dt)
+    seq = (cp.controls[0], cp.controls[1], cp.controls[1], cp.controls[0])
+    reads, read = [], ControlStrategy.control_at
+    monkeypatch.setattr(ControlStrategy, "control_at", lambda self, path: reads.append(path.t_index) or read(self, path))
+    runs = {
+        "tree": lambda s: simulate_tree(cp, p0, 4, s),
+        "cost": lambda s: cost(cp, p0, s),
+        "psde": lambda s: simulate_psde(cp, p0, s, 4, seed=3).values.tobytes(),
+        "moments": lambda s: moment_probe(cp, p0, s, n_paths=5, seed=3),
+    }
+    got = {}
+    for name, run in runs.items():
+        reads.clear()
+        got[name] = run(ControlStrategy(open_loop=seq))
+        assert reads == [0, 1, 2, 3], name
+    tree = got.pop("tree")
+    assert [list(level) for level in tree.controls] == [[u] * 2**k for k, u in enumerate(seq)]
+    assert all(level.dtype == object for level in tree.controls)
+    one_read = control._controls_of
+    monkeypatch.setattr(control, "_controls_of", _parent_controls_of)
+    assert got == {name: runs[name](ControlStrategy(open_loop=seq)) for name in got}
+    # a sequence too short fails at the same level, with the same message
+    for controls_of in (one_read, _parent_controls_of):
+        monkeypatch.setattr(control, "_controls_of", controls_of)
+        counted, calls = _counted(cp)
+        with pytest.raises(PathError, match="^open-loop sequence has no control for grid index 2$"):
+            cost(counted, p0, ControlStrategy(open_loop=seq[:2]))
+        assert calls["drift"] == 1 + 2  # levels 0 and 1 were expanded
+
+
+@pytest.mark.parametrize("grid", [GRID4, GridConfig(3, 0.75, 2, 2)])
+def test_every_open_loop_cost_is_unchanged_by_one_read_per_level(grid, monkeypatch):
+    cp = random_problem(grid, seed=11, n_controls=3)
+    p0 = Path.constant(np.full(grid.dim, 0.2), 0, grid.dt)
+    seqs = list(itertools.product(cp.controls, repeat=grid.steps))
+    got = [cost(cp, p0, ControlStrategy(open_loop=seq)) for seq in seqs]
+    monkeypatch.setattr(control, "_controls_of", _parent_controls_of)
+    assert got == [cost(cp, p0, ControlStrategy(open_loop=seq)) for seq in seqs]
