@@ -16,7 +16,7 @@ import numpy as np
 
 from .control import ControlProblem, ControlStrategy, _stack_checked, cost, value
 from .funcalc import PathFunctional
-from .pathspace import GridConfig, Path, PathError
+from .pathspace import GridConfig, Path, PathError, _count
 from .phjb import phjb_residual
 
 __all__ = [
@@ -51,8 +51,8 @@ class AugmentedProblem:
     state_dim: int  # m
 
     def __post_init__(self):
-        if self.noise_dim < 1 or self.state_dim < 1:
-            raise PathError("noise_dim and state_dim must be >= 1")
+        for name in ("noise_dim", "state_dim"):
+            object.__setattr__(self, name, _count(name, getattr(self, name), 1))
         object.__setattr__(self, "controls", tuple(self.controls))
 
     @property
@@ -62,8 +62,7 @@ class AugmentedProblem:
 
 def split_path(p: Path, d: int) -> tuple[Path, Path]:
     """(noise block, state block) of a stacked path; blocks share the grid."""
-    if p.d <= d:
-        raise PathError(f"path dimension {p.d} cannot split off a {d}-dim noise block")
+    d = _count(f"noise block dimension of a {p.d}-dim path", d, 1, p.d - 1)
     omega = p.values[:d]
     xi = p.values[d:]
     return Path._wrap(omega, p.dt), Path._wrap(xi, p.dt)

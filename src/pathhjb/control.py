@@ -18,16 +18,18 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .pathspace import (
+    CapacityError,
     GridConfig,
     Path,
     PathError,
+    _count,
     _joint_gap,
     _keys,
     _sq_cols,
     horizontal_extension,
     sup_norm,
 )
-from .sampling import bridge_pair
+from .sampling import _check_draws, bridge_pair
 
 __all__ = [
     "CapacityError",
@@ -53,10 +55,6 @@ __all__ = [
 DEFAULT_NODE_CAP = 2**18
 FIXED_POINT_TOL = 1e-13
 FIXED_POINT_MAX_ITER = 50
-
-
-class CapacityError(RuntimeError):
-    """Tree size would exceed the configured node cap."""
 
 
 class ContractError(RuntimeError):
@@ -107,7 +105,8 @@ class ControlProblem:
     generator(vals, y, z, us) -> (N,) with y (N,) and z (N, n), and
     terminal(vals) -> (N,). The solvers read a whole tree level, Euler step or
     x grid in one call, and may pass ``vals`` read-only, such as a tree level
-    itself: a form must not write into it. A value of another shape raises
+    itself: a form must not write into it, nor into a value it returned, which
+    the solvers may read without a copy. A value of another shape raises
     PathError; an error the form raises reaches the caller as it is.
     Coefficients written per path enter through ``per_path``.
     """
@@ -156,11 +155,15 @@ def per_path(fn: Callable, dt: float) -> Callable:
 def _stack_checked(name: str, rows, shape: tuple) -> np.ndarray:
     """Read-only float array of ``rows``, a coefficient's value or its list of
     per-path values, which must have ``shape``: one value of shape[1:] per
-    evaluation, such as a (path, control) pair."""
-    try:
-        out = np.array(rows, dtype=float)
-    except (TypeError, ValueError):  # a ragged list
-        out = np.empty(0)
+    evaluation, such as a (path, control) pair. A float64 ndarray is read
+    through a read-only view, anything else through a float copy."""
+    if type(rows) is np.ndarray and rows.dtype == np.float64:
+        out = rows.view()
+    else:
+        try:
+            out = np.array(rows, dtype=float)
+        except (TypeError, ValueError):  # a ragged list
+            out = np.empty(0)
     if out.shape != shape:
         got = sorted({np.asarray(r, dtype=object).shape for r in rows}) if isinstance(rows, list) else [out.shape]
         raise PathError(
@@ -223,13 +226,16 @@ def _check_root(cp: ControlProblem, root: Path) -> float:
     return root.dt
 
 
-def _check_cap(fan: int, depth: int, cap: int, roots: int = 1) -> None:
+def _check_cap(fan: int, depth: int, cap: int, roots: int = 1) -> int:
     # fan = children per node: 2^n for a cost, |U| * 2^n for the value; a forest
-    # of N roots has N times one tree's leaves. No cap reaches 2^63.
+    # of N roots has N times one tree's leaves. No cap reaches 2^63. Returns how
+    # many roots a forest of this depth may have.
+    cap = _count("cap", cap, 1)
     leaves = roots * fan**depth if depth * math.log2(fan) <= 63 else math.inf
     if leaves > cap:
         what, times = ("tree", "") if roots == 1 else (f"forest of {roots} trees", f"{roots} x ")
         raise CapacityError(f"{what} of depth {depth} needs {times}{fan}^{depth} = {leaves} leaves, over the node cap {cap}")
+    return cap // fan**depth
 
 
 def _controls_of(strategy: ControlStrategy, vals: np.ndarray, dt: float) -> np.ndarray:
@@ -317,9 +323,7 @@ def simulate_tree(
 ) -> NoiseTree:
     """Build the exact noise tree from p0 to end_index under ``strategy``
     (default: the constant first control), keeping each node's control."""
-    if end_index < p0.t_index:
-        raise PathError("end_index before the root time")
-    depth = end_index - p0.t_index
+    depth = _count("tree end_index", end_index, p0.t_index) - p0.t_index
     n = cp.grid.noise_dim
     _check_cap(2**n, depth, cap)
     if strategy is None:
@@ -415,7 +419,7 @@ def backward_semigroup(
 ) -> float:
     """Value at p0 of the BSDE over [t, t + delta] with terminal data eta, a
     callable on the paths at t + delta or one value per leaf."""
-    tree = simulate_tree(cp, p0, p0.t_index + delta_steps, strategy, cap)
+    tree = simulate_tree(cp, p0, p0.t_index + _count("delta_steps", delta_steps, 0), strategy, cap)
     return solve_bsde_tree(cp, tree, terminal=eta).root_value
 
 
@@ -453,7 +457,7 @@ def _values(cp: ControlProblem, paths: Sequence[Path], cap: int = DEFAULT_NODE_C
         groups.setdefault(p.t_index, []).append(i)
     fan = len(cp.controls) * 2**g.noise_dim
     for k, idx in groups.items():
-        size = max(1, cap // fan ** max(g.steps - k, 0))
+        size = _check_cap(fan, max(g.steps - k, 0), cap)
         for s in range(0, len(idx), size):
             chunk = idx[s : s + size]
             out[chunk] = _solve_forest(cp, np.stack([paths[i].values for i in chunk]), g.steps, cp.terminal, cap)[0]
@@ -496,9 +500,7 @@ def dpp_check(cp: ControlProblem, p0: Path, delta_steps: int, cap: int = DEFAULT
     """|V(p0) - sup_u G_{t,t+delta}[V at t+delta]| on the exact tree; V at the
     outer tree's leaves is one forest solve from them to the horizon, whose
     leaves are as many as the direct solve's, so the cap it passed holds."""
-    room = cp.grid.steps - p0.t_index
-    if not 0 <= delta_steps <= room:
-        raise PathError(f"delta_steps must be in 0..{room} from grid index {p0.t_index}, got {delta_steps}")
+    delta_steps = _count(f"delta_steps from grid index {p0.t_index}", delta_steps, 0, cp.grid.steps - p0.t_index)
     v_direct = value(cp, p0, cap)
     inner = lambda vals: _solve_forest(cp, vals, cp.grid.steps, cp.terminal, cap)[0]
     return abs(v_direct - float(_solve_forest(cp, p0.values[None], p0.t_index + delta_steps, inner, cap)[0][0]))
@@ -517,10 +519,10 @@ def _euler_path(coeffs: Callable[[np.ndarray], tuple], p0: Path, end_index: int,
     BlowupError naming the lowest-index blown-up path's first non-finite
     grid index.
     """
-    if end_index < p0.t_index:
-        raise PathError("end_index before the start of the path")
     dt = p0.dt
     k0 = p0.t_index
+    end_index = _count("Euler end_index", end_index, k0)
+    _check_draws("Euler batch", n_paths, p0.d, end_index + 1)
     vals = np.empty((n_paths, p0.d, end_index + 1))
     vals[:, :, : k0 + 1] = p0.values
     state = vals.view()
@@ -564,12 +566,10 @@ def regularity_probe(cp: ControlProblem, samples: int, seed: int, cap: int = DEF
     holds the last value to a later time. Every probe is drawn first, and V
     at all of them is solved by grid index.
     """
-    if samples < 1:
-        raise PathError(f"regularity_probe needs samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     g = cp.grid
     probes = []
-    for _ in range(samples):
+    for _ in range(_count("regularity_probe samples", samples, 1)):
         k = int(rng.integers(0, g.steps))
         p, q = bridge_pair(rng, g.dim, g.dt, k)
         probes += [p, q, horizontal_extension(p, int(rng.integers(k + 1, g.steps + 1)))]
@@ -596,8 +596,7 @@ def moment_probe(cp: ControlProblem, p0: Path, strategy: ControlStrategy, n_path
     holding gamma_t's last value, the running max of the gap to its endpoint.
     """
     g = cp.grid
-    if n_paths < 1:
-        raise PathError(f"moment_probe needs n_paths >= 1, got {n_paths}")
+    n_paths = _count("moment_probe n_paths", n_paths, 1)
     if p0.t_index >= g.steps:
         raise PathError(f"moment_probe needs p0 before the horizon, got grid index {p0.t_index} of {g.steps}")
     state, _ = _euler_path(_controlled(cp, p0, strategy), p0, g.steps, n_paths, np.random.default_rng(seed))

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .control import _euler_path, _stack_checked
-from .pathspace import Path, PathError, horizontal_extension, vertical_bump
+from .pathspace import Path, PathError, _count, horizontal_extension, vertical_bump
 
 __all__ = [
     "PathFunctional",
@@ -143,11 +143,10 @@ def ito_check(
     were read at; a non-finite state raises ``BlowupError`` before any
     derivative is taken. drift(path) must return a
     (d,) vector and diffusion(path) a (d, n) matrix with the same n on every
-    path, f's analytic derivatives a number, a (d,) vector and a (d, d)
-    matrix, and n_paths must be at least 1; else PathError.
+    path, and f's analytic derivatives a number, a (d,) vector and a (d, d)
+    matrix; else PathError.
     """
-    if n_paths < 1:
-        raise PathError(f"ito_check needs n_paths >= 1, got {n_paths}")
+    n_paths = _count("ito_check n_paths", n_paths, 1)
     d, dt = p0.d, p0.dt
     sig_shape = []  # (d, n), n fixed by the first diffusion value
     step_paths = []  # the N paths at each step's grid index, p0 itself at the first

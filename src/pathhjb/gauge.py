@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcalc import PathFunctional
-from .pathspace import Path, PathError, _check_comparable, _finite, _joint_sq, _pointwise, _sq_cols
+from .pathspace import Path, PathError, _check_comparable, _count, _finite, _joint_sq, _pointwise, _sq_cols
 from .sampling import _walks
 
 __all__ = [
@@ -54,8 +54,7 @@ class GaugeParams:
     M: float = 3.0
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not isinstance(self.m, int) or not 1 <= self.m <= MAX_M:
-            raise PathError(f"m must be an integer in [1, {MAX_M}], got {self.m!r}")
+        object.__setattr__(self, "m", _count("m", self.m, 1, MAX_M))
         if not isinstance(self.M, numbers.Real) or not -math.inf < self.M < math.inf:
             raise PathError(f"M must be a finite real, got {self.M!r}")
 
@@ -228,8 +227,10 @@ def pair_sweep(
     standard-normal batch, the same stream as ``pairs`` calls of
     ``sampling.random_pair(rng, d, dt, t_index, scale)``, and every value is
     equal (==) to the scalar functions' value on the same pair. Arguments
-    that random_pair would turn into an invalid Path raise PathError.
+    that random_pair would turn into an invalid Path raise PathError, and a
+    batch over the draw cap CapacityError, both before any draw.
     """
+    pairs = _count("pair_sweep pairs", pairs, 1)
     paths = _walks(rng, 2 * pairs, d, dt, t_index, scale, "pair_sweep").reshape(pairs, 2, d, t_index + 1)
     p, q, m = paths[:, 0], paths[:, 1], g.m
     rows = _sq_cols(p - q).tolist()

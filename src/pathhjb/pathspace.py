@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "PathError",
+    "CapacityError",
     "Path",
     "GridConfig",
     "sup_norm",
@@ -31,6 +32,10 @@ __all__ = [
 
 class PathError(ValueError):
     """Invalid path construction or incompatible path pair."""
+
+
+class CapacityError(RuntimeError):
+    """The requested work would exceed a configured cap: tree nodes, FD updates or sampled values."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +78,7 @@ class Path:
     def constant(cls, value, t_index: int, dt: float) -> "Path":
         """Path holding ``value`` (scalar or d-vector) on 0..t_index."""
         x = np.atleast_1d(np.asarray(value, dtype=float))
-        return cls(np.tile(x[:, None], (1, t_index + 1)), dt)
+        return cls(np.tile(x[:, None], (1, _count("t_index", t_index, 0) + 1)), dt)
 
     @property
     def d(self) -> int:
@@ -119,6 +124,17 @@ def _finite(v: np.ndarray) -> np.ndarray:
     return v
 
 
+_INTEGERS = (int, np.integer)
+
+
+def _count(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value as a Python int, once it is a count: an int or numpy integer (no bool, no float, not
+    even 2.0) in [lo, hi], or >= lo when hi is None; else PathError. The one check of a count."""
+    if isinstance(value, _INTEGERS) and value is not True and value is not False and lo <= value and (hi is None or value <= hi):
+        return int(value)
+    raise PathError(f"{name} must be an integer {f'>= {lo}' if hi is None else f'in [{lo}, {hi}]'}, got {value!r}")
+
+
 def _keys(t_index: int, rows: np.ndarray) -> list:
     """Path.key() of each row of ``rows``, an (N, d, t_index + 1) array of same-time path values."""
     return [(t_index, row.tobytes()) for row in rows]
@@ -135,9 +151,7 @@ class GridConfig:
 
     def __post_init__(self):
         for name in ("steps", "dim", "noise_dim"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise PathError(f"{name} must be an integer >= 1, got {v!r}")
+            object.__setattr__(self, name, _count(name, getattr(self, name), 1))
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise PathError(f"horizon must be finite and > 0, got {self.horizon}")
 
@@ -208,8 +222,7 @@ def vertical_bump(p: Path, x) -> Path:
 def horizontal_extension(p: Path, new_t_index: int) -> Path:
     """Extend p to new_t_index by holding its last value constant."""
     k = p.t_index
-    if new_t_index < k:
-        raise PathError(f"cannot extend to index {new_t_index} < current {k}")
+    new_t_index = _count("extension index", new_t_index, k)
     if new_t_index == k:
         return p
     v = np.empty((p.d, new_t_index + 1))
@@ -221,8 +234,7 @@ def horizontal_extension(p: Path, new_t_index: int) -> Path:
 
 def restrict(p: Path, new_t_index: int) -> Path:
     """Truncate p to the grid nodes 0..new_t_index."""
-    if not 0 <= new_t_index <= p.t_index:
-        raise PathError(f"restriction index {new_t_index} out of range [0, {p.t_index}]")
+    new_t_index = _count("restriction index", new_t_index, 0, p.t_index)
     if new_t_index == p.t_index:
         return p
     v = p.values[:, : new_t_index + 1]

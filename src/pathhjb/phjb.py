@@ -16,10 +16,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .control import CapacityError, ControlProblem, _stack_checked, value
+from .control import CapacityError, ControlProblem, _check_root, _stack_checked, value
 from .funcalc import PathFunctional, _jet, vertical_gradient, vertical_hessian
 from .gauge import upsilon, upsilon_single
-from .pathspace import GridConfig, Path, PathError, _finite, _joint_sq
+from .pathspace import GridConfig, Path, PathError, _count, _finite, _joint_sq
 from .sampling import path_cloud
 
 __all__ = [
@@ -95,6 +95,7 @@ def hamiltonian(cp: ControlProblem, hin: HamiltonianInput):
 
     Returns (value, argmax control); ties break to the lowest control index.
     """
+    _check_root(cp, hin.path)
     terms = _control_terms(cp, hin.path, hin.r, hin.p, hin.l, cp.controls)
     i = int(np.argmax(terms))
     return terms[i], cp.controls[i]
@@ -117,12 +118,14 @@ def _control_terms(cp: ControlProblem, path: Path, r: float, p, l, us) -> list:
 
 def generator(cp: ControlProblem, phi: PathFunctional, p: Path, u) -> float:
     """dt_phi + <dx_phi, b> + 0.5 tr(dxx_phi sigma sigma^T) + q(p, phi, sigma^T dx_phi, u)."""
+    _check_root(cp, p)
     dtf, dxf, dxxf = _jet(phi, [p])
     return float(dtf[0]) + _control_terms(cp, p, phi.eval(p), dxf[0], dxxf[0], (u,))[0]
 
 
 def _signed_residual(cp: ControlProblem, phi: PathFunctional, p: Path, s: float) -> float:
     """s dt_phi(p) + H(p, s phi(p), s dx_phi(p), s dxx_phi(p)), at interior times only."""
+    _check_root(cp, p)
     if p.t_index >= cp.grid.steps:
         raise PathError("residual is defined at interior times only")
     dtf, dxf, dxxf = _jet(phi, [p])
@@ -152,9 +155,7 @@ def _probe(cp, w, test, p, n_cloud, seed, cloud, s: float) -> ProbeResult:
     # s = +1.0 tests w - test for a maximum, s = -1.0 tests w + test for a minimum
     residual = _signed_residual(cp, test, p, s)  # refuses the horizon before any sampling
     if cloud is None:
-        if not n_cloud >= 1:
-            raise PathError(f"probe needs n_cloud >= 1, got {n_cloud}")
-        cloud = _cloud(p, cp, n_cloud, seed)
+        cloud = _cloud(p, cp, _count("probe n_cloud", n_cloud, 1), seed)
     elif len(cloud) == 0:
         raise PathError("probe needs a nonempty cloud")
     touch = abs(w.eval(p) - s * test.eval(p)) <= _TOUCH_TOL
@@ -177,8 +178,8 @@ def subsolution_probe(
     is_touch_point holds when (w - test)(p) = 0 and w - test <= 0 on the
     cloud (later-or-equal-time samples), both within 1e-9. The residual
     dt_test + H(p, test(p), dx_test, dxx_test) must be >= 0 for a
-    subsolution; the caller interprets it. A point at or past the horizon,
-    n_cloud < 1 or an empty given cloud raises PathError.
+    subsolution; the caller interprets it. A path off the grid, a point at or
+    past the horizon, a bad n_cloud or an empty given cloud raises PathError.
     """
     return _probe(cp, w, test, p, n_cloud, seed, cloud, 1.0)
 
@@ -197,8 +198,8 @@ def supersolution_probe(
     is_touch_point holds when (w + test)(p) = 0 and w + test >= 0 on the
     cloud, both within 1e-9. The residual
     -dt_test + H(p, -test(p), -dx_test, -dxx_test) must be <= 0 for a
-    supersolution. A point at or past the horizon,
-    n_cloud < 1 or an empty given cloud raises PathError.
+    supersolution. A path off the grid, a point at or past the horizon, a bad
+    n_cloud or an empty given cloud raises PathError.
     """
     return _probe(cp, w, test, p, n_cloud, seed, cloud, -1.0)
 
@@ -246,8 +247,7 @@ class XGrid:
     nx: int
 
     def __post_init__(self):
-        if isinstance(self.nx, bool) or not isinstance(self.nx, (int, np.integer)) or self.nx < 3:
-            raise PathError(f"nx must be an integer >= 3, got {self.nx!r}")
+        object.__setattr__(self, "nx", _count("nx", self.nx, 3))
         if not self.hi > self.lo:
             raise PathError(f"need hi > lo, got lo={self.lo}, hi={self.hi}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and math.isfinite(self.dx)):
@@ -370,8 +370,7 @@ def _cfl_substeps(mp: MarkovProblem, x_grid: XGrid, rates: np.ndarray, given: Op
     or else the automatic one. A rate that is not finite, or more than FD_WORK_CAP node updates,
     raises CapacityError; then the first rate over 1 the substeps read, in order, CFLError."""
     g = mp.grid
-    if given is not None and (isinstance(given, bool) or not isinstance(given, (int, np.integer)) or given < 1):
-        raise PathError(f"time_substeps must be an integer >= 1, got {given!r}")
+    given = given if given is None else _count("time_substeps", given, 1)
     if not np.isfinite(rates).all():
         raise CapacityError(f"explicit FD solve needs finite rates sigma^2/dx^2 + |b|/dx, got max {rates.max()}")
     substeps = _auto_substeps(g.dt, rates) if given is None else float(given)
@@ -407,8 +406,8 @@ def markov_fd_solve(mp: MarkovProblem, x_grid: XGrid, time_substeps: Optional[in
     every substep rewrites. Drift and diffusion are read once per (grid
     index, control) into one table, with 0.5 sigma^2 and the upwind side;
     a substep at time t reads it at grid index round(t / dt). Each grid step
-    takes ``time_substeps`` explicit updates, an integer >= 1 (else
-    PathError); when not given, the fewest with rate
+    takes ``time_substeps`` explicit updates, a count >= 1; when not given,
+    the fewest with rate
     dt_sub * max(sigma^2/dx^2 + |b|/dx) <= 0.9 at every grid index. Over
     FD_WORK_CAP node updates, or at a rate that is not finite, either count
     raises CapacityError; a given count whose rate exceeds 1 where its

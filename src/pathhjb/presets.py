@@ -16,7 +16,7 @@ import numpy as np
 from .control import ControlProblem
 from .funcalc import PathFunctional, endpoint_functional, running_integral_functional
 from .bshjb import AugmentedProblem
-from .pathspace import GridConfig, PathError
+from .pathspace import GridConfig, PathError, _count
 
 __all__ = [
     "lq_problem",
@@ -201,7 +201,7 @@ def random_problem(grid: GridConfig, seed: int, n_controls: int = 2) -> ControlP
     """
     rng = np.random.default_rng(seed)
     a = rng.uniform(-0.5, 0.5, size=6)
-    controls = tuple(np.round(rng.uniform(-1.0, 1.0, size=n_controls), 3))
+    controls = tuple(np.round(rng.uniform(-1.0, 1.0, size=_count("n_controls", n_controls, 1)), 3))
     d, n, dt = grid.dim, grid.noise_dim, grid.dt
     square = np.frompyfunc(lambda u: float(u) ** 2, 1, 1)  # Python's **, per element
 

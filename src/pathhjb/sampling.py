@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .pathspace import Path, PathError, _finite
+from .pathspace import CapacityError, Path, PathError, _count, _finite
 
 __all__ = [
     "random_path",
@@ -19,6 +19,17 @@ __all__ = [
     "bridge_pair",
     "path_cloud",
 ]
+
+# Path values one batch may draw (paths x dimension x grid nodes): 300x the largest batch that
+# the tests, the acceptance criteria and the benchmark draw (criterion 4's 10,000 Euler paths of
+# 33 nodes), and 800 MB of float64, as FD_WORK_CAP bounds the explicit FD solver's work.
+DRAW_CAP = 10**8
+
+
+def _check_draws(name: str, n: int, d: int, nodes: int) -> None:
+    """CapacityError when n paths of d x nodes values are more than DRAW_CAP, before any is drawn."""
+    if n * d * nodes > DRAW_CAP:
+        raise CapacityError(f"{name} needs {n} paths x {d} x {nodes} = {n * d * nodes} drawn values, over the draw cap {DRAW_CAP:.0e}")
 
 
 def _walks(rng: np.random.Generator, n: int, d: int, dt: float, t_index: int, scale: float, name: str = "random_path") -> np.ndarray:
@@ -28,9 +39,10 @@ def _walks(rng: np.random.Generator, n: int, d: int, dt: float, t_index: int, sc
     walk's increments, then its starts), scaled as numpy's ``normal`` scales
     (0.0 + z * s: a zero scale gives +0.0). Bad arguments raise before drawing.
     """
-    if d < 1 or t_index < 0 or not 0 < dt < np.inf or not 0 <= scale < np.inf:
-        raise PathError(f"{name} needs d >= 1, t_index >= 0, 0 < dt < inf and 0 <= scale < inf, got {d}, {t_index}, {dt}, {scale}")
-    k1 = t_index + 1
+    d, k1 = _count(f"{name} d", d, 1), _count(f"{name} t_index", t_index, 0) + 1
+    if not 0 < dt < np.inf or not 0 <= scale < np.inf:
+        raise PathError(f"{name} needs 0 < dt < inf and 0 <= scale < inf, got {dt}, {scale}")
+    _check_draws(name, n, d, k1)
     z = rng.standard_normal((n, d * k1 + d))
     w = z[:, : d * k1].reshape(n, d, k1) * (scale * math.sqrt(dt))
     w[..., 0] = z[:, d * k1 :] * scale  # the start value, drawn after the increments
@@ -80,7 +92,8 @@ def path_cloud(rng: np.random.Generator, base: Path, max_t_index: int, n: int) -
     """
     out = [base]
     k0 = base.t_index
-    for i in range(n):
+    max_t_index = _count("path_cloud max_t_index", max_t_index, k0)
+    for i in range(_count("path_cloud n", n, 0)):
         k = int(rng.integers(k0, max_t_index + 1))
         kind = i % 3
         if kind == 0:

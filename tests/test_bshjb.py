@@ -155,6 +155,13 @@ def test_bshjb_residual_state_functional():
     assert abs(bshjb_residual(ap, v, (om, 0.7))) <= 1e-9
 
 
+def test_bshjb_residual_checks_the_noise_path_against_the_grid():
+    ap = _frozen_ap()  # grid dt 0.25
+    v = MixedFunctional(eval=lambda om, x: float(x[0]))
+    with pytest.raises(PathError, match=r"^root path has dt 0\.5, the grid's is 0\.25$"):
+        bshjb_residual(ap, v, (Path.constant(0.1, 1, 0.5), 0.7))
+
+
 def test_bshjb_residual_noise_endpoint_functional():
     ap = _frozen_ap()
     v = MixedFunctional(eval=lambda om, x: float(om.values[0, -1]))

@@ -224,6 +224,26 @@ def test_value_cap_counts_the_control_fan_out(tmp_path, capsys):
     assert "6^12 = 2176782336 leaves, over the node cap 262144" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["ito-check", "--override", "n_paths=1000000000000000000"],
+            "contract violation: Euler batch needs 1000000000000000000 paths x 1 x 9 = 9000000000000000000 drawn values, over the draw cap 1e+08",
+        ),
+        (
+            ["gauge-suite", "--override", "pairs=1000000000000000000"],
+            "contract violation: pair_sweep needs 2000000000000000000 paths x 1 x 9 = 18000000000000000000 drawn values, over the draw cap 1e+08",
+        ),
+    ],
+)
+def test_an_absurd_batch_exits_3_before_drawing(argv, message, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.strip() == message and captured.out == ""
+    assert not (tmp_path / "summary.txt").exists()
+
+
 _NUMBERS = st.sampled_from(["0", "1", "2", "0.5", "3", "1e300"])
 
 
@@ -463,7 +483,7 @@ def test_one_dimensional_presets_reject_other_grids(subcommand, spec, tmp_path, 
         (["ito-check", "--override", "n_paths=-3"], 2, "config error: n_paths must be a nonnegative int, got -3"),
         (["gauge-suite", "--override", "pairs=-1"], 2, "config error: pairs must be a nonnegative int, got -1"),
         (["bp-demo", "--override", "cases=-2"], 2, "config error: cases must be a nonnegative int, got -2"),
-        (["ito-check", "--override", "n_paths=0"], 3, "contract violation: ito_check needs n_paths >= 1, got 0"),
+        (["ito-check", "--override", "n_paths=0"], 3, "contract violation: ito_check n_paths must be an integer >= 1, got 0"),
         (["gauge-suite", "--override", "pairs=0"], 2, "config error: pairs must be at least 1, got 0"),
         (["gauge-suite", "--override", "big_ms=[]"], 2, "config error: big_ms must be nonempty, got []"),
         (["bp-demo", "--override", "cases=0"], 2, "config error: cases must be at least 1, got 0"),
@@ -474,7 +494,7 @@ def test_one_dimensional_presets_reject_other_grids(subcommand, spec, tmp_path, 
         (["ito-check", "--override", "n_paths=2.7"], 2, "config error: n_paths must be a nonnegative int, got 2.7"),
         (["ito-check", "--override", "levels=true"], 2, "config error: levels must be a nonnegative int, got True"),
         (["dpp", "--override", "deltas=[1, 1.5]"], 2, "config error: deltas must be a nonnegative int, got 1.5"),
-        (["gauge-suite", "--override", "scale=-1"], 3, "contract violation: pair_sweep needs d >= 1, t_index >= 0, 0 < dt < inf and 0 <= scale < inf, got 1, 8, 0.125, -1.0"),
+        (["gauge-suite", "--override", "scale=-1"], 3, "contract violation: pair_sweep needs 0 < dt < inf and 0 <= scale < inf, got 0.125, -1.0"),
         (["ito-check", "--override", "levels=0"], 2, "config error: levels must be at least 1, got 0"),
         (["markov-compare", "--override", "levels=0"], 2, "config error: levels must be at least 1, got 0"),
         (["ito-check", "--override", "base_steps=0"], 2, "config error: base_steps must be at least 1, got 0"),

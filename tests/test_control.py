@@ -713,11 +713,11 @@ def test_regularity_probe_numbers_are_those_of_one_solve_per_probe():
 
 def test_probes_reject_vacuous_inputs_naming_the_value():
     cp = lq_problem(GRID4)
-    with pytest.raises(PathError, match="samples >= 1, got 0"):
+    with pytest.raises(PathError, match="^regularity_probe samples must be an integer >= 1, got 0$"):
         regularity_probe(cp, 0, seed=1)
-    with pytest.raises(PathError, match=r"delta_steps must be in 0..4 from grid index 0, got -1"):
+    with pytest.raises(PathError, match=r"^delta_steps from grid index 0 must be an integer in \[0, 4\], got -1$"):
         dpp_check(cp, Path.constant(0.0, 0, GRID4.dt), -1)
-    with pytest.raises(PathError, match=r"delta_steps must be in 0..2 from grid index 2, got 3"):
+    with pytest.raises(PathError, match=r"^delta_steps from grid index 2 must be an integer in \[0, 2\], got 3$"):
         dpp_check(cp, Path.constant(0.0, 2, GRID4.dt), 3)
 
 
@@ -749,7 +749,7 @@ def test_moment_probe_rejects_a_start_at_the_horizon():
 
 
 def test_moment_probe_rejects_an_empty_sample():
-    with pytest.raises(PathError, match="n_paths >= 1, got 0"):
+    with pytest.raises(PathError, match="^moment_probe n_paths must be an integer >= 1, got 0$"):
         moment_probe(_plain(), Path.constant(0.0, 0, GRID4.dt), CONST0, n_paths=0, seed=0)
 
 
@@ -1353,6 +1353,35 @@ def test_a_form_that_writes_into_vals_meets_a_read_only_array():
         cp = dataclasses.replace(_plain(), **{name: writes})
         with pytest.raises(ValueError, match="assignment destination is read-only"):
             cost(cp, Path.constant(0.3, 0, GRID4.dt), CONST0)
+
+
+def test_stack_checked_reads_a_float_array_through_a_read_only_view():
+    a = np.arange(6.0).reshape(3, 2)
+    out = _stack_checked("drift", a, (3, 2))
+    assert np.shares_memory(out, a) and not out.flags.writeable and a.flags.writeable
+    for other in (a.tolist(), a.astype(np.float32), np.arange(6).reshape(3, 2), a.astype(">f8")):
+        out = _stack_checked("drift", other, (3, 2))
+        assert type(out) is np.ndarray and out.dtype == np.float64 and not out.flags.writeable
+        assert out.tolist() == a.tolist() and not np.shares_memory(out, np.asarray(other))
+
+
+def test_a_form_keeps_its_own_returned_array_writable():
+    # the solvers read a form's float64 value without a copy, and flag only their own view read-only
+    base = random_problem(GRID4, seed=2, n_controls=3)
+    returned = []
+
+    def keeping(fn):
+        def form(*args):
+            out = fn(*args)
+            returned.append(out)
+            return out
+
+        return form
+
+    cp = dataclasses.replace(base, **{name: keeping(getattr(base, name)) for name in COEFFICIENTS})
+    p0 = Path.constant(0.2, 1, GRID4.dt)
+    assert (value(cp, p0), cost(cp, p0, CONST0)) == (value(base, p0), cost(base, p0, CONST0))
+    assert len(returned) > 10 and all(type(a) is np.ndarray and a.flags.writeable for a in returned)
 
 
 def _parent_controls_of(strategy, vals, dt):

@@ -68,3 +68,22 @@ def test_every_private_module_name_is_read_somewhere(stem):
     read |= {alias.name for tree in SOURCES.values() for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     private = [n for n in _module_level_names(SOURCES[stem]) if n.startswith("_") and not n.startswith("__")]
     assert [n for n in private if n not in read] == []
+
+
+def _phrase_nodes(tree: ast.AST, phrase: str) -> list:
+    """The string constants of ``tree`` holding ``phrase``, f-string parts included."""
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str) and phrase in n.value]
+
+
+def test_one_function_decides_a_count():
+    # every count goes through pathspace._count; cli._merge_config casts config values with
+    # its own rule ("must be a nonnegative int"), naming the config key
+    phrase = "must be an integer"
+    owners = {
+        f"{stem}.{fn.name}"
+        for stem, tree in SOURCES.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _phrase_nodes(fn, phrase)
+    }
+    assert owners == {"pathspace._count"}
+    assert sum(len(_phrase_nodes(tree, phrase)) for tree in SOURCES.values()) == 1

@@ -62,9 +62,10 @@ def test_gauge_params_validation():
         GaugeParams(0, 3.0)
     with pytest.raises(PathError):
         GaugeParams(7, 3.0)  # m capped to keep powers in double range
-    for m in (True, False, 2.0, np.int64(2)):  # a bool is no integer here, as for GridConfig's counts
+    for m in (True, False, 2.0, "2"):  # a bool is no integer here, as for GridConfig's counts
         with pytest.raises(PathError, match=f"^{re.escape(f'm must be an integer in [1, 6], got {m!r}')}$"):
             GaugeParams(m, 3.0)
+    assert GaugeParams(np.int64(2), 3.0) == GaugeParams(2, 3.0) and type(GaugeParams(np.int64(2)).m) is int
     for big_m in ("3", None, [3.0], 1j, np.inf, -np.inf, np.nan):
         with pytest.raises(PathError, match="^M must be a finite real, got "):
             GaugeParams(2, big_m)

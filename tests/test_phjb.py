@@ -257,6 +257,36 @@ def test_phjb_residual_rejects_terminal_paths():
         phjb_residual(cp, heat_solution(GRID), Path.constant(0.0, GRID.steps, GRID.dt))
 
 
+_OFF_GRID = {
+    "hamiltonian": lambda cp, v, p: hamiltonian(cp, HamiltonianInput(p, 0.0, np.zeros(p.d), np.zeros((p.d, p.d)))),
+    "generator": lambda cp, v, p: generator(cp, v, p, 0.0),
+    "phjb_residual": phjb_residual,
+    "subsolution_probe": lambda cp, v, p: subsolution_probe(cp, v, v, p, n_cloud=5),
+    "supersolution_probe": lambda cp, v, p: supersolution_probe(cp, v, v, p, n_cloud=5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_OFF_GRID))
+@pytest.mark.parametrize(
+    "path,message",
+    [
+        (Path.constant(0.2, 1, 0.5), "root path has dt 0.5, the grid's is 0.125"),
+        (Path.constant([0.2, 0.1], 1, 0.125), "root path has dimension 2, the grid's is 1"),
+    ],
+)
+def test_residuals_and_probes_check_their_path_against_the_grid(entry, path, message):
+    # as every solver does, before any coefficient or derivative is read
+    grid = GridConfig(8, 1.0, 1, 1)
+    reads = []
+    base = running_cost_problem(grid)
+    cp = dataclasses.replace(base, drift=lambda vals, us: reads.append("drift") or base.drift(vals, us))
+    sol = running_cost_solution(grid)
+    v = PathFunctional(eval=sol.eval, analytic_dt=sol.analytic_dt, analytic_dx=lambda p: reads.append("dx") or sol.analytic_dx(p), analytic_dxx=sol.analytic_dxx)
+    with pytest.raises(PathError, match=f"^{re.escape(message)}$"):
+        _OFF_GRID[entry](cp, v, path)
+    assert reads == []
+
+
 def test_subsolution_probe_touch_and_residual():
     cp = heat_problem(GRID)
     sol = heat_solution(GRID)
@@ -317,7 +347,7 @@ def test_probes_refuse_the_horizon_and_empty_clouds(probe):
             probe(cp, sol, sol, Path.constant(0.3, k, GRID.dt), n_cloud=10)
     p = Path.constant(0.3, 2, GRID.dt)
     for n_cloud in (0, -3):
-        with pytest.raises(PathError, match=f"probe needs n_cloud >= 1, got {n_cloud}"):
+        with pytest.raises(PathError, match=f"^probe n_cloud must be an integer >= 1, got {n_cloud}$"):
             probe(cp, sol, sol, p, n_cloud=n_cloud)
     with pytest.raises(PathError, match="probe needs a nonempty cloud"):
         probe(cp, sol, sol, p, cloud=[])

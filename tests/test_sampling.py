@@ -67,7 +67,8 @@ def test_zero_scale_walks_are_positive_zeros():
 def test_sampler_rejects_arguments_before_drawing(sampler, d, dt, t_index, scale):
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    with pytest.raises(PathError, match=f"^{sampler.__name__} needs d >= 1, t_index >= 0, 0 < dt < inf and 0 <= scale < inf, got "):
+    rule = "d must be an integer >= 1" if d < 1 else "t_index must be an integer >= 0" if t_index < 0 else "needs 0 < dt < inf and 0 <= scale < inf"
+    with pytest.raises(PathError, match=f"^{sampler.__name__} {rule}, got "):
         sampler(rng, d, dt, t_index, scale)
     assert rng.bit_generator.state == before
 
