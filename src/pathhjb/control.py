@@ -157,13 +157,10 @@ def _stack_checked(name: str, rows, shape: tuple) -> np.ndarray:
     per-path values, which must have ``shape``: one value of shape[1:] per
     evaluation, such as a (path, control) pair. A float64 ndarray is read
     through a read-only view, anything else through a float copy."""
-    if type(rows) is np.ndarray and rows.dtype == np.float64:
-        out = rows.view()
-    else:
-        try:
-            out = np.array(rows, dtype=float)
-        except (TypeError, ValueError):  # a ragged list
-            out = np.empty(0)
+    try:
+        out = np.asarray(rows, dtype=float).view()
+    except (TypeError, ValueError):  # a ragged list
+        out = np.empty(0)
     if out.shape != shape:
         got = sorted({np.asarray(r, dtype=object).shape for r in rows}) if isinstance(rows, list) else [out.shape]
         raise PathError(

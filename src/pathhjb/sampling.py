@@ -27,9 +27,11 @@ DRAW_CAP = 10**8
 
 
 def _check_draws(name: str, n: int, d: int, nodes: int) -> None:
-    """CapacityError when n paths of d x nodes values are more than DRAW_CAP, before any is drawn."""
+    """CapacityError when n paths of d x nodes path values are more than DRAW_CAP. It counts
+    path values only: the Euler stepper's noise batch and sigma records grow with the noise
+    dimension on top of them."""
     if n * d * nodes > DRAW_CAP:
-        raise CapacityError(f"{name} needs {n} paths x {d} x {nodes} = {n * d * nodes} drawn values, over the draw cap {DRAW_CAP:.0e}")
+        raise CapacityError(f"{name} needs {n} paths x {d} x {nodes} = {n * d * nodes} path values, over the draw cap {DRAW_CAP:.0e}")
 
 
 def _walks(rng: np.random.Generator, n: int, d: int, dt: float, t_index: int, scale: float, name: str = "random_path") -> np.ndarray:
@@ -40,14 +42,14 @@ def _walks(rng: np.random.Generator, n: int, d: int, dt: float, t_index: int, sc
     (0.0 + z * s: a zero scale gives +0.0). Bad arguments raise before drawing.
     """
     d, k1 = _count(f"{name} d", d, 1), _count(f"{name} t_index", t_index, 0) + 1
-    if not 0 < dt < np.inf or not 0 <= scale < np.inf:
+    if not 0 < dt < math.inf or not 0 <= scale < math.inf:
         raise PathError(f"{name} needs 0 < dt < inf and 0 <= scale < inf, got {dt}, {scale}")
     _check_draws(name, n, d, k1)
     z = rng.standard_normal((n, d * k1 + d))
     w = z[:, : d * k1].reshape(n, d, k1) * (scale * math.sqrt(dt))
     w[..., 0] = z[:, d * k1 :] * scale  # the start value, drawn after the increments
     w += 0.0
-    w = w.cumsum(axis=-1)
+    w = np.add.accumulate(w, axis=-1)  # cumsum's own ufunc, without the method's overhead
     _finite(w[..., -1])  # the last column: a non-finite partial sum stays so
     w.setflags(write=False)
     return w

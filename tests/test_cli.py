@@ -229,11 +229,11 @@ def test_value_cap_counts_the_control_fan_out(tmp_path, capsys):
     [
         (
             ["ito-check", "--override", "n_paths=1000000000000000000"],
-            "contract violation: Euler batch needs 1000000000000000000 paths x 1 x 9 = 9000000000000000000 drawn values, over the draw cap 1e+08",
+            "contract violation: Euler batch needs 1000000000000000000 paths x 1 x 9 = 9000000000000000000 path values, over the draw cap 1e+08",
         ),
         (
             ["gauge-suite", "--override", "pairs=1000000000000000000"],
-            "contract violation: pair_sweep needs 2000000000000000000 paths x 1 x 9 = 18000000000000000000 drawn values, over the draw cap 1e+08",
+            "contract violation: pair_sweep needs 2000000000000000000 paths x 1 x 9 = 18000000000000000000 path values, over the draw cap 1e+08",
         ),
     ],
 )

@@ -142,10 +142,10 @@ def test_count_returns_a_python_int():
 def test_an_absurd_walk_batch_is_refused_before_drawing():
     rng = _rng()
     before = rng.bit_generator.state
-    with pytest.raises(CapacityError, match=r"^pair_sweep needs 2000000000000000000 paths x 1 x 4 = 8000000000000000000 drawn values, over the draw cap 1e\+08$"):
+    with pytest.raises(CapacityError, match=r"^pair_sweep needs 2000000000000000000 paths x 1 x 4 = 8000000000000000000 path values, over the draw cap 1e\+08$"):
         pair_sweep(rng, GaugeParams(), 10**18, 1, DT, 3)
     assert rng.bit_generator.state == before
-    with pytest.raises(CapacityError, match=r"^random_path needs 1 paths x 1 x 100000001 = 100000001 drawn values"):
+    with pytest.raises(CapacityError, match=r"^random_path needs 1 paths x 1 x 100000001 = 100000001 path values"):
         random_path(rng, 1, DT, DRAW_CAP)
     assert random_path(rng, 1, DT, 3).t_index == 3
 
@@ -157,10 +157,10 @@ def test_an_absurd_euler_batch_is_refused_before_any_work():
         calls.append(p)
         return np.zeros(1)
 
-    with pytest.raises(CapacityError, match=r"^Euler batch needs 1000000000000000000 paths x 1 x 5 = 5000000000000000000 drawn values, over the draw cap 1e\+08$"):
+    with pytest.raises(CapacityError, match=r"^Euler batch needs 1000000000000000000 paths x 1 x 5 = 5000000000000000000 path values, over the draw cap 1e\+08$"):
         ito_check(AFFINE, drift, lambda p: np.ones((1, 1)), Path.constant(0.0, 0, DT), 4, 10**18, 0)
     assert calls == []
-    with pytest.raises(CapacityError, match=r"^Euler batch needs 1 paths x 1 x 100000002 = 100000002 drawn values"):
+    with pytest.raises(CapacityError, match=r"^Euler batch needs 1 paths x 1 x 100000002 = 100000002 path values"):
         simulate_psde(LQ, Path.constant(0.0, 0, DT), CONST0, DRAW_CAP + 1, 0)
 
 
