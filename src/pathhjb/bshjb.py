@@ -54,6 +54,7 @@ class AugmentedProblem:
         for name in ("noise_dim", "state_dim"):
             object.__setattr__(self, name, _count(name, getattr(self, name), 1))
         object.__setattr__(self, "controls", tuple(self.controls))
+        self.grid  # refuses a bad steps or horizon at construction, not at the first read
 
     @property
     def grid(self) -> GridConfig:

@@ -213,13 +213,14 @@ class NoiseTree:
         return [self.node_path(self.depth, j) for j in range(self.levels[-1].shape[0])]
 
 
-def _check_root(cp: ControlProblem, root: Path) -> float:
+def _check_root(cp: ControlProblem, root: Path, what: str = "root path") -> float:
     """The grid's dt, which ``root`` must share, as it must the grid's
-    dimension: the coefficients read their paths on both."""
+    dimension: the coefficients read their paths on both. A PathError names
+    the path as ``what``."""
     if root.dt != cp.grid.dt:
-        raise PathError(f"root path has dt {root.dt}, the grid's is {cp.grid.dt}")
+        raise PathError(f"{what} has dt {root.dt}, the grid's is {cp.grid.dt}")
     if root.d != cp.grid.dim:
-        raise PathError(f"root path has dimension {root.d}, the grid's is {cp.grid.dim}")
+        raise PathError(f"{what} has dimension {root.d}, the grid's is {cp.grid.dim}")
     return root.dt
 
 

@@ -11,15 +11,15 @@ test-functional slice used by probes and tests is {quadratic in the endpoint}
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .control import CapacityError, ControlProblem, _check_root, _stack_checked, value
 from .funcalc import PathFunctional, _jet, vertical_gradient, vertical_hessian
 from .gauge import upsilon, upsilon_single
-from .pathspace import GridConfig, Path, PathError, _count, _finite, _joint_sq
+from .pathspace import GridConfig, Path, PathError, _count, _joint_sq
 from .sampling import path_cloud
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "ProbeResult",
     "subsolution_probe",
     "supersolution_probe",
-    "MarkovProblem",
     "MarkovProbeError",
     "CFLError",
     "XGrid",
@@ -158,6 +157,11 @@ def _probe(cp, w, test, p, n_cloud, seed, cloud, s: float) -> ProbeResult:
         cloud = _cloud(p, cp, _count("probe n_cloud", n_cloud, 1), seed)
     elif len(cloud) == 0:
         raise PathError("probe needs a nonempty cloud")
+    else:  # a generated cloud is on the grid and no earlier than p by construction
+        for i, eta in enumerate(cloud):
+            _check_root(cp, eta, f"cloud path {i}")
+            if eta.t_index < p.t_index:
+                raise PathError(f"cloud path {i} is at grid index {eta.t_index}, before the probe point's {p.t_index}")
     touch = abs(w.eval(p) - s * test.eval(p)) <= _TOUCH_TOL
     if touch:
         touch = not any(s * (w.eval(eta) - s * test.eval(eta)) > _TOUCH_TOL for eta in cloud)
@@ -224,23 +228,6 @@ FD_WORK_CAP = 10**8
 
 
 @dataclass(frozen=True)
-class MarkovProblem:
-    """State-dependent coefficient bundle on (grid index, x), one-dimensional state.
-
-    Every callable acts on a whole x grid ``xs`` and returns one value per
-    node: drift(k, xs, u), diffusion(k, xs, u), generator(k, xs, y, z, u)
-    at grid index k, with y and z shaped like xs, and terminal(xs).
-    """
-
-    drift: Callable[[int, np.ndarray, object], np.ndarray]
-    diffusion: Callable[[int, np.ndarray, object], np.ndarray]
-    generator: Callable[[int, np.ndarray, np.ndarray, np.ndarray, object], np.ndarray]
-    terminal: Callable[[np.ndarray], np.ndarray]
-    controls: tuple
-    grid: GridConfig
-
-
-@dataclass(frozen=True)
 class XGrid:
     lo: float
     hi: float
@@ -269,8 +256,16 @@ def _isclose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (np.abs(a - b) <= 1e-12 + 1e-5 * np.abs(b)) & np.isfinite(b) | (a == b)
 
 
-def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
-    """Project a path problem to (grid index, x) coefficients, probing state dependence.
+def _scalar_grid(cp: ControlProblem) -> GridConfig:
+    """cp's grid, once its state and noise are one-dimensional, as the FD oracle needs; else PathError."""
+    g = cp.grid
+    if g.dim != 1 or g.noise_dim != 1:
+        raise PathError(f"markovian reduction implemented for d = n = 1, got d = {g.dim}, n = {g.noise_dim}")
+    return g
+
+
+def markovian_reduction(cp: ControlProblem, seed: int = 0) -> ControlProblem:
+    """cp itself, once eight history probes find it Markovian: the FD oracle reads its own forms.
 
     For eight random histories, each against the constant history sharing its
     (grid index, endpoint), every coefficient must agree under every control,
@@ -278,16 +273,10 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
     earliest-drawn probe that fails, its coefficients checked before its
     terminal. The probes are drawn first; those at one grid index are read
     together, both histories of each under all controls, in one generator
-    call, one coefficient read and, at the horizon, one terminal call.
-    A reduced coefficient at grid index k reads its path
-    coefficient once, on the (nx, 1, k + 1) array of the x grid's
-    constant-history paths, through the same shape check as
-    ``ControlProblem.coeffs``, built once per grid index and x grid: each grid
-    index keeps the read-only array of the last x grid it was read on.
+    call, one coefficient read and, at the horizon, one terminal call. A grid
+    with d or n other than 1 raises PathError before any probe.
     """
-    if cp.grid.dim != 1 or cp.grid.noise_dim != 1:
-        raise PathError("markovian reduction implemented for d = n = 1")
-    g = cp.grid
+    g = _scalar_grid(cp)
     rng = np.random.default_rng(seed)
     n_u, ks, pairs = len(cp.controls), [], []
     ys, zs = np.empty(8), np.empty(8)
@@ -319,45 +308,23 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0) -> MarkovProblem:
         raise MarkovProbeError("coefficients depend on the path history")
     if failed.size:
         raise MarkovProbeError("terminal functional depends on the path history")
-
-    memo: dict = {}  # grid index -> (x grid, its read-only constant-history array), the last grid read there
-
-    def at(k: int, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        grid = (xs.shape, xs.tobytes())
-        if memo.get(k, (None,))[0] != grid:
-            memo[k] = grid, np.repeat(_finite(xs)[:, None, None], k + 1, axis=2)
-            memo[k][1].setflags(write=False)
-        return memo[k][1]
-
-    def drift(k, xs, u) -> np.ndarray:
-        return _stack_checked("drift", cp.drift(at(k, xs), (u,) * len(xs)), (len(xs), 1))[:, 0]
-
-    def diffusion(k, xs, u) -> np.ndarray:
-        return _stack_checked("diffusion", cp.diffusion(at(k, xs), (u,) * len(xs)), (len(xs), 1, 1))[:, 0, 0]
-
-    def generator(k, xs, y, z, u) -> np.ndarray:
-        vals = at(k, xs)
-        y, z = np.asarray(y, dtype=float), np.asarray(z, dtype=float).reshape(-1, 1)
-        return _stack_checked("generator", cp.generator(vals, y, z, (u,) * len(vals)), y.shape)
-
-    def terminal(xs) -> np.ndarray:
-        return _stack_checked("terminal", cp.terminal(at(g.steps, xs)), xs.shape)
-
-    return MarkovProblem(drift, diffusion, generator, terminal, cp.controls, g)
+    return cp
 
 
-def _coefficient_table(mp: MarkovProblem, x_grid: XGrid) -> tuple:
-    """Drift and diffusion on the x grid, read once per (grid index, control), as (steps+1, |U|, nx)
-    arrays b and sig, the rates max over x of sigma^2/dx^2 + |b|/dx, (steps+1, |U|), and the
-    grid's nodes xs they were read at. A read of another shape than xs raises PathError."""
-    g, xs, dx, nx = mp.grid, x_grid.nodes(), x_grid.dx, x_grid.nx
-    reads = [(mp.drift(k, xs, u), mp.diffusion(k, xs, u)) for k in range(g.steps + 1) for u in mp.controls]
-    b, sig = (
-        _stack_checked(name, list(rows), (len(reads), nx)).reshape(g.steps + 1, len(mp.controls), nx)
-        for name, rows in zip(("drift", "diffusion"), zip(*reads))
-    )
-    return b, sig, (sig**2 / dx**2 + np.abs(b) / dx).max(axis=2), xs
+def _coefficient_table(cp: ControlProblem, x_grid: XGrid) -> tuple:
+    """Drift and diffusion on the x grid as (steps+1, |U|, nx) arrays b and sig, the rates max over
+    x of sigma^2/dx^2 + |b|/dx, (steps+1, |U|), and the read-only (nx, 1, k+1) arrays of the grid's
+    constant-history paths they were read on, one per grid index k: one ``cp.coeffs`` call per
+    grid index, under all controls. A grid with d or n other than 1 raises PathError."""
+    g, xs, dx, nx = _scalar_grid(cp), x_grid.nodes(), x_grid.dx, x_grid.nx
+    n_u, us, hists = len(cp.controls), cp.controls * nx, []
+    b, sig = np.empty((2, g.steps + 1, n_u, nx))
+    for k in range(g.steps + 1):
+        hists.append(np.repeat(xs[:, None, None], k + 1, axis=2))
+        hists[k].setflags(write=False)
+        bk, sk = cp.coeffs(hists[k], us)  # node i under control u is row i * |U| + u
+        b[k], sig[k] = bk.reshape(nx, n_u).T, sk.reshape(nx, n_u).T
+    return b, sig, (sig**2 / dx**2 + np.abs(b) / dx).max(axis=2), hists
 
 
 def _auto_substeps(dt: float, rates: np.ndarray) -> float:
@@ -365,20 +332,20 @@ def _auto_substeps(dt: float, rates: np.ndarray) -> float:
     return max(1.0, float(np.ceil(dt * rates.max() / 0.9)))
 
 
-def _cfl_substeps(mp: MarkovProblem, x_grid: XGrid, rates: np.ndarray, given: Optional[int] = None) -> int:
+def _cfl_substeps(cp: ControlProblem, x_grid: XGrid, rates: np.ndarray, given: Optional[int] = None) -> int:
     """Per-grid-step subdivision of an FD solve with the table's ``rates``: the ``given`` count,
     or else the automatic one. A rate that is not finite, or more than FD_WORK_CAP node updates,
     raises CapacityError; then the first rate over 1 the substeps read, in order, CFLError."""
-    g = mp.grid
+    g = cp.grid
     given = given if given is None else _count("time_substeps", given, 1)
     if not np.isfinite(rates).all():
         raise CapacityError(f"explicit FD solve needs finite rates sigma^2/dx^2 + |b|/dx, got max {rates.max()}")
     substeps = _auto_substeps(g.dt, rates) if given is None else float(given)
-    work = g.steps * substeps * x_grid.nx * len(mp.controls)
+    work = g.steps * substeps * x_grid.nx * len(cp.controls)
     if not work <= FD_WORK_CAP:
         raise CapacityError(
             f"explicit FD solve needs {g.steps} steps x {substeps:.0f} substeps x {x_grid.nx} nodes x "
-            f"{len(mp.controls)} controls = {work:.3e} node updates, over the cap {FD_WORK_CAP:.0e}"
+            f"{len(cp.controls)} controls = {work:.3e} node updates, over the cap {FD_WORK_CAP:.0e}"
         )
     dt_sub = g.dt / substeps
     read = dt_sub * rates[list(dict.fromkeys(j for _, j in _substep_reads(g, int(substeps))))]
@@ -398,31 +365,36 @@ def _substep_reads(g: GridConfig, substeps: int):
     return ((k, round(((k + 1) * g.dt - s * dt_sub) / g.dt)) for k in range(g.steps - 1, -1, -1) for s in range(substeps))
 
 
-def markov_fd_solve(mp: MarkovProblem, x_grid: XGrid, time_substeps: Optional[int] = None) -> np.ndarray:
+def markov_fd_solve(cp: ControlProblem, x_grid: XGrid, time_substeps: Optional[int] = None) -> np.ndarray:
     """Explicit backward scheme for the reduced equation, per-node max over U.
 
-    Upwinded first differences per control, central second differences
-    (one-sided 3-point stencil at the boundary), kept in two buffers that
-    every substep rewrites. Drift and diffusion are read once per (grid
-    index, control) into one table, with 0.5 sigma^2 and the upwind side;
-    a substep at time t reads it at grid index round(t / dt). Each grid step
-    takes ``time_substeps`` explicit updates, a count >= 1; when not given,
-    the fewest with rate
+    Reads cp's own forms on the x grid's constant-history paths: ``cp`` is
+    taken as ``markovian_reduction`` returns it, and the nodes of ``x_grid``
+    are the paths' endpoints. Upwinded first differences per control, central
+    second differences (one-sided 3-point stencil at the boundary), kept in
+    two buffers that every substep rewrites. Drift and diffusion are read
+    once per grid index, under all controls, into one table, with
+    0.5 sigma^2 and the upwind side; a substep at time t reads it at grid
+    index round(t / dt), and calls the generator there once per control.
+    Each grid step takes ``time_substeps`` explicit updates, a count >= 1;
+    when not given, the fewest with rate
     dt_sub * max(sigma^2/dx^2 + |b|/dx) <= 0.9 at every grid index. Over
     FD_WORK_CAP node updates, or at a rate that is not finite, either count
     raises CapacityError; a given count whose rate exceeds 1 where its
     substeps read raises CFLError. Every guard runs before any FD step and
-    any call of the generator or the terminal. Drift, diffusion, generator
-    and terminal must each return one value per node, else PathError.
+    any call of the generator or the terminal. A coefficient value of
+    another shape than one per node raises PathError naming its field, as
+    does a grid with d or n other than 1.
     Returns V of shape (steps+1, nx) with V[k] the solution at time k*dt.
     """
-    g = mp.grid
-    b, sig, rates, xs = _coefficient_table(mp, x_grid)
-    substeps = _cfl_substeps(mp, x_grid, rates, time_substeps)
+    g = cp.grid
+    b, sig, rates, hists = _coefficient_table(cp, x_grid)
+    substeps = _cfl_substeps(cp, x_grid, rates, time_substeps)
     dt_sub, dx, nx = g.dt / substeps, x_grid.dx, x_grid.nx
-    rows = [list(zip(mp.controls, b[j], 0.5 * sig[j] ** 2, b[j] >= 0, sig[j])) for j in range(g.steps + 1)]
+    uss = [(u,) * nx for u in cp.controls]
+    rows = [list(zip(uss, b[j], 0.5 * sig[j] ** 2, b[j] >= 0, sig[j])) for j in range(g.steps + 1)]
     out = np.empty((g.steps + 1, nx))
-    out[g.steps] = _stack_checked("terminal", mp.terminal(xs), (nx,))
+    out[g.steps] = _stack_checked("terminal", cp.terminal(hists[g.steps]), (nx,))
     v = out[g.steps].copy()
     # d1[1:nx] holds the first differences and d1[0], d1[nx] repeat its ends, so d1[:-1] is the
     # backward and d1[1:] the forward difference at each node; d2 likewise the second difference
@@ -438,11 +410,11 @@ def markov_fd_solve(mp: MarkovProblem, x_grid: XGrid, time_substeps: Optional[in
         mid /= dx**2
         d2[0], d2[-1] = d2[1], d2[-2]
         best = None
-        for u, bj, half_var, upwind, sj in rows[j]:
+        for us, bj, half_var, upwind, sj in rows[j]:
             dvx = np.where(upwind, fwd, bwd)
             ham = bj * dvx
             ham += half_var * d2
-            ham += _stack_checked("generator", mp.generator(j, xs, v, sj * dvx, u), (nx,))
+            ham += _stack_checked("generator", cp.generator(hists[j], v, (sj * dvx)[:, None], us), (nx,))
             best = ham if best is None else np.maximum(best, ham, out=best)
         best *= dt_sub
         v += best
@@ -465,25 +437,23 @@ def markov_consistency(
 ) -> ConsistencyReport:
     """|tree value at p - FD solution at (t, p endpoint)|, with an error bound.
 
-    The bound c*(dt_tree + dt_fd + dx^2) takes c from the coefficient and
-    terminal magnitudes at time 0; it is a reporting aid for the combined
-    tree + scheme discretization error, not a proof. One table of the reduced
-    drift and diffusion serves the FD solve, which picks the automatic
-    substep count and runs the CFL guard once, and the bound, which reads the
-    same count off the table's rates.
+    The tree value comes first, then the reduction's probes, then one
+    ``markov_fd_solve``, which picks the automatic substep count and runs the
+    CFL guard once. The bound c*(dt_tree + dt_fd + dx^2) reads the
+    coefficient table again: c from the drift, diffusion and terminal
+    magnitudes at time 0, dt_fd from the same count off the table's rates.
+    It is a reporting aid for the combined tree + scheme discretization
+    error, not a proof.
     """
     x = float(p.values[0, -1])
     if not x_grid.lo <= x <= x_grid.hi:
         raise PathError("path endpoint outside the FD spatial grid")
     tree_v = value(cp, p)  # checks the node cap before any work
-    mp = markovian_reduction(cp, seed)
+    cp = markovian_reduction(cp, seed)
     g = cp.grid
-    b, sig, rates, xs = _coefficient_table(mp, x_grid)
-    # The solve stays one markov_fd_solve call, the FD phase a trace sees, and reads this
-    # table back through the grid-index protocol, so the reduction is read once.
-    read = lambda table: lambda k, xs, u: table[k, mp.controls.index(u)]
-    grid_v = markov_fd_solve(replace(mp, drift=read(b), diffusion=read(sig)), x_grid)
-    fd_v = float(np.interp(x, xs, grid_v[p.t_index]))
+    grid_v = markov_fd_solve(cp, x_grid)
+    b, sig, rates, _ = _coefficient_table(cp, x_grid)
+    fd_v = float(np.interp(x, x_grid.nodes(), grid_v[p.t_index]))
     mags = [*np.abs(b[0]).max(axis=1).tolist(), *(sig[0] ** 2).max(axis=1).tolist()]
     scale = max(1.0, *mags) * max(1.0, float(np.abs(grid_v[g.steps]).max()))
     bound = 10.0 * scale * (g.dt + g.dt / _auto_substeps(g.dt, rates) + x_grid.dx**2)
@@ -509,6 +479,8 @@ def comparison_psi(
         raise PathError("comparison functional needs an equal-time pair")
     if not (beta > 0 and eps > 0 and nu > 1):
         raise PathError("need beta > 0, eps > 0, nu > 1")
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise PathError(f"horizon must be finite and > 0, got {horizon}")
     t = p.t
     egap = math.sqrt(_joint_sq(p, q)[-1])  # the e that upsilon(p, q) reads
     out = w1.eval(p) - w2.eval(q)

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -213,6 +216,21 @@ def test_bshjb_residual_cross_term():
 def test_augmented_problem_validation():
     with pytest.raises(PathError):
         _frozen_ap(noise_dim=0)
+
+
+@pytest.mark.parametrize(
+    "field,bad,message",
+    [
+        ("steps", 2.5, "steps must be an integer >= 1, got 2.5"),
+        ("steps", 0, "steps must be an integer >= 1, got 0"),
+        ("horizon", -1.0, "horizon must be finite and > 0, got -1.0"),
+        ("horizon", np.nan, "horizon must be finite and > 0, got nan"),
+    ],
+)
+def test_augmented_problem_checks_steps_and_horizon_at_construction(field, bad, message):
+    # checked when built, and again by dataclasses.replace, before remark64_check draws a probe
+    with pytest.raises(PathError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(random_augmented_problem(4, 1.0, 0), **{field: bad})
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from pathhjb.control import (
 from pathhjb.expressions import inline_problem
 from pathhjb.funcalc import constant_functional, ito_check
 from pathhjb.pathspace import GridConfig, Path, PathError, _keys, horizontal_extension
-from pathhjb.phjb import HamiltonianInput, hamiltonian, markovian_reduction
+from pathhjb.phjb import HamiltonianInput, XGrid, hamiltonian, markov_fd_solve, markovian_reduction
 from pathhjb.presets import bangbang_problem, heat_problem, lq_problem, random_problem
 from pathhjb.sampling import random_path
 
@@ -858,9 +858,7 @@ def _hamiltonian_sweep(cp, p0):
 
 
 def _reduced_coefficients(cp, p0):
-    mp = markovian_reduction(cp)
-    for k in range(cp.grid.steps + 1):
-        mp.drift(k, np.linspace(-1.0, 1.0, 5), cp.controls[0])
+    markov_fd_solve(markovian_reduction(cp), XGrid(-1.0, 1.0, 5))
 
 
 def _ito(cp, p0):

@@ -87,3 +87,34 @@ def test_one_function_decides_a_count():
     }
     assert owners == {"pathspace._count"}
     assert sum(len(_phrase_nodes(tree, phrase)) for tree in SOURCES.values()) == 1
+
+
+def _owned_nodes(tree: ast.Module):
+    """(owner, node) for every node of a module, where owner is the top-level function or
+    ``Class.method`` that holds it, nested functions included, or "<module>"."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            units = [(f"{top.name}.{fn.name}", fn) for fn in top.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            units = [(top.name, top)]
+        else:
+            units = [("<module>", top)]
+        for owner, unit in units:
+            for node in ast.walk(unit):
+                yield owner, node
+
+
+def test_drift_and_diffusion_are_read_in_two_places():
+    # every shape-checked read names its field with a string literal; drift and diffusion are read
+    # by ControlProblem.coeffs, which every solver and the FD oracle go through, and by ito_check's
+    # per-path coefficients (bshjb.augment reads "base drift" and "base diffusion")
+    reads = [
+        (f"{stem}.{owner}", node.args[0] if node.args else None)
+        for stem, tree in SOURCES.items()
+        for owner, node in _owned_nodes(tree)
+        if isinstance(node, ast.Call) and "_stack_checked" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert reads
+    assert [where for where, name in reads if not (isinstance(name, ast.Constant) and isinstance(name.value, str))] == []
+    readers = {(where, name.value) for where, name in reads if name.value in ("drift", "diffusion")}
+    assert readers == {(where, field) for where in ("control.ControlProblem.coeffs", "funcalc.ito_check") for field in ("drift", "diffusion")}

@@ -25,7 +25,6 @@ from pathhjb.phjb import (
     _coefficient_table,
     HamiltonianInput,
     MarkovProbeError,
-    MarkovProblem,
     SmoothFunctional,
     XGrid,
     comparison_psi,
@@ -353,6 +352,27 @@ def test_probes_refuse_the_horizon_and_empty_clouds(probe):
         probe(cp, sol, sol, p, cloud=[])
 
 
+_BAD_CLOUDS = {
+    "earlier": (Path.constant(0.3, 1, GRID.dt), "cloud path 1 is at grid index 1, before the probe point's 2"),
+    "half dt": (Path.constant(0.3, 4, GRID.dt / 2), f"cloud path 1 has dt {GRID.dt / 2}, the grid's is {GRID.dt}"),
+    "2-D": (Path.constant(np.zeros(2), 3, GRID.dt), "cloud path 1 has dimension 2, the grid's is 1"),
+}
+
+
+@pytest.mark.parametrize("probe", [subsolution_probe, supersolution_probe])
+@pytest.mark.parametrize("case", sorted(_BAD_CLOUDS))
+def test_probes_check_a_given_cloud_against_the_grid(probe, case):
+    cp, sol = heat_problem(GRID), heat_solution(GRID)
+    p = Path.constant(0.3, 2, GRID.dt)
+    evals = []
+    w = PathFunctional(eval=lambda path: evals.append(path) or sol.eval(path))
+    bad, message = _BAD_CLOUDS[case]
+    with pytest.raises(PathError, match=f"^{re.escape(message)}$"):
+        probe(cp, w, sol, p, cloud=[Path.constant(0.3, 2, GRID.dt), bad])
+    assert evals == []  # refused before any evaluation
+    probe(cp, w, sol, p, cloud=[Path.constant(0.3, 2, GRID.dt), Path.constant(0.1, GRID.steps, GRID.dt)])
+
+
 def test_markovian_reduction_probes_history():
     cp = _per_path(
         drift=lambda p, u: np.array([p.values[0].mean()]),  # genuinely path-dependent
@@ -402,40 +422,48 @@ def test_markov_fd_heat_closed_form():
     assert v[0] == pytest.approx(expected, abs=1e-10)
 
 
-def _fresh_reduction(cp):
-    """markovian_reduction's coefficients without its kept arrays: a fresh (nx, 1, k + 1)
-    constant-history array at every call."""
-    at = lambda k, xs: np.repeat(np.asarray(xs, dtype=float)[:, None, None], k + 1, axis=2)
-    return MarkovProblem(
-        drift=lambda k, xs, u: np.asarray(cp.drift(at(k, xs), (u,) * len(xs)), dtype=float)[:, 0],
-        diffusion=lambda k, xs, u: np.asarray(cp.diffusion(at(k, xs), (u,) * len(xs)), dtype=float)[:, 0, 0],
-        generator=lambda k, xs, y, z, u: np.asarray(
-            cp.generator(at(k, xs), np.asarray(y, dtype=float), np.asarray(z, dtype=float).reshape(-1, 1), (u,) * len(xs)),
-            dtype=float,
-        ),
-        terminal=lambda xs: np.asarray(cp.terminal(at(cp.grid.steps, xs)), dtype=float),
-        controls=cp.controls,
-        grid=cp.grid,
-    )
-
-
 @pytest.mark.parametrize("make", [quartic_problem, heat_problem, bangbang_problem])
-def test_the_reduction_builds_each_constant_history_once_per_grid_index_and_x_grid(make, monkeypatch):
+def test_one_solve_reads_each_form_a_counted_number_of_times(make, monkeypatch):
+    # drift and diffusion once per grid index under all controls, the terminal once, the
+    # generator once per substep and control; every read on arrays, no Path built
     grid = GridConfig(4, 0.5, 1, 1)
-    cp = make(grid)
-    mp = markovian_reduction(cp)
-    builds, finite = [], phjb._finite
-    monkeypatch.setattr(phjb, "_finite", lambda v: builds.append(len(v)) or finite(v))  # one check per build
-    coarse, fine = XGrid(-3.0, 3.0, 21), XGrid(-3.0, 3.0, 31)
-    got = markov_fd_solve(mp, coarse)
-    assert builds == [21] * (grid.steps + 1)  # one per grid index the solve reads
-    assert np.array_equal(markov_fd_solve(mp, coarse), got) and len(builds) == grid.steps + 1  # all kept
-    markov_fd_solve(mp, fine)
-    assert builds[grid.steps + 1 :] == [31] * (grid.steps + 1)  # another x grid: built again
+    base = make(grid)
+    names = ("drift", "diffusion", "generator", "terminal", "paths")
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    cp = dataclasses.replace(base, **{name: counted(name, getattr(base, name)) for name in names[:4]})
+    xg = XGrid(-3.0, 3.0, 21)
+    substeps = _auto_substeps(cp, xg)
+    counts.update(dict.fromkeys(names, 0))
+    monkeypatch.setattr(Path, "__post_init__", counted("paths", Path.__post_init__))
+    got = markov_fd_solve(cp, xg)
     monkeypatch.undo()
-    assert np.array_equal(got, markov_fd_solve(_fresh_reduction(cp), coarse))
-    with pytest.raises(PathError, match="path values must be finite"):
-        mp.drift(0, np.array([0.0, np.nan]), cp.controls[0])  # the kept check of each build
+    assert counts == {
+        "drift": grid.steps + 1,
+        "diffusion": grid.steps + 1,
+        "generator": grid.steps * substeps * len(cp.controls),
+        "terminal": 1,
+        "paths": 0,
+    }
+    assert np.array_equal(got, markov_fd_solve(base, xg))
+
+
+@pytest.mark.parametrize("dim,noise_dim", [(2, 2), (2, 1), (1, 2)])
+def test_the_fd_oracle_needs_a_one_dimensional_grid(dim, noise_dim):
+    from pathhjb.presets import random_problem
+
+    cp = random_problem(GridConfig(4, 0.5, dim, noise_dim), 0)
+    message = re.escape(f"markovian reduction implemented for d = n = 1, got d = {dim}, n = {noise_dim}")
+    for read in (markovian_reduction, lambda cp: markov_fd_solve(cp, XGrid(-3.0, 3.0, 21))):
+        with pytest.raises(PathError, match=message):
+            read(cp)
 
 
 def _auto_substeps(mp, xg):
@@ -493,9 +521,9 @@ def test_markov_fd_cfl_guard_runs_before_any_fd_step(substeps):
     calls = []
     mp = dataclasses.replace(
         heat,
-        diffusion=lambda k, xs, u: np.full(len(xs), (1.0 + u if k < 2 else 0.05)),
-        generator=lambda k, *args: calls.append(k) or heat.generator(k, *args),
-        terminal=lambda xs: calls.append("terminal") or heat.terminal(xs),
+        diffusion=lambda vals, us: np.array([1.0 + u if vals.shape[-1] - 1 < 2 else 0.05 for u in us])[:, None, None],
+        generator=lambda vals, *args: calls.append(vals.shape[-1] - 1) or heat.generator(vals, *args),
+        terminal=lambda vals: calls.append("terminal") or heat.terminal(vals),
         controls=(0.0, 0.5),
     )
     xg = XGrid(-3.0, 3.0, 61)
@@ -525,10 +553,10 @@ def test_markov_fd_explicit_substeps_pass_the_cap_before_any_fd_step():
     mp = markovian_reduction(heat_problem(grid))
     xg = XGrid(-3.0, 3.0, 61)
     steps_run = []
-    counted = dataclasses.replace(mp, generator=lambda *args: steps_run.append(args[0]) or mp.generator(*args))
+    counted = dataclasses.replace(mp, generator=lambda vals, *args: steps_run.append(vals.shape[-1] - 1) or mp.generator(vals, *args))
     with pytest.raises(CapacityError, match=re.escape("4 steps x 10000000 substeps x 61 nodes x 1 controls = 2.440e+09 node updates, over the cap 1e+08")):
         markov_fd_solve(counted, xg, time_substeps=10**7)
-    blowup = dataclasses.replace(counted, drift=lambda k, xs, u: np.where(xs > 2.0, np.inf, 0.0))
+    blowup = dataclasses.replace(counted, drift=lambda vals, us: np.where(vals[:, :, -1] > 2.0, np.inf, 0.0))
     for substeps in (None, 1, 100):
         with pytest.raises(CapacityError, match="explicit FD solve needs finite rates"):
             markov_fd_solve(blowup, xg, substeps)
@@ -539,7 +567,8 @@ def test_markov_fd_explicit_substeps_pass_the_cap_before_any_fd_step():
 
 
 def test_markov_fd_solve_reads_a_rewrapped_reduction():
-    # the benchmark's traced run rewraps the reduced problem's four callables with dataclasses.replace
+    # the benchmark's traced run rewraps the four forms of the problem the reduction returns
+    # with dataclasses.replace
     grid = GridConfig(4, 0.5, 1, 1)
     xg = XGrid(-3.0, 3.0, 25)
     for problem in (quartic_problem, bangbang_problem):
@@ -759,9 +788,8 @@ def test_markov_consistency_work_is_bounded_by_the_lattice(monkeypatch):
     counts.update(dict.fromkeys(names, 0))
     rep = markov_consistency(cp, p, xg)
     assert rep.residual <= rep.error_bound
-    # one table, read once per (grid index, control), serves the substep count, the FD solve and the bound
-    per_index = (grid.steps + 1) * len(cp.controls)
-    assert counts["drift"] == counts["diffusion"] == len(probed) + per_index
+    # the FD solve and the bound each read one table, in one coeffs call per grid index
+    assert counts["drift"] == counts["diffusion"] == len(probed) + 2 * (grid.steps + 1)
     assert counts["paths"] == 0
 
 
@@ -790,20 +818,20 @@ def test_markov_consistency_runs_the_cfl_guard_once(monkeypatch):
         assert len(calls) == 1 and calls[0][3] is None  # the automatic count
 
 
-# a scalar, or an (nx, 1) column, where one value per node is due
+# a scalar, an (N, 1) column where one value per node is due, or an (N, 1) diffusion where (N, 1, 1) is
 _SHAPE_CASES = {
-    "scalar-terminal": ("terminal", dict(terminal=lambda xs: 1.0)),
-    "column-terminal": ("terminal", dict(terminal=lambda xs: xs[:, None] ** 2)),
-    "scalar-generator": ("generator", dict(generator=lambda k, xs, y, z, u: 0.0)),
-    "scalar-drift": ("drift", dict(drift=lambda k, xs, u: 0.0)),
-    "column-diffusion": ("diffusion", dict(diffusion=lambda k, xs, u: np.ones((len(xs), 1)))),
+    "scalar-terminal": ("terminal", dict(terminal=lambda vals: 1.0)),
+    "column-terminal": ("terminal", dict(terminal=lambda vals: vals[:, :, -1] ** 2)),
+    "scalar-generator": ("generator", dict(generator=lambda vals, y, z, us: 0.0)),
+    "scalar-drift": ("drift", dict(drift=lambda vals, us: 0.0)),
+    "column-diffusion": ("diffusion", dict(diffusion=lambda vals, us: np.ones((len(us), 1)))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_SHAPE_CASES))
 def test_markov_fd_solve_needs_one_value_per_node(case):
     name, fields = _SHAPE_CASES[case]
-    mp = dataclasses.replace(markovian_reduction(heat_problem(GridConfig(4, 0.5, 1, 1))), **fields)
+    mp = dataclasses.replace(heat_problem(GridConfig(4, 0.5, 1, 1)), **fields)
     with pytest.raises(PathError, match=f"^{name} must return shape"):
         markov_fd_solve(mp, XGrid(-3.0, 3.0, 21))
 
@@ -812,12 +840,12 @@ def _stencil_fd(mp, xg, substeps=None):
     """Reference oracle: the FD loop the buffered sweep replaced, which rebuilds its stencils by
     concatenation at every substep and takes the max over U from -inf."""
     g = mp.grid
-    b, sig, rates, _ = _coefficient_table(mp, xg)
+    b, sig, rates, hists = _coefficient_table(mp, xg)
     substeps = _cfl_substeps(mp, xg, rates, substeps)
     dt_sub = g.dt / substeps
-    xs, dx, nx = xg.nodes(), xg.dx, xg.nx
+    dx, nx = xg.dx, xg.nx
     out = np.empty((g.steps + 1, nx))
-    out[g.steps] = mp.terminal(xs)
+    out[g.steps] = mp.terminal(hists[g.steps])
     v = out[g.steps].copy()
     for k, j in phjb._substep_reads(g, substeps):
         d1 = (v[1:] - v[:-1]) / dx
@@ -828,7 +856,7 @@ def _stencil_fd(mp, xg, substeps=None):
         for u, bj, sj in zip(mp.controls, b[j], sig[j]):
             dvx = np.where(bj >= 0, fwd, bwd)
             ham = bj * dvx + 0.5 * sj**2 * snd
-            ham += mp.generator(j, xs, v, sj * dvx, u)
+            ham += mp.generator(hists[j], v, (sj * dvx)[:, None], (u,) * nx)
             best = np.maximum(best, ham)
         v = v + dt_sub * best
         out[k] = v
@@ -836,18 +864,31 @@ def _stencil_fd(mp, xg, substeps=None):
 
 
 def _random_markov_problem(rng, n_u, steps):
-    """A reduced problem with |U| = n_u random controls of either sign, so drifts of both
-    signs, time-dependent coefficients and a generator in y, z and u."""
+    """A Markovian problem with |U| = n_u random controls of either sign, so drifts of both
+    signs, time-dependent coefficients and a generator in y, z and u. Each form reads the
+    grid index k and the endpoint x of its paths only."""
     controls = tuple(rng.normal(size=n_u).tolist())
     shift, tilt = rng.normal(size=2)
-    return phjb.MarkovProblem(
-        drift=lambda k, xs, u: u * np.sin(xs + shift * k) + tilt * xs,
-        diffusion=lambda k, xs, u: (0.3 + 0.2 * abs(u)) * (1.0 + 0.5 * np.cos(xs - k)),
-        generator=lambda k, xs, y, z, u: -0.2 * y + u * z - 0.5 * u * u + 0.1 * xs,
-        terminal=lambda xs: np.abs(xs) + np.sin(2.0 * xs + shift),
-        controls=controls,
-        grid=GridConfig(steps, 0.5, 1, 1),
-    )
+    k_x = lambda vals: (vals.shape[-1] - 1, vals[:, 0, -1])
+    u_of = lambda us: np.asarray(us, dtype=float)
+
+    def drift(vals, us):
+        k, xs = k_x(vals)
+        return (u_of(us) * np.sin(xs + shift * k) + tilt * xs)[:, None]
+
+    def diffusion(vals, us):
+        k, xs = k_x(vals)
+        return ((0.3 + 0.2 * np.abs(u_of(us))) * (1.0 + 0.5 * np.cos(xs - k)))[:, None, None]
+
+    def generator(vals, y, z, us):
+        u = u_of(us)
+        return -0.2 * y + u * z[:, 0] - 0.5 * u * u + 0.1 * k_x(vals)[1]
+
+    def terminal(vals):
+        xs = k_x(vals)[1]
+        return np.abs(xs) + np.sin(2.0 * xs + shift)
+
+    return ControlProblem(drift, diffusion, generator, terminal, controls, GridConfig(steps, 0.5, 1, 1))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -958,6 +999,13 @@ def test_comparison_psi_examples():
     assert comparison_psi(w1, w2, p, p, 10.0, eps, nu, horizon) == pytest.approx(expected)
     with pytest.raises(PathError):
         comparison_psi(w1, w2, p, Path.constant(0.5, 3, 0.25), 10.0, eps, nu, horizon)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf])
+def test_comparison_psi_refuses_a_bad_horizon(horizon):
+    w, p = PathFunctional(eval=lambda p: 1.0), Path.constant(0.5, 2, 0.25)
+    with pytest.raises(PathError, match=re.escape(f"horizon must be finite and > 0, got {horizon}")):
+        comparison_psi(w, w, p, p, 10.0, 0.1, 2.0, horizon)
 
 
 def test_comparison_psi_beta_ladder_shrinks_gap():

@@ -229,12 +229,13 @@ def _tree_results(cp, p0):
 
 
 def _reduction_arrays(cp, xg):
-    mp = phjb.markovian_reduction(cp)
-    xs, rng = xg.nodes(), np.random.default_rng(3)
-    y, z = rng.normal(size=xg.nx), rng.normal(size=xg.nx)
-    out = [mp.terminal(xs)]
-    for k, u in itertools.product(range(cp.grid.steps + 1), cp.controls):
-        out += [mp.drift(k, xs, u), mp.diffusion(k, xs, u), mp.generator(k, xs, y, z, u)]
+    cp = phjb.markovian_reduction(cp)
+    b, sig, _, hists = phjb._coefficient_table(cp, xg)
+    rng = np.random.default_rng(3)
+    y, z = rng.normal(size=xg.nx), rng.normal(size=(xg.nx, 1))
+    out = [b, sig, cp.terminal(hists[-1])]
+    for hist, u in itertools.product(hists, cp.controls):
+        out.append(cp.generator(hist, y, z, (u,) * xg.nx))
     return out
 
 
