@@ -10,7 +10,7 @@ an independent cross-check.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
@@ -60,6 +60,28 @@ class PathFunctional:
         )
 
 
+@dataclass(frozen=True)
+class _EndpointFunctional(PathFunctional):
+    """``endpoint_functional``'s result: its four PathFunctional fields are
+    derived from ``g``, ``grad`` and ``hess``, which it keeps, so that
+    ``dataclasses.replace`` cannot set one apart from the others."""
+
+    eval: Callable[[Path], float] = field(init=False)
+    analytic_dt: Optional[Callable[[Path], float]] = field(init=False)
+    analytic_dx: Optional[Callable[[Path], np.ndarray]] = field(init=False)
+    analytic_dxx: Optional[Callable[[Path], np.ndarray]] = field(init=False)
+    g: Callable[[np.ndarray], float]
+    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        g, grad, hess, set_field = self.g, self.grad, self.hess, partial(object.__setattr__, self)
+        set_field("eval", lambda p: float(g(p.values[:, -1])))
+        set_field("analytic_dt", lambda p: 0.0)
+        set_field("analytic_dx", (lambda p: np.array(grad(p.values[:, -1]), copy=None, ndmin=1)) if grad else None)
+        set_field("analytic_dxx", (lambda p: np.array(hess(p.values[:, -1]), copy=None, ndmin=2)) if hess else None)
+
+
 def bump_size(p: Path) -> float:
     """Vertical bump of the central stencils: 1e-4 * (1 + |endpoint|), which
     keeps their conditioning uniform across path magnitudes."""
@@ -104,18 +126,36 @@ def horizontal_derivative(f: PathFunctional, p: Path) -> float:
     return (f.eval(horizontal_extension(p, p.t_index + 1)) - f.eval(p)) / p.dt
 
 
-def _jet(f: PathFunctional, paths) -> tuple:
-    """(dt_f, dx_f, dxx_f) at N paths of one dimension d, as float arrays of
-    shape (N,), (N, d) and (N, d, d), dxx_f symmetrized: each of f's analytic
-    fields where present, else its finite difference. A field of the wrong
-    shape at any path raises PathError naming the field."""
-    n, d = len(paths), paths[0].d
-    dt_of = f.analytic_dt or partial(horizontal_derivative, f)
-    dx_of = f.analytic_dx or partial(vertical_gradient, f)
-    dxx_of = f.analytic_dxx or partial(vertical_hessian, f)
-    dtf = _stack_checked("analytic_dt", [dt_of(p) for p in paths], (n,))
-    dxf = _stack_checked("analytic_dx", [dx_of(p) for p in paths], (n, d))
-    dxxf = _stack_checked("analytic_dxx", [dxx_of(p) for p in paths], (n, d, d))
+def _jet(f: PathFunctional, paths, ends=None, copies: int = 1) -> tuple:
+    """(dt_f, dx_f, dxx_f) at N = len(paths) * copies paths of one dimension d,
+    as float arrays of shape (N,), (N, d) and (N, d, d), dxx_f symmetrized:
+    each of f's analytic fields where present, else its finite difference,
+    read once per path and stacked ``copies`` times over. A field of the wrong
+    shape raises PathError naming the field. An ``endpoint_functional`` takes
+    the endpoint route: dt_f is zero, and ``grad`` and ``hess`` are called once
+    per row of ``ends``, the paths' (d,) endpoints (read off the paths when
+    not given), without a Path; a missing one falls back to its stencil.
+    Functionals derived from one take the per-path route."""
+    n, d = len(paths) * copies, paths[0].d
+    endpoint = isinstance(f, _EndpointFunctional)
+    if endpoint:
+        ends = [p.values[:, -1] for p in paths] if ends is None else ends
+        dtf = np.zeros(n)
+    else:
+        dt_of = f.analytic_dt or partial(horizontal_derivative, f)
+        dtf = _stack_checked("analytic_dt", [dt_of(p) for p in paths] * copies, (n,))
+    if endpoint and f.grad:
+        dxs = [np.array(f.grad(x), copy=None, ndmin=1) for x in ends]
+    else:
+        dx_of = f.analytic_dx or partial(vertical_gradient, f)
+        dxs = [dx_of(p) for p in paths]
+    dxf = _stack_checked("analytic_dx", dxs * copies, (n, d))
+    if endpoint and f.hess:
+        dxxs = [np.array(f.hess(x), copy=None, ndmin=2) for x in ends]
+    else:
+        dxx_of = f.analytic_dxx or partial(vertical_hessian, f)
+        dxxs = [dxx_of(p) for p in paths]
+    dxxf = _stack_checked("analytic_dxx", dxxs * copies, (n, d, d))
     return dtf, dxf, 0.5 * (dxxf + dxxf.swapaxes(-1, -2))
 
 
@@ -141,7 +181,11 @@ def ito_check(
     the Euler stepper of ``simulate_psde``, which steps them together, and
     ``_jet`` reads the derivatives once per step at the paths the coefficients
     were read at; a non-finite state raises ``BlowupError`` before any
-    derivative is taken. drift(path) must return a
+    derivative is taken. At the start step every path is p0, so drift,
+    diffusion and the jet are read once there and stacked n_paths times. An
+    ``endpoint_functional`` is read at the state's endpoint columns (``g``
+    at p0 and at the last column), without a Path; functionals derived from
+    one take the per-path route. drift(path) must return a
     (d,) vector and diffusion(path) a (d, n) matrix with the same n on every
     path, and f's analytic derivatives a number, a (d,) vector and a (d, d)
     matrix; else PathError.
@@ -149,31 +193,38 @@ def ito_check(
     n_paths = _count("ito_check n_paths", n_paths, 1)
     d, dt = p0.d, p0.dt
     sig_shape = []  # (d, n), n fixed by the first diffusion value
-    step_paths = []  # the N paths at each step's grid index, p0 itself at the first
+    step_rows = []  # per step, the paths read, their (N, d) endpoints and the copies of each read
 
     def coeffs(vals: np.ndarray):
-        paths = [Path._wrap(x, dt) for x in vals] if step_paths else [p0] * n_paths
-        step_paths.append(paths)
+        if step_rows:
+            paths, ends, copies = [Path._wrap(x, dt) for x in vals], vals[:, :, -1], 1
+        else:  # every row is p0: read once, stacked n_paths times
+            paths, ends, copies = [p0], None, n_paths
+        step_rows.append((paths, ends, copies))
         bs, sigs = [], []
         for p in paths:
             bs.append(drift(p))
             sigs.append(diffusion(p))
         if not sig_shape:
             sig_shape.append((d, *(np.shape(sigs[0])[-1:] or (1,))))
-        return _stack_checked("drift", bs, (n_paths, d)), _stack_checked("diffusion", sigs, (n_paths, *sig_shape[0]))
+        return _stack_checked("drift", bs * copies, (n_paths, d)), _stack_checked("diffusion", sigs * copies, (n_paths, *sig_shape[0]))
 
     rng = np.random.default_rng(seed)
     f_start = f.eval(p0)
     state, records = _euler_path(coeffs, p0, end_index, n_paths, rng)
     acc = np.zeros(n_paths)
-    for paths, (sig, dx) in zip(step_paths, records):
-        dtf, dxf, dxxf = _jet(f, paths)
+    for (paths, ends, copies), (sig, dx) in zip(step_rows, records):
+        dtf, dxf, dxxf = _jet(f, paths, ends, copies)
         with np.errstate(all="ignore"):  # an overflow leaves a non-finite residual, not a warning
             tr = np.trace(dxxf @ (sig @ sig.swapaxes(-1, -2)), axis1=-2, axis2=-1)
             acc += dtf * dt + 0.5 * tr * dt + (dxf[:, None, :] @ dx[:, :, None])[:, 0, 0]
+    if isinstance(f, _EndpointFunctional):
+        f_end = [float(f.g(x)) for x in state[:, :, -1]]
+    else:
+        f_end = [f.eval(Path._wrap(x, dt)) for x in state]
     total = 0.0
-    for x, a in zip(state, acc.tolist()):  # in path order: np.sum would regroup the sum
-        total += abs(f.eval(Path._wrap(x, dt)) - f_start - a)
+    for fx, a in zip(f_end, acc.tolist()):  # in path order: np.sum would regroup the sum
+        total += abs(fx - f_start - a)
     return total / n_paths
 
 
@@ -195,13 +246,13 @@ def endpoint_functional(
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> PathFunctional:
-    """f(gamma_t) = g(gamma_t(t)); horizontal derivative is exactly zero."""
-    return PathFunctional(
-        eval=lambda p: float(g(p.values[:, -1])),
-        analytic_dt=lambda p: 0.0,
-        analytic_dx=(lambda p: np.array(grad(p.values[:, -1]), copy=None, ndmin=1)) if grad else None,
-        analytic_dxx=(lambda p: np.array(hess(p.values[:, -1]), copy=None, ndmin=2)) if hess else None,
-    )
+    """f(gamma_t) = g(gamma_t(t)); horizontal derivative is exactly zero.
+
+    The result keeps ``g``, ``grad`` and ``hess``, so that ``_jet`` and
+    ``ito_check`` call them at endpoint rows without a Path (the endpoint
+    route); its per-path fields are derived from them, and each agrees with
+    that route bit for bit."""
+    return _EndpointFunctional(g, grad, hess)
 
 
 def time_functional(g: Callable[[float], float], dg: Optional[Callable[[float], float]] = None) -> PathFunctional:

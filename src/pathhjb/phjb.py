@@ -387,8 +387,13 @@ def markov_fd_solve(cp: ControlProblem, x_grid: XGrid, time_substeps: Optional[i
     does a grid with d or n other than 1.
     Returns V of shape (steps+1, nx) with V[k] the solution at time k*dt.
     """
+    return _fd_solve(cp, x_grid, _coefficient_table(cp, x_grid), time_substeps)
+
+
+def _fd_solve(cp: ControlProblem, x_grid: XGrid, table: tuple, time_substeps: Optional[int] = None) -> np.ndarray:
+    """markov_fd_solve on ``table``, ``_coefficient_table(cp, x_grid)`` read by its caller."""
     g = cp.grid
-    b, sig, rates, hists = _coefficient_table(cp, x_grid)
+    b, sig, rates, hists = table
     substeps = _cfl_substeps(cp, x_grid, rates, time_substeps)
     dt_sub, dx, nx = g.dt / substeps, x_grid.dx, x_grid.nx
     uss = [(u,) * nx for u in cp.controls]
@@ -438,10 +443,11 @@ def markov_consistency(
     """|tree value at p - FD solution at (t, p endpoint)|, with an error bound.
 
     The tree value comes first, then the reduction's probes, then one
-    ``markov_fd_solve``, which picks the automatic substep count and runs the
-    CFL guard once. The bound c*(dt_tree + dt_fd + dx^2) reads the
-    coefficient table again: c from the drift, diffusion and terminal
-    magnitudes at time 0, dt_fd from the same count off the table's rates.
+    coefficient table and the ``markov_fd_solve`` on it, which picks the
+    automatic substep count and runs the CFL guard once. The bound
+    c*(dt_tree + dt_fd + dx^2) reads the same table: c from the drift,
+    diffusion and terminal magnitudes at time 0, dt_fd from the same count
+    off the table's rates.
     It is a reporting aid for the combined tree + scheme discretization
     error, not a proof.
     """
@@ -451,8 +457,9 @@ def markov_consistency(
     tree_v = value(cp, p)  # checks the node cap before any work
     cp = markovian_reduction(cp, seed)
     g = cp.grid
-    grid_v = markov_fd_solve(cp, x_grid)
-    b, sig, rates, _ = _coefficient_table(cp, x_grid)
+    table = _coefficient_table(cp, x_grid)
+    grid_v = _fd_solve(cp, x_grid, table)
+    b, sig, rates, _ = table
     fd_v = float(np.interp(x, x_grid.nodes(), grid_v[p.t_index]))
     mags = [*np.abs(b[0]).max(axis=1).tolist(), *(sig[0] ** 2).max(axis=1).tolist()]
     scale = max(1.0, *mags) * max(1.0, float(np.abs(grid_v[g.steps]).max()))

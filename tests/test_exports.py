@@ -118,3 +118,18 @@ def test_drift_and_diffusion_are_read_in_two_places():
     assert [where for where, name in reads if not (isinstance(name, ast.Constant) and isinstance(name.value, str))] == []
     readers = {(where, name.value) for where, name in reads if name.value in ("drift", "diffusion")}
     assert readers == {(where, field) for where in ("control.ControlProblem.coeffs", "funcalc.ito_check") for field in ("drift", "diffusion")}
+
+
+def test_functional_fields_are_called_in_funcalc_only():
+    # funcalc._jet is the one reader of a functional's derivatives, and ito_check and the FD
+    # stencils read endpoint functionals' own callables; a call of a field anywhere else would
+    # be a second route to them
+    fields = {"analytic_dt", "analytic_dx", "analytic_dxx", "g", "grad", "hess"}
+    callers = {
+        f"{stem}.{owner}"
+        for stem, tree in SOURCES.items()
+        for owner, node in _owned_nodes(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in fields
+    }
+    assert callers
+    assert sorted(c for c in callers if not c.startswith("funcalc.")) == []

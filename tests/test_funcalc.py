@@ -17,6 +17,7 @@ from pathhjb.funcalc import (
 )
 from pathhjb.gauge import GaugeParams, grad_upsilon, hess_upsilon, upsilon_functional
 from pathhjb.pathspace import Path, PathError
+from pathhjb.phjb import SmoothFunctional
 
 SQUARE = endpoint_functional(
     lambda x: float(x @ x),
@@ -165,7 +166,8 @@ def test_ito_check_fd_fallback_close_to_analytic():
 
 
 def _reference_ito_check(f, drift, diffusion, p0, end_index, n_paths, seed):
-    # the per-path dispatch funcalc kept before its one jet reader
+    # the per-path dispatch funcalc kept before its one jet reader; it reads an endpoint
+    # functional through its per-path fields, at a Path, where ito_check reads g, grad and hess
     def time_derivative(f, p):
         return float(f.analytic_dt(p)) if f.analytic_dt is not None else horizontal_derivative(f, p)
 
@@ -234,18 +236,46 @@ def _path_functional(present):
     return PathFunctional(eval=ev, **{k: fields[k] for k in present})
 
 
+def _endpoint_functional(present):
+    # g of the endpoint alone; grad and hess, where present, are its true derivatives
+    def grad(x):
+        g = np.cos(x.sum()) + x
+        g[0] += 3.0 * x[0] ** 2
+        return g
+
+    def hess(x):
+        h = -np.sin(x.sum()) * np.ones((x.shape[0], x.shape[0])) + np.eye(x.shape[0])
+        h[0, 0] += 6.0 * x[0]
+        return h
+
+    fields = {"grad": grad, "hess": hess}
+    return endpoint_functional(lambda x: float(np.sin(x.sum()) + 0.5 * (x @ x) + x[0] ** 3), **{k: fields[k] for k in present})
+
+
+def _reference_functionals():
+    # each analytic field of a path-dependent functional present or not; each of an endpoint
+    # functional's grad and hess present or not; and functionals derived from endpoint ones
+    import itertools
+
+    names = ("analytic_dt", "analytic_dx", "analytic_dxx")
+    for mask in itertools.product([False, True], repeat=3):
+        yield _path_functional([k for k, on in zip(names, mask) if on])
+    for mask in itertools.product([False, True], repeat=2):
+        yield _endpoint_functional([k for k, on in zip(("grad", "hess"), mask) if on])
+    full = _endpoint_functional(["grad", "hess"])
+    yield add_functionals(full, _endpoint_functional(["grad"]))
+    yield scale_functional(full, -1.5)
+    yield SmoothFunctional.from_functional(full)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ito_check_equals_reference_loop(d, n):
-    import itertools
-
     rng = np.random.default_rng(d * 10 + n)
     mix = rng.normal(size=(d, n))
     drift = lambda p: np.tanh(p.values[:, -1]) * 0.4 + 0.1  # noqa: E731
     diffusion = lambda p: mix * (1.0 + 0.2 * np.tanh(p.values[0, -1]))  # noqa: E731
-    names = ("analytic_dt", "analytic_dx", "analytic_dxx")
-    for mask in itertools.product([False, True], repeat=3):
-        f = _path_functional([k for k, on in zip(names, mask) if on])
+    for f in _reference_functionals():
         # a zero-step run (end_index at the start), one step and a few steps
         for k0, end_index in ((2, 2), (1, 2), (0, 4)):
             p0 = Path(rng.normal(size=(d, k0 + 1)), 0.2)
@@ -253,6 +283,44 @@ def test_ito_check_equals_reference_loop(d, n):
             for n_paths in (1, 40):
                 got = ito_check(f, drift, diffusion, p0, end_index, n_paths, seed)
                 assert np.array_equal(got, _reference_ito_check(f, drift, diffusion, p0, end_index, n_paths, seed))
+
+
+@pytest.mark.parametrize("endpoint", [True, False])
+def test_ito_check_reads_the_start_step_once(endpoint):
+    # every path is p0 at the start step: drift, diffusion and each derivative are read once there
+    # and once per path at each later step; f's value once at p0 and once per final state
+    from collections import Counter
+
+    calls, drift_at = Counter(), Counter()
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+
+        return wrapper
+
+    if endpoint:
+        fields = {"g": lambda x: float(x @ x), "grad": lambda x: 2.0 * x, "hess": lambda x: 2.0 * np.eye(x.shape[0])}
+        f = endpoint_functional(*(counted(name, fn) for name, fn in fields.items()))
+    else:
+        fields = {name: getattr(SQUARE, name) for name in ("eval", "analytic_dt", "analytic_dx", "analytic_dxx")}
+        f = PathFunctional(*(counted(name, fn) for name, fn in fields.items()))
+    drift = lambda p: np.full(2, 0.1)  # noqa: E731
+    diffusion = lambda p: np.eye(2)  # noqa: E731
+
+    def drift_counted(p):
+        drift_at[p.t_index] += 1
+        return drift(p)
+
+    n_paths, k0, end_index = 5, 1, 4
+    p0 = Path(np.arange(4.0).reshape(2, 2), 0.25)
+    res = ito_check(f, drift_counted, counted("diffusion", diffusion), p0, end_index, n_paths, seed=3)
+    assert drift_at == {k0: 1, **{k: n_paths for k in range(k0 + 1, end_index)}}
+    want = dict.fromkeys([*fields, "diffusion"], 1 + (end_index - k0 - 1) * n_paths)
+    want["g" if endpoint else "eval"] = 1 + n_paths
+    assert calls == want
+    assert res == _reference_ito_check(SQUARE, drift, diffusion, p0, end_index, n_paths, seed=3)
 
 
 def test_ito_check_blowup_on_a_later_path_is_reported_before_any_derivative():

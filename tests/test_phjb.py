@@ -788,8 +788,8 @@ def test_markov_consistency_work_is_bounded_by_the_lattice(monkeypatch):
     counts.update(dict.fromkeys(names, 0))
     rep = markov_consistency(cp, p, xg)
     assert rep.residual <= rep.error_bound
-    # the FD solve and the bound each read one table, in one coeffs call per grid index
-    assert counts["drift"] == counts["diffusion"] == len(probed) + 2 * (grid.steps + 1)
+    # the FD solve and the bound read one table, in one coeffs call per grid index
+    assert counts["drift"] == counts["diffusion"] == len(probed) + grid.steps + 1
     assert counts["paths"] == 0
 
 
