@@ -37,7 +37,7 @@ from .control import (
 from .expressions import ExpressionError, inline_problem
 from .funcalc import PathFunctional, endpoint_functional, ito_check
 from .gauge import GaugeParams
-from .pathspace import GridConfig, Path, PathError
+from .pathspace import GridConfig, Path, PathError, _count
 from .phjb import (
     CFLError,
     MarkovProbeError,
@@ -552,11 +552,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     defaults, runner, _, case_counts = SUBCOMMANDS[args.subcommand]
     try:
+        try:
+            seed = _count("seed", args.seed, 0)
+        except PathError as exc:
+            raise ConfigError(exc) from None
         config = _load_config(defaults, args.config, args.override)
         for key in case_counts:
             if not config[key]:
                 raise ConfigError(f"{key} must be {'nonempty' if isinstance(config[key], list) else 'at least 1'}, got {config[key]!r}")
-        header, rows, lines, code = runner(config, args.seed)
+        header, rows, lines, code = runner(config, seed)
     except (ConfigError, ExpressionError, yaml.YAMLError, OSError) as exc:  # the runners read no files
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -567,9 +571,13 @@ def main(argv=None) -> int:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     outdir = FsPath(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / f"{args.subcommand}.csv", header, rows)
-    _write_summary(outdir / "summary.txt", lines)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        _write_csv(outdir / f"{args.subcommand}.csv", header, rows)
+        _write_summary(outdir / "summary.txt", lines)
+    except OSError as exc:  # --out names a file, or a path under one
+        print(f"config error: cannot write the outputs to --out {args.out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for line in lines:
         print(line)
     return code

@@ -37,6 +37,7 @@ __all__ = [
     "BlowupError",
     "ControlStrategy",
     "ControlProblem",
+    "BoundGenerator",
     "per_path",
     "NoiseTree",
     "BsdeSolution",
@@ -108,7 +109,9 @@ class ControlProblem:
     itself: a form must not write into it, nor into a value it returned, which
     the solvers may read without a copy. A value of another shape raises
     PathError; an error the form raises reaches the caller as it is.
-    Coefficients written per path enter through ``per_path``.
+    Coefficients written per path enter through ``per_path``; a generator whose
+    y-free reads are worth doing once per implicit solve, through
+    ``BoundGenerator``.
     """
 
     drift: Callable[[np.ndarray, Sequence], np.ndarray]
@@ -134,6 +137,21 @@ class ControlProblem:
         return _stack_checked("drift", self.drift(vals, us), (n, g.dim)), _stack_checked(
             "diffusion", self.diffusion(vals, us), (n, g.dim, g.noise_dim)
         )
+
+
+class BoundGenerator:
+    """A generator split at y: ``bind(vals, z, us)`` does every read that does not
+    depend on y once and returns the (N,) form of y, and the form itself is the
+    generator, ``bind(vals, z, us)(y)``. The implicit step binds once per batch
+    of rows and once more after rows leave it, so each round reads only y; every
+    other reader calls the form as any generator. Its module is ``bind``'s."""
+
+    def __init__(self, bind: Callable[[np.ndarray, np.ndarray, Sequence], Callable[[np.ndarray], np.ndarray]]):
+        self.bind = bind
+        self.__module__ = bind.__module__
+
+    def __call__(self, vals: np.ndarray, y: np.ndarray, z: np.ndarray, us: Sequence) -> np.ndarray:
+        return self.bind(vals, z, us)(y)
 
 
 def per_path(fn: Callable, dt: float) -> Callable:
@@ -352,12 +370,20 @@ def _implicit(generator: Callable, vals: np.ndarray, e_y: np.ndarray, z: np.ndar
     |F(y1)| / |F(y0)| is the y-slope of q times dt between y0 and y1, at most L*dt: a row not yet
     converged whose ratio is 0.5 or more fails the L*dt < 0.5 contract. So does a row whose value
     is not finite, or that has not converged in FIXED_POINT_MAX_ITER rounds; the lowest-index
-    failing row raises its own ContractError, and rows above it stop iterating."""
-    out, rows, y = np.empty_like(e_y), np.arange(len(e_y)), e_y
+    failing row raises its own ContractError, and rows above it stop iterating. A BoundGenerator
+    is bound before the first round and before the first round after rows leave, and each round
+    calls the bound form on y; any other generator is called with every argument each round."""
+    if isinstance(generator, BoundGenerator):
+        bind = generator.bind
+    else:
+        bind = lambda vals, z, us: lambda y: generator(vals, y, z, us)
+    out, rows, y, q = np.empty_like(e_y), np.arange(len(e_y)), e_y, None
     y_old = f_old = e_y  # the previous iterate and its F, read from round 1 on
     first_bad, error = len(e_y), None  # the lowest failing row and its message
     for r in range(FIXED_POINT_MAX_ITER):
-        t = e_y + _stack_checked("generator", generator(vals, y, z, us), y.shape) * dt
+        if q is None:  # the first round over these rows
+            q = bind(vals, z, us)
+        t = e_y + _stack_checked("generator", q(y), y.shape) * dt
         f = t - y
         done = np.abs(f) <= FIXED_POINT_TOL * (1.0 + np.abs(t))
         if r == 1 or not np.isfinite(t).all():  # else no row can fail this round
@@ -381,6 +407,7 @@ def _implicit(generator: Callable, vals: np.ndarray, e_y: np.ndarray, z: np.ndar
             if keep.size == 0:
                 break
             rows, vals, e_y, z, us, y, t, f, y_old, f_old = (a[keep] for a in (rows, vals, e_y, z, us, y, t, f, y_old, f_old))
+            q = None
         if r == FIXED_POINT_MAX_ITER - 1:
             c, p = float(abs(f[0])), float(abs(f_old[0]))
             raise ContractError(

@@ -33,7 +33,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .control import ControlProblem
+from .control import BoundGenerator, ControlProblem
 from .pathspace import GridConfig, _sq_cols
 
 __all__ = ["ExpressionError", "compile_expression", "inline_problem"]
@@ -186,7 +186,10 @@ def _columns(fns: list, env: dict, n: int) -> np.ndarray:
 def inline_problem(spec: Mapping, grid: GridConfig) -> ControlProblem:
     """The ControlProblem of the CLI's ``problem.inline`` keys: drift, diffusion,
     generator and terminal expressions over the names ``grid`` binds, and
-    controls; each coefficient is the array form of its expressions."""
+    controls; each coefficient is the array form of its expressions. The
+    generator is a BoundGenerator: the path variables, u and z are read once
+    per implicit solve, and each fixed-point round evaluates the expression
+    with y bound."""
     if len(spec["drift"]) != grid.dim or len(spec["diffusion"]) != grid.dim:
         raise ExpressionError("drift/diffusion rows must match grid.dim")
     if any(len(row) != grid.noise_dim for row in spec["diffusion"]):
@@ -211,13 +214,17 @@ def inline_problem(spec: Mapping, grid: GridConfig) -> ControlProblem:
     def diffusion(vals, us):
         return _columns(diff_fns, coeff_env(vals, us), vals.shape[0]).reshape(-1, *shape)
 
-    def generator(vals, y, z, us):
+    def generator(vals, z, us):
         env = coeff_env(vals, us)
-        env["y"] = y
         for i in range(z.shape[1]):
             env[f"z{i}"] = z[:, i]
         env["z"] = env["z0"]
-        return _columns([gen_fn], env, vals.shape[0])[:, 0]
+
+        def at(y):
+            env["y"] = y
+            return _columns([gen_fn], env, vals.shape[0])[:, 0]
+
+        return at
 
     def terminal(vals):
         return _columns([term_fn], _path_env(vals, dt, horizon), vals.shape[0])[:, 0]
@@ -225,7 +232,7 @@ def inline_problem(spec: Mapping, grid: GridConfig) -> ControlProblem:
     return ControlProblem(
         drift=drift,
         diffusion=diffusion,
-        generator=generator,
+        generator=BoundGenerator(generator),
         terminal=terminal,
         controls=tuple(spec["controls"]),
         grid=grid,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .control import ControlProblem
+from .control import BoundGenerator, ControlProblem
 from .funcalc import PathFunctional, endpoint_functional, running_integral_functional
 from .bshjb import AugmentedProblem
 from .pathspace import GridConfig, PathError, _count
@@ -198,6 +198,9 @@ def random_problem(grid: GridConfig, seed: int, n_controls: int = 2) -> ControlP
     Coefficients stay within tanh envelopes so the probed Lipschitz constant
     is small and the implicit BSDE step contracts at desk-scale dt. The
     history term is tanh of the running integral of the first coordinate.
+    The generator a3 tanh(y) + a4 tanh(z) + a5 hist - 0.1 u^2 is a
+    BoundGenerator: its z, history and control terms are read once per
+    implicit solve, and each fixed-point round adds them to a3 tanh(y).
     """
     rng = np.random.default_rng(seed)
     a = rng.uniform(-0.5, 0.5, size=6)
@@ -216,13 +219,14 @@ def random_problem(grid: GridConfig, seed: int, n_controls: int = 2) -> ControlP
         base = 0.5 + 0.25 * np.tanh(vals[:, 0, -1]) + 0.1 * np.asarray(us, dtype=float)
         return base[:, None, None] * np.eye(d, n)
 
-    def gen(vals, y, z, us):
-        return a[3] * np.tanh(y) + a[4] * np.tanh(z[:, 0]) + a[5] * hist(vals) - 0.1 * square(us).astype(float)
+    def gen(vals, z, us):
+        b, c, e = a[4] * np.tanh(z[:, 0]), a[5] * hist(vals), 0.1 * square(us).astype(float)
+        return lambda y: a[3] * np.tanh(y) + b + c - e
 
     def terminal(vals):
         return np.tanh(vals[:, 0, -1]) + 0.2 * np.sqrt((vals**2).sum(axis=1)).max(axis=1)
 
-    return ControlProblem(drift=drift, diffusion=diffusion, generator=gen, terminal=terminal, controls=controls, grid=grid)
+    return ControlProblem(drift=drift, diffusion=diffusion, generator=BoundGenerator(gen), terminal=terminal, controls=controls, grid=grid)
 
 
 def random_augmented_problem(steps: int, horizon: float, seed: int) -> AugmentedProblem:

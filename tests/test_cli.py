@@ -501,6 +501,7 @@ def test_one_dimensional_presets_reject_other_grids(subcommand, spec, tmp_path, 
         (["markov-compare", "--override", "base_steps=0"], 2, "config error: base_steps must be at least 1, got 0"),
         (["viscosity-probe", "--override", "cloud=0"], 2, "config error: cloud must be at least 1, got 0"),
         (["bshjb-check", "--override", "steps=0"], 2, "config error: steps must be at least 1, got 0"),
+        *(([name, "--seed", "-1"], 2, "config error: seed must be an integer >= 0, got -1") for name in SUBCOMMANDS),
     ],
 )
 def test_counts_out_of_range_are_rejected(argv, code, message, tmp_path, capsys):
@@ -508,6 +509,25 @@ def test_counts_out_of_range_are_rejected(argv, code, message, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.err.strip() == message and captured.out == ""
     assert not (tmp_path / "summary.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "out,errno_text",
+    [
+        ("taken", "[Errno 17] File exists"),  # --out names a file
+        ("taken/sub", "[Errno 20] Not a directory"),  # a path under one
+        ("dir", "[Errno 21] Is a directory"),  # the CSV's own name is a directory
+    ],
+)
+def test_an_out_path_that_cannot_hold_the_outputs_is_a_config_error(out, errno_text, tmp_path, capsys):
+    (tmp_path / "taken").write_text("kept\n")
+    (tmp_path / "dir" / "value.csv").mkdir(parents=True)
+    where = tmp_path / out
+    assert main(["value", "--out", str(where)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot write the outputs to --out {where}: {errno_text}")
+    assert captured.out == ""
+    assert (tmp_path / "taken").read_text() == "kept\n"
 
 
 _OUT_OF_RANGE = "config error: a value left the double range: (34, 'Numerical result out of range')"

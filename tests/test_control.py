@@ -9,6 +9,7 @@ from pathhjb import control
 from pathhjb.control import (
     DEFAULT_NODE_CAP,
     BlowupError,
+    BoundGenerator,
     CapacityError,
     FIXED_POINT_MAX_ITER,
     FIXED_POINT_TOL,
@@ -1264,6 +1265,35 @@ def test_the_implicit_step_repeats_its_parent_bit_for_bit(batch):
     assert got == want  # the same iterates at the same rows, round by round
 
 
+@settings(max_examples=400, deadline=None)
+@given(_implicit_batches())
+def test_the_implicit_step_binds_a_bound_generator_once_per_batch_of_rows(batch):
+    # the twin of the test above with _families as a BoundGenerator: the same bytes and errors
+    # as the parent's plain calls, the same iterates at the same rows, and one bind before the
+    # first round and before the first round after rows leave, whose rows every round reads
+    binds, rounds, want = [], [], []
+
+    def bind(vals, z, us):
+        binds.append(len(vals))
+
+        def at(y):
+            rounds.append((vals.tobytes(), y.tobytes(), z.tobytes(), tuple(us)))
+            return _families(vals, y, z, us)
+
+        return at
+
+    def plain(vals, y, z, us):
+        want.append((vals.tobytes(), y.tobytes(), z.tobytes(), tuple(us)))
+        return _families(vals, y, z, us)
+
+    new = _outcome(lambda: _implicit(BoundGenerator(bind), *batch).tobytes())
+    old = _outcome(lambda: _parent_implicit(plain, *batch).tobytes())
+    assert new == old
+    assert rounds == want
+    sizes = [len(y) // 8 for _, y, _, _ in rounds]  # rows only leave, so each batch has its own size
+    assert binds == [n for i, n in enumerate(sizes) if i == 0 or n != sizes[i - 1]]
+
+
 @pytest.mark.parametrize(
     "kind,a,c,e,want",
     [
@@ -1340,6 +1370,39 @@ def test_the_engine_repeats_its_parent_bit_for_bit(case, seed, cost_of):
         arrays = [*levels, *y_levels, *z_levels, *best_levels]
         results.append(([a.tobytes() for a in arrays], [a.dtype for a in arrays], [list(c) for c in ctrls], calls))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("kind,module", [("random-1d", "pathhjb.presets"), ("bench-inline", "pathhjb.expressions")])
+def test_a_bound_generator_solves_as_its_plain_form(kind, module):
+    # value, cost and dpp_check == those of the same problem whose generator is re-wrapped as a
+    # plain form, called whole once per fixed-point round on the rows the bound form reads y at
+    base = _engine_problem(kind, 2, 5)
+    assert isinstance(base.generator, BoundGenerator) and base.generator.__module__ == module
+    binds, rounds, plain_rounds = [], [], []
+
+    def bind(vals, z, us):
+        binds.append(len(vals))
+        at = base.generator.bind(vals, z, us)
+
+        def logged(y):
+            rounds.append(len(y))
+            return at(y)
+
+        return logged
+
+    def plain(vals, y, z, us):
+        plain_rounds.append(len(y))
+        return base.generator(vals, y, z, us)
+
+    p0 = Path.constant(0.2, 0, GRID4.dt)
+    strategy = ControlStrategy.constant(base.controls[-1])
+    results = [
+        (value(cp, p0), cost(cp, p0, strategy), dpp_check(cp, p0, 2))
+        for cp in (base, dataclasses.replace(base, generator=BoundGenerator(bind)), dataclasses.replace(base, generator=plain))
+    ]
+    assert results[0] == results[1] == results[2]
+    assert rounds == plain_rounds
+    assert 0 < len(binds) < len(rounds) / 2
 
 
 def test_a_form_that_writes_into_vals_meets_a_read_only_array():
