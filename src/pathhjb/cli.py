@@ -92,9 +92,9 @@ def _merge_config(default, supplied, where: str = ""):
     """``supplied`` laid over ``default``, each scalar cast to its default's type.
 
     Unknown keys and values of the wrong shape or type (``steps=abc``, a list
-    where a number goes, inf, -3, 2.7 or true for an integer: each is a count
-    or index) raise ConfigError; a None default (an inline problem key) takes
-    any value.
+    where a number goes, true for a float, inf, -3, 2.7 or true for an integer:
+    each is a count or index) raise ConfigError; a None default (an inline
+    problem key) takes any value.
     """
     kind = type(default)
     if default is None:
@@ -108,13 +108,13 @@ def _merge_config(default, supplied, where: str = ""):
         return [_merge_config(default[0], s, where) for s in supplied]
     integral = not isinstance(supplied, bool) and (not isinstance(supplied, float) or supplied.is_integer())
     try:
-        if kind in (int, float) or isinstance(supplied, kind):
+        if kind in (int, float) and not isinstance(supplied, bool) or isinstance(supplied, kind):
             cast = kind(supplied)
             if kind is not int or (cast >= 0 and integral):
                 return cast
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError(f"{where.rstrip('.')} must be {'a nonnegative ' * (kind is int)}{kind.__name__}, got {supplied!r}")
+    raise ConfigError(f"{where.rstrip('.')} must be a {'nonnegative ' * (kind is int)}{kind.__name__}, got {supplied!r}")
 
 
 def _apply_override(supplied: dict, spec: str) -> None:

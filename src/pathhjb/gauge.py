@@ -55,7 +55,7 @@ class GaugeParams:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _count("m", self.m, 1, MAX_M))
-        if not isinstance(self.M, numbers.Real) or not -math.inf < self.M < math.inf:
+        if not isinstance(self.M, numbers.Real) or isinstance(self.M, bool) or not -math.inf < self.M < math.inf:
             raise PathError(f"M must be a finite real, got {self.M!r}")
 
 
@@ -71,13 +71,21 @@ def _gaps(p: Path, q: Path) -> tuple[float, float]:
 
 
 def _sup_and_end(row: list) -> tuple[float, float]:
-    """(sup norm, endpoint norm) from one path's squared column norms as Python floats."""
-    return math.sqrt(max(row)), math.sqrt(row[-1])
+    """(sup norm, endpoint norm) from one path's squared column norms as Python floats. A square
+    past the double range raises the OverflowError of a Python power past it, for D^{2m} is past it."""
+    top = max(row)
+    if top == math.inf:
+        raise OverflowError(34, "Numerical result out of range")
+    return math.sqrt(top), math.sqrt(row[-1])
 
 
 def _upsilon_row(row: list, g: GaugeParams) -> float:
-    """upsilon from one path's squared column norms as Python floats (ndarray.tolist())."""
-    d_sup, e = _sup_and_end(row)
+    """upsilon from one path's squared column norms as Python floats (ndarray.tolist()); inf where a
+    square is inf, as sup_norm reads there, so that subadditivity_gap's sum check comes through."""
+    try:
+        d_sup, e = _sup_and_end(row)
+    except OverflowError:
+        return math.inf
     return _core(d_sup, e, g.m) + g.M * e ** (2 * g.m)
 
 
@@ -162,7 +170,7 @@ def hess_s(p: Path, anchor: Path, g: GaugeParams = GaugeParams()) -> np.ndarray:
 def grad_power(p: Path, a, m: int) -> np.ndarray:
     """Vertical gradient of |gamma_t(t) - a|^{2m}: 2m e^{2m-2} (endpoint - a)."""
     gap = p.values - np.atleast_1d(np.asarray(a, dtype=float))[:, None]
-    x, e = gap[:, -1], math.sqrt(_sq_cols(gap)[-1])  # the array _gaps reads, so the same rounding of e
+    x, e = gap[:, -1], _sup_and_end(_sq_cols(gap)[-1:].tolist())[1]  # as _gaps reads e, overflow included
     if e == 0.0:
         return np.zeros(p.d)
     return 2.0 * m * _pow0(e, 2 * m - 2) * x
@@ -173,7 +181,7 @@ def hess_power(p: Path, a, m: int) -> np.ndarray:
     2m e^{2m-2} I + 4m(m-1) e^{2m-4} (endpoint-a)(endpoint-a)^T.
     """
     gap = p.values - np.atleast_1d(np.asarray(a, dtype=float))[:, None]
-    x, e = gap[:, -1], math.sqrt(_sq_cols(gap)[-1])  # the array _gaps reads, so the same rounding of e
+    x, e = gap[:, -1], _sup_and_end(_sq_cols(gap)[-1:].tolist())[1]  # as _gaps reads e, overflow included
     eye = np.eye(p.d)
     if e == 0.0:
         return 2.0 * eye if m == 1 else np.zeros((p.d, p.d))
@@ -228,15 +236,21 @@ def pair_sweep(
     ``sampling.random_pair(rng, d, dt, t_index, scale)``, and every value is
     equal (==) to the scalar functions' value on the same pair. Arguments
     that random_pair would turn into an invalid Path raise PathError, and a
-    batch over the draw cap CapacityError, both before any draw.
+    batch over the draw cap CapacityError, both before any draw; a sum that
+    overflows raises PathError, and then a square past the double range
+    OverflowError.
     """
     pairs = _count("pair_sweep pairs", pairs, 1)
-    paths = _walks(rng, 2 * pairs, d, dt, t_index, scale, "pair_sweep").reshape(pairs, 2, d, t_index + 1)
-    p, q, m = paths[:, 0], paths[:, 1], g.m
-    rows = _sq_cols(p - q).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # a walk, sum or square past the double range raises below
+        paths = _walks(rng, 2 * pairs, d, dt, t_index, scale, "pair_sweep").reshape(pairs, 2, d, t_index + 1)
+        p, q, m = paths[:, 0], paths[:, 1], g.m
+        s = _finite(p + q)
+        sqs = [_sq_cols(x) for x in (p - q, p, q, s)]
+    _sup_and_end([max(x.max() for x in sqs)])  # its overflow check, once for the batch: no slack reads inf - inf
+    rows, *single_rows = (x.tolist() for x in sqs)
     ups = np.array([_upsilon_row(row, g) for row in rows])
     gap = np.array([_sup_and_end(row)[0] ** (2 * m) for row in rows])
-    singles = [np.array([_upsilon_row(row, g) for row in _sq_cols(x).tolist()]) for x in (p, q, _finite(p + q))]
+    singles = [np.array([_upsilon_row(row, g) for row in x]) for x in single_rows]
     sub = 2.0 ** (2 * m - 1) * (singles[0] + singles[1]) - singles[2]
     return ups - gap, g.M * gap - ups, sub
 

@@ -171,7 +171,10 @@ def _sq_cols(x: np.ndarray) -> np.ndarray:
     """Squared Euclidean norm of each column of a (..., d, k+1) array: the one
     norm pass. A sup reads its max and an endpoint gap its last entry, so the
     two share their summation order and the sup is never below the endpoint.
-    A loop over the rows would sum one column of d >= 8 in another order."""
+    A loop over the rows would sum one column of d >= 8 in another order. At
+    d = 1 the one square is the sum: a one-term reduction returns its term."""
+    if x.shape[-2] == 1:
+        return (x * x)[..., 0, :]
     return np.add.reduce(x * x, axis=-2)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .control import BoundGenerator, ControlProblem
 from .funcalc import PathFunctional, endpoint_functional, running_integral_functional
 from .bshjb import AugmentedProblem
-from .pathspace import GridConfig, PathError, _count
+from .pathspace import GridConfig, PathError, _count, _sq_cols
 
 __all__ = [
     "lq_problem",
@@ -224,7 +224,7 @@ def random_problem(grid: GridConfig, seed: int, n_controls: int = 2) -> ControlP
         return lambda y: a[3] * np.tanh(y) + b + c - e
 
     def terminal(vals):
-        return np.tanh(vals[:, 0, -1]) + 0.2 * np.sqrt((vals**2).sum(axis=1)).max(axis=1)
+        return np.tanh(vals[:, 0, -1]) + 0.2 * np.sqrt(_sq_cols(vals)).max(axis=1)
 
     return ControlProblem(drift=drift, diffusion=diffusion, generator=BoundGenerator(gen), terminal=terminal, controls=controls, grid=grid)
 

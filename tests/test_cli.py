@@ -502,6 +502,13 @@ def test_one_dimensional_presets_reject_other_grids(subcommand, spec, tmp_path, 
         (["viscosity-probe", "--override", "cloud=0"], 2, "config error: cloud must be at least 1, got 0"),
         (["bshjb-check", "--override", "steps=0"], 2, "config error: steps must be at least 1, got 0"),
         *(([name, "--seed", "-1"], 2, "config error: seed must be an integer >= 0, got -1") for name in SUBCOMMANDS),
+        (["value", "--override", "grid.horizon=true"], 2, "config error: grid.horizon must be a float, got True"),
+        (["value", "--override", "start_value=true"], 2, "config error: start_value must be a float, got True"),
+        (["dpp", "--override", "tolerance=false"], 2, "config error: tolerance must be a float, got False"),
+        (["gauge-suite", "--override", "big_ms=[true]"], 2, "config error: big_ms must be a float, got True"),
+        (["gauge-suite", "--override", "scale=true"], 2, "config error: scale must be a float, got True"),
+        (["gauge-suite", "--override", "dt=true"], 2, "config error: dt must be a float, got True"),
+        (["bp-demo", "--override", "dt=true"], 2, "config error: dt must be a float, got True"),
     ],
 )
 def test_counts_out_of_range_are_rejected(argv, code, message, tmp_path, capsys):
@@ -550,6 +557,8 @@ _DX_SQUARED = (
         (["bp-demo", "--override", "eps_slack=-1"], 3, "contract violation: eps must be > 0"),
         (["bp-demo", "--override", "eps_slack=.nan"], 3, "contract violation: eps must be > 0"),
         (["bp-demo", "--override", "eps_slack=0"], 3, "contract violation: eps must be > 0"),
+        # a scale whose square on the path passes the double range
+        (["gauge-suite", "--override", "scale=1e160", "--override", "pairs=5"], 2, _OUT_OF_RANGE),
     ],
 )
 def test_arithmetic_outside_the_expressions_is_not_named_an_expression(argv, code, message, tmp_path, capsys):
@@ -566,6 +575,9 @@ def test_arithmetic_outside_the_expressions_is_not_named_an_expression(argv, cod
     [
         (["ito-check", "--override", "horizon=1e308"], 2, _OUT_OF_RANGE),
         (["markov-compare", "--override", "x_lo=-1e300", "--override", "x_hi=1e300"], 3, _DX_SQUARED),
+        (["gauge-suite", "--override", "scale=1e160", "--override", "pairs=5"], 2, _OUT_OF_RANGE),
+        (["gauge-suite", "--override", "scale=1e30", "--override", "pairs=5"], 2, _OUT_OF_RANGE),
+        (["gauge-suite", "--override", "scale=1e308", "--override", "pairs=5"], 3, "contract violation: path values must be finite"),
     ],
 )
 def test_out_of_range_runs_raise_no_warning_on_the_way(argv, code, message, tmp_path, capsys):

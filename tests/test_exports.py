@@ -145,3 +145,30 @@ def test_generators_are_bound_in_control_only():
         if isinstance(node, ast.Attribute) and node.attr == "bind" and isinstance(node.ctx, ast.Load)
     }
     assert readers == {"control.BoundGenerator.__call__", "control._implicit"}
+
+
+def _is_square(node: ast.AST) -> bool:
+    """x ** 2, or x * x of one expression twice."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Pow):
+        return isinstance(node.right, ast.Constant) and node.right.value == 2
+    return isinstance(node.op, ast.Mult) and ast.dump(node.left) == ast.dump(node.right)
+
+
+def test_squared_coordinates_are_summed_in_the_norm_pass_only():
+    # pathspace._sq_cols is the one norm pass: its summation order is the one every sup, endpoint
+    # gap and gauge value reads, so a sum of squares written anywhere else would be a second order
+    summers = set()
+    for stem, tree in SOURCES.items():
+        for owner, node in _owned_nodes(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            receiver = getattr(node.func, "value", None)
+            operands = [receiver] if name == "sum" and receiver is not None else []
+            if name in ("sum", "reduce", "einsum"):
+                operands += node.args
+            if any(_is_square(x) for x in operands):
+                summers.add(f"{stem}.{owner}")
+    assert summers == {"pathspace._sq_cols"}

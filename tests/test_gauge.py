@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -517,3 +518,51 @@ def test_gauge_values_reject_incomparable_paths():
                 fn(p, q)
             with pytest.raises(PathError, match="paths have different"):
                 fn(q, p)
+
+
+_PAST_RANGE = ("OverflowError", "(34, 'Numerical result out of range')")
+
+
+def test_a_square_past_the_double_range_is_an_overflow_not_a_nan():
+    # D >= 1.34e154 squares to inf, so D^{2m} is past the double range at every m: the
+    # reads that take D or e from the squares raise Python's power OverflowError, and
+    # upsilon reads inf as sup_norm does (subadditivity_gap's own sum check must come through)
+    with np.errstate(over="ignore"):
+        for d, v in ((1, 1e200), (2, 1e200), (1, -1.5e308)):
+            p = Path.constant(np.full(d, v), 8, 0.125)
+            at_end = Path(np.concatenate([np.zeros((d, 8)), p.values[:, -1:]], axis=1), 0.125)
+            for m in range(1, 7):
+                g = GaugeParams(m, 3.0)
+                for x in (p, at_end):
+                    zero = zero_like(x)
+                    assert upsilon(x, zero, g) == upsilon_single(x, g) == upsilon_bar(x, zero, g) == np.inf
+                    for fn in (s_m, grad_s, hess_s, grad_upsilon, hess_upsilon):
+                        assert _outcome(fn, x, zero, g) == _PAST_RANGE
+                    for fn in (grad_power, hess_power):
+                        assert _outcome(fn, x, np.zeros(d), m) == _PAST_RANGE
+        # only the endpoint gap enters the power derivatives: an overflowing square before it does not
+        early = Path(np.array([[1e200, 1.0], [0.0, 1.0]]), 0.5)
+        assert np.isfinite(grad_power(early, [0.0, 0.0], 3)).all() and np.isfinite(hess_power(early, [0.0, 0.0], 3)).all()
+    # the power overflows first where the square stays finite: m = 6 and a gap of 1e13
+    p = Path.constant(1e13, 2, 0.5)
+    assert _outcome(s_m, p, zero_like(p), GaugeParams(6, 3.0)) == _PAST_RANGE
+
+
+def test_pair_sweep_overflows_without_a_warning_or_a_nan():
+    # scale 1e160 walks are finite, their squares are not; one errstate covers the sweep
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e160, 1e200):
+            with pytest.raises(OverflowError, match=re.escape(_PAST_RANGE[1])):
+                pair_sweep(np.random.default_rng(0), G33, 5, 1, 0.125, 8, scale)
+        # an overflowing sum is still the finiteness error, and it comes first
+        with pytest.raises(PathError, match="^path values must be finite$"):
+            pair_sweep(np.random.default_rng(6), G33, 2, 1, 0.5, 0, 1e308)
+    lo, hi, sub = pair_sweep(np.random.default_rng(0), G33, 50, 1, 0.125, 8, 1e10)
+    assert np.isfinite(np.concatenate([lo, hi, sub])).all()
+
+
+def test_a_boolean_is_no_weight():
+    for big_m in (True, False, np.bool_(True)):
+        with pytest.raises(PathError, match=f"^{re.escape(f'M must be a finite real, got {big_m!r}')}$"):
+            GaugeParams(3, big_m)

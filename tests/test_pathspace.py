@@ -209,3 +209,26 @@ def test_norm_pass_is_numpys_column_reduction_at_every_batch_rank():
                     assert got.tobytes() == np.add.reduce(x * x, axis=-2).tobytes()
                     for idx in np.ndindex(*batch):
                         assert got[idx].tobytes() == np.add.reduce(x[idx] * x[idx], axis=0).tobytes()
+
+
+def test_one_row_norm_pass_is_the_reduction_at_subnormal_zero_and_inf_squares():
+    # at d = 1 the norm pass returns the squares themselves: the same bytes as the one-term
+    # reduction, since a square is never -0.0, also where it underflows, is zero or overflows
+    with np.errstate(over="ignore", under="ignore"):
+        for values in ([1e-160, -1e-170, 2e-155, 1e-200], [0.0, -0.0, 0.0, -0.0], [1e200, -1e155, 1.5e308, -1e308]):
+            for batch in ((), (3,), (2, 3)):
+                x = np.broadcast_to(np.array(values), (*batch, 1, 4)).copy()
+                got = _sq_cols(x)
+                assert got.shape == (*batch, 4)
+                assert got.tobytes() == np.add.reduce(x * x, axis=-2).tobytes()
+        assert _sq_cols(np.array([[-0.0]])).tobytes() == np.zeros(1).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_writing_into_the_norm_pass_leaves_its_input(d):
+    x = np.random.default_rng(3).normal(size=(2, d, 5))
+    kept = x.copy()
+    got = _sq_cols(x)
+    got[...] = 7.0
+    assert x.tobytes() == kept.tobytes()
+    assert not np.shares_memory(got, x)
