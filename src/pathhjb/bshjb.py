@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .control import ControlProblem, ControlStrategy, _stack_checked, cost, value
+from .control import BoundGenerator, ControlProblem, ControlStrategy, _stack_checked, cost, value
 from .funcalc import PathFunctional
 from .pathspace import GridConfig, Path, PathError, _count
 from .phjb import phjb_residual
@@ -37,7 +37,9 @@ class AugmentedProblem:
     an (N, d, K) array, their states ``x``, an (N, m) array, and N controls
     ``us``: base_drift(omega, x, us) -> (N, m), base_diffusion(omega, x, us)
     -> (N, m, d), base_generator(omega, x, y, z, us) -> (N,) with y (N,) and
-    z (N, d), base_terminal(omega at horizon, x) -> (N,).
+    z (N, d), base_terminal(omega at horizon, x) -> (N,). The base generator
+    may be a BoundGenerator, which ``augment`` and ``remark64_check`` bind as
+    it binds.
     """
 
     base_drift: Callable
@@ -78,31 +80,37 @@ def stack_paths(omega: Path, xi: Path) -> Path:
     return Path._wrap(v, omega.dt)
 
 
+def _generator_through(ap: AugmentedProblem, head: Callable) -> Callable:
+    """The generator form (vals, y, z, us) -> ap.base_generator(*head(vals), y, z, us):
+    a BoundGenerator, bound as the base binds, when the base is one."""
+    base = ap.base_generator
+    if isinstance(base, BoundGenerator):
+        return base.through(head)
+    return lambda vals, y, z, us: base(*head(vals), y, z, us)
+
+
 def augment(ap: AugmentedProblem) -> ControlProblem:
     """Block construction: drift (0; b-bar), diffusion (I; sigma-bar),
     generator and terminal read the state block only through its endpoint.
     """
     d, m = ap.noise_dim, ap.state_dim
 
+    def blocks(vals):
+        return vals[:, :d], vals[:, d:, -1]
+
     def drift(vals, us):
-        b = _stack_checked("base drift", ap.base_drift(vals[:, :d], vals[:, d:, -1], us), (vals.shape[0], m))
+        b = _stack_checked("base drift", ap.base_drift(*blocks(vals), us), (vals.shape[0], m))
         return np.concatenate([np.zeros((vals.shape[0], d)), b], axis=1)
 
     def diffusion(vals, us):
-        s = _stack_checked("base diffusion", ap.base_diffusion(vals[:, :d], vals[:, d:, -1], us), (vals.shape[0], m, d))
+        s = _stack_checked("base diffusion", ap.base_diffusion(*blocks(vals), us), (vals.shape[0], m, d))
         return np.concatenate([np.broadcast_to(np.eye(d), (vals.shape[0], d, d)), s], axis=1)
-
-    def gen(vals, y, z, us):
-        return ap.base_generator(vals[:, :d], vals[:, d:, -1], y, z, us)
-
-    def term(vals):
-        return ap.base_terminal(vals[:, :d], vals[:, d:, -1])
 
     return ControlProblem(
         drift=drift,
         diffusion=diffusion,
-        generator=gen,
-        terminal=term,
+        generator=_generator_through(ap, blocks),
+        terminal=lambda vals: ap.base_terminal(*blocks(vals)),
         controls=ap.controls,
         grid=ap.grid,
     )
@@ -147,7 +155,7 @@ def remark64_check(ap: AugmentedProblem, p_omega: Path) -> float:
     noise_cp = ControlProblem(
         drift=lambda vals, us: np.zeros((vals.shape[0], d)),
         diffusion=lambda vals, us: np.broadcast_to(np.eye(d), (vals.shape[0], d, d)),
-        generator=lambda vals, y, z, us: ap.base_generator(vals, np.zeros((vals.shape[0], m)), y, z, us),
+        generator=_generator_through(ap, lambda vals: (vals, np.zeros((vals.shape[0], m)))),
         terminal=lambda vals: ap.base_terminal(vals, np.zeros((vals.shape[0], m))),
         controls=(u0,),
         grid=GridConfig(ap.steps, ap.horizon, dim=d, noise_dim=d),

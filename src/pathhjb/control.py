@@ -66,6 +66,16 @@ class BlowupError(RuntimeError):
     """Simulation produced a non-finite state."""
 
 
+class _Constant:
+    """The feedback map of ``ControlStrategy.constant``: u at every path."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def __call__(self, path: Path):
+        return self.u
+
+
 @dataclass(frozen=True)
 class ControlStrategy:
     """Open-loop control sequence or feedback map on the observed path.
@@ -86,7 +96,7 @@ class ControlStrategy:
 
     @staticmethod
     def constant(u) -> "ControlStrategy":
-        return ControlStrategy(feedback=lambda path: u)
+        return ControlStrategy(feedback=_Constant(u))
 
     def control_at(self, path: Path):
         if self.feedback is not None:
@@ -140,18 +150,29 @@ class ControlProblem:
 
 
 class BoundGenerator:
-    """A generator split at y: ``bind(vals, z, us)`` does every read that does not
-    depend on y once and returns the (N,) form of y, and the form itself is the
-    generator, ``bind(vals, z, us)(y)``. The implicit step binds once per batch
-    of rows and once more after rows leave it, so each round reads only y; every
-    other reader calls the form as any generator. Its module is ``bind``'s."""
+    """A generator split at y. Its form takes y, z and us last, as a ControlProblem's
+    (vals, y, z, us) or an AugmentedProblem's (omega, x, y, z, us), and ``bind`` takes
+    every argument but y, does every read that does not depend on y once and returns
+    the (N,) form of y: the generator is ``bind(*args, z, us)(y)``. The implicit step
+    binds once per batch of rows and once more after rows leave it, so each round
+    reads only y; every other reader calls the form as any generator. Its module is
+    ``bind``'s."""
 
-    def __init__(self, bind: Callable[[np.ndarray, np.ndarray, Sequence], Callable[[np.ndarray], np.ndarray]]):
+    def __init__(self, bind: Callable[..., Callable[[np.ndarray], np.ndarray]]):
         self.bind = bind
         self.__module__ = bind.__module__
 
-    def __call__(self, vals: np.ndarray, y: np.ndarray, z: np.ndarray, us: Sequence) -> np.ndarray:
-        return self.bind(vals, z, us)(y)
+    def __call__(self, *args) -> np.ndarray:
+        return self.bind(*args[:-3], *args[-2:])(args[-3])
+
+    def through(self, head: Callable[..., tuple]) -> "BoundGenerator":
+        """This generator read through ``head``, a map of the leading arguments of a
+        new form to this one's: the form g(*args, y, z, us) = self(*head(*args), y,
+        z, us), bound as this one binds. Its module is ``head``'s."""
+        bind = self.bind
+        out = BoundGenerator(lambda *args: bind(*head(*args[:-2]), *args[-2:]))
+        out.__module__ = head.__module__
+        return out
 
 
 def per_path(fn: Callable, dt: float) -> Callable:
@@ -256,12 +277,15 @@ def _check_cap(fan: int, depth: int, cap: int, roots: int = 1) -> int:
 
 def _controls_of(strategy: ControlStrategy, vals: np.ndarray, dt: float) -> np.ndarray:
     """``strategy``'s control at each row of ``vals``, read-only same-time paths
-    on ``dt``, as a 1-D object array (controls may be tuples). An open-loop
-    strategy is read once: every row shares the grid index."""
-    if strategy.open_loop is not None:
+    on ``dt``, as a 1-D object array (controls may be tuples). A constant or
+    open-loop strategy is read once: every row shares the grid index."""
+    if isinstance(strategy.feedback, _Constant):
+        u = strategy.feedback.u
+    elif strategy.open_loop is not None:
         u = strategy.control_at(Path._wrap(vals[0], dt))
-        return np.fromiter(itertools.repeat(u, len(vals)), object, len(vals))
-    return np.fromiter((strategy.control_at(Path._wrap(row, dt)) for row in vals), object, len(vals))
+    else:
+        return np.fromiter((strategy.control_at(Path._wrap(row, dt)) for row in vals), object, len(vals))
+    return np.fromiter(itertools.repeat(u, len(vals)), object, len(vals))
 
 
 def _forward(cp: ControlProblem, roots: np.ndarray, depth: int, incs: np.ndarray, strategy=None):

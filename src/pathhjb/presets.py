@@ -233,13 +233,17 @@ def random_augmented_problem(steps: int, horizon: float, seed: int) -> Augmented
     """Seeded instance with generator/terminal independent of x and u.
 
     Terminal pays the running max of the noise path; the generator is linear
-    in y with a tanh path term, so the reduction identity applies.
+    in y with a tanh path term, so the reduction identity applies. The
+    generator c0 + c1 tanh(omega) + c2 y + c3 tanh(z) is a BoundGenerator: its
+    path and z terms are read once per implicit solve, and each fixed-point
+    round adds c2 y between them, in the old left-to-right order.
     """
     rng = np.random.default_rng(seed)
     c = rng.uniform(-0.5, 0.5, size=4)
 
-    def q_bar(omega, x, y, z, us):
-        return c[0] + c[1] * np.tanh(omega[:, 0, -1]) + c[2] * y + c[3] * np.tanh(z[:, 0])
+    def q_bar(omega, x, z, us):
+        a, b = c[0] + c[1] * np.tanh(omega[:, 0, -1]), c[3] * np.tanh(z[:, 0])
+        return lambda y: a + c[2] * y + b
 
     def phi_bar(omega, x):
         return omega[:, 0].max(axis=1) + 0.5 * omega[:, 0, -1]
@@ -247,7 +251,7 @@ def random_augmented_problem(steps: int, horizon: float, seed: int) -> Augmented
     return AugmentedProblem(
         base_drift=lambda omega, x, us: np.zeros((omega.shape[0], 1)),
         base_diffusion=lambda omega, x, us: np.zeros((omega.shape[0], 1, 1)),
-        base_generator=q_bar,
+        base_generator=BoundGenerator(q_bar),
         base_terminal=phi_bar,
         controls=(0.0,),
         steps=steps,

@@ -39,14 +39,26 @@ def _walks(rng: np.random.Generator, n: int, d: int, dt: float, t_index: int, sc
 
     One standard-normal batch in the stream of n random_path calls (each
     walk's increments, then its starts), scaled as numpy's ``normal`` scales
-    (0.0 + z * s: a zero scale gives +0.0). Bad arguments raise before drawing.
+    (0.0 + z * s: a zero scale gives +0.0). Bad arguments raise before drawing,
+    and a walk past the double range raises PathError after it.
     """
     d, k1 = _count(f"{name} d", d, 1), _count(f"{name} t_index", t_index, 0) + 1
     if not 0 < dt < math.inf or not 0 <= scale < math.inf:
         raise PathError(f"{name} needs 0 < dt < inf and 0 <= scale < inf, got {dt}, {scale}")
     _check_draws(name, n, d, k1)
-    z = rng.standard_normal((n, d * k1 + d))
-    w = z[:, : d * k1].reshape(n, d, k1) * (scale * math.sqrt(dt))
+    z, step = rng.standard_normal((n, d * k1 + d)), scale * math.sqrt(dt)
+    # numpy's normals are below 14 in size and a walk has at most DRAW_CAP nodes, so no
+    # product or sum can overflow while the step and the start scale are at most 1e150;
+    # the usual draw enters no context, not even a null one: it runs once per drawn path
+    if step > 1e150 or scale > 1e150:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _scaled(z, n, d, k1, step, scale)
+    return _scaled(z, n, d, k1, step, scale)
+
+
+def _scaled(z: np.ndarray, n: int, d: int, k1: int, step: float, scale: float) -> np.ndarray:
+    """_walks' walks of the standard normals ``z``: increments times ``step``, starts times ``scale``."""
+    w = z[:, : d * k1].reshape(n, d, k1) * step
     w[..., 0] = z[:, d * k1 :] * scale  # the start value, drawn after the increments
     w += 0.0
     w = np.add.accumulate(w, axis=-1)  # cumsum's own ufunc, without the method's overhead

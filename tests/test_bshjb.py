@@ -7,6 +7,7 @@ import pytest
 from pathhjb.bshjb import (
     AugmentedProblem,
     MixedFunctional,
+    _check_xu_free,
     augment,
     bshjb_residual,
     remark64_check,
@@ -414,3 +415,51 @@ def test_mixed_functional_groups_and_interior_times():
         MixedFunctional(eval=ev, dgammagamma=lambda om, x: np.zeros((1, 1)), dxx=lambda om, x: np.zeros((1, 1)))
     with pytest.raises(PathError, match="interior times"):
         bshjb_residual(_frozen_ap(), MixedFunctional(eval=ev), (Path.constant(0.0, 3, 0.25), 0.0))
+
+
+@pytest.mark.parametrize(
+    "gen_at,term_at,want,raise_at",
+    [
+        (5, 7, "terminal", None),  # probe 0 (index 7) fails its terminal before probe 1 its generator
+        (7, 5, "generator", None),
+        (6, 6, "generator", None),  # one probe fails both: its generator first
+        (3, 5, "terminal", None),  # probe 1 (index 5) is drawn before probe 3 (index 3)
+        (None, 3, "terminal", None),
+        (5, 7, "terminal", 6),  # probe 0 fails before probe 2's generator call raises
+        (3, 6, "raise", 5),  # probe 1's generator call raises before probe 2 fails
+    ],
+)
+def test_the_earliest_drawn_failing_probe_raises(gen_at, term_at, want, raise_at):
+    # the bench's instances (steps 8) draw grid indices 7, 5, 6, 3, 6, 5; a generator that reads
+    # x at one grid index only, and a terminal at another, or a generator that raises at a third
+    def gen(omega, x, y, z, us):
+        if omega.shape[-1] - 1 == raise_at:
+            raise RuntimeError("base generator failed")
+        return y + (x[:, 0] if omega.shape[-1] - 1 == gen_at else 0.0)
+
+    def term(omega, x):
+        return omega[:, 0, -1] + (x[:, 0] if omega.shape[-1] - 1 == term_at else 0.0)
+
+    ap = dataclasses.replace(random_augmented_problem(8, 1.0, seed=4), base_generator=gen, base_terminal=term)
+    if want == "raise":
+        with pytest.raises(RuntimeError, match="^base generator failed$"):
+            _check_xu_free(ap)
+        return
+    message = {"generator": "generator depends on x or u", "terminal": "terminal depends on x"}[want]
+    with pytest.raises(PathError, match=f"^{message}; reduction check not applicable$"):
+        _check_xu_free(ap)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_remark64_of_a_bound_base_generator_is_its_plain_forms(seed):
+    # the bound base generator, passed on bound to both trees, against a plain re-wrap of it
+    ap = random_augmented_problem(4, 1.0, seed=seed)
+    plain = dataclasses.replace(ap, base_generator=lambda omega, x, y, z, us: ap.base_generator(omega, x, y, z, us))
+    omega = random_path(np.random.default_rng(seed), 1, 0.25, seed % 3)
+    assert remark64_check(ap, omega) == remark64_check(plain, omega)
+    cp, ref = augment(ap), augment(plain)
+    p0 = stack_paths(omega, Path.constant(0.3, omega.t_index, 0.25))
+    assert value(cp, p0) == value(ref, p0)
+    assert bshjb_residual(ap, MixedFunctional(eval=lambda om, x: float(np.tanh(x[0]))), (omega, 0.3)) == bshjb_residual(
+        plain, MixedFunctional(eval=lambda om, x: float(np.tanh(x[0]))), (omega, 0.3)
+    )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathhjb import control
+from pathhjb.bshjb import augment
 from pathhjb.control import (
     DEFAULT_NODE_CAP,
     BlowupError,
@@ -37,7 +38,7 @@ from pathhjb.expressions import inline_problem
 from pathhjb.funcalc import constant_functional, ito_check
 from pathhjb.pathspace import GridConfig, Path, PathError, _keys, horizontal_extension
 from pathhjb.phjb import HamiltonianInput, XGrid, hamiltonian, markov_fd_solve, markovian_reduction
-from pathhjb.presets import bangbang_problem, heat_problem, lq_problem, random_problem
+from pathhjb.presets import bangbang_problem, heat_problem, lq_problem, random_augmented_problem, random_problem
 from pathhjb.sampling import random_path
 
 GRID4 = GridConfig(4, 1.0, 1, 1)
@@ -1405,6 +1406,52 @@ def test_a_bound_generator_solves_as_its_plain_form(kind, module):
     assert 0 < len(binds) < len(rounds) / 2
 
 
+@pytest.mark.parametrize("seed", [5, 9])
+def test_an_augmented_bound_generator_solves_as_its_plain_form(seed):
+    # augment passes a bound base generator on bound: value, cost and dpp_check == those of the
+    # same problem whose generator is re-wrapped as a plain form, one whole call per round
+    base = augment(random_augmented_problem(GRID4.steps, GRID4.horizon, seed))
+    assert isinstance(base.generator, BoundGenerator) and base.generator.__module__ == "pathhjb.bshjb"
+    binds, rounds, plain_rounds = [], [], []
+
+    def bind(vals, z, us):
+        binds.append(len(vals))
+        at = base.generator.bind(vals, z, us)
+        return lambda y: rounds.append(len(y)) or at(y)
+
+    def plain(vals, y, z, us):
+        plain_rounds.append(len(y))
+        return base.generator(vals, y, z, us)
+
+    p0 = Path.constant(np.full(2, 0.2), 0, GRID4.dt)  # the noise and state blocks
+    strategy = ControlStrategy.constant(base.controls[0])
+    results = [
+        (value(cp, p0), cost(cp, p0, strategy), dpp_check(cp, p0, 2))
+        for cp in (base, dataclasses.replace(base, generator=BoundGenerator(bind)), dataclasses.replace(base, generator=plain))
+    ]
+    assert results[0] == results[1] == results[2]
+    assert rounds == plain_rounds
+    assert 0 < len(binds) < len(rounds)
+
+
+def test_a_five_argument_bound_generator_is_its_bind_without_y():
+    # an AugmentedProblem's base generator (omega, x, y, z, us), bound at (omega, x, z, us): the
+    # bytes of the plain form it replaced, c0 + c1 tanh(omega) + c2 y + c3 tanh(z) left to right
+    q_bar = random_augmented_problem(4, 1.0, seed=3).base_generator
+    assert isinstance(q_bar, BoundGenerator) and q_bar.__module__ == "pathhjb.presets"
+    rng = np.random.default_rng(3)
+    c = np.random.default_rng(3).uniform(-0.5, 0.5, size=4)
+    omega, x, y, z, us = rng.normal(size=(5, 1, 3)), rng.normal(size=(5, 1)), rng.normal(size=5), rng.normal(size=(5, 1)), [0.0] * 5
+    got = q_bar(omega, x, y, z, us)
+    assert got.tobytes() == q_bar.bind(omega, x, z, us)(y).tobytes()
+    assert got.tobytes() == (c[0] + c[1] * np.tanh(omega[:, 0, -1]) + c[2] * y + c[3] * np.tanh(z[:, 0])).tobytes()
+    # read through a map of the leading arguments, as augment reads it on stacked paths
+    through = q_bar.through(lambda vals: (vals[:, :1], vals[:, 1:, -1]))
+    vals = np.concatenate([omega, np.repeat(x[:, :, None], 3, axis=2)], axis=1)
+    assert through(vals, y, z, us).tobytes() == through.bind(vals, z, us)(y).tobytes() == got.tobytes()
+    assert through.__module__ == __name__
+
+
 def test_a_form_that_writes_into_vals_meets_a_read_only_array():
     # a cost reads each tree level itself: a form must not write into its paths
     def writes(vals, *args):
@@ -1488,6 +1535,31 @@ def test_an_open_loop_strategy_is_read_once_per_level(monkeypatch):
         with pytest.raises(PathError, match="^open-loop sequence has no control for grid index 2$"):
             cost(counted, p0, ControlStrategy(open_loop=seq[:2]))
         assert calls["drift"] == 1 + 2  # levels 0 and 1 were expanded
+
+
+def test_a_constant_strategy_is_read_once_per_level(monkeypatch):
+    # the same control object at every row, with no control_at per row; every value is the
+    # per-row read's
+    cp = random_problem(GRID4, seed=11, n_controls=3)
+    p0 = Path.constant(0.2, 0, GRID4.dt)
+    reads, read = [], ControlStrategy.control_at
+    monkeypatch.setattr(ControlStrategy, "control_at", lambda self, path: reads.append(path.t_index) or read(self, path))
+    tree = simulate_tree(cp, p0, 4, ControlStrategy.constant(cp.controls[1]))
+    assert [len(level) for level in tree.controls] == [1, 2, 4, 8]
+    assert all(level.dtype == object and all(u is cp.controls[1] for u in level) for level in tree.controls)
+    runs = {
+        "tree": lambda s: [level.tobytes() for level in simulate_tree(cp, p0, 4, s).levels],
+        "default": lambda s: [level.tobytes() for level in simulate_tree(cp, p0, 4).levels],
+        "cost": lambda s: cost(cp, p0, s),
+        "semigroup": lambda s: backward_semigroup(cp, p0, s, 2, lambda p: float(np.tanh(p.values[0, -1]))),
+        "psde": lambda s: simulate_psde(cp, p0, s, 4, seed=3).values.tobytes(),
+        "moments": lambda s: moment_probe(cp, p0, s, n_paths=5, seed=3),
+    }
+    got = {name: run(ControlStrategy.constant(cp.controls[1])) for name, run in runs.items()}
+    assert reads == []
+    monkeypatch.setattr(control, "_controls_of", _parent_controls_of)
+    assert got == {name: run(ControlStrategy.constant(cp.controls[1])) for name, run in runs.items()}
+    assert reads
 
 
 @pytest.mark.parametrize("grid", [GRID4, GridConfig(3, 0.75, 2, 2)])

@@ -137,14 +137,15 @@ def test_functional_fields_are_called_in_funcalc_only():
 
 def test_generators_are_bound_in_control_only():
     # control._implicit is the one reader that splits a BoundGenerator at y; a read of ``bind``
-    # anywhere else would be a second route through the form, which every other reader calls whole
+    # anywhere else would be a second route through the form, which every other reader calls whole.
+    # BoundGenerator.through reads it only to pass the split on, as a new BoundGenerator
     readers = {
         f"{stem}.{owner}"
         for stem, tree in SOURCES.items()
         for owner, node in _owned_nodes(tree)
         if isinstance(node, ast.Attribute) and node.attr == "bind" and isinstance(node.ctx, ast.Load)
     }
-    assert readers == {"control.BoundGenerator.__call__", "control._implicit"}
+    assert readers == {"control.BoundGenerator.__call__", "control.BoundGenerator.through", "control._implicit"}
 
 
 def _is_square(node: ast.AST) -> bool:

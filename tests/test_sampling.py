@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathhjb.pathspace import Path, PathError
-from pathhjb.sampling import _walks, random_pair, random_path
+from pathhjb.sampling import _walks, bridge_pair, random_pair, random_path
 
 # ---------------------------------------------------------------------------
 # The one walk sampler against the per-path draws it replaced: two rng.normal
@@ -96,3 +98,27 @@ def test_an_overflowing_walk_raises_after_its_draws(sampler, d, dt, t_index, sca
         with pytest.raises(PathError, match="^path values must be finite$"):
             sampler(rng, d, dt, t_index, scale)
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("sampler", [random_path, random_pair])
+@pytest.mark.parametrize(
+    "d,dt,t_index,scale",
+    [(1, 1e10, 3, 1e305), (3, 1e-6, 0, 1.7e308), (1, 0.25, 40, 8e307), (1, 5e-324, 2, 1.7e308), (2, 1.0, 3, 1e308)],
+)
+def test_an_overflowing_walk_raises_without_a_warning(sampler, d, dt, t_index, scale):
+    # warnings as errors: a walk past the double range is a PathError, with no RuntimeWarning
+    # on the way; at dt = 5e-324 the step is below 1e150 and only the start overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PathError, match="^path values must be finite$"):
+            for seed in range(4):  # a start past the range needs a normal above 1.06 at 5e-324
+                sampler(np.random.default_rng(seed), d, dt, t_index, scale)
+
+
+def test_walks_at_the_largest_unguarded_scale_stay_finite_without_a_warning():
+    # below 1e150 for the step and the start no product or sum can overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sampler in (random_path, random_pair):
+            sampler(np.random.default_rng(1), 2, 1.0, 50, 1e150)
+        bridge_pair(np.random.default_rng(1), 2, 1e300, 5)
