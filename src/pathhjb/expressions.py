@@ -152,10 +152,11 @@ def compile_expression(text: str, variables: frozenset[str]) -> Callable[[Mappin
                 out = eval(code, scope, env)
         except (ValueError, TypeError, ArithmeticError) as exc:
             raise ExpressionError(f"expression {text!r} failed to evaluate: {exc}") from None
-        if _is_object(out):
-            if any(isinstance(v, complex) for v in out.flat):
-                raise ExpressionError(f"expression {text!r} evaluated to a complex number")
+        if _is_object(out) and not any(isinstance(v, complex) for v in out.flat):
             out = out.astype(float)
+        # a complex element, or a complex scalar: numpy's ops on a 0-d object array return its element
+        if _is_object(out) or isinstance(out, complex):
+            raise ExpressionError(f"expression {text!r} evaluated to a complex number")
         return out
 
     return compiled

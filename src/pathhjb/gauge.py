@@ -71,21 +71,24 @@ def _gaps(p: Path, q: Path) -> tuple[float, float]:
 
 
 def _sup_and_end(row: list) -> tuple[float, float]:
-    """(sup norm, endpoint norm) from one path's squared column norms as Python floats. A square
-    past the double range raises the OverflowError of a Python power past it, for D^{2m} is past it."""
+    """(sup norm, endpoint norm) from one path's squared column norms as Python floats. The gauge
+    family's one overflow rule: a square past the double range raises as a Python power past it."""
     top = max(row)
     if top == math.inf:
         raise OverflowError(34, "Numerical result out of range")
     return math.sqrt(top), math.sqrt(row[-1])
 
 
+def _in_range(v: np.ndarray) -> np.ndarray:
+    """v, once finite: a derivative whose product of gap powers left the double range raises so."""
+    if not np.isfinite(v).all():
+        _sup_and_end([math.inf])
+    return v
+
+
 def _upsilon_row(row: list, g: GaugeParams) -> float:
-    """upsilon from one path's squared column norms as Python floats (ndarray.tolist()); inf where a
-    square is inf, as sup_norm reads there, so that subadditivity_gap's sum check comes through."""
-    try:
-        d_sup, e = _sup_and_end(row)
-    except OverflowError:
-        return math.inf
+    """upsilon from one path's squared column norms as Python floats (ndarray.tolist())."""
+    d_sup, e = _sup_and_end(row)
     return _core(d_sup, e, g.m) + g.M * e ** (2 * g.m)
 
 
@@ -121,12 +124,6 @@ def upsilon_bar(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float:
     return upsilon(p, q, g) + (p.t - q.t) ** 2
 
 
-def _pow0(x: float, k: int) -> float:
-    # x**k with the convention x**0 == 1 even at x == 0 (the closed forms
-    # below rely on it exactly where the accompanying vector factor vanishes).
-    return 1.0 if k == 0 else x**k
-
-
 def grad_s(p: Path, anchor: Path, g: GaugeParams = GaugeParams()) -> np.ndarray:
     """Closed-form vertical gradient of s_m(., anchor) at p: one displayed formula,
     whose squared numerator factor vanishes on the endpoint-dominant branch."""
@@ -139,8 +136,7 @@ def grad_s(p: Path, anchor: Path, g: GaugeParams = GaugeParams()) -> np.ndarray:
         return np.zeros(p.d)  # D = 0, a subnormal scale (see _core) or equal endpoints
     x = p.values[:, -1] - anchor.values[:, -1]
     a = d_sup ** (2 * m) - e ** (2 * m)
-    coef = -6.0 * m * a**2 * _pow0(e, 2 * m - 2) / den
-    return coef * x
+    return _in_range(-6.0 * m * a**2 * e ** (2 * m - 2) / den * x)
 
 
 def hess_s(p: Path, anchor: Path, g: GaugeParams = GaugeParams()) -> np.ndarray:
@@ -155,16 +151,14 @@ def hess_s(p: Path, anchor: Path, g: GaugeParams = GaugeParams()) -> np.ndarray:
     x = p.values[:, -1] - anchor.values[:, -1]
     a = d_sup ** (2 * m) - e ** (2 * m)
     eye = np.eye(p.d)
-    if e == 0.0:
-        # Only the identity term can survive (its e-power is 2m-2, zero iff m=1).
-        if m == 1:
-            return -6.0 * a**2 * eye / den
-        return np.zeros((p.d, p.d))
-    outer = np.outer(x, x)
-    h = 24.0 * m**2 * a * _pow0(e, 4 * m - 4) * outer
-    h -= 12.0 * m * (m - 1) * a**2 * _pow0(e, 2 * m - 4) * outer
-    h -= 6.0 * m * a**2 * _pow0(e, 2 * m - 2) * eye
-    return h / den
+    if e == 0.0:  # only the identity term can survive (its e-power is 2m-2, zero iff m=1)
+        h = -6.0 * a**2 * eye if m == 1 else 0.0 * eye
+    else:
+        outer = np.outer(x, x)
+        h = 24.0 * m**2 * a * e ** (4 * m - 4) * outer
+        h -= 12.0 * m * (m - 1) * a**2 * e ** (2 * m - 4) * outer
+        h -= 6.0 * m * a**2 * e ** (2 * m - 2) * eye
+    return _in_range(h / den)
 
 
 def grad_power(p: Path, a, m: int) -> np.ndarray:
@@ -173,7 +167,7 @@ def grad_power(p: Path, a, m: int) -> np.ndarray:
     x, e = gap[:, -1], _sup_and_end(_sq_cols(gap)[-1:].tolist())[1]  # as _gaps reads e, overflow included
     if e == 0.0:
         return np.zeros(p.d)
-    return 2.0 * m * _pow0(e, 2 * m - 2) * x
+    return _in_range(2.0 * m * e ** (2 * m - 2) * x)
 
 
 def hess_power(p: Path, a, m: int) -> np.ndarray:
@@ -185,10 +179,10 @@ def hess_power(p: Path, a, m: int) -> np.ndarray:
     eye = np.eye(p.d)
     if e == 0.0:
         return 2.0 * eye if m == 1 else np.zeros((p.d, p.d))
-    h = 2.0 * m * _pow0(e, 2 * m - 2) * eye
+    h = 2.0 * m * e ** (2 * m - 2) * eye
     if m > 1:
-        h += 4.0 * m * (m - 1) * _pow0(e, 2 * m - 4) * np.outer(x, x)
-    return h
+        h += 4.0 * m * (m - 1) * e ** (2 * m - 4) * np.outer(x, x)
+    return _in_range(h)
 
 
 def grad_upsilon(p: Path, anchor: Path, g: GaugeParams = GaugeParams()) -> np.ndarray:
@@ -215,9 +209,7 @@ def subadditivity_gap(p: Path, q: Path, g: GaugeParams = GaugeParams()) -> float
         upsilon_single(p, g), upsilon_single(q, g)  # read before add_paths' checks: their overflow comes first
         raise
     rows = _sq_cols(np.array([p.values, q.values, s])).tolist()
-    up, uq = _upsilon_row(rows[0], g), _upsilon_row(rows[1], g)
-    if math.inf in rows[2]:  # a square past the double range, or a sum that overflowed
-        _finite(s)
+    up, uq = _upsilon_row(rows[0], g), _upsilon_row(rows[1], g)  # once both pass, |p|, |q| < 1.34e154: p + q is finite
     return 2.0 ** (2 * g.m - 1) * (up + uq) - _upsilon_row(rows[2], g)
 
 
@@ -237,17 +229,15 @@ def pair_sweep(
     equal (==) to the scalar functions' value on the same pair. Arguments
     that random_pair would turn into an invalid Path raise PathError, and a
     batch over the draw cap CapacityError, both before any draw; a sum that
-    overflows raises PathError, and then a square past the double range
-    OverflowError.
+    overflows raises PathError, and then a square or power past the double
+    range OverflowError: the sweep raises exactly where a pair's scalar reads do.
     """
     pairs = _count("pair_sweep pairs", pairs, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # a walk, sum or square past the double range raises below
         paths = _walks(rng, 2 * pairs, d, dt, t_index, scale, "pair_sweep").reshape(pairs, 2, d, t_index + 1)
         p, q, m = paths[:, 0], paths[:, 1], g.m
         s = _finite(p + q)
-        sqs = [_sq_cols(x) for x in (p - q, p, q, s)]
-    _sup_and_end([max(x.max() for x in sqs)])  # its overflow check, once for the batch: no slack reads inf - inf
-    rows, *single_rows = (x.tolist() for x in sqs)
+        rows, *single_rows = (_sq_cols(x).tolist() for x in (p - q, p, q, s))
     ups = np.array([_upsilon_row(row, g) for row in rows])
     gap = np.array([_sup_and_end(row)[0] ** (2 * m) for row in rows])
     singles = [np.array([_upsilon_row(row, g) for row in x]) for x in single_rows]

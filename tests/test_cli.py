@@ -173,6 +173,16 @@ def test_expression_domain_error_is_config_error(tmp_path, capsys):
     assert main(["value", "--config", _inline(tmp_path, terminal="x\x00"), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "key,text",
+    [("generator", "-((-1.5) ** t)"), ("drift", "-((-1.5) ** dt)"), ("diffusion", "-((-1.5) ** dt)"), ("terminal", "-((-1.5) ** (T / 2))")],
+)
+def test_a_complex_coefficient_of_scalar_operands_is_a_config_error(key, text, tmp_path, capsys):
+    value = {"drift": [text], "diffusion": [[text]]}.get(key, text)
+    assert main(["value", "--config", _inline(tmp_path, **{key: value}), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: expression {text!r} evaluated to a complex number"
+
+
 def test_integer_literal_too_large_for_a_float_is_named(tmp_path, capsys):
     drift = "1" + "0" * 400 + " * u"
     assert main(["value", "--config", _inline(tmp_path, drift=[drift]), "--out", str(tmp_path)]) == 2

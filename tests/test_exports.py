@@ -89,6 +89,20 @@ def test_one_function_decides_a_count():
     assert sum(len(_phrase_nodes(tree, phrase)) for tree in SOURCES.values()) == 1
 
 
+def test_one_function_builds_the_overflow_of_the_gauge_family():
+    # every gauge read past the double range raises the OverflowError of a Python power past it;
+    # gauge._sup_and_end alone builds it, the other reads reach it through that function
+    phrase = "Numerical result out of range"
+    builders = {
+        f"{stem}.{owner}"
+        for stem, tree in SOURCES.items()
+        for owner, node in _owned_nodes(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "OverflowError"
+    }
+    assert builders == {"gauge._sup_and_end"}
+    assert sum(len(_phrase_nodes(tree, phrase)) for tree in SOURCES.values()) == 1
+
+
 def _owned_nodes(tree: ast.Module):
     """(owner, node) for every node of a module, where owner is the top-level function or
     ``Class.method`` that holds it, nested functions included, or "<module>"."""

@@ -6,9 +6,11 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathhjb import control
 from pathhjb.control import FIXED_POINT_MAX_ITER, ContractError, ControlStrategy
@@ -111,6 +113,45 @@ def test_errors_match_python_in_type_and_message(text, x):
         want = _outcome(_reference(text), {"x": 1.5, "y": 2.0, "u": 0.0})
     got = _outcome(lambda: fn({"x": xs, "y": np.full(3, 2.0), "u": np.zeros(3)})[0])
     assert got == want
+
+
+_SCALARS = frozenset({"t", "T", "dt"})
+_SCALAR_ENV = {"t": 0.5, "T": 1.0, "dt": 0.25}
+
+
+@pytest.mark.parametrize("text", ["-((-1.5) ** t)", "2*((-1.5) ** t)", "((-1.5) ** t) - 1", "0*((-1.5) ** t)"])
+def test_a_complex_value_of_scalar_operands_is_an_expression_error(text):
+    # numpy's ops on the 0-d object array of a complex power return its element, a Python complex
+    with pytest.raises(ExpressionError, match=f"^{re.escape(f'expression {text!r} evaluated to a complex number')}$"):
+        compile_expression(text, _SCALARS)(_SCALAR_ENV)
+    assert repr(compile_expression("abs((-1.5) ** t)", _SCALARS)(_SCALAR_ENV)) == "1.224744871391589"
+
+
+def _scalar_expressions():
+    # (-1.5) drawn as often as the other leaves together: a negative base to a fractional power is complex
+    leaves = st.just("(-1.5)") | st.sampled_from(["0", "1", "2", "0.5", "3", "t", "T", "dt"])
+
+    def extend(sub):
+        unary = st.tuples(st.sampled_from(["abs", "sqrt", "exp", "log", "sin", "cos", "tanh", "-"]), sub)
+        binary = st.tuples(sub, st.sampled_from(["+", "-", "*", "/", "**"]), sub)
+        pair = st.tuples(st.sampled_from(["min", "max"]), sub, sub)
+        return st.one_of(
+            unary.map(lambda a: f"{a[0]}({a[1]})"),
+            binary.map(lambda a: f"({a[0]} {a[1]} {a[2]})"),
+            pair.map(lambda a: f"{a[0]}({a[1]}, {a[2]})"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scalar_expressions())
+def test_an_expression_of_scalar_operands_is_real_or_an_expression_error(text):
+    try:
+        out = compile_expression(text, _SCALARS)(_SCALAR_ENV)
+    except ExpressionError:
+        return
+    assert np.asarray(out).dtype == np.float64, (text, out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathhjb.funcalc import PathFunctional, bump_size, vertical_gradient, vertical_hessian
 from pathhjb.gauge import (
@@ -456,7 +456,7 @@ def test_subadditivity_gap_keeps_the_composed_oracle_at_overflow_and_errors(m):
         for a, b in cases:
             p, q = Path(np.array(a), 0.5), Path(np.array(b), 0.5)
             assert _outcome(subadditivity_gap, p, q, g) == _outcome(_subadditivity_oracle, p, q, g)
-        want = ("PathError", "path values must be finite")  # the sum of the first case overflows
+        want = _PAST_RANGE  # the squares of the first case are inf: upsilon_single(p) raises before add_paths' checks
         assert _outcome(subadditivity_gap, *[Path(np.array(a), 0.5) for a in cases[0]], g) == want
     p, big_end = Path.constant(1.0, 2, 0.5), Path(np.array([[1.0, 1.0, big]]), 0.5)
     for q in (Path.constant(1.0, 2, 0.25), Path.constant(np.ones(2), 2, 0.5), Path.constant(1.0, 3, 0.5)):
@@ -469,8 +469,8 @@ def test_subadditivity_gap_keeps_the_composed_oracle_at_overflow_and_errors(m):
 
 
 def test_the_surgeries_refuse_an_overflowed_path():
-    # no Path holds inf: add_paths, sub_paths and vertical_bump check what they build,
-    # subadditivity_gap and pair_sweep the sum they read
+    # no Path holds inf: add_paths, sub_paths and vertical_bump check what they build, pair_sweep
+    # the sum it reads; subadditivity_gap reads upsilon_single(p) first, whose square is inf
     finite = ("PathError", "path values must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         for col in range(3):
@@ -481,7 +481,7 @@ def test_the_surgeries_refuse_an_overflowed_path():
             assert _outcome(vertical_bump, p, [1e308]) == (finite if col == 2 else repr(vertical_bump(p, [1e308])))
             assert _outcome(vertical_bump, p, [np.inf]) == _outcome(vertical_bump, p, [np.nan]) == finite
             for m in range(1, 7):
-                assert _outcome(subadditivity_gap, p, p, GaugeParams(m, 3.0)) == finite
+                assert _outcome(subadditivity_gap, p, p, GaugeParams(m, 3.0)) == _PAST_RANGE
         # the sum's check runs after the single reads, as in the composed oracle: their overflow comes first
         big_end = Path(np.array([[1.0, 1.0, 1e60]]), 0.5)
         assert _outcome(subadditivity_gap, big_end, big_end, GaugeParams(3, 3.0))[0] == "OverflowError"
@@ -525,8 +525,7 @@ _PAST_RANGE = ("OverflowError", "(34, 'Numerical result out of range')")
 
 def test_a_square_past_the_double_range_is_an_overflow_not_a_nan():
     # D >= 1.34e154 squares to inf, so D^{2m} is past the double range at every m: the
-    # reads that take D or e from the squares raise Python's power OverflowError, and
-    # upsilon reads inf as sup_norm does (subadditivity_gap's own sum check must come through)
+    # reads that take D or e from the squares raise Python's power OverflowError, upsilon too
     with np.errstate(over="ignore"):
         for d, v in ((1, 1e200), (2, 1e200), (1, -1.5e308)):
             p = Path.constant(np.full(d, v), 8, 0.125)
@@ -535,8 +534,8 @@ def test_a_square_past_the_double_range_is_an_overflow_not_a_nan():
                 g = GaugeParams(m, 3.0)
                 for x in (p, at_end):
                     zero = zero_like(x)
-                    assert upsilon(x, zero, g) == upsilon_single(x, g) == upsilon_bar(x, zero, g) == np.inf
-                    for fn in (s_m, grad_s, hess_s, grad_upsilon, hess_upsilon):
+                    assert _outcome(upsilon_single, x, g) == _PAST_RANGE
+                    for fn in (upsilon, upsilon_bar, s_m, grad_s, hess_s, grad_upsilon, hess_upsilon):
                         assert _outcome(fn, x, zero, g) == _PAST_RANGE
                     for fn in (grad_power, hess_power):
                         assert _outcome(fn, x, np.zeros(d), m) == _PAST_RANGE
@@ -560,6 +559,75 @@ def test_pair_sweep_overflows_without_a_warning_or_a_nan():
             pair_sweep(np.random.default_rng(6), G33, 2, 1, 0.5, 0, 1e308)
     lo, hi, sub = pair_sweep(np.random.default_rng(0), G33, 50, 1, 0.125, 8, 1e10)
     assert np.isfinite(np.concatenate([lo, hi, sub])).all()
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_subadditivity_gap_is_an_overflow_where_a_single_read_leaves_the_double_range(m):
+    # a finite sum p + q whose square is inf read inf - inf = nan while upsilon read inf there
+    g = GaugeParams(m, 3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in (([[1.0, 2.0]], [[1.5e308, -1.5e308]]), ([[0.0, 1e160]], [[0.0, 0.0]])):
+            p, q = Path(np.array(a), 0.5), Path(np.array(b), 0.5)
+            assert _outcome(subadditivity_gap, p, q, g) == _outcome(subadditivity_gap, q, p, g) == _PAST_RANGE
+
+
+_WIDE = st.builds(lambda u, neg: -(10.0**u) if neg else 10.0**u, st.floats(40.0, 300.0), st.booleans()) | st.just(0.0)
+
+
+@st.composite
+def _wide_pair(draw):
+    """Two finite equal-time paths whose entries, and so their gaps, are log-uniform in 1e40..1e300."""
+    d, k = draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    entries = st.lists(_WIDE, min_size=d * (k + 1), max_size=d * (k + 1))
+    return tuple(Path(np.reshape(draw(entries), (d, k + 1)), 0.5) for _ in range(2))
+
+
+def _against_zero(*row):
+    return Path(np.array([row]), 0.5), Path(np.zeros((1, len(row))), 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_pair(), st.integers(1, 6))
+# D^{4m} finite, a product of gap powers in a derivative not: at m = 1 near D = 1e77, at m = 2 near 6e30
+@example(_against_zero(0.0, 7.7e76, 5.39e76), 1)
+@example(_against_zero(0.0, 8.19e76, 2.457e76), 1)
+@example(_against_zero(0.0, 6.03e30, 4.221e30), 2)
+def test_a_gauge_read_is_finite_or_an_overflow(pair, m):
+    p, q = pair
+    g, zero = GaugeParams(m, 3.0), PathFunctional(eval=lambda x: 0.0)
+    reads = [
+        (upsilon, p, q, g), (upsilon_single, p, g), (upsilon_bar, p, q, g), (s_m, p, q, g),
+        (subadditivity_gap, p, q, g), (grad_s, p, q, g), (hess_s, p, q, g), (grad_upsilon, p, q, g),
+        (hess_upsilon, p, q, g), (grad_power, p, q.values[:, -1], m), (hess_power, p, q.values[:, -1], m),
+        (comparison_psi, zero, zero, p, q, 1.0, 0.5, 2.0, 1.0),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy may warn before the error
+        for fn, *args in reads:
+            try:
+                value = fn(*args)
+            except PathError:
+                continue
+            except OverflowError as exc:
+                assert str(exc) == _PAST_RANGE[1], fn.__name__
+                continue
+            assert np.isfinite(value).all(), fn.__name__
+        assert _outcome(subadditivity_gap, p, q, g) == _outcome(_subadditivity_oracle, p, q, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4), st.integers(1, 2), st.integers(0, 3), st.floats(40.0, 300.0))
+def test_pair_sweep_raises_exactly_where_a_scalar_read_does(seed, m, pairs, d, t_index, log_scale):
+    g, scale = GaugeParams(m, 3.0), 10.0**log_scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = _reference_pair_sweep(np.random.default_rng(seed), g, pairs, d, 0.125, t_index, scale)
+        except (OverflowError, PathError):
+            with pytest.raises((OverflowError, PathError)):
+                pair_sweep(np.random.default_rng(seed), g, pairs, d, 0.125, t_index, scale)
+            return
+    got = pair_sweep(np.random.default_rng(seed), g, pairs, d, 0.125, t_index, scale)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) and np.isfinite(a).all()
 
 
 def test_a_boolean_is_no_weight():
