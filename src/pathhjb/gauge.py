@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 MAX_M = 6  # powers up to 6m = 36 stay in double range at desk scale
+MAX_ABS_M = 1e130  # |M| e^{2m} <= 1e130 * 1.34e154 once D^{4m} is finite: Upsilon's sums stay finite
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,8 @@ class GaugeParams:
         object.__setattr__(self, "m", _count("m", self.m, 1, MAX_M))
         if not isinstance(self.M, numbers.Real) or isinstance(self.M, bool) or not -math.inf < self.M < math.inf:
             raise PathError(f"M must be a finite real, got {self.M!r}")
+        if abs(self.M) > MAX_ABS_M:
+            raise PathError(f"M must be at most {MAX_ABS_M:.0e} in size, got {self.M!r}")
 
 
 def _gaps(p: Path, q: Path) -> tuple[float, float]:

@@ -25,6 +25,10 @@ __all__ = [
 # 33 nodes), and 800 MB of float64, as FD_WORK_CAP bounds the explicit FD solver's work.
 DRAW_CAP = 10**8
 
+# Normals up to which _walks sums in Python floats, where _scaled's numpy calls cost more than the
+# arithmetic (crossover at 50 to 66 on a 2-vCPU x86-64 host, numpy 2.4; the benchmark draws 2 to 20)
+_PY_DRAW = 52
+
 
 def _check_draws(name: str, n: int, d: int, nodes: int) -> None:
     """CapacityError when n paths of d x nodes path values are more than DRAW_CAP. It counts
@@ -40,16 +44,18 @@ def _walks(rng: np.random.Generator, n: int, d: int, dt: float, t_index: int, sc
     One standard-normal batch in the stream of n random_path calls (each
     walk's increments, then its starts), scaled as numpy's ``normal`` scales
     (0.0 + z * s: a zero scale gives +0.0). Bad arguments raise before drawing,
-    and a walk past the double range raises PathError after it.
+    and a walk past the double range raises PathError after it. Up to _PY_DRAW
+    normals are summed in Python floats (_summed), more in numpy (_scaled).
     """
     d, k1 = _count(f"{name} d", d, 1), _count(f"{name} t_index", t_index, 0) + 1
     if not 0 < dt < math.inf or not 0 <= scale < math.inf:
         raise PathError(f"{name} needs 0 < dt < inf and 0 <= scale < inf, got {dt}, {scale}")
     _check_draws(name, n, d, k1)
-    z, step = rng.standard_normal((n, d * k1 + d)), scale * math.sqrt(dt)
-    # numpy's normals are below 14 in size and a walk has at most DRAW_CAP nodes, so no
-    # product or sum can overflow while the step and the start scale are at most 1e150;
-    # the usual draw enters no context, not even a null one: it runs once per drawn path
+    z, step = rng.standard_normal((n, d * k1 + d)), float(scale) * math.sqrt(dt)  # a numpy scalar warns past the range
+    if z.size <= _PY_DRAW:
+        return _summed(z.tolist(), n, d, k1, step, float(scale))
+    # numpy's normals are below 14 in size and a walk has at most DRAW_CAP nodes, so no product or
+    # sum can overflow while the step and the start scale are at most 1e150: no context is entered
     if step > 1e150 or scale > 1e150:
         with np.errstate(over="ignore", invalid="ignore"):
             return _scaled(z, n, d, k1, step, scale)
@@ -57,12 +63,31 @@ def _walks(rng: np.random.Generator, n: int, d: int, dt: float, t_index: int, sc
 
 
 def _scaled(z: np.ndarray, n: int, d: int, k1: int, step: float, scale: float) -> np.ndarray:
-    """_walks' walks of the standard normals ``z``: increments times ``step``, starts times ``scale``."""
+    """_walks' walks of the standard normals ``z``: increments times ``step``, starts times ``scale``.
+    The numpy route: seven calls at any size, and past the double range a warning without errstate."""
     w = z[:, : d * k1].reshape(n, d, k1) * step
     w[..., 0] = z[:, d * k1 :] * scale  # the start value, drawn after the increments
     w += 0.0
     w = np.add.accumulate(w, axis=-1)  # cumsum's own ufunc, without the method's overhead
     _finite(w[..., -1])  # the last column: a non-finite partial sum stays so
+    w.setflags(write=False)
+    return w
+
+
+def _summed(z: list, n: int, d: int, k1: int, step: float, scale: float) -> np.ndarray:
+    """_scaled on ``z`` as nested Python floats, bit for bit (IEEE products, accumulate's left-to-right
+    sums; no partial sum after the start is -0.0), and with no warning past the double range."""
+    flat = []
+    for row in z:
+        for j in range(d):
+            acc = 0.0 + row[d * k1 + j] * scale
+            flat.append(acc)
+            for x in row[j * k1 + 1 : j * k1 + k1]:
+                acc += x * step
+                flat.append(acc)
+            if not math.isfinite(acc):
+                raise PathError("path values must be finite")
+    w = np.array(flat).reshape(n, d, k1)
     w.setflags(write=False)
     return w
 

@@ -1,4 +1,6 @@
+import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -24,7 +26,7 @@ from pathhjb.gauge import (
     upsilon_functional,
     upsilon_single,
 )
-from pathhjb.gauge import _core, _gaps
+from pathhjb.gauge import MAX_ABS_M, _core, _gaps
 from pathhjb.phjb import comparison_psi
 from pathhjb.pathspace import Path, PathError, _joint_gap, add_paths, d_infty, sub_paths, sup_norm, vertical_bump, zero_like
 from pathhjb.sampling import random_pair, random_path
@@ -70,8 +72,42 @@ def test_gauge_params_validation():
     for big_m in ("3", None, [3.0], 1j, np.inf, -np.inf, np.nan):
         with pytest.raises(PathError, match="^M must be a finite real, got "):
             GaugeParams(2, big_m)
-    for big_m in (3, 3.0, np.float64(5.0), np.int64(4), 10**400):
+    for big_m in (3, 3.0, np.float64(5.0), np.int64(4)):
         assert GaugeParams(2, big_m).M == big_m
+    for big_m in (10**400, 1e300, -1e131, np.float64(2e130), math.nextafter(MAX_ABS_M, math.inf)):
+        with pytest.raises(PathError, match=f"^{re.escape(f'M must be at most 1e+130 in size, got {big_m!r}')}$"):
+            GaugeParams(2, big_m)
+
+
+def _power_is_finite(x: float, k: int) -> bool:
+    try:
+        return x**k < math.inf
+    except OverflowError:
+        return False
+
+
+def _largest_finite_root(k: int) -> float:
+    """The largest double x whose Python power x ** k is finite."""
+    x = sys.float_info.max ** (1 / k)  # a few ulps from it
+    while not _power_is_finite(x, k):
+        x = math.nextafter(x, 0.0)
+    while _power_is_finite(math.nextafter(x, math.inf), k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_the_largest_weight_keeps_upsilon_finite_at_the_largest_gap(m):
+    # |M| <= 1e130: at the largest D whose D^{4m} is finite, M e^{2m} <= 1e130 * 1.34e154 and the
+    # 2^{2m-1}-weighted sum of subadditivity_gap stay in the double range
+    d_max = _largest_finite_root(4 * m)
+    p = Path(np.array([[0.0, d_max]]), 0.5)  # e = D: the core is 0 (at e < D its cube would overflow and raise)
+    half, neg = Path(p.values / 2, 0.5), Path(-p.values, 0.5)
+    for big_m in (MAX_ABS_M, -MAX_ABS_M):
+        g = GaugeParams(m, big_m)
+        values = [upsilon_single(p, g), upsilon(p, zero_like(p), g), upsilon_bar(p, zero_like(p), g)]
+        values += [subadditivity_gap(p, neg, g), subadditivity_gap(half, half, g)]
+        assert all(math.isfinite(v) for v in values) and abs(values[0]) > 1e280
 
 
 def test_s_m_examples():
