@@ -271,7 +271,8 @@ def _check_cap(fan: int, depth: int, cap: int, roots: int = 1) -> int:
     leaves = roots * fan**depth if depth * math.log2(fan) <= 63 else math.inf
     if leaves > cap:
         what, times = ("tree", "") if roots == 1 else (f"forest of {roots} trees", f"{roots} x ")
-        raise CapacityError(f"{what} of depth {depth} needs {times}{fan}^{depth} = {leaves} leaves, over the node cap {cap}")
+        size = f"= {leaves} leaves" if leaves < math.inf else "leaves, more than 2^63"
+        raise CapacityError(f"{what} of depth {depth} needs {times}{fan}^{depth} {size}, over the node cap {cap}")
     return cap // fan**depth
 
 
@@ -327,10 +328,12 @@ def _backward(cp: ControlProblem, levels, ctrls, incs: np.ndarray, terminal):
     """Backward pass Y = E[Y'] + q(path, Y, Z, u) dt, Z = E[Y' dW^T] / dt over
     ``_forward``'s levels, with ``terminal`` an array form or one value per
     leaf. Each node keeps its first control of maximal Y: for a cost the one
-    control it has, for the value the argmax over U. Returns (y_levels,
-    z_levels, best_levels), best_levels[k] the kept control index of each
-    internal node of level k. The terminal serves the leaves in one call, and
-    each level's implicit steps are one masked fixed point."""
+    control it has, for the value the argmax over U. A level with one control
+    per node (every cost level, and a one-control value) keeps index 0 with no
+    argmax and no gather. Returns (y_levels, z_levels, best_levels),
+    best_levels[k] the kept control index of each internal node of level k.
+    The terminal serves the leaves in one call, and each level's implicit
+    steps are one masked fixed point."""
     dt, n_leaves = cp.grid.dt, levels[-1].shape[0]
     if callable(terminal):
         y = _stack_checked("terminal", terminal(levels[-1]), (n_leaves,))
@@ -350,8 +353,11 @@ def _backward(cp: ControlProblem, levels, ctrls, incs: np.ndarray, terminal):
         z = (yc[:, None] @ incs)[:, 0] / (b_count * dt)
         vals = levels[k] if n_u == 1 else np.repeat(levels[k], n_u, axis=0)
         y_u = _implicit(cp.generator, vals, e, z, ctrls[k], dt)
-        best = y_u.reshape(count, n_u).argmax(axis=1)
-        y, z = y_u[best + n_u * np.arange(count)], z[best + n_u * np.arange(count)]
+        if n_u == 1:  # a cost, or a one-control value: no argmax, no gather
+            y, best = y_u, np.zeros(count, np.intp)
+        else:
+            best = y_u.reshape(count, n_u).argmax(axis=1)
+            y, z = y_u[best + n_u * np.arange(count)], z[best + n_u * np.arange(count)]
         y_levels.append(y)
         z_levels.append(z)
         best_levels.append(best)
@@ -486,10 +492,10 @@ def _solve_forest(cp: ControlProblem, roots: np.ndarray, end_index: int, termina
     level and each internal node's first maximizing control index. The engine
     works row by row, so each root's value == its own solve's."""
     depth = end_index - (roots.shape[-1] - 1)
+    incs = _increments(cp.grid.noise_dim, cp.grid.dt)
+    _check_cap(len(cp.controls) * incs.shape[0], max(depth, 0), cap, roots.shape[0])  # a bad cap first, as in _values
     if depth < 0:
         raise PathError(f"path at grid index {roots.shape[-1] - 1} is past the end index {end_index}")
-    incs = _increments(cp.grid.noise_dim, cp.grid.dt)
-    _check_cap(len(cp.controls) * incs.shape[0], depth, cap, roots.shape[0])
     levels, ctrls = _forward(cp, roots, depth, incs)
     y_levels, _, best_levels = _backward(cp, levels, ctrls, incs, terminal_fn)
     return y_levels[0], levels, best_levels
@@ -514,8 +520,9 @@ def _values(cp: ControlProblem, paths: Sequence[Path], cap: int = DEFAULT_NODE_C
 
 
 def value(cp: ControlProblem, p0: Path, cap: int = DEFAULT_NODE_CAP) -> float:
-    """Supremum of the BSDE cost over adapted controls, exact on the tree."""
-    return float(_values(cp, [p0], cap)[0])
+    """Supremum of the BSDE cost over adapted controls, exact on the tree: one forest from p0."""
+    _check_root(cp, p0)
+    return float(_solve_forest(cp, p0.values[None], cp.grid.steps, cp.terminal, cap)[0][0])
 
 
 def value_with_strategy(cp: ControlProblem, p0: Path, cap: int = DEFAULT_NODE_CAP):

@@ -271,10 +271,12 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0) -> ControlProblem:
     (grid index, endpoint), every coefficient must agree under every control,
     to np.isclose with atol 1e-12; otherwise MarkovProbeError, for the
     earliest-drawn probe that fails, its coefficients checked before its
-    terminal. The probes are drawn first; those at one grid index are read
-    together, both histories of each under all controls, in one generator
-    call, one coefficient read and, at the horizon, one terminal call. A grid
-    with d or n other than 1 raises PathError before any probe.
+    terminal. The probes are drawn first, each as its grid index k and one
+    normal draw of its endpoint, history, y and z (k + 4 scalar draws' values);
+    those at one grid index are read together, both histories of each under
+    all controls, in one generator call, one coefficient read and, at the
+    horizon, one terminal call. A grid with d or n other than 1 raises
+    PathError before any probe.
     """
     g = _scalar_grid(cp)
     rng = np.random.default_rng(seed)
@@ -282,12 +284,12 @@ def markovian_reduction(cp: ControlProblem, seed: int = 0) -> ControlProblem:
     ys, zs = np.empty(8), np.empty(8)
     for i in range(8):
         k = int(rng.integers(0, g.steps + 1))
-        x = float(rng.normal())
-        hist = rng.normal(size=(1, k + 1))
-        hist[0, -1] = x
+        draw = rng.normal(size=k + 4)  # x, k + 1 history values, y and z, as k + 4 scalar draws
+        pair = np.empty((2, 1, k + 1))  # the shuffled and the constant history, both ending at x
+        pair[0, 0, :k], pair[0, 0, k], pair[1] = draw[1 : k + 1], draw[0], draw[0]
         ks.append(k)
-        pairs.append(np.stack([hist, np.full((1, k + 1), x)]))  # the shuffled and the constant history
-        ys[i], zs[i] = rng.normal(), rng.normal()
+        pairs.append(pair)
+        ys[i], zs[i] = draw[k + 2], draw[k + 3]
     at_index: dict[int, list[int]] = {}
     for i, k in enumerate(ks):
         at_index.setdefault(k, []).append(i)
@@ -335,7 +337,8 @@ def _auto_substeps(dt: float, rates: np.ndarray) -> float:
 def _cfl_substeps(cp: ControlProblem, x_grid: XGrid, rates: np.ndarray, given: Optional[int] = None) -> int:
     """Per-grid-step subdivision of an FD solve with the table's ``rates``: the ``given`` count,
     or else the automatic one. A rate that is not finite, or more than FD_WORK_CAP node updates,
-    raises CapacityError; then the first rate over 1 the substeps read, in order, CFLError."""
+    raises CapacityError; then, for a given count, the first rate over 1 the substeps read, in
+    order, CFLError. The automatic count cannot fail that check, so its schedule is not walked."""
     g = cp.grid
     given = given if given is None else _count("time_substeps", given, 1)
     if not np.isfinite(rates).all():
@@ -347,6 +350,8 @@ def _cfl_substeps(cp: ControlProblem, x_grid: XGrid, rates: np.ndarray, given: O
             f"explicit FD solve needs {g.steps} steps x {substeps:.0f} substeps x {x_grid.nx} nodes x "
             f"{len(cp.controls)} controls = {work:.3e} node updates, over the cap {FD_WORK_CAP:.0e}"
         )
+    if given is None:  # every rate is at most 0.9 at the automatic count
+        return int(substeps)
     dt_sub = g.dt / substeps
     read = dt_sub * rates[list(dict.fromkeys(j for _, j in _substep_reads(g, int(substeps))))]
     over = np.flatnonzero(read > 1.0 + 1e-12)
@@ -391,32 +396,39 @@ def markov_fd_solve(cp: ControlProblem, x_grid: XGrid, time_substeps: Optional[i
 
 
 def _fd_solve(cp: ControlProblem, x_grid: XGrid, table: tuple, time_substeps: Optional[int] = None) -> np.ndarray:
-    """markov_fd_solve on ``table``, ``_coefficient_table(cp, x_grid)`` read by its caller."""
+    """markov_fd_solve on ``table``, ``_coefficient_table(cp, x_grid)`` read by its caller. The
+    stencil views of V and each (grid index, control) row's upwind side are fixed once per solve."""
     g = cp.grid
     b, sig, rates, hists = table
     substeps = _cfl_substeps(cp, x_grid, rates, time_substeps)
     dt_sub, dx, nx = g.dt / substeps, x_grid.dx, x_grid.nx
-    uss = [(u,) * nx for u in cp.controls]
-    rows = [list(zip(uss, b[j], 0.5 * sig[j] ** 2, b[j] >= 0, sig[j])) for j in range(g.steps + 1)]
     out = np.empty((g.steps + 1, nx))
     out[g.steps] = _stack_checked("terminal", cp.terminal(hists[g.steps]), (nx,))
-    v = out[g.steps].copy()
+    v = out[g.steps].copy()  # updated in place, so its stencil views below hold for the whole solve
     # d1[1:nx] holds the first differences and d1[0], d1[nx] repeat its ends, so d1[:-1] is the
     # backward and d1[1:] the forward difference at each node; d2 likewise the second difference
     d1, d2 = np.empty(nx + 1), np.empty(nx)
     bwd, fwd, inner, mid = d1[:-1], d1[1:], d1[1:nx], d2[1:-1]
+    right, left, centre, right2, left2, dx2 = v[1:], v[:-1], v[1:-1], v[2:], v[:-2], dx**2
+    # each row's upwind side: the forward view where its drift is >= 0 at every node, the backward
+    # view where it is < 0 at every node, else the mask that np.where reads
+    up, uss, rows = b >= 0, [(u,) * nx for u in cp.controls], []
+    every, some = up.all(axis=2).tolist(), up.any(axis=2).tolist()
+    for j in range(g.steps + 1):
+        sides = [fwd if a else m if s else bwd for a, s, m in zip(every[j], some[j], up[j])]
+        rows.append(list(zip(uss, b[j], 0.5 * sig[j] ** 2, sides, sig[j])))
     for k, j in _substep_reads(g, substeps):
-        np.subtract(v[1:], v[:-1], out=inner)
+        np.subtract(right, left, out=inner)
         inner /= dx
         d1[0], d1[nx] = d1[1], d1[nx - 1]
-        np.multiply(v[1:-1], 2, out=mid)
-        np.subtract(v[2:], mid, out=mid)
-        mid += v[:-2]
-        mid /= dx**2
+        np.multiply(centre, 2, out=mid)
+        np.subtract(right2, mid, out=mid)
+        mid += left2
+        mid /= dx2
         d2[0], d2[-1] = d2[1], d2[-2]
         best = None
         for us, bj, half_var, upwind, sj in rows[j]:
-            dvx = np.where(upwind, fwd, bwd)
+            dvx = np.where(upwind, fwd, bwd) if upwind.dtype == bool else upwind
             ham = bj * dvx
             ham += half_var * d2
             ham += _stack_checked("generator", cp.generator(hists[j], v, (sj * dvx)[:, None], us), (nx,))
@@ -459,8 +471,8 @@ def markov_consistency(
     g = cp.grid
     table = _coefficient_table(cp, x_grid)
     grid_v = _fd_solve(cp, x_grid, table)
-    b, sig, rates, _ = table
-    fd_v = float(np.interp(x, x_grid.nodes(), grid_v[p.t_index]))
+    b, sig, rates, hists = table
+    fd_v = float(np.interp(x, hists[0][:, 0, 0], grid_v[p.t_index]))  # at the x grid's nodes
     mags = [*np.abs(b[0]).max(axis=1).tolist(), *(sig[0] ** 2).max(axis=1).tolist()]
     scale = max(1.0, *mags) * max(1.0, float(np.abs(grid_v[g.steps]).max()))
     bound = 10.0 * scale * (g.dt + g.dt / _auto_substeps(g.dt, rates) + x_grid.dx**2)

@@ -520,6 +520,11 @@ def test_one_dimensional_presets_reject_other_grids(subcommand, spec, tmp_path, 
         (["gauge-suite", "--override", "dt=true"], 2, "config error: dt must be a float, got True"),
         (["bp-demo", "--override", "dt=true"], 2, "config error: dt must be a float, got True"),
         (["gauge-suite", "--override", "big_ms=[1e300]"], 3, "contract violation: M must be at most 1e+130 in size, got 1e+300"),
+        (
+            ["markov-compare", "--override", "base_steps=64"],
+            3,
+            "contract violation: tree of depth 64 needs 2^64 leaves, more than 2^63, over the node cap 262144",
+        ),
     ],
 )
 def test_counts_out_of_range_are_rejected(argv, code, message, tmp_path, capsys):

@@ -38,7 +38,7 @@ from pathhjb.expressions import inline_problem
 from pathhjb.funcalc import constant_functional, ito_check
 from pathhjb.pathspace import GridConfig, Path, PathError, _keys, horizontal_extension
 from pathhjb.phjb import HamiltonianInput, XGrid, hamiltonian, markov_fd_solve, markovian_reduction
-from pathhjb.presets import bangbang_problem, heat_problem, lq_problem, random_augmented_problem, random_problem
+from pathhjb.presets import PRESETS, bangbang_problem, heat_problem, lq_problem, random_augmented_problem, random_problem
 from pathhjb.sampling import random_path
 
 GRID4 = GridConfig(4, 1.0, 1, 1)
@@ -704,6 +704,53 @@ def test_forest_cap_counts_every_root_before_any_coefficient_call():
     assert _values(cp, [p0] * 5, cap=6000).tolist() == [value(cp, p0)] * 5  # four roots, then one
     with pytest.raises(CapacityError, match=r"tree of depth 4 needs 6\^4 = 1296 leaves, over the node cap 1000"):
         _values(cp, [p0], cap=1000)
+
+
+def _outcome(fn):
+    """fn()'s value, or the type and message of the PathError or CapacityError it raises."""
+    try:
+        return fn()
+    except (PathError, CapacityError) as exc:
+        return type(exc), str(exc)
+
+
+# one control (every cost level, and a one-control value) skips the argmax and its gathers
+SKIP_CASES = {
+    "random-1": lambda: random_problem(GRID4, seed=21, n_controls=1),
+    "random-2": lambda: random_problem(GRID4, seed=21, n_controls=2),
+    "random-2d-1": lambda: random_problem(GridConfig(3, 0.75, 2, 2), seed=22, n_controls=1),
+    **{name: lambda build=build: build(GRID4) for name, build in PRESETS.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SKIP_CASES))
+def test_value_is_one_forest_and_one_control_levels_keep_the_oracle_bits(case):
+    cp = SKIP_CASES[case]()
+    g = cp.grid
+    fan = len(cp.controls) * 2**g.noise_dim
+    rng = np.random.default_rng(4)
+    for p0 in [Path.constant(np.full(g.dim, 0.1), 0, g.dt)] + [random_path(rng, g.dim, g.dt, k) for k in range(g.steps + 1)]:
+        oracle = _RecursiveValue(cp, g.steps, cp.terminal)
+        v = oracle.solve(p0)
+        assert value(cp, p0) == _values(cp, [p0])[0] == v
+        if p0.t_index == g.steps:
+            continue
+        # the cost of each constant strategy is the value of the problem with that control alone
+        for u in cp.controls:
+            one = _RecursiveValue(dataclasses.replace(cp, controls=(u,)), g.steps, cp.terminal)
+            assert cost(cp, p0, ControlStrategy.constant(u)) == one.solve(p0)
+        # the played argmax table holds the oracle's first maximizing control at each of its nodes
+        v_strat, strat = value_with_strategy(cp, p0)
+        assert v_strat == v
+        assert {key: cp.controls[i] for key, i in _table(strat).items()} == {key: oracle.memo[key][1] for key in _table(strat)}
+    # value and the grouped _values fail alike: over the cap, a bad cap (also past the horizon),
+    # past the horizon, another dt or another dimension
+    p0, past = Path.constant(np.zeros(g.dim), 0, g.dt), Path.constant(np.zeros(g.dim), g.steps + 1, g.dt)
+    cases = [(p0, fan**g.steps - 1), (p0, 0), (p0, True), (past, 0), (past, 2.0), (past, DEFAULT_NODE_CAP)]
+    cases += [(Path.constant(np.zeros(g.dim), 1, g.dt / 2), DEFAULT_NODE_CAP), (Path.constant(np.zeros(g.dim + 1), 1, g.dt), DEFAULT_NODE_CAP)]
+    for p, cap in cases:
+        got = _outcome(lambda: value(cp, p, cap))
+        assert isinstance(got, tuple) and got == _outcome(lambda: float(_values(cp, [p], cap)[0])), (p, cap)
 
 
 def test_regularity_probe_numbers_are_those_of_one_solve_per_probe():

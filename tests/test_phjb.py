@@ -793,14 +793,53 @@ def test_markov_consistency_work_is_bounded_by_the_lattice(monkeypatch):
     assert counts["paths"] == 0
 
 
-def _probe_indices(grid, seed):
-    """The distinct grid indices of the reduction's eight probes, drawn from ``seed``'s stream
-    as the reduction draws them: grid index, endpoint, history, y and z per probe."""
-    rng, ks = np.random.default_rng(seed), []
+def _five_draw_probes(steps, seed):
+    """Reference stream: the reduction's eight probes as ``_per_probe_verdict`` draws them from
+    ``seed``, five draws each (grid index k, endpoint x, history, y, z), as (k, the history and
+    the constant history of x stacked, y, z)."""
+    rng, probes = np.random.default_rng(seed), []
     for _ in range(8):
-        ks.append(int(rng.integers(0, grid.steps + 1)))
-        rng.normal(), rng.normal(size=(1, ks[-1] + 1)), rng.normal(), rng.normal(size=1)
-    return set(ks)
+        k = int(rng.integers(0, steps + 1))
+        x = float(rng.normal())
+        hist = rng.normal(size=(1, k + 1))
+        hist[0, -1] = x
+        probes.append((k, np.stack([hist, np.full((1, k + 1), x)]), float(rng.normal()), rng.normal(size=1)))
+    return probes
+
+
+def _probe_indices(grid, seed):
+    """The distinct grid indices of the reduction's eight probes, drawn from ``seed``'s stream."""
+    return {k for k, *_ in _five_draw_probes(grid.steps, seed)}
+
+
+@pytest.mark.parametrize("steps", range(1, 9))
+def test_the_reduction_reads_the_five_draw_probe_stream(steps):
+    # one normal draw per probe holds the values of the five draws it replaced
+    seen, controls = [], (-0.5, 1.0)
+    u_of = lambda us: np.asarray(us, dtype=float)
+    cp = ControlProblem(
+        drift=lambda vals, us: seen.append(("drift", vals.copy())) or (u_of(us) * vals[:, 0, -1])[:, None],
+        diffusion=lambda vals, us: np.ones((len(us), 1, 1)),
+        generator=lambda vals, y, z, us: seen.append(("generator", vals.copy(), y.copy(), z.copy())) or -0.5 * y + u_of(us) * z[:, 0],
+        terminal=lambda vals: seen.append(("terminal", vals.copy())) or vals[:, 0, -1] ** 2,
+        controls=controls,
+        grid=GridConfig(steps, 0.5, 1, 1),
+    )
+    n_u = len(controls)
+    for seed in range(20):
+        seen.clear()
+        assert markovian_reduction(cp, seed) is cp
+        probes, want = _five_draw_probes(steps, seed), []
+        for k in dict.fromkeys(k for k, *_ in probes):  # grid indices in first-drawn order
+            at_k = [probe for probe in probes if probe[0] == k]
+            stacked = np.concatenate([pair for _, pair, _, _ in at_k])
+            rows = np.repeat(stacked, n_u, axis=0)
+            y = np.repeat([y for _, _, y, _ in at_k], 2 * n_u)
+            z = np.repeat([z[0] for _, _, _, z in at_k], 2 * n_u)[:, None]
+            want += [("generator", rows, y, z), ("drift", rows)] + [("terminal", stacked)] * (k == steps)
+        assert len(seen) == len(want)
+        for got, ref in zip(seen, want):
+            assert got[0] == ref[0] and all(np.array_equal(a, b) for a, b in zip(got[1:], ref[1:])), (seed, ref[0])
 
 
 def test_markov_consistency_runs_the_cfl_guard_once(monkeypatch):
@@ -898,6 +937,41 @@ def test_markov_fd_solve_equals_the_stencil_loop(seed):
     xg = XGrid(-3.0, 3.0, (3, 81)[seed] if seed < 2 else int(rng.integers(3, 82)))
     auto = _auto_substeps(mp, xg)
     for substeps in (None, auto + int(rng.integers(0, 4))):
+        assert np.array_equal(markov_fd_solve(mp, xg, substeps), _stencil_fd(mp, xg, substeps))
+
+
+# drift per (x, control): rows >= 0 at every node read the forward view, rows < 0 at every node
+# the backward view, and a row whose sign changes across x the np.where mask
+_UPWIND_DRIFTS = {
+    "positive": (lambda xs, u: np.full_like(xs, 0.7), "forward"),
+    "negative": (lambda xs, u: np.full_like(xs, -0.7), "backward"),
+    "zero": (lambda xs, u: np.zeros_like(xs), "forward"),
+    "sign change": (lambda xs, u: xs - 0.3 * u, "mask"),
+    "one side per control": (lambda xs, u: u + 0.0 * xs, None),  # controls -0.6, 0.0 and 0.8
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UPWIND_DRIFTS))
+def test_each_upwind_route_equals_the_stencil_loop(case):
+    drift, route = _UPWIND_DRIFTS[case]
+    u_of = lambda us: np.asarray(us, dtype=float)
+    mp = ControlProblem(
+        drift=lambda vals, us: drift(vals[:, 0, -1], u_of(us))[:, None],
+        diffusion=lambda vals, us: np.full((len(us), 1, 1), 0.6),
+        generator=lambda vals, y, z, us: -0.2 * y + 0.3 * u_of(us) * z[:, 0] - 0.1 * vals[:, 0, -1],
+        terminal=lambda vals: np.sin(2.0 * vals[:, 0, -1]) + 0.1 * vals[:, 0, -1] ** 2,
+        controls=(-0.6, 0.0, 0.8),
+        grid=GridConfig(4, 0.5, 1, 1),
+    )
+    xg = XGrid(-3.0, 3.0, 31)
+    up = _coefficient_table(mp, xg)[0] >= 0
+    sides = {"forward": up.all(axis=2), "backward": ~up.any(axis=2), "mask": up.any(axis=2) & ~up.all(axis=2)}
+    if route is None:  # the backward view under -0.6, the forward one under 0.0 and 0.8
+        assert sides["backward"][:, 0].all() and sides["forward"][:, 1:].all()
+    else:
+        assert sides[route].all()
+    auto = _auto_substeps(mp, xg)
+    for substeps in (None, auto + 3):
         assert np.array_equal(markov_fd_solve(mp, xg, substeps), _stencil_fd(mp, xg, substeps))
 
 
